@@ -1,0 +1,3 @@
+from perfbench.paths import use_checkout_sources
+
+use_checkout_sources()
