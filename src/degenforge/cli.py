@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .degeneracy import (
@@ -35,21 +33,16 @@ from .horn import (
     is_idempotent,
 )
 from .nerve import CategoryPresentation, nerve, uniqueness_demo
-from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef, Subcomplex, validate
+from .sset import (
+    SemisimplicialMap,
+    SemisimplicialSet,
+    SimplexRef,
+    Subcomplex,
+    validate,
+    validate_map,
+)
 
 AFFIRMATIVE = {"ok", "yes", "success", "pass"}
-
-
-def thread_count() -> int:
-    """Parallelism cap from DEGENFORGE_THREADS; 0 (the default) means auto."""
-    raw = os.environ.get("DEGENFORGE_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"DEGENFORGE_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ParseError("DEGENFORGE_THREADS must be non-negative")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 # -- file helpers ------------------------------------------------------------
@@ -101,6 +94,12 @@ def _load_s0(path: str) -> dict[int, int]:
 # -- command handlers ---------------------------------------------------------
 
 
+def _require_valid(label: str, report) -> None:
+    # checkers give no verdict on inputs that fail their identities
+    if not report.ok:
+        raise ParseError(f"{label} fails validation: {report.violations[:3]}")
+
+
 def _cmd_validate(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
     report = validate(X)
@@ -112,12 +111,15 @@ def _cmd_validate(args) -> tuple[str, dict, list]:
 
 def _cmd_check(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
+    _require_valid("input set", validate(X))
     dim = args.dim if args.dim is not None else X.dim
     if args.inner_fibration:
         if not args.map or not args.target:
             raise ParseError("--inner-fibration needs --map and --target")
         Y = load_sset(args.target)
+        _require_valid("target set", validate(Y))
         p = load_map(args.map, X, Y)
+        _require_valid("map", validate_map(p))
         verdict = check_inner_fibration(p, dim)
         payload = {"bound": verdict.bound, "checked": verdict.checked}
         if verdict.witness is not None:
@@ -144,17 +146,13 @@ def _edge_verdict(X, j: int, prop: str, dim: int) -> EdgeVerdict:
 
 def _cmd_edges(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
+    _require_valid("input set", validate(X))
     dim = args.dim if args.dim is not None else X.dim
     if args.edge is not None:
         indices = [args.edge]
     else:
         indices = list(range(X.cells[1])) if X.dim >= 1 else []
-    jobs = thread_count()
-    if jobs > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(lambda j: _edge_verdict(X, j, args.property, dim), indices))
-    else:
-        verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
+    verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
     ok = all(v.result for v in verdicts)
     payload = {"bound": dim, "edges": [v.to_json_dict() for v in verdicts]}
     if not ok:
@@ -211,6 +209,7 @@ def _cmd_synthesize_rel(args) -> tuple[str, dict, list]:
 
 def _cmd_addendum_s0(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
+    _require_valid("input set", validate(X))
     dim = args.dim if args.dim is not None else X.dim
     found = addendum_s0(X, dim)
     outputs = []

@@ -1,9 +1,11 @@
 """Horn construction, filler search, and lifting-condition checkers.
 
-All checkers are read-only scans over immutable sets. Verdicts are always
-"up to D": nothing is extrapolated beyond the truncation, and a negative
-verdict carries a concrete witness. Filler tie-breaking is everywhere the
-lowest canonical index.
+All checkers are read-only scans: they fill a set's lookup caches but never
+change its faces. Every scan runs through one enumerator whose backtracking
+steps are slot-pattern lookups on the set. Verdicts are always "up to D":
+nothing is extrapolated beyond the truncation, and a negative verdict
+carries a concrete witness. Filler tie-breaking is everywhere the lowest
+canonical index.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import (
     NotASelfEdge,
     ParseError,
 )
-from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef, first_edge, last_edge
+from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,54 @@ def fillers(X: SemisimplicialSet, horn: Horn) -> list[SimplexRef]:
     return [SimplexRef(horn.n, z) for z in _filler_indices(X, horn.n, horn.faces)]
 
 
+def _positions(n: int, k: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n + 1) if i != k)
+
+
+def _face_values(X: SemisimplicialSet, n: int, k: int,
+                 restrict: Optional[Mapping[int, Iterable[int]]] = None,
+                 descending: bool = False) -> Iterator[tuple[int, ...]]:
+    """Face values of every compatible (n,k) horn, listed by ascending face index.
+
+    Faces are assigned one position at a time. The faces already assigned
+    fix some faces of the next one (d_j x_i = d_{i-1} x_j for j < i), so its
+    candidates are a single ``X.matching`` lookup, ascending.
+    """
+    if n < 1 or n > X.dim or X.cells[n - 1] == 0:
+        return
+    m = n - 1
+    rows = X.face_rows(m)
+    positions = _positions(n, k)[::-1] if descending else _positions(n, k)
+    # per step: the fixed slots of the new face, which earlier face and which of
+    # its faces gives each slot's value, and the restriction at that position
+    steps = []
+    for p, i in enumerate(positions):
+        fixed = sorted((j, q, i - 1) if j < i else (j - 1, q, i)
+                       for q, j in enumerate(positions[:p]))
+        pool = (restrict or {}).get(i)
+        steps.append((tuple(slot for slot, _, _ in fixed), tuple((q, r) for _, q, r in fixed),
+                      None if pool is None else frozenset(pool)))
+    chosen = [0] * len(steps)
+    last = len(steps) - 1
+
+    def candidates(p: int) -> Iterable[int]:
+        slots, reads, pool = steps[p]
+        found = X.matching(m, slots, [rows[chosen[q]][r] for q, r in reads])
+        return found if pool is None else [z for z in found if z in pool]
+
+    stack = [iter(candidates(0))]
+    while stack:
+        p = len(stack) - 1
+        for z in stack[p]:
+            chosen[p] = z
+            if p < last:
+                stack.append(iter(candidates(p + 1)))
+                break
+            yield tuple(reversed(chosen)) if descending else tuple(chosen)
+        else:
+            stack.pop()
+
+
 def compatible_horns(X: SemisimplicialSet, n: int, k: int,
                      restrict: Optional[Mapping[int, Iterable[int]]] = None,
                      descending: bool = False) -> Iterator[Horn]:
@@ -109,47 +159,9 @@ def compatible_horns(X: SemisimplicialSet, n: int, k: int,
     runs over positions in ascending index order (descending with the flag);
     the yield order is deterministic either way.
     """
-    if n < 1 or n > X.dim or X.cells[n - 1] == 0:
-        return
-    m = n - 1
-    positions = [i for i in range(n + 1) if i != k]
-    if descending:
-        positions.reverse()
-    allowed = {i: frozenset(pool) for i, pool in (restrict or {}).items()}
-    assigned: dict[int, int] = {}
-
-    def candidates(i: int) -> Iterable[int]:
-        required = {}
-        for j, xj in assigned.items():
-            if j < i:
-                slot, value = j, X.face_index(m, xj, i - 1)
-            else:
-                slot, value = j - 1, X.face_index(m, xj, i)
-            if required.setdefault(slot, value) != value:
-                return []
-        if required:
-            pools = [(fi, fv, X.with_face(m, fi, fv)) for fi, fv in required.items()]
-            base_i, _, base = min(pools, key=lambda t: len(t[2]))
-            cands = [z for z in base
-                     if all(X.face_index(m, z, fi) == fv for fi, fv, _ in pools if fi != base_i)]
-        else:
-            cands = range(X.cells[m])
-        if i in allowed:
-            pool = allowed[i]
-            cands = [z for z in cands if z in pool]
-        return cands
-
-    def extend(pos: int) -> Iterator[Horn]:
-        if pos == len(positions):
-            yield Horn.from_map(n, k, assigned)
-            return
-        i = positions[pos]
-        for z in candidates(i):
-            assigned[i] = z
-            yield from extend(pos + 1)
-            del assigned[i]
-
-    yield from extend(0)
+    order = _positions(n, k)
+    for values in _face_values(X, n, k, restrict, descending):
+        yield Horn(n, k, tuple(zip(order, values)))
 
 
 @dataclass
@@ -168,30 +180,29 @@ class HornVerdict:
         return out
 
 
+def _scan(X: SemisimplicialSet, bound: int, shapes: Iterable[tuple[int, int]]) -> HornVerdict:
+    # a horn fills iff it is some n-simplex's row with face k left out
+    checked = 0
+    for n, k in shapes:
+        realized = {row[:k] + row[k + 1:] for row in X.face_rows(n)}
+        for values in _face_values(X, n, k):
+            checked += 1
+            if values not in realized:
+                return HornVerdict(False, bound, Horn(n, k, tuple(zip(_positions(n, k), values))),
+                                   checked)
+    return HornVerdict(True, bound, None, checked)
+
+
 def check_inner(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible inner horn (0 < k < n <= D) has at least one filler."""
     bound = X.dim if D is None else min(D, X.dim)
-    checked = 0
-    for n in range(2, bound + 1):
-        for k in range(n - 1, 0, -1):
-            for horn in compatible_horns(X, n, k):
-                checked += 1
-                if not _filler_indices(X, n, horn.faces):
-                    return HornVerdict(False, bound, horn, checked)
-    return HornVerdict(True, bound, None, checked)
+    return _scan(X, bound, ((n, k) for n in range(2, bound + 1) for k in range(n - 1, 0, -1)))
 
 
 def check_kan(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible horn fills, outer horns and the two n = 1 shapes included."""
     bound = X.dim if D is None else min(D, X.dim)
-    checked = 0
-    for n in range(1, bound + 1):
-        for k in range(n, -1, -1):
-            for horn in compatible_horns(X, n, k):
-                checked += 1
-                if not _filler_indices(X, n, horn.faces):
-                    return HornVerdict(False, bound, horn, checked)
-    return HornVerdict(True, bound, None, checked)
+    return _scan(X, bound, ((n, k) for n in range(1, bound + 1) for k in range(n, -1, -1)))
 
 
 @dataclass
@@ -223,20 +234,16 @@ class EdgeVerdict:
         return out
 
 
-def _edge_pool(X: SemisimplicialSet, m: int, f: int, end: str) -> list[int]:
-    # m-simplices whose last (resp. first) edge is f
-    picker = last_edge if end == "last" else first_edge
-    return [j for j in range(X.cells[m]) if picker(X, SimplexRef(m, j)).index == f]
-
-
-def _cartesian_horns(X, n, f):
-    pool = _edge_pool(X, n - 1, f, "last")
-    return compatible_horns(X, n, n, restrict={0: pool})
-
-
-def _cocartesian_horns(X, n, f):
-    pool = _edge_pool(X, n - 1, f, "first")
-    return compatible_horns(X, n, 0, restrict={n: pool}, descending=True)
+def _edge_horns(X: SemisimplicialSet, n: int, f: int, property: str):
+    """k and the face items of every n-horn a cartesian (cocartesian) scan of f visits."""
+    if property == "cartesian":
+        k, slot, end, descending = n, 0, "last", False
+    else:
+        k, slot, end, descending = 0, n, "first", True
+    pool = [j for j, e in enumerate(X.edges(n - 1, end)) if e == f]
+    order = _positions(n, k)
+    values = _face_values(X, n, k, restrict={slot: pool}, descending=descending)
+    return k, (tuple(zip(order, v)) for v in values)
 
 
 def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
@@ -249,11 +256,11 @@ def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
     if property not in ("cartesian", "cocartesian"):
         raise ValueError(f"unknown edge property {property!r}")
     bound = X.dim if D is None else min(D, X.dim)
-    horns = _cartesian_horns if property == "cartesian" else _cocartesian_horns
     for n in range(2, bound + 1):
-        for horn in horns(X, n, f.index):
-            if not _filler_indices(X, n, horn.faces):
-                return EdgeVerdict(f, property, bound, False, horn)
+        k, horns = _edge_horns(X, n, f.index, property)
+        for items in horns:
+            if not _filler_indices(X, n, items):
+                return EdgeVerdict(f, property, bound, False, Horn(n, k, items))
     return EdgeVerdict(f, property, bound, True)
 
 
@@ -311,18 +318,12 @@ class FibrationVerdict:
         return out
 
 
-def _project_horn(p: SemisimplicialMap, horn: Horn) -> Horn:
-    m = horn.n - 1
-    return Horn(horn.n, horn.k, tuple((i, p.apply_index(m, v)) for i, v in horn.faces))
-
-
-def _lifts_exist(p: SemisimplicialMap, horn: Horn) -> Optional[SimplexRef]:
+def _lifts_exist(p: SemisimplicialMap, n: int,
+                 items: Sequence[tuple[int, int]]) -> Optional[SimplexRef]:
     """First target simplex over the projected horn with no lift, if any."""
-    X, Y = p.source, p.target
-    n = horn.n
-    zs = _filler_indices(X, n, horn.faces)
-    images = {p.apply_index(n, z) for z in zs}
-    for y in _filler_indices(Y, n, _project_horn(p, horn).faces):
+    images = {p.apply_index(n, z) for z in _filler_indices(p.source, n, items)}
+    projected = tuple((i, p.apply_index(n - 1, v)) for i, v in items)
+    for y in _filler_indices(p.target, n, projected):
         if y not in images:
             return SimplexRef(n, y)
     return None
@@ -334,11 +335,13 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Fibr
     checked = 0
     for n in range(2, bound + 1):
         for k in range(n - 1, 0, -1):
-            for horn in compatible_horns(p.source, n, k):
+            order = _positions(n, k)
+            for values in _face_values(p.source, n, k):
                 checked += 1
-                missing = _lifts_exist(p, horn)
+                items = tuple(zip(order, values))
+                missing = _lifts_exist(p, n, items)
                 if missing is not None:
-                    return FibrationVerdict(False, bound, (horn, missing), checked)
+                    return FibrationVerdict(False, bound, (Horn(n, k, items), missing), checked)
     return FibrationVerdict(True, bound, None, checked)
 
 
@@ -371,10 +374,10 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
     if property not in ("cartesian", "cocartesian"):
         raise ValueError(f"unknown edge property {property!r}")
-    horns = _cartesian_horns if property == "cartesian" else _cocartesian_horns
     for n in range(2, bound + 1):
-        for horn in horns(X, n, f.index):
-            missing = _lifts_exist(p, horn)
+        k, horns = _edge_horns(X, n, f.index, property)
+        for items in horns:
+            missing = _lifts_exist(p, n, items)
             if missing is not None:
-                return EdgeVerdict(f, property, bound, False, (horn, missing))
+                return EdgeVerdict(f, property, bound, False, (Horn(n, k, items), missing))
     return EdgeVerdict(f, property, bound, True)

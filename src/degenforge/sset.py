@@ -3,8 +3,10 @@
 A set carries all data up to its truncation dimension D and nothing above:
 cell counts ``c_0..c_D`` and, for every n >= 1, a dense face table where
 entry ``(n, j, i)`` is the index of the i-th face of the j-th n-simplex.
-Everything downstream of construction is read-only, so instances are safe
-to share across threads.
+The face data is immutable after construction. Derived lookups that only
+the horn scans need (slot-pattern indices, per-level first and last edges)
+are caches, filled on first use and kept for the life of the set; a set
+that is only loaded, validated and verified never builds them.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class SemisimplicialSet:
             levels.append(tuple(rows))
         self._faces = tuple(levels)
         self._by_face = self._build_face_index()
+        self._pair_index: dict = {}
+        self._edges: dict = {}
 
     def _build_face_index(self):
         # by_face[n][i][v] = sorted indices of n-simplices whose d_i is v
@@ -93,9 +97,57 @@ class SemisimplicialSet:
             raise DimensionTooLow("vertices have no faces")
         return SimplexRef(s.dim - 1, self._faces[s.dim][s.index][i])
 
+    def face_rows(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """Every n-simplex's face row, by index."""
+        return self._faces[n]
+
     def with_face(self, n: int, i: int, value: int) -> tuple[int, ...]:
         """All n-simplices whose i-th face is ``value``, ascending."""
         return self._by_face[n][i].get(value, ())
+
+    def matching(self, n: int, slots: Sequence[int], values: Sequence[int]) -> Sequence[int]:
+        """All n-simplices whose faces at ``slots`` equal ``values``, ascending.
+
+        One dict lookup on the first two slots, then a row filter on the rest.
+        The index for a pair of slots is built on first use; keys never hold
+        more than two slots, which bounds the index by the level's size.
+        """
+        if not slots:
+            return range(self.cells[n])
+        if len(slots) == 1:
+            return self._by_face[n][slots[0]].get(values[0], ())
+        a, b = slots[0], slots[1]
+        index = self._pair_index.get((n, a, b))
+        if index is None:
+            pairs: dict[tuple[int, int], list[int]] = {}
+            for j, row in enumerate(self._faces[n]):
+                pairs.setdefault((row[a], row[b]), []).append(j)
+            index = self._pair_index[(n, a, b)] = {key: tuple(js) for key, js in pairs.items()}
+        found = index.get((values[0], values[1]), ())
+        if len(slots) == 2:
+            return found
+        rest = tuple(zip(slots[2:], values[2:]))
+        rows = self._faces[n]
+        return [z for z in found if all(rows[z][i] == v for i, v in rest)]
+
+    def edges(self, n: int, end: str) -> tuple[int, ...]:
+        """Per n-simplex, the index of its ``"last"`` or ``"first"`` edge.
+
+        Level n is derived from level n-1 through d_0 (last) or d_n (first).
+        """
+        if end not in ("last", "first"):
+            raise ValueError(f"edge end must be 'last' or 'first', got {end!r}")
+        key = (n, end)
+        found = self._edges.get(key)
+        if found is None:
+            if n == 1:
+                found = tuple(range(self.cells[1]))
+            else:
+                below = self.edges(n - 1, end)
+                i = 0 if end == "last" else n
+                found = tuple(below[row[i]] for row in self._faces[n])
+            self._edges[key] = found
+        return found
 
     def simplices(self, n: int) -> Iterator[SimplexRef]:
         for j in range(self.cells[n]):
@@ -176,20 +228,14 @@ def last_edge(X: SemisimplicialSet, s: SimplexRef) -> SimplexRef:
     """The edge on the last two vertices: d_0 applied (dim - 1) times."""
     if s.dim < 1:
         raise DimensionTooLow("a vertex has no last edge")
-    j = s.index
-    for m in range(s.dim, 1, -1):
-        j = X.face_index(m, j, 0)
-    return SimplexRef(1, j)
+    return SimplexRef(1, X.edges(s.dim, "last")[s.index])
 
 
 def first_edge(X: SemisimplicialSet, s: SimplexRef) -> SimplexRef:
     """The edge on the first two vertices: successively drop the top vertex."""
     if s.dim < 1:
         raise DimensionTooLow("a vertex has no first edge")
-    j = s.index
-    for m in range(s.dim, 1, -1):
-        j = X.face_index(m, j, m)
-    return SimplexRef(1, j)
+    return SimplexRef(1, X.edges(s.dim, "first")[s.index])
 
 
 class SemisimplicialMap:

@@ -86,12 +86,10 @@ def test_synthesize_failure_names_the_vertex(tmp_path):
     assert report["witness"] == {"vertex": 0}
 
 
-def test_edges_command(z2_files, monkeypatch):
-    monkeypatch.setenv("DEGENFORGE_THREADS", "2")
+def test_edges_command(z2_files):
     code, report = run(["edges", str(z2_files["sset"]), "--dim", "4"])
     assert code == 0
     assert [v["result"] for v in report["edges"]] == [True, True]
-    monkeypatch.setenv("DEGENFORGE_THREADS", "1")
     code_single, report_single = run(["edges", str(z2_files["sset"]), "--dim", "4"])
     assert report_single["edges"] == report["edges"]
 
@@ -161,3 +159,49 @@ def test_emitted_files_reparse_to_equal_values(z2_files):
 def test_report_has_the_documented_keys(z2_files):
     code, report = run(["check", "--kan", str(z2_files["sset"])])
     assert {"command", "verdict", "bound", "outputs"} <= set(report)
+
+
+@pytest.fixture()
+def dangling_files(tmp_path):
+    """Z/2 at D3 plus one extra 3-simplex whose last face is out of range.
+
+    Every horn of the intact part still fills, so a checker that skipped
+    validation would answer yes.
+    """
+    from degenforge.nerve import nerve
+    bundle = nerve(cyclic_group(2), 3)
+    data = bundle.sset.to_json_dict()
+    data["cells"][3] += 1
+    data["faces"][2].append([0, 0, 0, 99])
+    sset = tmp_path / "dangling.sset"
+    sset.write_text(json.dumps(data))
+    target = tmp_path / "n2.sset"
+    target.write_text(json.dumps(bundle.sset.to_json_dict()))
+    levels = [list(range(c)) for c in bundle.sset.cells]
+    levels[3].append(0)
+    pmap = tmp_path / "p.map"
+    pmap.write_text(json.dumps({"levels": levels}))
+    return {"sset": sset, "target": target, "map": pmap}
+
+
+@pytest.mark.parametrize("mode", [["--inner"], ["--kan"], ["--inner-fibration"]])
+def test_check_rejects_an_invalid_set(dangling_files, mode):
+    argv = ["check", *mode, str(dangling_files["sset"])]
+    if mode == ["--inner-fibration"]:
+        argv += ["--map", str(dangling_files["map"]), "--target", str(dangling_files["target"])]
+    code, report = run(argv)
+    assert code == 2
+    assert report["verdict"] == "error"
+    assert "fails validation" in report["detail"]
+
+
+def test_edges_rejects_an_invalid_set(dangling_files):
+    code, report = run(["edges", str(dangling_files["sset"])])
+    assert code == 2
+    assert "fails validation" in report["detail"]
+
+
+def test_addendum_s0_rejects_an_invalid_set(dangling_files):
+    code, report = run(["addendum-s0", str(dangling_files["sset"])])
+    assert code == 2
+    assert "fails validation" in report["detail"]
