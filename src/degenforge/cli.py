@@ -38,6 +38,7 @@ from .sset import (
     SemisimplicialSet,
     SimplexRef,
     Subcomplex,
+    _require_valid,
     validate,
     validate_map,
 )
@@ -82,22 +83,16 @@ def load_category(path: str) -> CategoryPresentation:
     return CategoryPresentation.from_json_dict(_load_json(path))
 
 
-def _load_s0(path: str) -> dict[int, int]:
+def _load_s0(path: str) -> dict:
     data = _load_json(path)
     if isinstance(data, dict) and "s0" in data:
         data = data["s0"]
     if not isinstance(data, list):
         raise ParseError(f"{path}: the degree-0 candidate must be an array of edge indices")
-    return {v: int(e) for v, e in enumerate(data)}
+    return dict(enumerate(data))  # synthesis checks the entries against the set
 
 
 # -- command handlers ---------------------------------------------------------
-
-
-def _require_valid(label: str, report) -> None:
-    # checkers give no verdict on inputs that fail their identities
-    if not report.ok:
-        raise ParseError(f"{label} fails validation: {report.violations[:3]}")
 
 
 def _cmd_validate(args) -> tuple[str, dict, list]:
@@ -197,7 +192,7 @@ def _cmd_synthesize_rel(args) -> tuple[str, dict, list]:
     A_deg = load_table(args.adeg, X) if args.adeg else None
     s0 = _load_s0(args.s0) if args.s0 else None
     dim = args.dim if args.dim is not None else X.dim
-    inp = SynthesisInput(X, mode="relative", p=p, Y_deg=Y_deg, A=A, A_deg=A_deg, s0=s0)
+    inp = SynthesisInput(X, p=p, Y_deg=Y_deg, A=A, A_deg=A_deg, s0=s0)
     result = synthesize_relative(inp, dim)
     outputs = _write_synthesis(args, result)
     payload = {

@@ -53,10 +53,15 @@ from .sset import (
     SemisimplicialSet,
     SimplexRef,
     Subcomplex,
-    ValidationReport,
+    _require_valid,
     validate,
     validate_map,
 )
+
+
+def _is_index(value, limit: int) -> bool:
+    """An integer in 0..limit-1; bools and floats are not indices."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < limit
 
 
 class DegeneracyTable:
@@ -156,15 +161,27 @@ class DegeneracyTable:
             raise ParseError(f"malformed degeneracy table: {exc}") from exc
         if base_hash != base.content_hash():
             raise ParseError("degeneracy table was emitted for a different base set")
+        if not isinstance(raw, list):
+            raise ParseError("a degeneracy table's \"s\" is an array of per-k arrays")
         out = cls(base)
         for k, per_n in enumerate(raw):
+            if not isinstance(per_n, list):
+                raise ParseError(f"s_{k} is not an array of levels")
             for n, level in enumerate(per_n):
                 if level is None:
                     continue
+                if not isinstance(level, list):
+                    raise ParseError(f"level (k={k}, n={n}) is neither an array nor null")
+                if n >= base.dim:
+                    raise ParseError(f"level (k={k}, n={n}) maps into dimension {n + 1} "
+                                     f"above the base's {base.dim}")
                 if len(level) != base.cells[n]:
                     raise ParseError(f"level (k={k}, n={n}) has {len(level)} entries for {base.cells[n]} simplices")
                 for j, v in enumerate(level):
-                    out.set_value(k, n, j, int(v))
+                    if not _is_index(v, base.cells[n + 1]):
+                        raise ParseError(f"s_{k} of ({n},{j}) is {v!r}, not an index "
+                                         f"in 0..{base.cells[n + 1] - 1}")
+                    out.set_value(k, n, j, v)
         return out
 
     def __eq__(self, other) -> bool:
@@ -207,14 +224,15 @@ class GoodSystem:
 class SynthesisInput:
     """Everything a synthesis run consumes.
 
-    In relative mode, ``p`` maps into a base carrying the degeneracies
-    ``Y_deg`` and ``A``/``A_deg`` describe a subcomplex whose structure the
-    output must extend. ``s0`` (vertex index -> edge index) may be omitted
-    where auto-discovery applies.
+    Without ``p`` the run is over the point: every fill is a plain filler.
+    With it, ``p`` maps ``X`` into a base carrying the degeneracies ``Y_deg``
+    and every fill is a lift over the image they prescribe. ``A``/``A_deg``
+    describe a subcomplex whose structure the output must extend, in either
+    case. ``s0`` (vertex index -> edge index) may be omitted where
+    auto-discovery applies.
     """
 
     X: SemisimplicialSet
-    mode: str = "absolute"
     p: Optional[SemisimplicialMap] = None
     Y_deg: Optional[DegeneracyTable] = None
     A: Optional[Subcomplex] = None
@@ -305,13 +323,17 @@ def forced_value(sys: GoodSystem, A_data, x: SimplexRef, target_k: int) -> Optio
 # ---------------------------------------------------------------------------
 # the builder
 
+# what one value must satisfy: (i, d_i value) for every i but the horn's gap, None
+# where a lower value is undefined, then its image in the target (None over the point)
+Faces = tuple[tuple[int, Optional[int]], ...]
+Prescribed = tuple[Faces, Optional[int]]
+
 
 class _Engine:
     def __init__(self, inp: SynthesisInput, D: int, expected: Optional[list] = None):
         self.inp = inp
         self.X = inp.X
         self.D = D
-        self.relative = inp.mode == "relative"
         self.p = inp.p
         self.Ydeg = inp.Y_deg
         self.A = inp.A
@@ -389,29 +411,46 @@ class _Engine:
                 horn=horn, level=level, target=target)
         return candidates[0]
 
+    def _horn(self, n: int, k: int, faces: Faces, what: str) -> Horn:
+        for i, v in faces:
+            if v is None:
+                raise ConsistencyViolation(
+                    f"needed degeneracy value undefined while prescribing face {i} of the {what}")
+        return Horn(n, k, faces)
+
+    def _check_level(self, N: int, n: int, dim: int, values: Mapping[int, int],
+                     prescribed: Mapping[int, Prescribed], how: dict[int, str]) -> None:
+        # every value, forced or filled, must have its prescribed faces and image
+        for j in range(self.X.cells[n]):
+            v = values[j]
+            faces, target = prescribed[j]
+            row = self.X.faces_of(dim, v)
+            for i, want in faces:
+                if row[i] != want:
+                    self._blame(how.get(j), N, n, j, i)
+            if target is not None and self._proj(dim, v) != target:
+                self._blame(how.get(j), N, n, j, "projection")
+
+    def _blame(self, how: Optional[str], N: int, n: int, j: int, i) -> None:
+        msg = f"s_{N} at simplex ({n},{j}) violates its defining equation at face {i}"
+        if how == "forced" and self.A is not None and self.A.contains(n, j):
+            raise IncompatibleSubcomplexStructure(msg, simplex=(n, j))
+        raise ConsistencyViolation(msg, simplex=(n, j))
+
     # -- step one: extension -------------------------------------------------
 
-    def _require(self, value: Optional[int], context: str) -> int:
-        if value is None:
-            raise ConsistencyViolation(f"needed degeneracy value undefined while {context}")
-        return value
-
-    def _step1_horn(self, N: int, n: int, j: int) -> Horn:
-        faces = {}
+    def _step1_prescribed(self, N: int, n: int, j: int) -> Prescribed:
+        """d_i s_N(x_j) for every i != N+1, and s_N p(x_j) over a map."""
+        faces = []
         for i in range(n + 2):
-            if i == N + 1:
-                continue
             if i < N:
-                faces[i] = self._require(
-                    self.table.value(N - 1, n - 1, self.X.face_index(n, j, i)),
-                    f"prescribing face {i} of the extension horn at ({n},{j})")
+                faces.append((i, self.table.value(N - 1, n - 1, self.X.face_index(n, j, i))))
             elif i == N:
-                faces[i] = j
-            else:
-                faces[i] = self._require(
-                    self.table.value(N, n - 1, self.X.face_index(n, j, i - 1)),
-                    f"prescribing face {i} of the extension horn at ({n},{j})")
-        return Horn.from_map(n + 1, N + 1, faces)
+                faces.append((i, j))
+            elif i > N + 1:
+                faces.append((i, self.table.value(N, n - 1, self.X.face_index(n, j, i - 1))))
+        target = None if self.p is None else self._y_deg(N, n, self._proj(n, j))
+        return tuple(faces), target
 
     def _step1(self, N: int) -> None:
         if self.D < N + 1:
@@ -419,8 +458,9 @@ class _Engine:
         s0 = self.inp.s0
         for n in range(N, self.D):
             how: dict[int, str] = {}
+            prescribed = {}
             for j in self._level_order(n, N):
-                target = self._y_deg(N, n, self._proj(n, j)) if self.relative else None
+                faces, target = prescribed[j] = self._step1_prescribed(N, n, j)
                 value = self._forced(n, j, N)
                 if value is not None:
                     self.stats["forced"] += 1
@@ -428,7 +468,7 @@ class _Engine:
                     self._emit({"stage": {"N": N, "step": 1}, "simplex": [n, j],
                                 "kind": "forced", "value": value})
                 else:
-                    horn = self._step1_horn(N, n, j)
+                    horn = self._horn(n + 1, N + 1, faces, f"extension horn at ({n},{j})")
                     if n == N == 0:
                         if s0 is None:
                             raise ValueError("stage 0 requires the degree-0 degeneracy candidate s0")
@@ -447,50 +487,25 @@ class _Engine:
                                 "kind": "filled", "value": value,
                                 "horn": horn.to_json_dict()})
                 self.table.set_value(N, n, j, value)
-            self._check_step1_level(N, n, how)
-
-    def _check_step1_level(self, N: int, n: int, how: dict[int, str]) -> None:
-        # every value, forced or filled, must satisfy the defining equations
-        for j in range(self.X.cells[n]):
-            v = self.table.value(N, n, j)
-            for i in range(n + 2):
-                if i == N + 1:
-                    continue
-                if i < N:
-                    want = self.table.value(N - 1, n - 1, self.X.face_index(n, j, i))
-                elif i == N:
-                    want = j
-                else:
-                    want = self.table.value(N, n - 1, self.X.face_index(n, j, i - 1))
-                if self.X.face_index(n + 1, v, i) != want:
-                    self._blame(how.get(j), N, n, j, i)
-            if self.relative:
-                if self._proj(n + 1, v) != self._y_deg(N, n, self._proj(n, j)):
-                    self._blame(how.get(j), N, n, j, "projection")
-
-    def _blame(self, how: Optional[str], N: int, n: int, j: int, i) -> None:
-        msg = f"s_{N} at simplex ({n},{j}) violates its defining equation at face {i}"
-        if how == "forced" and self.A is not None and self.A.contains(n, j):
-            raise IncompatibleSubcomplexStructure(msg, simplex=(n, j))
-        raise ConsistencyViolation(msg, simplex=(n, j))
+            self._check_level(N, n, n + 1, self.table.level(N, n), prescribed, how)
 
     # -- step two: correction -------------------------------------------------
 
-    def _step2_horn(self, N: int, n: int, j: int, t_prev: dict[int, dict[int, int]]) -> Horn:
-        faces = {}
-        where = f"prescribing the correction horn at ({n},{j})"
+    def _step2_prescribed(self, N: int, n: int, j: int, t: dict[int, dict[int, int]]) -> Prescribed:
+        """d_i t(x_j) for every i != N, and s_N s_N p(x_j) over a map."""
+        faces = []
         for i in range(n + 3):
-            if i == N:
-                continue
             if i < N:
-                mid = self._require(
-                    self.table.value(N - 1, n - 1, self.X.face_index(n, j, i)), where)
-                faces[i] = self._require(self.table.value(N - 1, n, mid), where)
+                mid = self.table.value(N - 1, n - 1, self.X.face_index(n, j, i))
+                faces.append((i, None if mid is None else self.table.value(N - 1, n, mid)))
             elif i in (N + 1, N + 2):
-                faces[i] = self._require(self.table.value(N, n, j), where)
-            else:
-                faces[i] = t_prev[n - 1][self.X.face_index(n, j, i - 2)]
-        return Horn.from_map(n + 2, N, faces)
+                faces.append((i, self.table.value(N, n, j)))
+            elif i > N:
+                faces.append((i, t[n - 1][self.X.face_index(n, j, i - 2)]))
+        target = None
+        if self.p is not None:
+            target = self._y_deg(N, n + 1, self._y_deg(N, n, self._proj(n, j)))
+        return tuple(faces), target
 
     def _step2(self, N: int) -> None:
         if self.D < N + 2:
@@ -500,10 +515,9 @@ class _Engine:
         for n in range(N, self.D - 1):
             t[n] = {}
             how: dict[int, str] = {}
+            prescribed = {}
             for j in self._level_order(n, N):
-                target = None
-                if self.relative:
-                    target = self._y_deg(N, n + 1, self._y_deg(N, n, self._proj(n, j)))
+                faces, target = prescribed[j] = self._step2_prescribed(N, n, j, t)
                 reps: list[tuple[str, int]] = []
                 if self.A is not None and self.Adeg is not None and self.A.contains(n, j):
                     a1 = self.Adeg.value(N, n, j)
@@ -530,7 +544,7 @@ class _Engine:
                     self._emit({"stage": {"N": 0, "step": 2}, "simplex": [0, j],
                                 "kind": "witness", "value": value})
                 else:
-                    horn = self._step2_horn(N, n, j, t)
+                    horn = self._horn(n + 2, N, faces, f"correction horn at ({n},{j})")
                     value = self._canonical_fill(horn, target, n)
                     self.stats["filled"] += 1
                     how[j] = "filled"
@@ -538,7 +552,7 @@ class _Engine:
                                 "kind": "filled", "value": value,
                                 "horn": horn.to_json_dict()})
                 t[n][j] = value
-            self._check_t_level(N, n, t, how)
+            self._check_level(N, n, n + 2, t[n], prescribed, how)
         # correction: replace s_N below the provisional top level
         for n in range(N, self.D - 1):
             for j, tv in t[n].items():
@@ -564,27 +578,6 @@ class _Engine:
             if target is None or self._proj(2, w) == target:
                 return w
         raise MissingWitness(f"no idempotency witness found at vertex {j}", vertex=j)
-
-    def _check_t_level(self, N: int, n: int, t: dict[int, dict[int, int]],
-                       how: dict[int, str]) -> None:
-        for j in range(self.X.cells[n]):
-            tv = t[n][j]
-            for i in range(n + 3):
-                if i == N:
-                    continue
-                if i < N:
-                    mid = self.table.value(N - 1, n - 1, self.X.face_index(n, j, i))
-                    want = None if mid is None else self.table.value(N - 1, n, mid)
-                elif i in (N + 1, N + 2):
-                    want = self.table.value(N, n, j)
-                else:
-                    want = t[n - 1][self.X.face_index(n, j, i - 2)]
-                if self.X.face_index(n + 2, tv, i) != want:
-                    self._blame(how.get(j), N, n, j, i)
-            if self.relative:
-                want = self._y_deg(N, n + 1, self._y_deg(N, n, self._proj(n, j)))
-                if self._proj(n + 2, tv) != want:
-                    self._blame(how.get(j), N, n, j, "projection")
 
     def _check_corrected(self, N: int) -> None:
         for n in range(N, self.D - 1):
@@ -637,13 +630,19 @@ def step2_correct(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None)
 # entry points
 
 
-def _as_vertex_map(source, count: int, what: str) -> dict[int, int]:
+def _as_vertex_map(source, count: int, limit: int, what: str) -> dict[int, int]:
+    """``source`` as {vertex: edge}: exactly one edge index in 0..limit-1 per vertex."""
     out = {}
     for v in range(count):
         try:
-            out[v] = int(source[v])
+            e = source[v]
         except (KeyError, IndexError, TypeError) as exc:
-            raise ValueError(f"{what} must cover every vertex; missing {v}") from exc
+            raise ParseError(f"{what} must cover every vertex; missing {v}") from exc
+        if not _is_index(e, limit):
+            raise ParseError(f"{what}({v}) = {e!r} is not an edge index in 0..{limit - 1}")
+        out[v] = e
+    if len(source) != count:
+        raise ParseError(f"{what} has {len(source)} entries for {count} vertices")
     return out
 
 
@@ -660,7 +659,7 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
             s0[v] = edge.index
             witnesses[v] = witness.index
         return s0, witnesses
-    s0 = _as_vertex_map(inp.s0, X.cells[0], "s0")
+    s0 = dict(inp.s0)
     given = inp.idempotency_witnesses
     for v, e in s0.items():
         if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
@@ -682,44 +681,11 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
     return s0, witnesses
 
 
-def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
-               _expected: Optional[list] = None) -> SynthesisResult:
-    """Build a full degeneracy table on a quasi-semicategory.
-
-    Alternates extension and correction for N = 0..D-2 and returns the table
-    on 0 <= k <= n <= D-2 together with its replayable certificate. Without
-    a supplied ``s0``, the lowest-index idempotent equivalence at each
-    vertex is used.
-    """
-    if inp.mode != "absolute":
-        raise ValueError("synthesize runs absolute inputs; use synthesize_relative")
-    X = inp.X
-    bound = X.dim if D is None else min(D, X.dim)
-    if bound < 2:
-        raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
-    report = validate(X)
-    if not report.ok:
-        raise ParseError(f"input set fails validation: {report.violations[:3]}")
-    inner = check_inner(X, bound)
-    if not inner.ok:
-        raise NotQuasiSemicategory("an inner horn is unfillable", witness=inner.witness)
-    s0, witnesses = _resolve_s0_absolute(X, inp, bound)
-    resolved = replace(inp, s0=s0, idempotency_witnesses=witnesses)
-    engine = _Engine(resolved, bound, expected=_expected)
-    table, records = engine.run()
-    verification = verify_simplicial(X, table, bound)
-    if not verification.ok:
-        raise ConsistencyViolation(
-            f"synthesized table failed verification: {verification.violations[:3]}")
-    return SynthesisResult(table=table, certificate=records, verification=verification,
-                           s0=s0, witnesses=witnesses, bound=bound, stats=engine.stats)
-
-
 def _resolve_s0_relative(inp: SynthesisInput, D: int):
     X, p, Ydeg, A, Adeg = inp.X, inp.p, inp.Y_deg, inp.A, inp.A_deg
     s0: dict[int, int] = {}
     if inp.s0 is not None:
-        s0 = _as_vertex_map(inp.s0, X.cells[0], "s0")
+        s0 = dict(inp.s0)
     else:
         for v in range(X.cells[0]):
             if A is not None and A.contains(0, v):
@@ -775,48 +741,57 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
     return s0, witnesses
 
 
-def synthesize_relative(inp: SynthesisInput, D: Optional[int] = None, *,
-                        _expected: Optional[list] = None) -> SynthesisResult:
-    """Relative synthesis over an inner fibration, extending a subcomplex table.
+def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
+               _expected: Optional[list] = None) -> SynthesisResult:
+    """Build a full degeneracy table, over the point or over ``inp.p``.
 
-    All fills are lifts over the image prescribed by the target's
-    degeneracies; forced values on the subcomplex are taken from its table.
-    The output restricts to the subcomplex table and commutes with the map.
+    Alternates extension and correction for N = 0..D-2 and returns the table
+    on 0 <= k <= n <= D-2 together with its replayable certificate. Over a
+    map every fill is a lift over the image prescribed by the target's
+    degeneracies. Values on a subcomplex are taken from its table, and the
+    output must restrict to it. Without a supplied ``s0``, each vertex gets
+    the lowest-index idempotent equivalence (over a map: the lowest fiberwise
+    idempotent, cartesian and cocartesian self-edge, or the subcomplex value).
     """
-    if inp.mode != "relative":
-        raise ValueError("synthesize_relative runs relative inputs")
-    if inp.p is None:
-        raise ValueError("relative synthesis needs the projection map")
-    if inp.Y_deg is None:
-        raise MissingDegeneracies("relative synthesis needs the target's degeneracy table")
-    X, p, Ydeg = inp.X, inp.p, inp.Y_deg
-    if p.source is not X and p.source != X:
-        raise ValueError("the projection's source must be the synthesis input set")
-    bound = min(X.dim if D is None else D, p.depth)
+    X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
+    bound = X.dim if D is None else min(D, X.dim)
+    if p is not None:
+        if inp.Y_deg is None:
+            raise MissingDegeneracies("relative synthesis needs the target's degeneracy table")
+        if p.source is not X and p.source != X:
+            raise ValueError("the projection's source must be the synthesis input set")
+        bound = min(bound, p.depth)
     if bound < 2:
         raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
-    for label, report in (("input set", validate(X)), ("target set", validate(p.target)),
-                          ("projection", validate_map(p))):
-        if not report.ok:
-            raise ParseError(f"{label} fails validation: {report.violations[:3]}")
-    A, Adeg = inp.A, inp.A_deg
+    _require_valid("input set", validate(X))
+    if p is not None:
+        _require_valid("target set", validate(p.target))
+        _require_valid("projection", validate_map(p))
+    if inp.s0 is not None:
+        inp = replace(inp, s0=_as_vertex_map(inp.s0, X.cells[0], X.cells[1], "s0"))
     if A is not None:
         closure = A.validate()
         if not closure.ok:
             raise IncompatibleSubcomplexStructure(
                 f"subcomplex is not face-closed: {closure.violations[:3]}")
         if Adeg is not None:
-            _check_subcomplex_table(X, p, Ydeg, A, Adeg)
-    fib = check_inner_fibration(p, bound)
-    if not fib.ok:
-        raise NotQuasiSemicategory("an inner lifting problem has no solution",
-                                   witness=fib.witness)
-    s0, witnesses = _resolve_s0_relative(inp, bound)
+            _check_subcomplex_table(X, p, inp.Y_deg, A, Adeg)
+    if p is None:
+        inner = check_inner(X, bound)
+        if not inner.ok:
+            raise NotQuasiSemicategory("an inner horn is unfillable", witness=inner.witness)
+        s0, witnesses = _resolve_s0_absolute(X, inp, bound)
+    else:
+        fib = check_inner_fibration(p, bound)
+        if not fib.ok:
+            raise NotQuasiSemicategory("an inner lifting problem has no solution",
+                                       witness=fib.witness)
+        s0, witnesses = _resolve_s0_relative(inp, bound)
     resolved = replace(inp, s0=s0, idempotency_witnesses=witnesses)
     engine = _Engine(resolved, bound, expected=_expected)
     table, records = engine.run()
     verification = verify_simplicial(X, table, bound, subcomplex=A, sub_table=Adeg,
-                                     pmap=p, target_table=Ydeg)
+                                     pmap=p, target_table=inp.Y_deg)
     if not verification.ok:
         families = {v[0] for v in verification.violations}
         if families <= {"restriction"}:
@@ -828,8 +803,16 @@ def synthesize_relative(inp: SynthesisInput, D: Optional[int] = None, *,
                            s0=s0, witnesses=witnesses, bound=bound, stats=engine.stats)
 
 
+def synthesize_relative(inp: SynthesisInput, D: Optional[int] = None, *,
+                        _expected: Optional[list] = None) -> SynthesisResult:
+    """:func:`synthesize` over the map ``inp.p``, which must be given."""
+    if inp.p is None:
+        raise ValueError("relative synthesis needs the projection map")
+    return synthesize(inp, D, _expected=_expected)
+
+
 def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
-    # the subcomplex table must stay inside the subcomplex and project to the target table
+    # the subcomplex table must stay inside the subcomplex and, over a map, project to the target table
     for k, n, j, v in Adeg.entries():
         if not A.contains(n, j):
             raise IncompatibleSubcomplexStructure(
@@ -837,6 +820,8 @@ def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
         if not A.contains(n + 1, v):
             raise IncompatibleSubcomplexStructure(
                 f"subcomplex degeneracy s_{k}({n},{j}) leaves the subcomplex", simplex=(n, j))
+        if p is None:
+            continue
         want = Ydeg.value(k, n, p.apply_index(n, j))
         if want is not None and p.apply_index(n + 1, v) != want:
             raise IncompatibleSubcomplexStructure(
@@ -846,9 +831,7 @@ def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
 
 def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate: list) -> DegeneracyTable:
     """Re-execute every recorded decision; any divergence raises CertificateMismatch."""
-    if inp.mode == "absolute":
-        return synthesize(inp, D, _expected=certificate).table
-    return synthesize_relative(inp, D, _expected=certificate).table
+    return synthesize(inp, D, _expected=certificate).table
 
 
 # ---------------------------------------------------------------------------
@@ -916,66 +899,47 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     compatibility with a map into a base carrying its own table.
     """
     bound = X.dim if D is None else min(D, X.dim)
-    violations: list[tuple] = []
-    checked = 0
-    by_family = {"face_degeneracy": 0, "degeneracy_degeneracy": 0,
-                 "restriction": 0, "projection": 0}
-    domain = sorted((k, n) for k, n in table.domain() if n + 1 <= bound)
-    for k, n in domain:
+    found: dict[str, list[tuple]] = {"face_degeneracy": [], "degeneracy_degeneracy": [],
+                                     "restriction": [], "projection": []}
+    by_family = dict.fromkeys(found, 0)
+    restrict = subcomplex is not None and sub_table is not None
+    project = pmap is not None and target_table is not None
+    for k, n in sorted((k, n) for k, n in table.domain() if n + 1 <= bound):
         level = table.level(k, n)
         for j in sorted(level):
             v = level[j]
             for i in range(n + 2):
                 if i < k:
                     want = table.value(k - 1, n - 1, X.face_index(n, j, i))
-                    if want is None:
-                        continue
                 elif i <= k + 1:
                     want = j
                 else:
                     want = table.value(k, n - 1, X.face_index(n, j, i - 1))
-                    if want is None:
-                        continue
-                checked += 1
+                if want is None:
+                    continue
                 by_family["face_degeneracy"] += 1
                 if X.face_index(n + 1, v, i) != want:
-                    violations.append(("face_degeneracy", k, n, j, i))
-    for k, n in domain:
-        level = table.level(k, n)
-        for j in sorted(level):
-            skj = level[j]
+                    found["face_degeneracy"].append(("face_degeneracy", k, n, j, i))
             for i in range(k + 1):
-                lhs = table.value(i, n + 1, skj)
+                lhs = table.value(i, n + 1, v)
                 sij = table.value(i, n, j)
                 rhs = None if sij is None else table.value(k + 1, n + 1, sij)
                 if lhs is None or rhs is None:
                     continue
-                checked += 1
                 by_family["degeneracy_degeneracy"] += 1
                 if lhs != rhs:
-                    violations.append(("degeneracy_degeneracy", k, n, j, i))
-    if subcomplex is not None and sub_table is not None:
-        for k, n in domain:
-            level = table.level(k, n)
-            for j in sorted(level):
-                if not subcomplex.contains(n, j):
-                    continue
+                    found["degeneracy_degeneracy"].append(("degeneracy_degeneracy", k, n, j, i))
+            if restrict and subcomplex.contains(n, j):
                 want = sub_table.value(k, n, j)
-                if want is None:
-                    continue
-                checked += 1
-                by_family["restriction"] += 1
-                if level[j] != want or not subcomplex.contains(n + 1, level[j]):
-                    violations.append(("restriction", k, n, j))
-    if pmap is not None and target_table is not None:
-        for k, n in domain:
-            level = table.level(k, n)
-            for j in sorted(level):
+                if want is not None:
+                    by_family["restriction"] += 1
+                    if v != want or not subcomplex.contains(n + 1, v):
+                        found["restriction"].append(("restriction", k, n, j))
+            if project:
                 want = target_table.value(k, n, pmap.apply_index(n, j))
-                if want is None:
-                    continue
-                checked += 1
-                by_family["projection"] += 1
-                if pmap.apply_index(n + 1, level[j]) != want:
-                    violations.append(("projection", k, n, j))
-    return SimplicialReport(not violations, checked, violations, by_family)
+                if want is not None:
+                    by_family["projection"] += 1
+                    if pmap.apply_index(n + 1, v) != want:
+                        found["projection"].append(("projection", k, n, j))
+    violations = [v for family in found.values() for v in family]
+    return SimplicialReport(not violations, sum(by_family.values()), violations, by_family)

@@ -180,29 +180,61 @@ class HornVerdict:
         return out
 
 
-def _scan(X: SemisimplicialSet, bound: int, shapes: Iterable[tuple[int, int]]) -> HornVerdict:
-    # a horn fills iff it is some n-simplex's row with face k left out
+def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int):
+    """For (n,k) horns of X: face values -> first target simplex with no lift over it, or None.
+
+    A horn lifts when every target simplex over its image is the image of a
+    filler; over the point (``p`` None) a lift is a filler. Realized lifts are
+    each n-simplex's row without face k, followed by p(z) over a map.
+    """
+    if p is None:
+        realized = {row[:k] + row[k + 1:] for row in X.face_rows(n)}
+        return lambda values: None if values in realized else 0
+    image, below = p.levels[n], p.levels[n - 1]
+    realized = {row[:k] + row[k + 1:] + (image[z],) for z, row in enumerate(X.face_rows(n))}
+    over: dict[tuple[int, ...], list[int]] = {}
+    for y, row in enumerate(p.target.face_rows(n)):
+        over.setdefault(row[:k] + row[k + 1:], []).append(y)
+
+    def missing(values: tuple[int, ...]) -> Optional[int]:
+        for y in over.get(tuple(below[v] for v in values), ()):
+            if values + (y,) not in realized:
+                return y
+        return None
+
+    return missing
+
+
+def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
+          shapes: Iterable[tuple[int, int]]) -> tuple[int, Optional[tuple[Horn, SimplexRef]]]:
+    """Horns checked, and the first that does not lift with the target it misses."""
     checked = 0
     for n, k in shapes:
-        realized = {row[:k] + row[k + 1:] for row in X.face_rows(n)}
+        missing = _lift_test(X, p, n, k)
         for values in _face_values(X, n, k):
             checked += 1
-            if values not in realized:
-                return HornVerdict(False, bound, Horn(n, k, tuple(zip(_positions(n, k), values))),
-                                   checked)
-    return HornVerdict(True, bound, None, checked)
+            y = missing(values)
+            if y is not None:
+                return checked, (Horn(n, k, tuple(zip(_positions(n, k), values))), SimplexRef(n, y))
+    return checked, None
+
+
+def _inner_shapes(bound: int) -> Iterator[tuple[int, int]]:
+    return ((n, k) for n in range(2, bound + 1) for k in range(n - 1, 0, -1))
 
 
 def check_inner(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible inner horn (0 < k < n <= D) has at least one filler."""
     bound = X.dim if D is None else min(D, X.dim)
-    return _scan(X, bound, ((n, k) for n in range(2, bound + 1) for k in range(n - 1, 0, -1)))
+    checked, failure = _scan(X, None, _inner_shapes(bound))
+    return HornVerdict(failure is None, bound, failure and failure[0], checked)
 
 
 def check_kan(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible horn fills, outer horns and the two n = 1 shapes included."""
     bound = X.dim if D is None else min(D, X.dim)
-    return _scan(X, bound, ((n, k) for n in range(1, bound + 1) for k in range(n, -1, -1)))
+    checked, failure = _scan(X, None, ((n, k) for n in range(1, bound + 1) for k in range(n, -1, -1)))
+    return HornVerdict(failure is None, bound, failure and failure[0], checked)
 
 
 @dataclass
@@ -234,34 +266,54 @@ class EdgeVerdict:
         return out
 
 
-def _edge_horns(X: SemisimplicialSet, n: int, f: int, property: str):
-    """k and the face items of every n-horn a cartesian (cocartesian) scan of f visits."""
-    if property == "cartesian":
-        k, slot, end, descending = n, 0, "last", False
-    else:
-        k, slot, end, descending = 0, n, "first", True
-    pool = [j for j, e in enumerate(X.edges(n - 1, end)) if e == f]
-    order = _positions(n, k)
-    values = _face_values(X, n, k, restrict={slot: pool}, descending=descending)
-    return k, (tuple(zip(order, v)) for v in values)
+def _lifts_exist(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int,
+                 items: Sequence[tuple[int, int]]) -> Optional[SimplexRef]:
+    """First target simplex over the projected horn with no lift, if any.
+
+    Over the point (``p`` None) a lift is a filler: the point's n-simplex is
+    missed exactly when the horn has no filler.
+    """
+    found = _filler_indices(X, n, items)
+    if p is None:
+        return None if found else SimplexRef(n, 0)
+    images = {p.apply_index(n, z) for z in found}
+    projected = tuple((i, p.apply_index(n - 1, v)) for i, v in items)
+    for y in _filler_indices(p.target, n, projected):
+        if y not in images:
+            return SimplexRef(n, y)
+    return None
+
+
+def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexRef,
+               property: str, bound: int) -> Optional[tuple[Horn, SimplexRef]]:
+    """First horn of a cartesian (cocartesian) scan of f that does not lift, with its target.
+
+    Cartesian scans visit the right horns whose last edge, read off x_0, is f;
+    cocartesian scans the left horns whose first edge, read off x_n, is f.
+    """
+    if property not in ("cartesian", "cocartesian"):
+        raise ValueError(f"unknown edge property {property!r}")
+    for n in range(2, bound + 1):
+        if property == "cartesian":
+            k, slot, end, descending = n, 0, "last", False
+        else:
+            k, slot, end, descending = 0, n, "first", True
+        pool = [j for j, e in enumerate(X.edges(n - 1, end)) if e == f.index]
+        order = _positions(n, k)
+        for values in _face_values(X, n, k, restrict={slot: pool}, descending=descending):
+            items = tuple(zip(order, values))
+            missing = _lifts_exist(X, p, n, items)
+            if missing is not None:
+                return Horn(n, k, items), missing
+    return None
 
 
 def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
                   D: Optional[int] = None) -> EdgeVerdict:
-    """Cartesian: every right horn whose last edge is f fills; cocartesian dual.
-
-    The relevant edge is read off a present face: last_edge(x_0) for right
-    horns, first_edge(x_n) for left horns.
-    """
-    if property not in ("cartesian", "cocartesian"):
-        raise ValueError(f"unknown edge property {property!r}")
+    """Cartesian: every right horn whose last edge is f fills; cocartesian dual."""
     bound = X.dim if D is None else min(D, X.dim)
-    for n in range(2, bound + 1):
-        k, horns = _edge_horns(X, n, f.index, property)
-        for items in horns:
-            if not _filler_indices(X, n, items):
-                return EdgeVerdict(f, property, bound, False, Horn(n, k, items))
-    return EdgeVerdict(f, property, bound, True)
+    failure = _edge_scan(X, None, f, property, bound)
+    return EdgeVerdict(f, property, bound, failure is None, failure and failure[0])
 
 
 def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None) -> EdgeVerdict:
@@ -318,31 +370,11 @@ class FibrationVerdict:
         return out
 
 
-def _lifts_exist(p: SemisimplicialMap, n: int,
-                 items: Sequence[tuple[int, int]]) -> Optional[SimplexRef]:
-    """First target simplex over the projected horn with no lift, if any."""
-    images = {p.apply_index(n, z) for z in _filler_indices(p.source, n, items)}
-    projected = tuple((i, p.apply_index(n - 1, v)) for i, v in items)
-    for y in _filler_indices(p.target, n, projected):
-        if y not in images:
-            return SimplexRef(n, y)
-    return None
-
-
 def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> FibrationVerdict:
     """Every inner horn of the source lifts against every matching target simplex."""
     bound = p.depth if D is None else min(D, p.depth)
-    checked = 0
-    for n in range(2, bound + 1):
-        for k in range(n - 1, 0, -1):
-            order = _positions(n, k)
-            for values in _face_values(p.source, n, k):
-                checked += 1
-                items = tuple(zip(order, values))
-                missing = _lifts_exist(p, n, items)
-                if missing is not None:
-                    return FibrationVerdict(False, bound, (Horn(n, k, items), missing), checked)
-    return FibrationVerdict(True, bound, None, checked)
+    checked, failure = _scan(p.source, p, _inner_shapes(bound))
+    return FibrationVerdict(failure is None, bound, failure, checked)
 
 
 def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
@@ -353,7 +385,7 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
     over every matching target simplex. idempotent: a 2-simplex with all
     faces f projecting to the doubly degenerate image of the base vertex.
     """
-    X, Y = p.source, p.target
+    X = p.source
     bound = p.depth if D is None else min(D, p.depth)
     if property == "idempotent":
         if Y_degeneracies is None:
@@ -372,12 +404,5 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
                     return EdgeVerdict(f, property, bound, True, SimplexRef(2, z))
         return EdgeVerdict(f, property, bound, False,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
-    if property not in ("cartesian", "cocartesian"):
-        raise ValueError(f"unknown edge property {property!r}")
-    for n in range(2, bound + 1):
-        k, horns = _edge_horns(X, n, f.index, property)
-        for items in horns:
-            missing = _lifts_exist(p, n, items)
-            if missing is not None:
-                return EdgeVerdict(f, property, bound, False, (Horn(n, k, items), missing))
-    return EdgeVerdict(f, property, bound, True)
+    failure = _edge_scan(X, p, f, property, bound)
+    return EdgeVerdict(f, property, bound, failure is None, failure)

@@ -395,8 +395,7 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
                 raise InvalidDegeneracyTable(f"deg{side} lacks a degree-0 value at vertex {c}")
             s0[bundle.pair_index(0, c, constant[0][side])] = bundle.pair_index(1, value, constant[1][side])
 
-    inp = SynthesisInput(X, mode="relative", p=p, Y_deg=J.oracle_degeneracies,
-                         A=A, A_deg=A_deg, s0=s0)
+    inp = SynthesisInput(X, p=p, Y_deg=J.oracle_degeneracies, A=A, A_deg=A_deg, s0=s0)
     result = synthesize_relative(inp, bound)
 
     restriction_checked = 0

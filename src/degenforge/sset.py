@@ -170,7 +170,7 @@ class SemisimplicialSet:
         try:
             dim = int(data["dim"])
             cells = [int(c) for c in data["cells"]]
-            faces = data["faces"]
+            faces = list(data["faces"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed semisimplicial set: {exc}") from exc
         if len(cells) != dim + 1:
@@ -179,7 +179,7 @@ class SemisimplicialSet:
             raise ParseError(f"dim {dim} disagrees with {len(faces)} face levels")
         try:
             return cls(cells, faces)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
 
     def content_hash(self) -> str:
@@ -222,6 +222,12 @@ def validate(X: SemisimplicialSet) -> ValidationReport:
                     if X.face_index(n - 1, row[k], i) != X.face_index(n - 1, row[i], k - 1):
                         violations.append(("face_commutation", n, j, i, k))
     return ValidationReport(not violations, checked, violations)
+
+
+def _require_valid(label: str, report: ValidationReport) -> None:
+    # no verdict and no synthesis on inputs that fail their identities
+    if not report.ok:
+        raise ParseError(f"{label} fails validation: {report.violations[:3]}")
 
 
 def last_edge(X: SemisimplicialSet, s: SimplexRef) -> SimplexRef:

@@ -205,3 +205,99 @@ def test_addendum_s0_rejects_an_invalid_set(dangling_files):
     code, report = run(["addendum-s0", str(dangling_files["sset"])])
     assert code == 2
     assert "fails validation" in report["detail"]
+
+
+def _edit(path, change):
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+def _top_level(s):
+    s[0].append([0] * 32)  # s_0 on the 5-simplices of a dimension-5 set
+
+
+TABLE_DEFECTS = {
+    "string_entry": lambda d: d["s"][0][1].__setitem__(0, "1"),
+    "float_entry": lambda d: d["s"][0][1].__setitem__(0, 1.7),
+    "bool_entry": lambda d: d["s"][0][1].__setitem__(0, True),
+    "value_out_of_range": lambda d: d["s"][0][1].__setitem__(0, 4),
+    "negative_value": lambda d: d["s"][0][1].__setitem__(0, -1),
+    "s_is_an_object": lambda d: d.__setitem__("s", {}),
+    "per_k_is_an_object": lambda d: d["s"].__setitem__(0, {}),
+    "level_is_a_number": lambda d: d["s"][0].__setitem__(1, 3),
+    "level_at_the_top_dimension": lambda d: _top_level(d["s"]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(TABLE_DEFECTS))
+def test_verify_rejects_a_malformed_table(z2_files, defect):
+    _edit(z2_files["deg"], TABLE_DEFECTS[defect])
+    code, report = run(["verify", str(z2_files["sset"]), str(z2_files["deg"])])
+    assert (code, report["verdict"]) == (2, "error"), report
+
+
+def _s0_defects(valid: list, edges: int) -> dict:
+    """Each defect of a degree-0 candidate file, built from a valid one."""
+    return {
+        "edge_out_of_range": [edges] + valid[1:],
+        "negative_edge": [-1] + valid[1:],
+        "string_entry": [str(valid[0])] + valid[1:],
+        "float_entry": [float(valid[0])] + valid[1:],
+        "empty": [],
+        "one_entry_too_many": valid + valid[:1],
+    }
+
+
+S0_DEFECTS = sorted(_s0_defects([0], 2))
+
+
+@pytest.mark.parametrize("defect", S0_DEFECTS)
+def test_synthesize_rejects_a_malformed_s0(z2_files, defect):
+    s0 = z2_files["dir"] / "s0.json"
+    s0.write_text(json.dumps(_s0_defects([0], 2)[defect]))
+    code, report = run(["synthesize", str(z2_files["sset"]), "--dim", "4", "--s0", str(s0)])
+    assert (code, report["verdict"]) == (2, "error"), report
+
+
+@pytest.fixture()
+def rel_files(tmp_path):
+    """Z/2 x J over J at D3: set, map, target, target table and a valid s0."""
+    import degenforge as dg
+    n2, nj = dg.nerve(cyclic_group(2), 3), dg.nerve(dg.j_groupoid(), 3)
+    bundle = dg.product(n2.sset, nj.sset)
+    files = {"sset": bundle.sset.to_json_dict(), "map": bundle.right.to_json_dict(),
+             "target": nj.sset.to_json_dict(), "ydeg": nj.oracle_degeneracies.to_json_dict()}
+    out = {}
+    for name, payload in files.items():
+        out[name] = tmp_path / f"{name}.json"
+        out[name].write_text(json.dumps(payload))
+    out["s0"] = [bundle.pair_index(1, n2.oracle_degeneracies.value(0, 0, 0),
+                                   nj.oracle_degeneracies.value(0, 0, v)) for v in (0, 1)]
+    out["edges"] = bundle.sset.cells[1]
+    return out
+
+
+def _synthesize_rel(files, *extra):
+    return run(["synthesize-rel", str(files["sset"]), "--map", str(files["map"]),
+                "--target", str(files["target"]), "--ydeg", str(files["ydeg"]), *extra])
+
+
+def test_synthesize_rel_accepts_the_valid_s0(rel_files, tmp_path):
+    s0 = tmp_path / "s0.json"
+    s0.write_text(json.dumps(rel_files["s0"]))
+    assert _synthesize_rel(rel_files, "--s0", str(s0))[0] == 0
+
+
+@pytest.mark.parametrize("defect", S0_DEFECTS)
+def test_synthesize_rel_rejects_a_malformed_s0(rel_files, tmp_path, defect):
+    s0 = tmp_path / "s0.json"
+    s0.write_text(json.dumps(_s0_defects(rel_files["s0"], rel_files["edges"])[defect]))
+    code, report = _synthesize_rel(rel_files, "--s0", str(s0))
+    assert (code, report["verdict"]) == (2, "error"), report
+
+
+def test_validate_rejects_a_face_row_given_as_a_number(z2_files):
+    _edit(z2_files["sset"], lambda d: d["faces"][1].__setitem__(0, 7))
+    code, report = run(["validate", str(z2_files["sset"])])
+    assert (code, report["verdict"]) == (2, "error"), report

@@ -232,12 +232,40 @@ def test_addendum_feeds_synthesis(nj):
 
 
 def test_relative_over_terminal_equals_absolute(nm, terminal):
+    # p=None is "over the point"; an explicit map to the point must agree with it
     X = nm.sset
     to_point = SemisimplicialMap(X, terminal.sset, [[0] * c for c in X.cells])
     relative = synthesize_relative(
-        SynthesisInput(X, mode="relative", p=to_point, Y_deg=terminal.oracle_degeneracies), 4)
+        SynthesisInput(X, p=to_point, Y_deg=terminal.oracle_degeneracies), 4)
     absolute = synthesize(SynthesisInput(X), 4)
     assert relative.table == absolute.table
+    assert relative.certificate == absolute.certificate
+    assert (relative.s0, relative.witnesses) == (absolute.s0, absolute.witnesses)
+    assert relative.verification.by_family["projection"] > 0
+
+
+def test_absolute_rejects_a_subcomplex_that_is_not_face_closed(n2):
+    X = n2.sset
+    # one edge without its vertex
+    A = Subcomplex(X, [set(), {0}])
+    with pytest.raises(IncompatibleSubcomplexStructure, match="face-closed"):
+        synthesize(SynthesisInput(X, A=A, A_deg=DegeneracyTable(X)), 4)
+
+
+def test_absolute_rejects_a_subcomplex_table_outside_the_subcomplex(n2):
+    X = n2.sset
+    A = Subcomplex(X, [{0}])
+    with pytest.raises(IncompatibleSubcomplexStructure, match="leaves the subcomplex"):
+        synthesize(SynthesisInput(X, A=A, A_deg=n2.oracle_degeneracies.restricted(0)), 4)
+
+
+def test_absolute_with_the_whole_set_as_subcomplex_checks_the_restriction(n2):
+    X = n2.sset
+    whole = Subcomplex(X, [set(range(c)) for c in X.cells])
+    result = synthesize(SynthesisInput(X, A=whole, A_deg=n2.oracle_degeneracies), 5)
+    assert result.verification.ok
+    assert result.verification.by_family["restriction"] > 0
+    assert result.table == n2.oracle_degeneracies.restricted(3)
 
 
 def _relative_product_input(n2, nj, depth):
@@ -262,7 +290,7 @@ def _relative_product_input(n2, nj, depth):
     s0 = {}
     for side in (0, 1):
         s0[bundle.pair_index(0, 0, constant[0][side])] = bundle.pair_index(1, 0, constant[1][side])
-    inp = SynthesisInput(bundle.sset, mode="relative", p=bundle.right,
+    inp = SynthesisInput(bundle.sset, p=bundle.right,
                          Y_deg=nj.oracle_degeneracies, A=A, A_deg=A_deg, s0=s0)
     return bundle, inp
 

@@ -11,6 +11,7 @@ from degenforge import (
     IncompatibleHorn,
     NotASelfEdge,
     SemisimplicialMap,
+    SemisimplicialSet,
     SimplexRef,
     check_inner,
     check_inner_fibration,
@@ -144,8 +145,15 @@ def test_identity_map_is_inner_fibration(nm):
 
 
 def test_map_to_terminal_reduces_to_inner_condition(nm, terminal):
-    to_point = SemisimplicialMap(nm.sset, terminal.sset, [[0] * c for c in nm.sset.cells])
-    assert check_inner_fibration(to_point, 4).ok == check_inner(nm.sset, 4).ok
+    # p=None is "over the point"; an explicit map to the point must agree with it
+    spine = SemisimplicialSet([3, 2, 0], [[[1, 0], [2, 1]], []])  # 0 -> 1 -> 2, no 2-simplex
+    for X in (nm.sset, spine):
+        to_point = SemisimplicialMap(X, terminal.sset, [[0] * c for c in X.cells])
+        fib, inner = check_inner_fibration(to_point, 4), check_inner(X, 4)
+        assert (fib.ok, fib.checked) == (inner.ok, inner.checked)
+        assert (fib.witness is None) == (inner.witness is None)
+        if inner.witness is not None:
+            assert fib.witness == (inner.witness, SimplexRef(inner.witness.n, 0))
 
 
 def test_relative_edge_properties_over_terminal_match_absolute(nm, np01, terminal):
@@ -155,8 +163,10 @@ def test_relative_edge_properties_over_terminal_match_absolute(nm, np01, termina
         for e in range(X.cells[1]):
             f = SimplexRef(1, e)
             for prop in ("cartesian", "cocartesian"):
-                assert (p_edge_property(to_point, f, prop, 3).result
-                        == edge_property(X, f, prop, 3).result)
+                relative, absolute = p_edge_property(to_point, f, prop, 3), edge_property(X, f, prop, 3)
+                assert relative.result == absolute.result
+                if not absolute.result:
+                    assert relative.witness == (absolute.witness, SimplexRef(absolute.witness.n, 0))
             if X.face_index(1, e, 0) == X.face_index(1, e, 1):
                 relative = p_edge_property(to_point, f, "idempotent", 3, terminal.oracle_degeneracies)
                 assert relative.result == (is_idempotent(X, f) is not None)

@@ -3,6 +3,8 @@
 The references enumerate horns with ``itertools.product`` filtered by
 ``compatibility_failures`` and fill them by full scans, so they share no code
 with the slot-pattern index, the realized-horn sets or the edge arrays.
+The lift reference runs two ``_filler_indices`` intersections per horn, one
+in the source and one in the target, instead of the realized-lift sets.
 Canonical order is part of the output: lists must match element for element.
 """
 
@@ -13,22 +15,28 @@ import pytest
 
 from degenforge import (
     Horn,
+    SemisimplicialMap,
     SemisimplicialSet,
     SimplexRef,
     check_inner,
+    check_inner_fibration,
     check_kan,
     compatibility_failures,
     compatible_horns,
     cyclic_group,
     edge_property,
+    identity_map,
     idempotent_monoid,
     j_groupoid,
     nerve,
+    p_edge_property,
     poset_01,
+    product,
     product_category,
     simplex_category,
 )
 from degenforge.cli import run
+from degenforge.horn import _filler_indices
 from conftest import naive_fillers
 
 FIXTURES = {
@@ -78,21 +86,67 @@ class Naive:
     def edge(self, e: int, prop: str, bound: int) -> dict:
         out = {"edge": e, "property": prop, "bound": bound, "result": True}
         for n in range(2, bound + 1):
-            if prop == "cartesian":
-                k, slot, face, descending = n, 0, 0, False
-            else:
-                k, slot, face, descending = 0, n, None, True
-            pool = [j for j in range(self.X.cells[n - 1]) if self._walk(n - 1, j, face) == e]
-            for horn in self.horns(n, k, {slot: pool}, descending):
+            k, restrict, descending = _edge_horn_shape(self.X, n, e, prop)
+            for horn in self.horns(n, k, restrict, descending):
                 if not naive_fillers(self.X, horn):
                     return {**out, "result": False, "witness": horn.to_json_dict()}
         return out
 
-    def _walk(self, m: int, j: int, face) -> int:
+
+def _edge_horn_shape(X: SemisimplicialSet, n: int, e: int, prop: str):
+    """k, the restriction and the order of the n-horns an edge scan of e visits."""
+    if prop == "cartesian":
+        k, slot, face, descending = n, 0, 0, False
+    else:
+        k, slot, face, descending = 0, n, None, True
+    pool = []
+    for j in range(X.cells[n - 1]):
         # drop vertices one face at a time down to an edge
-        for level in range(m, 1, -1):
-            j = self.X.face_index(level, j, level if face is None else face)
-        return j
+        x = j
+        for level in range(n - 1, 1, -1):
+            x = X.face_index(level, x, level if face is None else face)
+        if x == e:
+            pool.append(j)
+    return k, {slot: pool}, descending
+
+
+class NaiveLifts:
+    """Lift verdicts over a map by two filler intersections per horn."""
+
+    def __init__(self, p: SemisimplicialMap):
+        self.p = p
+        self.vacuous = 0  # horns with no target simplex over them
+
+    def missing(self, horn: Horn):
+        p = self.p
+        images = {p.apply_index(horn.n, z) for z in _filler_indices(p.source, horn.n, horn.faces)}
+        projected = tuple((i, p.apply_index(horn.n - 1, v)) for i, v in horn.faces)
+        targets = _filler_indices(p.target, horn.n, projected)
+        self.vacuous += not targets
+        return next((y for y in targets if y not in images), None)
+
+    def fibration(self, bound: int) -> dict:
+        checked = 0
+        for n in range(2, bound + 1):
+            for k in range(n - 1, 0, -1):
+                for horn in compatible_horns(self.p.source, n, k):
+                    checked += 1
+                    y = self.missing(horn)
+                    if y is not None:
+                        return {"result": False, "bound": bound, "checked": checked,
+                                "witness": {"horn": horn.to_json_dict(), "target": y}}
+        return {"result": True, "bound": bound, "checked": checked}
+
+    def edge(self, e: int, prop: str, bound: int) -> dict:
+        out = {"edge": e, "property": prop, "bound": bound, "result": True}
+        for n in range(2, bound + 1):
+            k, restrict, descending = _edge_horn_shape(self.p.source, n, e, prop)
+            for horn in compatible_horns(self.p.source, n, k, restrict, descending):
+                y = self.missing(horn)
+                if y is not None:
+                    return {**out, "result": False,
+                            "witness": {"horn": horn.to_json_dict(), "target": y}}
+        return out
 
 
 @pytest.fixture(scope="module", params=sorted(FIXTURES))
@@ -125,6 +179,42 @@ def test_checker_verdicts_match_brute_force(naive):
         for prop in ("cartesian", "cocartesian"):
             verdict = edge_property(X, SimplexRef(1, e), prop, D)
             assert verdict.to_json_dict() == naive.edge(e, prop, D)
+
+
+def _spine_maps() -> dict:
+    # 0 -> 1 -> 2 with no 2-simplex: its one inner horn has no filler
+    spine = SemisimplicialSet([3, 2, 0], [[[1, 0], [2, 1]], []])
+    point = nerve(cyclic_group(1), 2).sset
+    triangle = SemisimplicialSet([3, 3, 1], [[[1, 0], [2, 0], [2, 1]], [[2, 1, 0]]])
+    return {"spine->point": SemisimplicialMap(spine, point, [[0, 0, 0], [0, 0], []]),
+            "spine->spine": identity_map(spine),
+            "spine->triangle": SemisimplicialMap(spine, triangle, [[0, 1, 2], [0, 2], []])}
+
+
+MAPS = {
+    "Z/2xJ->J": lambda: product(nerve(cyclic_group(2), 4).sset, nerve(j_groupoid(), 4).sset).right,
+    "monoidxJ->J": lambda: product(nerve(idempotent_monoid(), 4).sset,
+                                   nerve(j_groupoid(), 4).sset).right,
+    **{name: (lambda name=name: _spine_maps()[name]) for name in _spine_maps()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_lift_verdicts_match_two_filler_scans(name):
+    p = MAPS[name]()
+    naive = NaiveLifts(p)
+    D = p.depth
+    fibration = check_inner_fibration(p, D).to_json_dict()
+    assert fibration == naive.fibration(D)
+    for e in range(p.source.cells[1]):
+        for prop in ("cartesian", "cocartesian"):
+            assert p_edge_property(p, SimplexRef(1, e), prop, D).to_json_dict() == \
+                naive.edge(e, prop, D)
+    if name.startswith("spine"):
+        # the spine's inner horn has no lift over a 2-simplex; over the spine itself it lifts
+        assert fibration["result"] == (name == "spine->spine")
+    if name == "spine->spine":
+        assert naive.vacuous > 0  # no target simplex over the horn: a vacuous lift
 
 
 def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
