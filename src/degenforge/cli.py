@@ -258,6 +258,7 @@ def _cmd_demo_uniqueness(args) -> tuple[str, dict, list]:
 
 def _cmd_verify(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
+    _require_valid("input set", validate(X))
     table = load_table(args.table, X)
     dim = args.dim if args.dim is not None else X.dim
     report = verify_simplicial(X, table, dim)

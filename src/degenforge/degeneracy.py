@@ -53,15 +53,11 @@ from .sset import (
     SemisimplicialSet,
     SimplexRef,
     Subcomplex,
+    _is_index,
     _require_valid,
     validate,
     validate_map,
 )
-
-
-def _is_index(value, limit: int) -> bool:
-    """An integer in 0..limit-1; bools and floats are not indices."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < limit
 
 
 class DegeneracyTable:
@@ -90,12 +86,6 @@ class DegeneracyTable:
         level = self._s.get((k, n))
         return None if level is None else level.get(j)
 
-    def s(self, k: int, x: SimplexRef) -> SimplexRef:
-        v = self.value(k, x.dim, x.index)
-        if v is None:
-            raise LookupError(f"s_{k} undefined on simplex ({x.dim},{x.index})")
-        return SimplexRef(x.dim + 1, v)
-
     def preimage(self, k: int, n: int, value: int) -> Optional[int]:
         """The j with s_k(x_j) = value for x_j in dimension n, if any."""
         level = self._rev.get((k, n))
@@ -112,12 +102,6 @@ class DegeneracyTable:
 
     def level(self, k: int, n: int) -> Optional[dict[int, int]]:
         return self._s.get((k, n))
-
-    def defined(self, k: int, n: int) -> bool:
-        return (k, n) in self._s
-
-    def max_k(self) -> int:
-        return max((k for k, _ in self._s), default=-1)
 
     def copy(self) -> "DegeneracyTable":
         out = DegeneracyTable(self.base)
@@ -330,7 +314,7 @@ Prescribed = tuple[Faces, Optional[int]]
 
 
 class _Engine:
-    def __init__(self, inp: SynthesisInput, D: int, expected: Optional[list] = None):
+    def __init__(self, inp: SynthesisInput, D: int):
         self.inp = inp
         self.X = inp.X
         self.D = D
@@ -341,29 +325,7 @@ class _Engine:
         self.table = DegeneracyTable(self.X)
         self.t_levels: dict[int, dict[int, int]] = {}
         self.records: list = []
-        self.expected = expected
-        self._cursor = 0
         self.stats = {"forced": 0, "filled": 0, "witness": 0, "consistency_checks": 0}
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def _emit(self, record: dict) -> None:
-        if self.expected is not None:
-            if self._cursor >= len(self.expected):
-                raise CertificateMismatch("certificate has fewer records than the run",
-                                          position=self._cursor)
-            if self.expected[self._cursor] != record:
-                raise CertificateMismatch(
-                    f"record {self._cursor} diverges: expected "
-                    f"{self.expected[self._cursor]}, recomputed {record}",
-                    position=self._cursor)
-            self._cursor += 1
-        self.records.append(record)
-
-    def _finish(self) -> None:
-        if self.expected is not None and self._cursor != len(self.expected):
-            raise CertificateMismatch("certificate has more records than the run",
-                                      position=self._cursor)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -465,8 +427,8 @@ class _Engine:
                 if value is not None:
                     self.stats["forced"] += 1
                     how[j] = "forced"
-                    self._emit({"stage": {"N": N, "step": 1}, "simplex": [n, j],
-                                "kind": "forced", "value": value})
+                    self.records.append({"stage": {"N": N, "step": 1}, "simplex": [n, j],
+                                        "kind": "forced", "value": value})
                 else:
                     horn = self._horn(n + 1, N + 1, faces, f"extension horn at ({n},{j})")
                     if n == N == 0:
@@ -483,9 +445,9 @@ class _Engine:
                         value = self._canonical_fill(horn, target, n)
                     self.stats["filled"] += 1
                     how[j] = "filled"
-                    self._emit({"stage": {"N": N, "step": 1}, "simplex": [n, j],
-                                "kind": "filled", "value": value,
-                                "horn": horn.to_json_dict()})
+                    self.records.append({"stage": {"N": N, "step": 1}, "simplex": [n, j],
+                                        "kind": "filled", "value": value,
+                                        "horn": horn.to_json_dict()})
                 self.table.set_value(N, n, j, value)
             self._check_level(N, n, n + 1, self.table.level(N, n), prescribed, how)
 
@@ -535,22 +497,22 @@ class _Engine:
                 if value is not None:
                     self.stats["forced"] += 1
                     how[j] = "forced"
-                    self._emit({"stage": {"N": N, "step": 2}, "simplex": [n, j],
-                                "kind": "forced", "value": value})
+                    self.records.append({"stage": {"N": N, "step": 2}, "simplex": [n, j],
+                                        "kind": "forced", "value": value})
                 elif N == 0 and n == 0:
                     value = self._idempotency_witness(j, witnesses, target)
                     self.stats["witness"] += 1
                     how[j] = "witness"
-                    self._emit({"stage": {"N": 0, "step": 2}, "simplex": [0, j],
-                                "kind": "witness", "value": value})
+                    self.records.append({"stage": {"N": 0, "step": 2}, "simplex": [0, j],
+                                        "kind": "witness", "value": value})
                 else:
                     horn = self._horn(n + 2, N, faces, f"correction horn at ({n},{j})")
                     value = self._canonical_fill(horn, target, n)
                     self.stats["filled"] += 1
                     how[j] = "filled"
-                    self._emit({"stage": {"N": N, "step": 2}, "simplex": [n, j],
-                                "kind": "filled", "value": value,
-                                "horn": horn.to_json_dict()})
+                    self.records.append({"stage": {"N": N, "step": 2}, "simplex": [n, j],
+                                        "kind": "filled", "value": value,
+                                        "horn": horn.to_json_dict()})
                 t[n][j] = value
             self._check_level(N, n, n + 2, t[n], prescribed, how)
         # correction: replace s_N below the provisional top level
@@ -594,7 +556,6 @@ class _Engine:
         for N in range(self.D - 1):
             self._step1(N)
             self._step2(N)
-        self._finish()
         return self.table.restricted(self.D - 2), self.records
 
 
@@ -741,8 +702,7 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
     return s0, witnesses
 
 
-def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
-               _expected: Optional[list] = None) -> SynthesisResult:
+def synthesize(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:
     """Build a full degeneracy table, over the point or over ``inp.p``.
 
     Alternates extension and correction for N = 0..D-2 and returns the table
@@ -788,7 +748,7 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
                                        witness=fib.witness)
         s0, witnesses = _resolve_s0_relative(inp, bound)
     resolved = replace(inp, s0=s0, idempotency_witnesses=witnesses)
-    engine = _Engine(resolved, bound, expected=_expected)
+    engine = _Engine(resolved, bound)
     table, records = engine.run()
     verification = verify_simplicial(X, table, bound, subcomplex=A, sub_table=Adeg,
                                      pmap=p, target_table=inp.Y_deg)
@@ -803,12 +763,11 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
                            s0=s0, witnesses=witnesses, bound=bound, stats=engine.stats)
 
 
-def synthesize_relative(inp: SynthesisInput, D: Optional[int] = None, *,
-                        _expected: Optional[list] = None) -> SynthesisResult:
+def synthesize_relative(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:
     """:func:`synthesize` over the map ``inp.p``, which must be given."""
     if inp.p is None:
         raise ValueError("relative synthesis needs the projection map")
-    return synthesize(inp, D, _expected=_expected)
+    return synthesize(inp, D)
 
 
 def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
@@ -830,8 +789,25 @@ def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
 
 
 def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate: list) -> DegeneracyTable:
-    """Re-execute every recorded decision; any divergence raises CertificateMismatch."""
-    return synthesize(inp, D, _expected=certificate).table
+    """Re-run the synthesis and compare its records with ``certificate``.
+
+    The first diverging record, or a certificate with fewer or more records
+    than the run, raises CertificateMismatch at that position.
+    """
+    result = synthesize(inp, D)
+    records = result.certificate
+    for position, (expected, record) in enumerate(zip(certificate, records)):
+        if expected != record:
+            raise CertificateMismatch(
+                f"record {position} diverges: expected {expected}, recomputed {record}",
+                position=position)
+    if len(certificate) < len(records):
+        raise CertificateMismatch("certificate has fewer records than the run",
+                                  position=len(certificate))
+    if len(certificate) > len(records):
+        raise CertificateMismatch("certificate has more records than the run",
+                                  position=len(records))
+    return result.table
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A set carries all data up to its truncation dimension D and nothing above:
 cell counts ``c_0..c_D`` and, for every n >= 1, a dense face table where
 entry ``(n, j, i)`` is the index of the i-th face of the j-th n-simplex.
 The face data is immutable after construction. Derived lookups that only
-the horn scans need (slot-pattern indices, per-level first and last edges)
+the horn scans need (face-slot indices, per-level first and last edges)
 are caches, filled on first use and kept for the life of the set; a set
 that is only loaded, validated and verified never builds them.
 """
@@ -14,9 +14,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DimensionTooLow, ParseError
+
+
+def _is_int(value) -> bool:
+    """An int; bools, floats and strings are not."""
+    return type(value) is int
+
+
+def _is_index(value, limit: int) -> bool:
+    """An integer in 0..limit-1; bools and floats are not indices."""
+    return _is_int(value) and 0 <= value < limit
 
 
 @dataclass(frozen=True, order=True)
@@ -51,38 +63,35 @@ class SemisimplicialSet:
         if len(cells) == 0:
             raise ValueError("a semisimplicial set has at least dimension 0")
         self.dim = len(cells) - 1
-        self.cells = tuple(int(c) for c in cells)
-        if any(c < 0 for c in self.cells):
-            raise ValueError("cell counts must be non-negative")
+        self.cells = tuple(cells)
+        if not all(_is_int(c) and c >= 0 for c in self.cells):
+            raise ValueError(f"cell counts must be non-negative integers, got {list(self.cells)}")
         if len(faces) != self.dim:
             raise ValueError(f"expected {self.dim} face levels, got {len(faces)}")
         levels: list[tuple[tuple[int, ...], ...]] = [()]
         for n in range(1, self.dim + 1):
-            level = faces[n - 1]
-            if len(level) != self.cells[n]:
-                raise ValueError(f"dimension {n}: {len(level)} face rows for {self.cells[n]} simplices")
-            rows = []
-            for j, row in enumerate(level):
-                entry = tuple(int(v) for v in row)
-                if len(entry) != n + 1:
-                    raise ValueError(f"simplex ({n},{j}) needs {n + 1} faces, got {len(entry)}")
-                rows.append(entry)
-            levels.append(tuple(rows))
+            rows = tuple(map(tuple, faces[n - 1]))
+            if len(rows) != self.cells[n]:
+                raise ValueError(f"dimension {n}: {len(rows)} face rows for {self.cells[n]} simplices")
+            for j, row in enumerate(rows):
+                if len(row) != n + 1:
+                    raise ValueError(f"simplex ({n},{j}) needs {n + 1} faces, got {len(row)}")
+            if not all(map(_is_int, chain.from_iterable(rows))):
+                raise ValueError(f"dimension {n}: every face entry must be an integer")
+            levels.append(rows)
         self._faces = tuple(levels)
-        self._by_face = self._build_face_index()
-        self._pair_index: dict = {}
+        # (n, i) -> {v: n-simplices with d_i = v}; (n, a, b) -> {(v, w): ... d_a = v, d_b = w}
+        self._index: dict = {}
         self._edges: dict = {}
 
-    def _build_face_index(self):
-        # by_face[n][i][v] = sorted indices of n-simplices whose d_i is v
-        index: list = [()]
-        for n in range(1, self.dim + 1):
-            maps: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-            for j, row in enumerate(self._faces[n]):
-                for i, v in enumerate(row):
-                    maps[i].setdefault(v, []).append(j)
-            index.append(tuple({v: tuple(js) for v, js in m.items()} for m in maps))
-        return tuple(index)
+    def _slot_index(self, key: tuple[int, ...]) -> dict:
+        n, *slots = key
+        face = itemgetter(*slots)
+        found: dict = {}
+        for j, row in enumerate(self._faces[n]):
+            found.setdefault(face(row), []).append(j)
+        index = self._index[key] = {value: tuple(js) for value, js in found.items()}
+        return index
 
     # -- access -----------------------------------------------------------
 
@@ -92,39 +101,35 @@ class SemisimplicialSet:
     def faces_of(self, n: int, j: int) -> tuple[int, ...]:
         return self._faces[n][j]
 
-    def face(self, s: SimplexRef, i: int) -> SimplexRef:
-        if s.dim < 1:
-            raise DimensionTooLow("vertices have no faces")
-        return SimplexRef(s.dim - 1, self._faces[s.dim][s.index][i])
-
     def face_rows(self, n: int) -> tuple[tuple[int, ...], ...]:
         """Every n-simplex's face row, by index."""
         return self._faces[n]
 
     def with_face(self, n: int, i: int, value: int) -> tuple[int, ...]:
         """All n-simplices whose i-th face is ``value``, ascending."""
-        return self._by_face[n][i].get(value, ())
+        index = self._index.get((n, i))
+        if index is None:
+            index = self._slot_index((n, i))
+        return index.get(value, ())
 
     def matching(self, n: int, slots: Sequence[int], values: Sequence[int]) -> Sequence[int]:
         """All n-simplices whose faces at ``slots`` equal ``values``, ascending.
 
-        One dict lookup on the first two slots, then a row filter on the rest.
-        The index for a pair of slots is built on first use; keys never hold
-        more than two slots, which bounds the index by the level's size.
+        One dict lookup on the first one or two slots, then a row filter on
+        the rest. Keys never hold more than two slots, which bounds each
+        index by the level's size.
         """
-        if not slots:
-            return range(self.cells[n])
         if len(slots) == 1:
-            return self._by_face[n][slots[0]].get(values[0], ())
-        a, b = slots[0], slots[1]
-        index = self._pair_index.get((n, a, b))
+            key, value = (n, slots[0]), values[0]
+        elif slots:
+            key, value = (n, slots[0], slots[1]), (values[0], values[1])
+        else:
+            return range(self.cells[n])
+        index = self._index.get(key)
         if index is None:
-            pairs: dict[tuple[int, int], list[int]] = {}
-            for j, row in enumerate(self._faces[n]):
-                pairs.setdefault((row[a], row[b]), []).append(j)
-            index = self._pair_index[(n, a, b)] = {key: tuple(js) for key, js in pairs.items()}
-        found = index.get((values[0], values[1]), ())
-        if len(slots) == 2:
+            index = self._slot_index(key)
+        found = index.get(value, ())
+        if len(slots) <= 2:
             return found
         rest = tuple(zip(slots[2:], values[2:]))
         rows = self._faces[n]
@@ -153,9 +158,6 @@ class SemisimplicialSet:
         for j in range(self.cells[n]):
             yield SimplexRef(n, j)
 
-    def in_range(self, s: SimplexRef) -> bool:
-        return 0 <= s.dim <= self.dim and 0 <= s.index < self.cells[s.dim]
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -168,11 +170,13 @@ class SemisimplicialSet:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SemisimplicialSet":
         try:
-            dim = int(data["dim"])
-            cells = [int(c) for c in data["cells"]]
+            dim = data["dim"]
+            cells = list(data["cells"])
             faces = list(data["faces"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed semisimplicial set: {exc}") from exc
+        if not _is_int(dim):
+            raise ParseError(f"dim {dim!r} is not an integer")
         if len(cells) != dim + 1:
             raise ParseError(f"dim {dim} disagrees with {len(cells)} cell counts")
         if len(faces) != dim:
@@ -260,9 +264,11 @@ class SemisimplicialMap:
             raise ValueError(f"expected {self.depth + 1} levels, got {len(levels)}")
         norm = []
         for n, level in enumerate(levels):
-            row = tuple(int(v) for v in level)
+            row = tuple(level)
             if len(row) != source.cells[n]:
                 raise ValueError(f"level {n}: {len(row)} values for {source.cells[n]} simplices")
+            if not all(map(_is_int, row)):
+                raise ValueError(f"level {n}: every value must be an integer")
             norm.append(row)
         self.levels = tuple(norm)
 
@@ -282,9 +288,11 @@ class SemisimplicialMap:
             levels = data["levels"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed map: {exc}") from exc
+        if not isinstance(levels, list):
+            raise ParseError("a map's \"levels\" is an array of per-dimension arrays")
         try:
             return cls(source, target, levels)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
 
     def __eq__(self, other) -> bool:
@@ -324,10 +332,13 @@ class Subcomplex:
 
     def __init__(self, ambient: SemisimplicialSet, members: Sequence[Iterable[int]]):
         self.ambient = ambient
-        padded = list(members) + [()] * (ambient.dim + 1 - len(members))
+        padded = [tuple(level) for level in members] + [()] * (ambient.dim + 1 - len(members))
         if len(padded) != ambient.dim + 1:
             raise ValueError("more member levels than ambient dimensions")
-        self.members = tuple(frozenset(int(j) for j in level) for level in padded)
+        for n, level in enumerate(padded):
+            if not all(map(_is_int, level)):
+                raise ValueError(f"level {n}: every member must be an integer")
+        self.members = tuple(frozenset(level) for level in padded)
 
     def contains(self, n: int, j: int) -> bool:
         return n <= self.ambient.dim and j in self.members[n]
@@ -357,9 +368,11 @@ class Subcomplex:
             members = data["members"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed subcomplex: {exc}") from exc
+        if not isinstance(members, list):
+            raise ParseError("a subcomplex's \"members\" is an array of per-dimension arrays")
         try:
             return cls(ambient, members)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
 
     def __eq__(self, other) -> bool:

@@ -301,3 +301,100 @@ def test_validate_rejects_a_face_row_given_as_a_number(z2_files):
     _edit(z2_files["sset"], lambda d: d["faces"][1].__setitem__(0, 7))
     code, report = run(["validate", str(z2_files["sset"])])
     assert (code, report["verdict"]) == (2, "error"), report
+
+
+@pytest.fixture()
+def swapped_files(tmp_path):
+    """Z/3 at D4 with faces d_1 and d_2 of the non-degenerate 4-simplex 40 swapped.
+
+    Every entry stays in range, but the face identities fail. The oracle table
+    is re-pinned to the edited set; an empty table and a valid run's
+    certificate go with it.
+    """
+    from degenforge.nerve import nerve
+    bundle = nerve(cyclic_group(3), 4)
+    certificate = synthesize(SynthesisInput(bundle.sset), 4).certificate
+    data = bundle.sset.to_json_dict()
+    row = data["faces"][3][40]
+    row[1], row[2] = row[2], row[1]
+    base_hash = SemisimplicialSet.from_json_dict(data).content_hash()
+    oracle = bundle.oracle_degeneracies.to_json_dict()
+    files = {"sset": data, "oracle": {**oracle, "base_hash": base_hash},
+             "empty": {"base_hash": base_hash, "s": []}, "cert": certificate}
+    out = {}
+    for name, payload in files.items():
+        out[name] = tmp_path / f"{name}.json"
+        out[name].write_text(json.dumps(payload))
+    return out
+
+
+@pytest.mark.parametrize("cert", [False, True])
+@pytest.mark.parametrize("table", ["oracle", "empty"])
+def test_verify_rejects_an_invalid_set(swapped_files, table, cert):
+    argv = ["verify", str(swapped_files["sset"]), str(swapped_files[table])]
+    if cert:
+        argv += ["--cert", str(swapped_files["cert"])]
+    code, report = run(argv)
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert "fails validation" in report["detail"]
+
+
+@pytest.fixture()
+def z2_small(tmp_path):
+    """Z/2 at D3 (one vertex, so every entry of level 1 is 0) and its identity map."""
+    from degenforge.nerve import nerve
+    X = nerve(cyclic_group(2), 3).sset
+    out = {"sset": tmp_path / "n2.sset", "target": tmp_path / "target.sset",
+           "map": tmp_path / "id.map"}
+    out["sset"].write_text(json.dumps(X.to_json_dict()))
+    out["target"].write_text(json.dumps(X.to_json_dict()))
+    out["map"].write_text(json.dumps({"levels": [list(range(c)) for c in X.cells]}))
+    return out
+
+
+SET_DEFECTS = {
+    "float_face": lambda d: d["faces"][0][0].__setitem__(0, 0.7),
+    "bool_face": lambda d: d["faces"][0][0].__setitem__(0, False),
+    "string_face": lambda d: d["faces"][0][0].__setitem__(0, "0"),
+    "string_cell_count": lambda d: d["cells"].__setitem__(0, "1"),
+    "float_cell_count": lambda d: d["cells"].__setitem__(0, 1.9),
+    "float_dim": lambda d: d.__setitem__("dim", 3.2),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SET_DEFECTS))
+def test_set_loader_rejects_a_non_integer(z2_small, defect):
+    _edit(z2_small["sset"], SET_DEFECTS[defect])
+    for argv in (["validate"], ["check", "--inner"]):
+        code, report = run([*argv, str(z2_small["sset"])])
+        assert (code, report["verdict"]) == (2, "error"), (argv, report)
+
+
+MAP_DEFECTS = {
+    "float_entry": lambda d: d["levels"][0].__setitem__(0, 0.9),
+    "levels_is_a_number": lambda d: d.__setitem__("levels", 5),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MAP_DEFECTS))
+def test_map_loader_rejects_a_malformed_map(z2_small, defect):
+    _edit(z2_small["map"], MAP_DEFECTS[defect])
+    code, report = run(["check", "--inner-fibration", str(z2_small["sset"]),
+                        "--map", str(z2_small["map"]), "--target", str(z2_small["target"])])
+    assert (code, report["verdict"]) == (2, "error"), report
+
+
+SUB_DEFECTS = {
+    "members_is_a_number": 5,
+    "float_member": [[0.5]],
+    "string_member": [["0"]],
+    "bool_member": [[True]],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SUB_DEFECTS))
+def test_subcomplex_loader_rejects_a_malformed_subcomplex(rel_files, tmp_path, defect):
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"members": SUB_DEFECTS[defect]}))
+    code, report = _synthesize_rel(rel_files, "--sub", str(sub))
+    assert (code, report["verdict"]) == (2, "error"), report

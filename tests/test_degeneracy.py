@@ -331,10 +331,14 @@ def test_certificate_replay_rejects_tampering(n2):
     result = synthesize(SynthesisInput(n2.sset), 5)
     records = json.loads(json.dumps(result.certificate))
     records[10]["value"] += 1
-    with pytest.raises(CertificateMismatch):
-        replay_certificate(SynthesisInput(n2.sset), 5, records)
-    with pytest.raises(CertificateMismatch):
-        replay_certificate(SynthesisInput(n2.sset), 5, result.certificate[:-1])
+    run = len(result.certificate)
+    for certificate, text, position in (
+            (records, "record 10 diverges", 10),
+            (result.certificate[:-1], "certificate has fewer records than the run", run - 1),
+            (result.certificate + [records[0]], "certificate has more records than the run", run)):
+        with pytest.raises(CertificateMismatch, match=text) as caught:
+            replay_certificate(SynthesisInput(n2.sset), 5, certificate)
+        assert caught.value.position == position
 
 
 def test_relative_certificate_replays(n2, nj):

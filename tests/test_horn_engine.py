@@ -218,18 +218,70 @@ def test_lift_verdicts_match_two_filler_scans(name):
 
 
 def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
+    from degenforge import cli
     bundle = nerve(cyclic_group(2), 4)
     sset = tmp_path / "n2.sset"
     table = tmp_path / "n2.deg"
     sset.write_text(json.dumps(bundle.sset.to_json_dict()))
     table.write_text(json.dumps(bundle.oracle_degeneracies.to_json_dict()))
+    loaded = []
+    load_sset = cli.load_sset
+
+    def recording_load(path):
+        loaded.append(load_sset(path))
+        return loaded[-1]
 
     def forbidden(*args):
         raise AssertionError("a horn index was built")
 
+    monkeypatch.setattr(cli, "load_sset", recording_load)
+    monkeypatch.setattr(SemisimplicialSet, "with_face", forbidden)
     monkeypatch.setattr(SemisimplicialSet, "matching", forbidden)
     monkeypatch.setattr(SemisimplicialSet, "edges", forbidden)
     assert run(["validate", str(sset)])[0] == 0
     assert run(["verify", str(sset), str(table)])[0] == 0
+    assert len(loaded) == 2
+    for X in loaded:
+        # a loaded set holds its face data and no slot index or edge array
+        assert not [name for name, value in vars(X).items()
+                    if name not in ("dim", "cells", "_faces") and value]
     with pytest.raises(AssertionError, match="horn index"):
         check_inner(bundle.sset, 2)
+
+
+INDEX_FIXTURES = {
+    "Z/2": lambda: cyclic_group(2),
+    "J": j_groupoid,
+    "monoid": idempotent_monoid,
+    "Z/2xJ": lambda: product_category(cyclic_group(2), j_groupoid()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_FIXTURES))
+def test_slot_lookups_match_a_row_scan(name):
+    X = nerve(INDEX_FIXTURES[name](), 4).sset
+    for n in range(1, X.dim + 1):
+        rows = [X.faces_of(n, j) for j in range(X.cells[n])]
+        values = range(X.cells[n - 1] + 1)  # the value past the range matches nothing
+        assert tuple(X.matching(n, (), ())) == tuple(range(X.cells[n]))
+        for i in range(n + 1):
+            for v in values:
+                want = tuple(j for j, row in enumerate(rows) if row[i] == v)
+                assert tuple(X.with_face(n, i, v)) == want
+                assert tuple(X.matching(n, (i,), (v,))) == want
+        for a, b in itertools.combinations(range(n + 1), 2):
+            for va in values:
+                by_b: dict = {}
+                for j, row in enumerate(rows):
+                    if row[a] == va:
+                        by_b.setdefault(row[b], []).append(j)
+                for vb in values:
+                    assert list(X.matching(n, (a, b), (va, vb))) == by_b.get(vb, [])
+        # three slots: the pair lookup, then the row filter
+        for slots in itertools.combinations(range(n + 1), 3):
+            groups: dict = {}
+            for j, row in enumerate(rows):
+                groups.setdefault(tuple(row[i] for i in slots), []).append(j)
+            for key, want in groups.items():
+                assert list(X.matching(n, slots, key)) == want
+            assert not X.matching(n, slots, (len(values),) * 3)
