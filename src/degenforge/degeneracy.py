@@ -875,47 +875,57 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     compatibility with a map into a base carrying its own table.
     """
     bound = X.dim if D is None else min(D, X.dim)
-    found: dict[str, list[tuple]] = {"face_degeneracy": [], "degeneracy_degeneracy": [],
-                                     "restriction": [], "projection": []}
-    by_family = dict.fromkeys(found, 0)
     restrict = subcomplex is not None and sub_table is not None
     project = pmap is not None and target_table is not None
-    for k, n in sorted((k, n) for k, n in table.domain() if n + 1 <= bound):
-        level = table.level(k, n)
-        for j in sorted(level):
-            v = level[j]
+    bad_fd, bad_dd, bad_rs, bad_pr = [], [], [], []
+    fd = dd = rs = pr = 0
+    s = table._s
+    for k, n in sorted((k, n) for k, n in s if n + 1 <= bound):
+        s_k, rows, rows_up = s[(k, n)], X.face_rows(n), X.face_rows(n + 1)
+        # d_i s_k = s_{k-1} d_i (i < k), id (i = k, k+1), s_k d_{i-1} (i > k+1)
+        below_lo, below_hi = s.get((k - 1, n - 1), {}), s.get((k, n - 1), {})
+        # s_i s_k = s_{k+1} s_i (i <= k)
+        s_k1_up = s.get((k + 1, n + 1), {})
+        s_i = [(s.get((i, n + 1), {}), s.get((i, n), {})) for i in range(k + 1)]
+        sub_k = sub_table._s.get((k, n), {}) if restrict else None
+        target_k = target_table._s.get((k, n), {}) if project else None
+        for j in sorted(s_k):
+            v = s_k[j]
+            row, row_up = rows[j] if n else (), rows_up[v]  # vertices have no face row
             for i in range(n + 2):
                 if i < k:
-                    want = table.value(k - 1, n - 1, X.face_index(n, j, i))
+                    want = below_lo.get(row[i])
                 elif i <= k + 1:
                     want = j
                 else:
-                    want = table.value(k, n - 1, X.face_index(n, j, i - 1))
+                    want = below_hi.get(row[i - 1])
                 if want is None:
                     continue
-                by_family["face_degeneracy"] += 1
-                if X.face_index(n + 1, v, i) != want:
-                    found["face_degeneracy"].append(("face_degeneracy", k, n, j, i))
-            for i in range(k + 1):
-                lhs = table.value(i, n + 1, v)
-                sij = table.value(i, n, j)
-                rhs = None if sij is None else table.value(k + 1, n + 1, sij)
+                fd += 1
+                if row_up[i] != want:
+                    bad_fd.append(("face_degeneracy", k, n, j, i))
+            for i, (s_i_up, s_i_at) in enumerate(s_i):
+                lhs = s_i_up.get(v)
+                sij = s_i_at.get(j)
+                rhs = None if sij is None else s_k1_up.get(sij)
                 if lhs is None or rhs is None:
                     continue
-                by_family["degeneracy_degeneracy"] += 1
+                dd += 1
                 if lhs != rhs:
-                    found["degeneracy_degeneracy"].append(("degeneracy_degeneracy", k, n, j, i))
+                    bad_dd.append(("degeneracy_degeneracy", k, n, j, i))
             if restrict and subcomplex.contains(n, j):
-                want = sub_table.value(k, n, j)
+                want = sub_k.get(j)
                 if want is not None:
-                    by_family["restriction"] += 1
+                    rs += 1
                     if v != want or not subcomplex.contains(n + 1, v):
-                        found["restriction"].append(("restriction", k, n, j))
+                        bad_rs.append(("restriction", k, n, j))
             if project:
-                want = target_table.value(k, n, pmap.apply_index(n, j))
+                want = target_k.get(pmap.apply_index(n, j))
                 if want is not None:
-                    by_family["projection"] += 1
+                    pr += 1
                     if pmap.apply_index(n + 1, v) != want:
-                        found["projection"].append(("projection", k, n, j))
-    violations = [v for family in found.values() for v in family]
+                        bad_pr.append(("projection", k, n, j))
+    violations = bad_fd + bad_dd + bad_rs + bad_pr
+    by_family = {"face_degeneracy": fd, "degeneracy_degeneracy": dd,
+                 "restriction": rs, "projection": pr}
     return SimplicialReport(not violations, sum(by_family.values()), violations, by_family)

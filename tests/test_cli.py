@@ -389,6 +389,8 @@ SUB_DEFECTS = {
     "float_member": [[0.5]],
     "string_member": [["0"]],
     "bool_member": [[True]],
+    "member_above_range": [[99]],
+    "negative_member": [[-1]],
 }
 
 
