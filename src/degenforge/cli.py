@@ -9,6 +9,7 @@ errors. Output bytes are a deterministic function of the input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -83,6 +84,17 @@ def load_category(path: str) -> CategoryPresentation:
     return CategoryPresentation.from_json_dict(_load_json(path))
 
 
+def _load_certificate(path: str) -> list:
+    records = _load_json(path)
+    if not isinstance(records, list):
+        raise ParseError(f"{path}: a certificate is an ordered list of records")
+    for position, record in enumerate(records):
+        if not isinstance(record, dict) or not {"stage", "simplex", "kind", "value"} <= record.keys():
+            raise ParseError(f"{path}: record {position} is not an object holding "
+                             f"\"stage\", \"simplex\", \"kind\" and \"value\"")
+    return records
+
+
 def _load_s0(path: str) -> dict:
     data = _load_json(path)
     if isinstance(data, dict) and "s0" in data:
@@ -93,6 +105,11 @@ def _load_s0(path: str) -> dict:
 
 
 # -- command handlers ---------------------------------------------------------
+
+
+def _bound(args, X: SemisimplicialSet) -> int:
+    """The bound a command checks: ``--dim`` capped at the set's dimension."""
+    return X.dim if args.dim is None else min(args.dim, X.dim)
 
 
 def _cmd_validate(args) -> tuple[str, dict, list]:
@@ -107,7 +124,7 @@ def _cmd_validate(args) -> tuple[str, dict, list]:
 def _cmd_check(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
     _require_valid("input set", validate(X))
-    dim = args.dim if args.dim is not None else X.dim
+    dim = _bound(args, X)
     if args.inner_fibration:
         if not args.map or not args.target:
             raise ParseError("--inner-fibration needs --map and --target")
@@ -142,11 +159,12 @@ def _edge_verdict(X, j: int, prop: str, dim: int) -> EdgeVerdict:
 def _cmd_edges(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
     _require_valid("input set", validate(X))
-    dim = args.dim if args.dim is not None else X.dim
+    dim = _bound(args, X)
+    indices = range(X.cells[1]) if X.dim >= 1 else range(0)
     if args.edge is not None:
+        if args.edge not in indices:
+            raise ParseError(f"--edge {args.edge} is not an edge index in 0..{len(indices) - 1}")
         indices = [args.edge]
-    else:
-        indices = list(range(X.cells[1])) if X.dim >= 1 else []
     verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
     ok = all(v.result for v in verdicts)
     payload = {"bound": dim, "edges": [v.to_json_dict() for v in verdicts]}
@@ -168,7 +186,7 @@ def _write_synthesis(args, result) -> list:
 
 def _cmd_synthesize(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
-    dim = args.dim if args.dim is not None else X.dim
+    dim = _bound(args, X)
     s0 = _load_s0(args.s0) if args.s0 else None
     result = synthesize(SynthesisInput(X, s0=s0), dim)
     outputs = _write_synthesis(args, result)
@@ -191,7 +209,7 @@ def _cmd_synthesize_rel(args) -> tuple[str, dict, list]:
     A = load_subcomplex(args.sub, X) if args.sub else None
     A_deg = load_table(args.adeg, X) if args.adeg else None
     s0 = _load_s0(args.s0) if args.s0 else None
-    dim = args.dim if args.dim is not None else X.dim
+    dim = _bound(args, X)
     inp = SynthesisInput(X, p=p, Y_deg=Y_deg, A=A, A_deg=A_deg, s0=s0)
     result = synthesize_relative(inp, dim)
     outputs = _write_synthesis(args, result)
@@ -205,7 +223,7 @@ def _cmd_synthesize_rel(args) -> tuple[str, dict, list]:
 def _cmd_addendum_s0(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
     _require_valid("input set", validate(X))
-    dim = args.dim if args.dim is not None else X.dim
+    dim = _bound(args, X)
     found = addendum_s0(X, dim)
     outputs = []
     if args.out:
@@ -236,7 +254,7 @@ def _cmd_demo_uniqueness(args) -> tuple[str, dict, list]:
     C_sset = load_sset(args.sset)
     deg0 = load_table(args.deg0, C_sset)
     deg1 = load_table(args.deg1, C_sset)
-    dim = args.dim if args.dim is not None else C_sset.dim
+    dim = _bound(args, C_sset)
     demo = uniqueness_demo(C_sset, deg0, deg1, dim)
     outputs = []
     if args.out:
@@ -260,16 +278,14 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
     _require_valid("input set", validate(X))
     table = load_table(args.table, X)
-    dim = args.dim if args.dim is not None else X.dim
+    records = _load_certificate(args.cert) if args.cert else None
+    dim = _bound(args, X)
     report = verify_simplicial(X, table, dim)
     payload = {"bound": dim, "detail": report.to_json_dict()}
     if not report.ok:
         payload["witness"] = [list(v) for v in report.violations[:10]]
         return ("fail", payload, [])
-    if args.cert:
-        records = _load_json(args.cert)
-        if not isinstance(records, list):
-            raise ParseError(f"{args.cert}: a certificate is an ordered list of records")
+    if records is not None:
         replayed = replay_certificate(SynthesisInput(X), dim, records)
         if replayed != table:
             return ("fail", {"bound": dim, "detail": "replay table differs from the given table"}, [])
@@ -280,7 +296,9 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
 # -- driver --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once: parsing leaves the parser as it was, and building it costs more than most runs
     parser = argparse.ArgumentParser(
         prog="degenforge",
         description="Checkers and degeneracy synthesis for finite semisimplicial sets.")
@@ -366,6 +384,8 @@ def run(argv: Optional[list[str]] = None) -> tuple[int, dict]:
     args = parser.parse_args(argv)
     report = {"command": args.command}
     try:
+        if getattr(args, "dim", None) is not None and args.dim < 0:
+            raise ParseError(f"--dim {args.dim} is negative; a bound is at least 0")
         verdict, payload, outputs = args.handler(args)
     except ParseError as exc:
         report.update({"verdict": "error", "detail": str(exc), "outputs": []})

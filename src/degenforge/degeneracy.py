@@ -156,6 +156,9 @@ class DegeneracyTable:
                     continue
                 if not isinstance(level, list):
                     raise ParseError(f"level (k={k}, n={n}) is neither an array nor null")
+                if k > n:
+                    raise ParseError(f"level (k={k}, n={n}): s_{k} acts on n-simplices "
+                                     f"only for k <= n")
                 if n >= base.dim:
                     raise ParseError(f"level (k={k}, n={n}) maps into dimension {n + 1} "
                                      f"above the base's {base.dim}")

@@ -112,29 +112,41 @@ def _face_values(X: SemisimplicialSet, n: int, k: int,
     """Face values of every compatible (n,k) horn, listed by ascending face index.
 
     Faces are assigned one position at a time. The faces already assigned
-    fix some faces of the next one (d_j x_i = d_{i-1} x_j for j < i), so its
-    candidates are a single ``X.matching`` lookup, ascending.
+    fix some faces of the next one (d_j x_i = d_{i-1} x_j for j < i). A plan
+    made once per scan gives each step a slot index on the first one or two
+    fixed slots, the earlier faces its key is read from, and the other fixed
+    slots to filter the rows on; candidates come out ascending.
     """
     if n < 1 or n > X.dim or X.cells[n - 1] == 0:
         return
     m = n - 1
     rows = X.face_rows(m)
     positions = _positions(n, k)[::-1] if descending else _positions(n, k)
-    # per step: the fixed slots of the new face, which earlier face and which of
-    # its faces gives each slot's value, and the restriction at that position
     steps = []
     for p, i in enumerate(positions):
+        # (slot of the new face, earlier position q, face r of x_q that fixes it)
         fixed = sorted((j, q, i - 1) if j < i else (j - 1, q, i)
                        for q, j in enumerate(positions[:p]))
         pool = (restrict or {}).get(i)
-        steps.append((tuple(slot for slot, _, _ in fixed), tuple((q, r) for _, q, r in fixed),
+        index = X.slot_index(m, tuple(slot for slot, _, _ in fixed[:2])) if fixed else None
+        steps.append((index, tuple((q, r) for _, q, r in fixed[:2]), tuple(fixed[2:]),
                       None if pool is None else frozenset(pool)))
     chosen = [0] * len(steps)
     last = len(steps) - 1
 
     def candidates(p: int) -> Iterable[int]:
-        slots, reads, pool = steps[p]
-        found = X.matching(m, slots, [rows[chosen[q]][r] for q, r in reads])
+        index, key, rest, pool = steps[p]
+        if index is None:
+            found: Sequence[int] = range(X.cells[m])
+        elif len(key) == 1:
+            (q, r), = key
+            found = index.get(rows[chosen[q]][r], ())
+        else:
+            (q, r), (q2, r2) = key
+            found = index.get((rows[chosen[q]][r], rows[chosen[q2]][r2]), ())
+        if rest:
+            want = [(slot, rows[chosen[q]][r]) for slot, q, r in rest]
+            found = [z for z in found if all(rows[z][slot] == v for slot, v in want)]
         return found if pool is None else [z for z in found if z in pool]
 
     stack = [iter(candidates(0))]
@@ -266,24 +278,6 @@ class EdgeVerdict:
         return out
 
 
-def _lifts_exist(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int,
-                 items: Sequence[tuple[int, int]]) -> Optional[SimplexRef]:
-    """First target simplex over the projected horn with no lift, if any.
-
-    Over the point (``p`` None) a lift is a filler: the point's n-simplex is
-    missed exactly when the horn has no filler.
-    """
-    found = _filler_indices(X, n, items)
-    if p is None:
-        return None if found else SimplexRef(n, 0)
-    images = {p.apply_index(n, z) for z in found}
-    projected = tuple((i, p.apply_index(n - 1, v)) for i, v in items)
-    for y in _filler_indices(p.target, n, projected):
-        if y not in images:
-            return SimplexRef(n, y)
-    return None
-
-
 def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexRef,
                property: str, bound: int) -> Optional[tuple[Horn, SimplexRef]]:
     """First horn of a cartesian (cocartesian) scan of f that does not lift, with its target.
@@ -299,12 +293,11 @@ def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexR
         else:
             k, slot, end, descending = 0, n, "first", True
         pool = [j for j, e in enumerate(X.edges(n - 1, end)) if e == f.index]
-        order = _positions(n, k)
+        missing = _lift_test(X, p, n, k)
         for values in _face_values(X, n, k, restrict={slot: pool}, descending=descending):
-            items = tuple(zip(order, values))
-            missing = _lifts_exist(X, p, n, items)
-            if missing is not None:
-                return Horn(n, k, items), missing
+            y = missing(values)
+            if y is not None:
+                return Horn(n, k, tuple(zip(_positions(n, k), values))), SimplexRef(n, y)
     return None
 
 

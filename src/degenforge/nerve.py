@@ -20,7 +20,13 @@ from .degeneracy import (
     synthesize_relative,
     verify_simplicial,
 )
-from .errors import InvalidCategory, InvalidDegeneracyTable, ParseError, RestrictionMismatch
+from .errors import (
+    InvalidCategory,
+    InvalidDegeneracyTable,
+    ParseError,
+    RestrictionMismatch,
+    TruncationExhausted,
+)
 from .sset import SemisimplicialSet, Subcomplex, product
 
 
@@ -119,7 +125,9 @@ class CategoryPresentation:
             for g, f, gf in data["compose"]:
                 compose[(arrow_index[g], arrow_index[f])] = arrow_index[gf]
             identities = None
-            if "identities" in data and data["identities"] is not None:
+            if data.get("identities") is not None:
+                if not isinstance(data["identities"], dict):
+                    raise ParseError("a category's \"identities\" is an object from objects to arrows")
                 identities = {obj_index[o]: arrow_index[a] for o, a in data["identities"].items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed category: {exc}") from exc
@@ -359,6 +367,8 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
         if not report.ok:
             raise InvalidDegeneracyTable(f"{label} fails its identity check: {report.violations[:3]}")
     bound = min(D, C_sset.dim)
+    if bound < 2:
+        raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
     J = nerve(j_groupoid(), bound)
     bundle = product(C_sset, J.sset)
     X, p = bundle.sset, bundle.right

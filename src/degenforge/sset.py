@@ -84,15 +84,6 @@ class SemisimplicialSet:
         self._index: dict = {}
         self._edges: dict = {}
 
-    def _slot_index(self, key: tuple[int, ...]) -> dict:
-        n, *slots = key
-        face = itemgetter(*slots)
-        found: dict = {}
-        for j, row in enumerate(self._faces[n]):
-            found.setdefault(face(row), []).append(j)
-        index = self._index[key] = {value: tuple(js) for value, js in found.items()}
-        return index
-
     # -- access -----------------------------------------------------------
 
     def face_index(self, n: int, j: int, i: int) -> int:
@@ -105,35 +96,26 @@ class SemisimplicialSet:
         """Every n-simplex's face row, by index."""
         return self._faces[n]
 
-    def with_face(self, n: int, i: int, value: int) -> tuple[int, ...]:
-        """All n-simplices whose i-th face is ``value``, ascending."""
-        index = self._index.get((n, i))
-        if index is None:
-            index = self._slot_index((n, i))
-        return index.get(value, ())
+    def slot_index(self, n: int, slots: tuple[int, ...]) -> dict:
+        """The n-simplices by their faces at one or two ``slots``, each list ascending.
 
-    def matching(self, n: int, slots: Sequence[int], values: Sequence[int]) -> Sequence[int]:
-        """All n-simplices whose faces at ``slots`` equal ``values``, ascending.
-
-        One dict lookup on the first one or two slots, then a row filter on
-        the rest. Keys never hold more than two slots, which bounds each
+        Keyed by the face value for one slot and by the pair of values for two.
+        Filled on first use and kept; a key of at most two slots bounds each
         index by the level's size.
         """
-        if len(slots) == 1:
-            key, value = (n, slots[0]), values[0]
-        elif slots:
-            key, value = (n, slots[0], slots[1]), (values[0], values[1])
-        else:
-            return range(self.cells[n])
+        key = (n, *slots)
         index = self._index.get(key)
         if index is None:
-            index = self._slot_index(key)
-        found = index.get(value, ())
-        if len(slots) <= 2:
-            return found
-        rest = tuple(zip(slots[2:], values[2:]))
-        rows = self._faces[n]
-        return [z for z in found if all(rows[z][i] == v for i, v in rest)]
+            face = itemgetter(*slots)
+            found: dict = {}
+            for j, row in enumerate(self._faces[n]):
+                found.setdefault(face(row), []).append(j)
+            index = self._index[key] = {value: tuple(js) for value, js in found.items()}
+        return index
+
+    def with_face(self, n: int, i: int, value: int) -> tuple[int, ...]:
+        """All n-simplices whose i-th face is ``value``, ascending."""
+        return self.slot_index(n, (i,)).get(value, ())
 
     def edges(self, n: int, end: str) -> tuple[int, ...]:
         """Per n-simplex, the index of its ``"last"`` or ``"first"`` edge.

@@ -400,3 +400,143 @@ def test_subcomplex_loader_rejects_a_malformed_subcomplex(rel_files, tmp_path, d
     sub.write_text(json.dumps({"members": SUB_DEFECTS[defect]}))
     code, report = _synthesize_rel(rel_files, "--sub", str(sub))
     assert (code, report["verdict"]) == (2, "error"), report
+
+
+def _set_level(k, n, level):
+    """An edit putting ``level`` at s_k on n-simplices, padding the table with nulls."""
+    def change(data):
+        s = data["s"]
+        s.extend([] for _ in range(k + 1 - len(s)))
+        s[k].extend(None for _ in range(n + 1 - len(s[k])))
+        s[k][n] = level
+    return change
+
+
+# (k, n): s_1 on vertices, s_{n+1} on edges, s_{n+2} on vertices
+LEVELS_ABOVE_N = {(1, 0): [0], (2, 1): [0, 0], (2, 0): [0]}
+
+
+@pytest.mark.parametrize("k, n", sorted(LEVELS_ABOVE_N))
+def test_verify_rejects_a_table_level_with_k_above_n(z2_small, tmp_path, k, n):
+    # Z/2 at D3: its oracle table is total on 0 <= k <= n <= 2
+    from degenforge.nerve import nerve
+    deg = tmp_path / "n2.deg"
+    deg.write_text(json.dumps(nerve(cyclic_group(2), 3).oracle_degeneracies.to_json_dict()))
+    assert run(["verify", str(z2_small["sset"]), str(deg)])[0] == 0
+    _edit(deg, _set_level(k, n, LEVELS_ABOVE_N[(k, n)]))
+    code, report = run(["verify", str(z2_small["sset"]), str(deg)])
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert f"k={k}, n={n}" in report["detail"]
+
+
+@pytest.mark.parametrize("identities", [[0], 5, "a"])
+def test_nerve_rejects_identities_that_are_not_an_object(tmp_path, identities):
+    cat = tmp_path / "z2.cat"
+    cat.write_text(json.dumps({**cyclic_group(2).to_json_dict(), "identities": identities}))
+    code, report = run(["nerve", "--cat", str(cat), "--dim", "2", "--out", str(tmp_path / "n.sset")])
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert "identities" in report["detail"]
+
+
+@pytest.fixture()
+def z2_certified(z2_small, tmp_path):
+    """Z/2 at D3 with its synthesized table and certificate."""
+    table, cert = tmp_path / "n2.table", tmp_path / "n2.cert"
+    code, _ = run(["synthesize", str(z2_small["sset"]), "--out", str(table), "--cert", str(cert)])
+    assert code == 0
+    return {"sset": z2_small["sset"], "table": table, "cert": cert}
+
+
+def _verify_cert(files):
+    return run(["verify", str(files["sset"]), str(files["table"]), "--cert", str(files["cert"])])
+
+
+@pytest.mark.parametrize("records", [[1, 2, 3], [[]], [{"a": 1}], "records",
+                                     [{"stage": {"N": 0, "step": 1}, "simplex": [0, 0], "kind": "filled"}]])
+def test_verify_rejects_a_certificate_that_is_not_a_list_of_records(z2_certified, records):
+    z2_certified["cert"].write_text(json.dumps(records))
+    code, report = _verify_cert(z2_certified)
+    assert (code, report["verdict"]) == (2, "error"), report
+
+
+@pytest.mark.parametrize("field, change", [("value", lambda v: v + 1), ("kind", lambda v: "forced")])
+def test_verify_keeps_a_mismatch_for_a_well_formed_record(z2_certified, field, change):
+    assert _verify_cert(z2_certified)[0] == 0
+    records = json.loads(z2_certified["cert"].read_text())
+    filled = next(r for r in records if r["kind"] == "filled")
+    filled[field] = change(filled[field])
+    z2_certified["cert"].write_text(json.dumps(records))
+    code, report = _verify_cert(z2_certified)
+    assert (code, report["verdict"]) == (1, "CertificateMismatch"), report
+
+
+def _dim_commands(files, tmp_path):
+    """Every command that takes --dim, as argv without the flag."""
+    sset, target = str(files["sset"]), str(files["target"])
+    cat = tmp_path / "z2.cat"
+    cat.write_text(json.dumps(cyclic_group(2).to_json_dict()))
+    return {
+        "check --inner": ["check", "--inner", sset],
+        "check --kan": ["check", "--kan", sset],
+        "check --inner-fibration": ["check", "--inner-fibration", sset,
+                                    "--map", str(files["map"]), "--target", target],
+        "edges": ["edges", sset],
+        "synthesize": ["synthesize", sset],
+        "synthesize-rel": ["synthesize-rel", sset, "--map", str(files["map"]), "--target", target,
+                           "--ydeg", str(files["ydeg"])],
+        "addendum-s0": ["addendum-s0", target],
+        "nerve": ["nerve", "--cat", str(cat), "--out", str(tmp_path / "n.sset")],
+        "demo-uniqueness": ["demo-uniqueness", target, "--deg0", str(files["ydeg"]),
+                            "--deg1", str(files["ydeg"])],
+        "verify": ["verify", target, str(files["ydeg"])],
+    }
+
+
+DIM_COMMANDS = ("addendum-s0", "check --inner", "check --inner-fibration", "check --kan",
+                "demo-uniqueness", "edges", "nerve", "synthesize", "synthesize-rel", "verify")
+
+
+@pytest.mark.parametrize("command", DIM_COMMANDS)
+def test_a_negative_dim_is_malformed_input(rel_files, tmp_path, command):
+    commands = _dim_commands(rel_files, tmp_path)
+    assert sorted(commands) == list(DIM_COMMANDS)
+    argv = commands[command]
+    assert run([*argv, "--dim", "3"])[0] == 0, command
+    for dim in ("-1", "-3"):
+        code, report = run([*argv, "--dim", dim])
+        assert (code, report["verdict"]) == (2, "error"), (command, dim, report)
+        assert "--dim" in report["detail"]
+
+
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_demo_uniqueness_below_truncation_two_is_a_domain_error(z2_small, dim):
+    # Z/2 at D3 with its oracle table; the relative run needs a bound of at least 2
+    from degenforge.nerve import nerve
+    deg = z2_small["sset"].with_suffix(".deg")
+    deg.write_text(json.dumps(nerve(cyclic_group(2), 3).oracle_degeneracies.to_json_dict()))
+    code, report = run(["demo-uniqueness", str(z2_small["sset"]), "--deg0", str(deg),
+                        "--deg1", str(deg), "--dim", dim])
+    assert (code, report["verdict"]) == (1, "TruncationExhausted"), report
+
+
+@pytest.mark.parametrize("command", ["edges", "verify"])
+def test_the_reported_bound_is_the_one_checked(z2_small, command):
+    # Z/2 at D3 has the oracle table; --dim past the set's dimension checks up to 3
+    from degenforge.nerve import nerve
+    deg = z2_small["sset"].with_suffix(".deg")
+    deg.write_text(json.dumps(nerve(cyclic_group(2), 3).oracle_degeneracies.to_json_dict()))
+    argv = {"edges": ["edges", str(z2_small["sset"])],
+            "verify": ["verify", str(z2_small["sset"]), str(deg)]}[command]
+    code, report = run([*argv, "--dim", "99"])
+    assert code == 0 and report["bound"] == 3, report
+    assert all(verdict["bound"] == 3 for verdict in report.get("edges", []))
+    assert run([*argv, "--dim", "2"])[1]["bound"] == 2
+
+
+@pytest.mark.parametrize("prop", ["equivalence", "cartesian", "idempotent"])
+@pytest.mark.parametrize("edge", ["2", "99", "-1"])
+def test_edges_rejects_an_edge_outside_the_set(z2_small, prop, edge):
+    # Z/2 at D3 has the edges 0 and 1
+    code, report = run(["edges", str(z2_small["sset"]), "--property", prop, "--edge", edge])
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert run(["edges", str(z2_small["sset"]), "--property", prop, "--edge", "1"])[0] in (0, 1)

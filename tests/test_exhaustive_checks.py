@@ -251,7 +251,8 @@ def test_verify_matches_the_reference_on_partial_tables(name):
 
 
 def test_verify_matches_the_reference_on_a_level_past_the_top_degeneracy():
-    # files may carry s_{n+1} on n-simplices; its i = n + 1 face is the only identity term
+    # a table built in code may carry s_{n+1} on n-simplices (a file may not: k <= n);
+    # its i = n + 1 face is the only identity term
     bundle = nerve(cyclic_group(2), 4)
     extra = bundle.oracle_degeneracies.copy()
     for n in range(1, 3):
