@@ -23,9 +23,10 @@ from .degeneracy import (
     synthesize_relative,
     verify_simplicial,
 )
-from .errors import DegenforgeError, ParseError
+from .errors import DegenforgeError, ParseError, TruncationExhausted
 from .horn import (
     EdgeVerdict,
+    LiftTests,
     check_inner,
     check_inner_fibration,
     check_kan,
@@ -146,26 +147,31 @@ def _cmd_check(args) -> tuple[str, dict, list]:
     return ("yes" if verdict.ok else "no", payload, [])
 
 
-def _edge_verdict(X, j: int, prop: str, dim: int) -> EdgeVerdict:
+def _edge_verdict(X, j: int, prop: str, dim: int, lifts: LiftTests) -> EdgeVerdict:
     f = SimplexRef(1, j)
     if prop == "equivalence":
-        return is_equivalence(X, f, dim)
+        return is_equivalence(X, f, dim, lifts)
     if prop == "idempotent":
         witness = is_idempotent(X, f)
-        return EdgeVerdict(f, prop, 2, witness is not None, witness)
-    return edge_property(X, f, prop, dim)
+        if witness is None:
+            return EdgeVerdict(f, prop, 2, False, {"exhausted": {"dim2_scanned": X.cells[2]}})
+        return EdgeVerdict(f, prop, 2, True, witness)
+    return edge_property(X, f, prop, dim, lifts)
 
 
 def _cmd_edges(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
     _require_valid("input set", validate(X))
     dim = _bound(args, X)
+    if args.property == "idempotent" and dim < 2:
+        raise TruncationExhausted(f"the idempotent check needs truncation at least 2, have {dim}")
     indices = range(X.cells[1]) if X.dim >= 1 else range(0)
     if args.edge is not None:
         if args.edge not in indices:
             raise ParseError(f"--edge {args.edge} is not an edge index in 0..{len(indices) - 1}")
         indices = [args.edge]
-    verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
+    lifts = LiftTests(X)
+    verdicts = [_edge_verdict(X, j, args.property, dim, lifts) for j in indices]
     ok = all(v.result for v in verdicts)
     payload = {"bound": dim, "edges": [v.to_json_dict() for v in verdicts]}
     if not ok:

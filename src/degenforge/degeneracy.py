@@ -19,7 +19,9 @@ the returned table is restricted to the fully corrected levels n <= D-2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -38,6 +40,7 @@ from .errors import (
 )
 from .horn import (
     Horn,
+    LiftTests,
     _filler_indices,
     check_inner,
     check_inner_fibration,
@@ -53,6 +56,7 @@ from .sset import (
     SemisimplicialSet,
     SimplexRef,
     Subcomplex,
+    _gather,
     _is_index,
     _require_valid,
     validate,
@@ -64,19 +68,32 @@ class DegeneracyTable:
     """Partial table of degeneracy operators s_k over a fixed base set.
 
     ``value(k, n, j)`` is the index in dimension n+1 of s_k applied to the
-    j-th n-simplex, or None where undefined. Reverse lookups support the
-    degeneracy-image tests of the builder.
+    j-th n-simplex, or None where undefined. Each ``(k, n)`` level is stored
+    once, as a list of length ``c_n`` with None where a value is undefined;
+    a stored level holds at least one value. Reverse lookups, for the
+    degeneracy-image tests of the builder, exist only once ``set_value`` or
+    ``preimage`` has been called: a loaded table never builds them.
     """
 
     def __init__(self, base: SemisimplicialSet):
         self.base = base
-        self._s: dict[tuple[int, int], dict[int, int]] = {}
-        self._rev: dict[tuple[int, int], dict[int, int]] = {}
+        self._s: dict[tuple[int, int], list[Optional[int]]] = {}
+        self._rev: Optional[dict[tuple[int, int], dict[int, int]]] = None
+
+    def _reverse(self) -> dict[tuple[int, int], dict[int, int]]:
+        # built from the stored levels in ascending j, then kept up to date by set_value
+        if self._rev is None:
+            self._rev = {}
+            for key, level in self._s.items():
+                self._rev[key] = {v: j for j, v in enumerate(level) if v is not None}
+        return self._rev
 
     def set_value(self, k: int, n: int, j: int, value: int) -> None:
-        level = self._s.setdefault((k, n), {})
-        rev = self._rev.setdefault((k, n), {})
-        old = level.get(j)
+        rev = self._reverse().setdefault((k, n), {})
+        level = self._s.get((k, n))
+        if level is None:
+            level = self._s[(k, n)] = [None] * self.base.cells[n]
+        old = level[j]
         if old is not None:
             rev.pop(old, None)
         level[j] = value
@@ -84,11 +101,11 @@ class DegeneracyTable:
 
     def value(self, k: int, n: int, j: int) -> Optional[int]:
         level = self._s.get((k, n))
-        return None if level is None else level.get(j)
+        return None if level is None else level[j]
 
     def preimage(self, k: int, n: int, value: int) -> Optional[int]:
         """The j with s_k(x_j) = value for x_j in dimension n, if any."""
-        level = self._rev.get((k, n))
+        level = (self._rev if self._rev is not None else self._reverse()).get((k, n))
         return None if level is None else level.get(value)
 
     def domain(self):
@@ -97,24 +114,24 @@ class DegeneracyTable:
     def entries(self):
         """All (k, n, j, value) assignments in canonical order."""
         for (k, n), level in sorted(self._s.items()):
-            for j in sorted(level):
-                yield k, n, j, level[j]
+            for j, v in enumerate(level):
+                if v is not None:
+                    yield k, n, j, v
 
-    def level(self, k: int, n: int) -> Optional[dict[int, int]]:
+    def level(self, k: int, n: int) -> Optional[list[Optional[int]]]:
+        """The stored ``(k, n)`` level, indexed by j, or None; do not modify it."""
         return self._s.get((k, n))
 
     def copy(self) -> "DegeneracyTable":
         out = DegeneracyTable(self.base)
-        out._s = {key: dict(level) for key, level in self._s.items()}
-        out._rev = {key: dict(level) for key, level in self._rev.items()}
+        out._s = {key: list(level) for key, level in self._s.items()}
+        if self._rev is not None:
+            out._rev = {key: dict(level) for key, level in self._rev.items()}
         return out
 
     def restricted(self, max_level: int) -> "DegeneracyTable":
         out = DegeneracyTable(self.base)
-        for (k, n), level in self._s.items():
-            if n <= max_level:
-                for j, v in level.items():
-                    out.set_value(k, n, j, v)
+        out._s = {(k, n): list(level) for (k, n), level in self._s.items() if n <= max_level}
         return out
 
     def to_json_dict(self) -> dict:
@@ -127,12 +144,9 @@ class DegeneracyTable:
             per_n: list = []
             for n in range(top_n + 1):
                 level = self._s.get((k, n))
-                if level is None:
-                    per_n.append(None)
-                    continue
-                if len(level) != self.base.cells[n]:
+                if level is not None and None in level:
                     raise ValueError(f"level (k={k}, n={n}) is partial; only total levels serialize")
-                per_n.append([level[j] for j in range(self.base.cells[n])])
+                per_n.append(None if level is None else list(level))
             table.append(per_n)
         return {"base_hash": self.base.content_hash(), "s": table}
 
@@ -164,11 +178,14 @@ class DegeneracyTable:
                                      f"above the base's {base.dim}")
                 if len(level) != base.cells[n]:
                     raise ParseError(f"level (k={k}, n={n}) has {len(level)} entries for {base.cells[n]} simplices")
-                for j, v in enumerate(level):
-                    if not _is_index(v, base.cells[n + 1]):
-                        raise ParseError(f"s_{k} of ({n},{j}) is {v!r}, not an index "
-                                         f"in 0..{base.cells[n + 1] - 1}")
-                    out.set_value(k, n, j, v)
+                if not level:
+                    continue  # a table holds no empty level
+                limit = base.cells[n + 1]
+                if set(map(type, level)) != {int} or not 0 <= min(level) <= max(level) < limit:
+                    j, v = next((j, v) for j, v in enumerate(level) if not _is_index(v, limit))
+                    raise ParseError(f"s_{k} of ({n},{j}) is {v!r}, not an index "
+                                     f"in 0..{limit - 1}")
+                out._s[(k, n)] = list(level)
         return out
 
     def __eq__(self, other) -> bool:
@@ -613,9 +630,10 @@ def _as_vertex_map(source, count: int, limit: int, what: str) -> dict[int, int]:
 def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
+    lifts = LiftTests(X)
     if inp.s0 is None:
         for v in range(X.cells[0]):
-            found = find_idempotent_equivalences(X, SimplexRef(0, v), D)
+            found = find_idempotent_equivalences(X, SimplexRef(0, v), D, lifts)
             if not found:
                 raise NoIdempotentEquivalence(
                     f"no idempotent equivalence at vertex {v}", vertex=v)
@@ -639,7 +657,7 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
             if found is None:
                 raise NoIdempotentEquivalence(f"s0({v}) = {e} is not idempotent", vertex=v)
             w = found.index
-        if not is_equivalence(X, SimplexRef(1, e), D).result:
+        if not is_equivalence(X, SimplexRef(1, e), D, lifts).result:
             raise NoIdempotentEquivalence(f"s0({v}) = {e} is not an equivalence", vertex=v)
         witnesses[v] = w
     return s0, witnesses
@@ -647,6 +665,7 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
 
 def _resolve_s0_relative(inp: SynthesisInput, D: int):
     X, p, Ydeg, A, Adeg = inp.X, inp.p, inp.Y_deg, inp.A, inp.A_deg
+    lifts = LiftTests(X, p)
     s0: dict[int, int] = {}
     if inp.s0 is not None:
         s0 = dict(inp.s0)
@@ -666,9 +685,9 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
                     continue
                 if not p_edge_property(p, SimplexRef(1, e), "idempotent", D, Ydeg).result:
                     continue
-                if not p_edge_property(p, SimplexRef(1, e), "cartesian", D).result:
+                if not p_edge_property(p, SimplexRef(1, e), "cartesian", D, lifts=lifts).result:
                     continue
-                if not p_edge_property(p, SimplexRef(1, e), "cocartesian", D).result:
+                if not p_edge_property(p, SimplexRef(1, e), "cocartesian", D, lifts=lifts).result:
                     continue
                 picked = e
                 break
@@ -699,7 +718,7 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
                 raise NoIdempotentEquivalence(f"s0({v}) = {e} is not fiberwise idempotent", vertex=v)
             w = verdict.witness.index
         for prop in ("cartesian", "cocartesian"):
-            if not p_edge_property(p, SimplexRef(1, e), prop, D).result:
+            if not p_edge_property(p, SimplexRef(1, e), prop, D, lifts=lifts).result:
                 raise NoIdempotentEquivalence(f"s0({v}) = {e} is not {prop} over the base", vertex=v)
         witnesses[v] = w
     return s0, witnesses
@@ -841,6 +860,7 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
     equivalence_cache: dict[int, bool] = {}
+    lifts = LiftTests(X)
     for v in range(X.cells[0]):
         e = min(j for j in X.with_face(1, 1, v))
         sigma = _filler_indices(X, 2, ((0, e), (1, e)))[0]
@@ -852,7 +872,7 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
                 f"witness read-off failed at vertex {v}; the face tables are inconsistent",
                 simplex=(0, v))
         if f not in equivalence_cache:
-            equivalence_cache[f] = is_equivalence(X, SimplexRef(1, f), bound).result
+            equivalence_cache[f] = is_equivalence(X, SimplexRef(1, f), bound, lifts).result
         if not equivalence_cache[f]:
             raise ConsistencyViolation(
                 f"edge {f} is not an equivalence despite the Kan condition", simplex=(1, f))
@@ -863,6 +883,9 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
 
 # ---------------------------------------------------------------------------
 # verification
+
+
+_FAMILIES = ("face_degeneracy", "degeneracy_degeneracy", "restriction", "projection")
 
 
 def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
@@ -876,59 +899,78 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     identity-section rules, and the degeneracy/degeneracy exchange rule.
     Optionally re-checks the restriction to a subcomplex table and
     compatibility with a map into a base carrying its own table.
+
+    Each ``(k, n)`` level is checked a term at a time: one gather reads a
+    term's left side for every simplex with a defined s_k (d_i s_k from face
+    column i of level n+1, say), a second gather its right side, and the two
+    tuples are compared. Rows are walked only where a side may hold an
+    undefined value or the sides differ. Violations are listed by family,
+    then by ``(k, n, j, i)``.
     """
     bound = X.dim if D is None else min(D, X.dim)
     restrict = subcomplex is not None and sub_table is not None
     project = pmap is not None and target_table is not None
-    bad_fd, bad_dd, bad_rs, bad_pr = [], [], [], []
-    fd = dd = rs = pr = 0
     s = table._s
-    for k, n in sorted((k, n) for k, n in s if n + 1 <= bound):
-        s_k, rows, rows_up = s[(k, n)], X.face_rows(n), X.face_rows(n + 1)
+    whole = functools.cache(lambda key: None not in s[key])  # the level has no undefined value
+    found: dict[str, list] = {family: [] for family in _FAMILIES}
+    checked = dict.fromkeys(_FAMILIES, 0)
+    columns: dict[int, list] = {}  # face columns of levels n and n+1
+    for k, n in sorted((key for key in s if key[1] + 1 <= bound), key=lambda key: (key[1], key[0])):
+        for m in (n, n + 1):
+            if m and m not in columns:
+                columns[m] = [tuple(map(itemgetter(i), X.face_rows(m))) for i in range(m + 1)]
+        columns.pop(n - 1, None)
+        level = s[(k, n)]
+        if whole((k, n)):
+            js, vals, at_j = range(len(level)), level, tuple
+        else:
+            js = [j for j, v in enumerate(level) if v is not None]
+            vals, at_j = [level[j] for j in js], _gather(js)
+        at_v = _gather(vals)  # s_k(x_j) picked out of a level-(n+1) sequence, per defined j
+
+        def tally(family: str, got, want, *i: int, got_whole: bool = True) -> None:
+            # equal sides are wholly defined when ``got`` is
+            if got_whole and got == want:
+                checked[family] += len(want)
+                return
+            both = [(p, a, b) for p, (a, b) in enumerate(zip(got, want))
+                    if a is not None and b is not None]
+            checked[family] += len(both)
+            found[family] += [(family, k, n, js[p], *i) for p, a, b in both if a != b]
+
         # d_i s_k = s_{k-1} d_i (i < k), id (i = k, k+1), s_k d_{i-1} (i > k+1)
-        below_lo, below_hi = s.get((k - 1, n - 1), {}), s.get((k, n - 1), {})
+        ident = tuple(js)
+        for i in range(n + 2):
+            if k <= i <= k + 1:
+                want = ident
+            else:
+                key = (k - 1, n - 1) if i < k else (k, n - 1)
+                if key not in s:
+                    continue
+                want = _gather(at_j(columns[n][i if i < k else i - 1]))(s[key])
+            tally("face_degeneracy", at_v(columns[n + 1][i]), want, i)
         # s_i s_k = s_{k+1} s_i (i <= k)
-        s_k1_up = s.get((k + 1, n + 1), {})
-        s_i = [(s.get((i, n + 1), {}), s.get((i, n), {})) for i in range(k + 1)]
-        sub_k = sub_table._s.get((k, n), {}) if restrict else None
-        target_k = target_table._s.get((k, n), {}) if project else None
-        for j in sorted(s_k):
-            v = s_k[j]
-            row, row_up = rows[j] if n else (), rows_up[v]  # vertices have no face row
-            for i in range(n + 2):
-                if i < k:
-                    want = below_lo.get(row[i])
-                elif i <= k + 1:
-                    want = j
-                else:
-                    want = below_hi.get(row[i - 1])
-                if want is None:
-                    continue
-                fd += 1
-                if row_up[i] != want:
-                    bad_fd.append(("face_degeneracy", k, n, j, i))
-            for i, (s_i_up, s_i_at) in enumerate(s_i):
-                lhs = s_i_up.get(v)
-                sij = s_i_at.get(j)
-                rhs = None if sij is None else s_k1_up.get(sij)
-                if lhs is None or rhs is None:
-                    continue
-                dd += 1
-                if lhs != rhs:
-                    bad_dd.append(("degeneracy_degeneracy", k, n, j, i))
-            if restrict and subcomplex.contains(n, j):
-                want = sub_k.get(j)
-                if want is not None:
-                    rs += 1
-                    if v != want or not subcomplex.contains(n + 1, v):
-                        bad_rs.append(("restriction", k, n, j))
-            if project:
-                want = target_k.get(pmap.apply_index(n, j))
-                if want is not None:
-                    pr += 1
-                    if pmap.apply_index(n + 1, v) != want:
-                        bad_pr.append(("projection", k, n, j))
-    violations = bad_fd + bad_dd + bad_rs + bad_pr
-    by_family = {"face_degeneracy": fd, "degeneracy_degeneracy": dd,
-                 "restriction": rs, "projection": pr}
-    return SimplicialReport(not violations, sum(by_family.values()), violations, by_family)
+        upper = s.get((k + 1, n + 1))
+        for i in range(k + 1 if upper is not None else 0):
+            outer, inner = s.get((i, n + 1)), s.get((i, n))
+            if outer is None or inner is None:
+                continue
+            mid = at_j(inner)
+            if whole((i, n)):
+                rhs = _gather(mid)(upper)
+            else:
+                rhs = tuple(None if x is None else upper[x] for x in mid)
+            tally("degeneracy_degeneracy", at_v(outer), rhs, i, got_whole=whole((i, n + 1)))
+        sub = sub_table.level(k, n) if restrict else None
+        if sub is not None:
+            inside, above = subcomplex.members[n], subcomplex.members[n + 1]
+            for j, v, want in zip(js, vals, at_j(sub)):
+                if want is not None and j in inside:
+                    checked["restriction"] += 1
+                    if v != want or v not in above:
+                        found["restriction"].append(("restriction", k, n, j))
+        target = target_table.level(k, n) if project else None
+        if target is not None:
+            tally("projection", at_v(pmap.levels[n + 1]), _gather(at_j(pmap.levels[n]))(target))
+    violations = [v for family in _FAMILIES for v in sorted(found[family])]
+    return SimplicialReport(not violations, sum(checked.values()), violations, checked)

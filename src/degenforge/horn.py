@@ -217,6 +217,23 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
     return missing
 
 
+class LiftTests(dict):
+    """The lift test of each (n, k) horn shape of X over p, built on first use.
+
+    A command that scans many edges makes one and passes it to each edge
+    check, so each shape's test is built once; it is dropped with the
+    command, and nothing is kept on the set.
+    """
+
+    def __init__(self, X: SemisimplicialSet, p: Optional[SemisimplicialMap] = None):
+        super().__init__()
+        self.X, self.p = X, p
+
+    def __missing__(self, shape: tuple[int, int]):
+        test = self[shape] = _lift_test(self.X, self.p, *shape)
+        return test
+
+
 def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
           shapes: Iterable[tuple[int, int]]) -> tuple[int, Optional[tuple[Horn, SimplexRef]]]:
     """Horns checked, and the first that does not lift with the target it misses."""
@@ -279,21 +296,24 @@ class EdgeVerdict:
 
 
 def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexRef,
-               property: str, bound: int) -> Optional[tuple[Horn, SimplexRef]]:
+               property: str, bound: int,
+               lifts: Optional[LiftTests]) -> Optional[tuple[Horn, SimplexRef]]:
     """First horn of a cartesian (cocartesian) scan of f that does not lift, with its target.
 
     Cartesian scans visit the right horns whose last edge, read off x_0, is f;
     cocartesian scans the left horns whose first edge, read off x_n, is f.
+    ``lifts`` holds the lift tests of X over p, or is None for a scan of its own.
     """
     if property not in ("cartesian", "cocartesian"):
         raise ValueError(f"unknown edge property {property!r}")
+    lifts = LiftTests(X, p) if lifts is None else lifts
     for n in range(2, bound + 1):
         if property == "cartesian":
             k, slot, end, descending = n, 0, "last", False
         else:
             k, slot, end, descending = 0, n, "first", True
         pool = [j for j, e in enumerate(X.edges(n - 1, end)) if e == f.index]
-        missing = _lift_test(X, p, n, k)
+        missing = lifts[n, k]
         for values in _face_values(X, n, k, restrict={slot: pool}, descending=descending):
             y = missing(values)
             if y is not None:
@@ -302,19 +322,24 @@ def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexR
 
 
 def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
-                  D: Optional[int] = None) -> EdgeVerdict:
-    """Cartesian: every right horn whose last edge is f fills; cocartesian dual."""
+                  D: Optional[int] = None, lifts: Optional[LiftTests] = None) -> EdgeVerdict:
+    """Cartesian: every right horn whose last edge is f fills; cocartesian dual.
+
+    ``lifts``, the lift tests of X over the point, may be shared by the
+    checks of one command.
+    """
     bound = X.dim if D is None else min(D, X.dim)
-    failure = _edge_scan(X, None, f, property, bound)
+    failure = _edge_scan(X, None, f, property, bound, lifts)
     return EdgeVerdict(f, property, bound, failure is None, failure and failure[0])
 
 
-def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None) -> EdgeVerdict:
+def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None,
+                   lifts: Optional[LiftTests] = None) -> EdgeVerdict:
     """Conjunction of the cartesian and cocartesian verdicts at bound D."""
-    cart = edge_property(X, f, "cartesian", D)
+    cart = edge_property(X, f, "cartesian", D, lifts)
     if not cart.result:
         return EdgeVerdict(f, "equivalence", cart.bound, False, cart.witness)
-    cocart = edge_property(X, f, "cocartesian", D)
+    cocart = edge_property(X, f, "cocartesian", D, lifts)
     return EdgeVerdict(f, "equivalence", cocart.bound, cocart.result, cocart.witness)
 
 
@@ -328,12 +353,13 @@ def is_idempotent(X: SemisimplicialSet, f: SimplexRef) -> Optional[SimplexRef]:
     return SimplexRef(2, matches[0]) if matches else None
 
 
-def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef,
-                                 D: Optional[int] = None) -> list[tuple[SimplexRef, SimplexRef]]:
+def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optional[int] = None,
+                                 lifts: Optional[LiftTests] = None) -> list[tuple[SimplexRef, SimplexRef]]:
     """All idempotent-equivalence self-edges at a vertex, with their witnesses."""
     out = []
     if X.dim < 1:
         return out
+    lifts = LiftTests(X) if lifts is None else lifts
     for j in X.with_face(1, 0, x.index):
         if X.face_index(1, j, 1) != x.index:
             continue
@@ -341,7 +367,7 @@ def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef,
         witness = is_idempotent(X, f)
         if witness is None:
             continue
-        if is_equivalence(X, f, D).result:
+        if is_equivalence(X, f, D, lifts).result:
             out.append((f, witness))
     return out
 
@@ -371,12 +397,15 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Fibr
 
 
 def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
-                    D: Optional[int] = None, Y_degeneracies=None) -> EdgeVerdict:
+                    D: Optional[int] = None, Y_degeneracies=None,
+                    lifts: Optional[LiftTests] = None) -> EdgeVerdict:
     """Relative version of the edge properties over a map p.
 
     cartesian/cocartesian: the absolute horn condition with a lift demanded
     over every matching target simplex. idempotent: a 2-simplex with all
     faces f projecting to the doubly degenerate image of the base vertex.
+    ``lifts``, the lift tests of p's source over p, may be shared by the
+    checks of one command.
     """
     X = p.source
     bound = p.depth if D is None else min(D, p.depth)
@@ -397,5 +426,5 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
                     return EdgeVerdict(f, property, bound, True, SimplexRef(2, z))
         return EdgeVerdict(f, property, bound, False,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
-    failure = _edge_scan(X, p, f, property, bound)
+    failure = _edge_scan(X, p, f, property, bound, lifts)
     return EdgeVerdict(f, property, bound, failure is None, failure)

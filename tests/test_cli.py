@@ -540,3 +540,84 @@ def test_edges_rejects_an_edge_outside_the_set(z2_small, prop, edge):
     code, report = run(["edges", str(z2_small["sset"]), "--property", prop, "--edge", edge])
     assert (code, report["verdict"]) == (2, "error"), report
     assert run(["edges", str(z2_small["sset"]), "--property", prop, "--edge", "1"])[0] in (0, 1)
+
+
+BAD_ENTRIES = {"bool": True, "float": 1.0, "string": "1", "negative": -1, "out_of_range": 8}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ENTRIES))
+def test_table_loader_names_the_first_bad_entry(z2_small, kind):
+    # Z/2 at D3: s_0 on the four 2-simplices takes values in 0..7; entries 1 and 3 are bad
+    from degenforge.nerve import nerve
+    data = nerve(cyclic_group(2), 3).oracle_degeneracies.to_json_dict()
+    data["s"][0][2][1], data["s"][0][2][3] = BAD_ENTRIES[kind], 99
+    deg = z2_small["sset"].with_suffix(".deg")
+    deg.write_text(json.dumps(data))
+    code, report = run(["verify", str(z2_small["sset"]), str(deg)])
+    want = f"s_0 of (2,1) is {BAD_ENTRIES[kind]!r}, not an index in 0..7"
+    assert (code, report["verdict"], report["detail"]) == (2, "error", want)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ENTRIES))
+def test_set_loader_names_the_first_bad_entry(z2_small, kind):
+    # Z/2 at D3: face entries of the 2-simplices lie in 0..1; faces (2,1,0) and (3,2,1) are bad
+    def change(data):
+        data["faces"][1][1][0] = BAD_ENTRIES[kind]
+        data["faces"][2][2][1] = 99
+    _edit(z2_small["sset"], change)
+    code, report = run(["check", "--inner", str(z2_small["sset"])])
+    if kind in ("negative", "out_of_range"):
+        # the loader takes any integer; the range is validate's check
+        want = "input set fails validation: [('range', 2, 1, 0), ('range', 3, 2, 1)]"
+    else:
+        want = "dimension 2: every face entry must be an integer"
+    assert (code, report["verdict"], report["detail"]) == (2, "error", want)
+
+
+def test_set_loader_names_the_first_short_row(z2_small):
+    def change(data):
+        data["faces"][1][1].pop()
+        data["faces"][1][3].append(0)
+    _edit(z2_small["sset"], change)
+    code, report = run(["validate", str(z2_small["sset"])])
+    assert (code, report["detail"]) == (2, "simplex (2,1) needs 3 faces, got 2")
+
+
+def test_idempotent_edges_below_truncation_two_are_a_domain_error(tmp_path, z2_small):
+    from degenforge.nerve import nerve
+    low = tmp_path / "n2_d1.sset"
+    low.write_text(json.dumps(nerve(cyclic_group(2), 1).sset.to_json_dict()))
+    for argv in (["edges", str(low)], ["edges", str(z2_small["sset"]), "--dim", "1"]):
+        code, report = run([*argv, "--property", "idempotent"])
+        assert (code, report["verdict"]) == (1, "TruncationExhausted"), (argv, report)
+
+
+def test_an_edge_that_is_not_idempotent_reports_the_2_simplices_scanned(z2_small):
+    # Z/2 at D3: the identity edge is idempotent, g is not; four 2-simplices scanned
+    code, report = run(["edges", str(z2_small["sset"]), "--property", "idempotent"])
+    assert (code, report["verdict"]) == (1, "no")
+    assert report["edges"][0]["result"] and "index" in report["edges"][0]["witness"]
+    assert report["edges"][1] == {"edge": 1, "property": "idempotent", "bound": 2,
+                                  "result": False, "witness": {"exhausted": {"dim2_scanned": 4}}}
+
+
+NERVES = ["z2", "z3", "z2xz2", "monoid", "poset_01", "square", "j", "z2xj"]
+
+
+@pytest.mark.parametrize("name", NERVES)
+def test_a_synthesized_table_reloads_equal_and_replays(tmp_path, name):
+    import degenforge as dg
+    category = {"z2": lambda: cyclic_group(2), "z3": lambda: cyclic_group(3),
+                "z2xz2": lambda: dg.product_category(cyclic_group(2), cyclic_group(2)),
+                "monoid": dg.idempotent_monoid, "poset_01": dg.poset_01,
+                "square": lambda: dg.product_category(dg.poset_01(), dg.poset_01()),
+                "j": dg.j_groupoid,
+                "z2xj": lambda: dg.product_category(cyclic_group(2), dg.j_groupoid())}[name]()
+    X = dg.nerve(category, 4).sset
+    sset, table, cert = tmp_path / "x.sset", tmp_path / "x.table", tmp_path / "x.cert"
+    sset.write_text(json.dumps(X.to_json_dict()))
+    assert run(["synthesize", str(sset), "--out", str(table), "--cert", str(cert)])[0] == 0
+    loaded = DegeneracyTable.from_json_dict(json.loads(table.read_text()), X)
+    assert loaded == synthesize(SynthesisInput(X)).table
+    code, report = run(["verify", str(sset), str(table), "--cert", str(cert)])
+    assert (code, report["verdict"]) == (0, "pass"), report

@@ -1,9 +1,9 @@
 """The exhaustive checkers against per-entry reference loops.
 
-``validate`` and ``verify_simplicial`` check whole levels at a time; the
-references below walk every entry with one lookup per face, the way the
-identities are written. Reports must agree entry for entry: verdict, count,
-per-family counts and every violation in order.
+``validate``, ``validate_map`` and ``verify_simplicial`` check whole levels
+at a time; the references below walk every entry with one lookup per face,
+the way the identities are written. Reports must agree entry for entry:
+verdict, count, per-family counts and every violation in order.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ import pytest
 
 from degenforge import (
     DegeneracyTable,
+    SemisimplicialMap,
     SemisimplicialSet,
     Subcomplex,
+    identity_map,
     nerve,
     product,
     validate,
+    validate_map,
     verify_simplicial,
 )
 from degenforge.nerve import (
@@ -81,9 +84,10 @@ def naive_verify(X, table, D=None, *, subcomplex=None, sub_table=None, pmap=None
     restrict = subcomplex is not None and sub_table is not None
     project = pmap is not None and target_table is not None
     for k, n in sorted((k, n) for k, n in table.domain() if n + 1 <= bound):
-        level = table.level(k, n)
-        for j in sorted(level):
-            v = level[j]
+        for j in range(X.cells[n]):
+            v = table.value(k, n, j)
+            if v is None:
+                continue
             for i in range(n + 2):
                 if i < k:
                     want = table.value(k - 1, n - 1, X.face_index(n, j, i))
@@ -121,9 +125,35 @@ def naive_verify(X, table, D=None, *, subcomplex=None, sub_table=None, pmap=None
     return not violations, sum(by_family.values()), violations, by_family
 
 
+def naive_validate_map(F: SemisimplicialMap) -> tuple:
+    """(ok, checked, violations) from one lookup per value and per face."""
+    violations = []
+    checked = 0
+    for n in range(F.depth + 1):
+        for j in range(F.source.cells[n]):
+            checked += 1
+            if not 0 <= F.apply_index(n, j) < F.target.cells[n]:
+                violations.append(("range", n, j))
+    if violations:
+        return False, checked, violations
+    for n in range(1, F.depth + 1):
+        for j in range(F.source.cells[n]):
+            for i in range(n + 1):
+                checked += 1
+                lhs = F.apply_index(n - 1, F.source.face_index(n, j, i))
+                if lhs != F.target.face_index(n, F.apply_index(n, j), i):
+                    violations.append(("face_commutation", n, j, i))
+    return not violations, checked, violations
+
+
 def assert_validate_agrees(X: SemisimplicialSet) -> None:
     report = validate(X)
     assert (report.ok, report.checked, report.violations) == naive_validate(X)
+
+
+def assert_validate_map_agrees(F: SemisimplicialMap) -> None:
+    report = validate_map(F)
+    assert (report.ok, report.checked, report.violations) == naive_validate_map(F)
 
 
 def assert_verify_agrees(X, table, D=None, **maps) -> None:
@@ -212,6 +242,68 @@ def test_content_hash_is_the_digest_of_the_json_form(name):
         assert Y.content_hash() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# -- validate_map ------------------------------------------------------------------
+
+
+def _functor_map(source, target, arrow_image) -> SemisimplicialMap:
+    """The map of nerves induced by a functor into a one-object category."""
+    levels = [[0] * source.sset.cells[0]]
+    for n in range(1, source.sset.dim + 1):
+        levels.append([target.index_of(n, tuple(arrow_image[a] for a in chain))
+                       for chain in source.chains[n]])
+    return SemisimplicialMap(source.sset, target.sset, levels)
+
+
+def _maps() -> dict:
+    n2, nj, nm = nerve(cyclic_group(2), 4), nerve(j_groupoid(), 4), nerve(idempotent_monoid(), 3)
+    point = nerve(cyclic_group(1), 4)
+    over_j = product(n2.sset, nj.sset)
+    return {
+        "z2xj->j": over_j.right,
+        "z2xj->z2": over_j.left,
+        # J -> Z/2: both identities to 1, both non-identity arrows to g
+        "j->z2": _functor_map(nj, n2, {0: 0, 1: 0, 2: 1, 3: 1}),
+        "monoid->point": SemisimplicialMap(nm.sset, point.sset, [[0] * c for c in nm.sset.cells]),
+        "empty-levels->point": SemisimplicialMap(SemisimplicialSet([1, 0, 0], [[], []]), point.sset,
+                                                 [[0], [], []]),
+        "z2->z2": identity_map(n2.sset),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_maps()))
+def test_validate_map_matches_the_reference(name):
+    F = _maps()[name]
+    assert_validate_map_agrees(F)
+    assert validate_map(F).ok
+
+
+@pytest.mark.parametrize("name", ["z2xj->j", "j->z2", "monoid->point", "z2->z2"])
+def test_validate_map_matches_the_reference_on_tampered_maps(name):
+    F = _maps()[name]
+    rng = random.Random(f"tamper:{name}")
+    for trial in range(12):
+        levels = [list(level) for level in F.levels]
+        for _ in range(1 + trial % 3):
+            n = rng.randrange(len(levels))
+            if levels[n]:
+                j = rng.randrange(len(levels[n]))
+                spread = 1 if trial % 4 == 3 else 0  # now and then a value outside the target
+                levels[n][j] = rng.randrange(-spread, F.target.cells[n] + spread)
+        G = SemisimplicialMap(F.source, F.target, levels)
+        assert_validate_map_agrees(G)
+
+
+def test_validate_map_names_every_commutation_failure_in_order():
+    n2 = nerve(cyclic_group(2), 4)
+    levels = [list(range(c)) for c in n2.sset.cells]
+    levels[1][1] = 0  # g to the identity edge, the rest fixed
+    levels[3][5] = 2
+    F = SemisimplicialMap(n2.sset, n2.sset, levels)
+    assert_validate_map_agrees(F)
+    report = validate_map(F)
+    assert not report.ok and report.violations == sorted(report.violations, key=lambda v: v[1:])
+
+
 # -- verify_simplicial ---------------------------------------------------------------
 
 
@@ -235,6 +327,26 @@ def test_verify_matches_the_reference_with_one_entry_tampered(name):
         broken.set_value(k, n, j, (v + 1) % X.cells[n + 1])
         assert_verify_agrees(X, broken, 4)
         assert not verify_simplicial(X, broken, 4).ok
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("name", sorted(set(CATEGORIES) - {"delta0", "delta2"}))  # unital ones
+def test_verify_matches_the_reference_on_loaded_tables(name, depth):
+    bundle = nerve(CATEGORIES[name](), depth)
+    X, data = bundle.sset, bundle.oracle_degeneracies.to_json_dict()
+    loaded = DegeneracyTable.from_json_dict(data, X)
+    assert loaded == bundle.oracle_degeneracies and loaded.to_json_dict() == data
+    assert_verify_agrees(X, loaded, depth)
+    # one entry of the file changed per level
+    for k, per_n in enumerate(data["s"]):
+        for n, level in enumerate(per_n):
+            if level and X.cells[n + 1] > 1:
+                tampered = json.loads(json.dumps(data))
+                j = (k + 3 * n) % len(level)
+                tampered["s"][k][n][j] = (level[j] + 1) % X.cells[n + 1]
+                table = DegeneracyTable.from_json_dict(tampered, X)
+                assert_verify_agrees(X, table, depth)
+                assert not verify_simplicial(X, table, depth).ok
 
 
 @pytest.mark.parametrize("name", ["z2", "monoid", "j", "z2xz2"])

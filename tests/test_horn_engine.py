@@ -10,6 +10,7 @@ Canonical order is part of the output: lists must match element for element.
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -224,27 +225,35 @@ def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
     table = tmp_path / "n2.deg"
     sset.write_text(json.dumps(bundle.sset.to_json_dict()))
     table.write_text(json.dumps(bundle.oracle_degeneracies.to_json_dict()))
-    loaded = []
-    load_sset = cli.load_sset
+    loaded, tables = [], []
+    load_sset, load_table = cli.load_sset, cli.load_table
 
     def recording_load(path):
         loaded.append(load_sset(path))
         return loaded[-1]
 
+    def recording_table(path, base):
+        tables.append(load_table(path, base))
+        return tables[-1]
+
     def forbidden(*args):
         raise AssertionError("a horn index was built")
 
     monkeypatch.setattr(cli, "load_sset", recording_load)
+    monkeypatch.setattr(cli, "load_table", recording_table)
     monkeypatch.setattr(SemisimplicialSet, "with_face", forbidden)
     monkeypatch.setattr(SemisimplicialSet, "slot_index", forbidden)
     monkeypatch.setattr(SemisimplicialSet, "edges", forbidden)
     assert run(["validate", str(sset)])[0] == 0
     assert run(["verify", str(sset), str(table)])[0] == 0
-    assert len(loaded) == 2
+    assert len(loaded) == 2 and len(tables) == 1
     for X in loaded:
         # a loaded set holds its face data and no slot index or edge array
         assert not [name for name, value in vars(X).items()
                     if name not in ("dim", "cells", "_faces") and value]
+    # a loaded table holds its base and its levels, and no reverse lookup
+    assert not [name for name, value in vars(tables[0]).items()
+                if name not in ("base", "_s") and value]
     with pytest.raises(AssertionError, match="horn index"):
         check_inner(bundle.sset, 2)
 
@@ -280,3 +289,44 @@ def test_slot_lookups_match_a_row_scan(name):
                         by_b.setdefault(row[b], []).append(j)
                 for vb in values:
                     assert list(index.get((va, vb), ())) == by_b.get(vb, [])
+
+
+def _lift_files(tmp_path) -> dict:
+    """J at D4, and Z/2 x J over J at D3, as files."""
+    nj, nj3 = nerve(j_groupoid(), 4), nerve(j_groupoid(), 3)
+    bundle = product(nerve(cyclic_group(2), 3).sset, nj3.sset)
+    payloads = {"j": nj.sset.to_json_dict(), "z2xj": bundle.sset.to_json_dict(),
+                "map": bundle.right.to_json_dict(), "j3": nj3.sset.to_json_dict(),
+                "ydeg": nj3.oracle_degeneracies.to_json_dict()}
+    files = {}
+    for name, payload in payloads.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    return files
+
+
+LIFT_COMMANDS = {
+    "edges": lambda f: ["edges", f["j"], "--property", "equivalence"],
+    "addendum-s0": lambda f: ["addendum-s0", f["j"]],
+    "synthesize": lambda f: ["synthesize", f["j"]],
+    "synthesize-rel": lambda f: ["synthesize-rel", f["z2xj"], "--map", f["map"],
+                                 "--target", f["j3"], "--ydeg", f["ydeg"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIFT_COMMANDS))
+def test_a_command_builds_each_lift_test_once(tmp_path, monkeypatch, command):
+    # J has two vertices and four edges, so every command checks more than one edge
+    from degenforge import horn
+    built = []
+    lift_test = horn._lift_test
+
+    def recording(X, p, n, k):
+        built.append((id(X), id(p), n, k))
+        return lift_test(X, p, n, k)
+
+    monkeypatch.setattr(horn, "_lift_test", recording)
+    assert run(LIFT_COMMANDS[command](_lift_files(tmp_path)))[0] == 0
+    counts = Counter(built)
+    # the Kan scan of addendum-s0 builds its own tests, one per shape, outer horns included
+    assert built and max(counts.values()) == (2 if command == "addendum-s0" else 1), counts
