@@ -152,6 +152,10 @@ def _edge_verdict(X, j: int, prop: str, dim: int, lifts: LiftTests) -> EdgeVerdi
     if prop == "equivalence":
         return is_equivalence(X, f, dim, lifts)
     if prop == "idempotent":
+        ends = [X.face_index(1, j, 1), X.face_index(1, j, 0)]
+        if ends[0] != ends[1]:
+            # not a self-edge: a "no" for this edge, not for the whole command
+            return EdgeVerdict(f, prop, 2, False, {"endpoints": ends})
         witness = is_idempotent(X, f)
         if witness is None:
             return EdgeVerdict(f, prop, 2, False, {"exhausted": {"dim2_scanned": X.cells[2]}})
@@ -292,7 +296,7 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
         payload["witness"] = [list(v) for v in report.violations[:10]]
         return ("fail", payload, [])
     if records is not None:
-        replayed = replay_certificate(SynthesisInput(X), dim, records)
+        replayed = replay_certificate(SynthesisInput(X), dim, records, _validated=True)
         if replayed != table:
             return ("fail", {"bound": dim, "detail": "replay table differs from the given table"}, [])
         payload["detail"]["replayed_records"] = len(records)

@@ -724,7 +724,8 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
     return s0, witnesses
 
 
-def synthesize(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:
+def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
+               _validated: bool = False) -> SynthesisResult:
     """Build a full degeneracy table, over the point or over ``inp.p``.
 
     Alternates extension and correction for N = 0..D-2 and returns the table
@@ -734,6 +735,7 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:
     output must restrict to it. Without a supplied ``s0``, each vertex gets
     the lowest-index idempotent equivalence (over a map: the lowest fiberwise
     idempotent, cartesian and cocartesian self-edge, or the subcomplex value).
+    ``_validated`` says that the caller has already validated ``inp.X``.
     """
     X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
     bound = X.dim if D is None else min(D, X.dim)
@@ -745,7 +747,8 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:
         bound = min(bound, p.depth)
     if bound < 2:
         raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
-    _require_valid("input set", validate(X))
+    if not _validated:
+        _require_valid("input set", validate(X))
     if p is not None:
         _require_valid("target set", validate(p.target))
         _require_valid("projection", validate_map(p))
@@ -810,13 +813,15 @@ def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
                 simplex=(n, j))
 
 
-def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate: list) -> DegeneracyTable:
+def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate: list, *,
+                       _validated: bool = False) -> DegeneracyTable:
     """Re-run the synthesis and compare its records with ``certificate``.
 
     The first diverging record, or a certificate with fewer or more records
-    than the run, raises CertificateMismatch at that position.
+    than the run, raises CertificateMismatch at that position. ``_validated``
+    says that the caller has already validated ``inp.X``, as ``verify`` does.
     """
-    result = synthesize(inp, D)
+    result = synthesize(inp, D, _validated=_validated)
     records = result.certificate
     for position, (expected, record) in enumerate(zip(certificate, records)):
         if expected != record:
@@ -854,13 +859,13 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
     bound = X.dim if D is None else min(D, X.dim)
     if bound < 3:
         raise TruncationExhausted("the automatic construction needs truncation at least 3")
-    kan = check_kan(X, bound)
+    lifts = LiftTests(X)
+    kan = check_kan(X, bound, lifts)
     if not kan.ok:
         raise NotKan("a horn is unfillable", witness=kan.witness)
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
     equivalence_cache: dict[int, bool] = {}
-    lifts = LiftTests(X)
     for v in range(X.cells[0]):
         e = min(j for j in X.with_face(1, 1, v))
         sigma = _filler_indices(X, 2, ((0, e), (1, e)))[0]

@@ -1,8 +1,10 @@
 """Horn construction, filler search, and lifting-condition checkers.
 
 All checkers are read-only scans: they fill a set's lookup caches but never
-change its faces. Every scan runs through one enumerator whose backtracking
-steps are slot-pattern lookups on the set. Verdicts are always "up to D":
+change its faces. Every scan runs through one column-wise enumerator: it
+lists all compatible horns of a shape at once, one column per face, each
+step a slot-pattern lookup over the whole frontier of partial horns. One lift
+test then answers for the whole batch of columns. Verdicts are always "up to D":
 nothing is extrapolated beyond the truncation, and a negative verdict
 carries a concrete witness. Filler tie-breaking is everywhere the lowest
 canonical index.
@@ -11,6 +13,8 @@ canonical index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import eq, indexOf, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -20,7 +24,7 @@ from .errors import (
     NotASelfEdge,
     ParseError,
 )
-from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef
+from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef, _gather
 
 
 @dataclass(frozen=True)
@@ -106,73 +110,87 @@ def _positions(n: int, k: int) -> tuple[int, ...]:
     return tuple(i for i in range(n + 1) if i != k)
 
 
-def _face_values(X: SemisimplicialSet, n: int, k: int,
-                 restrict: Optional[Mapping[int, Iterable[int]]] = None,
-                 descending: bool = False) -> Iterator[tuple[int, ...]]:
-    """Face values of every compatible (n,k) horn, listed by ascending face index.
+def _face_columns(X: SemisimplicialSet, n: int, k: int,
+                  restrict: Optional[Mapping[int, Iterable[int]]] = None,
+                  descending: bool = False) -> list[Sequence[int]]:
+    """The compatible (n,k) horns as columns: one per face position, ascending.
 
-    Faces are assigned one position at a time. The faces already assigned
-    fix some faces of the next one (d_j x_i = d_{i-1} x_j for j < i). A plan
-    made once per scan gives each step a slot index on the first one or two
-    fixed slots, the earlier faces its key is read from, and the other fixed
-    slots to filter the rows on; candidates come out ascending.
+    Row t of the columns is the t-th horn, lexicographic over the order the
+    faces are assigned in: ascending positions, or descending with the flag.
+    The faces already assigned fix some faces of the next one
+    (d_j x_i = d_{i-1} x_j for j < i). Each step runs once over the whole
+    frontier of partial horns: it gathers the values of the first one or two
+    fixed slots, looks their candidates up in a slot index (ascending), expands
+    the frontier by them, filters on the other fixed slots and on ``restrict``,
+    and re-gathers the earlier columns through the rows that survive. A step
+    that finds exactly one candidate for every partial horn and drops none
+    re-gathers nothing.
     """
-    if n < 1 or n > X.dim or X.cells[n - 1] == 0:
-        return
-    m = n - 1
-    rows = X.face_rows(m)
     positions = _positions(n, k)[::-1] if descending else _positions(n, k)
-    steps = []
+    if n < 1 or n > X.dim or X.cells[n - 1] == 0:
+        return [[] for _ in positions]
+    m = n - 1
+    rows, faces = X.face_rows(m), {}
+
+    def face(r: int) -> tuple[int, ...]:
+        # d_r of every (n-1)-simplex, gathered once per scan
+        if r not in faces:
+            faces[r] = tuple(map(itemgetter(r), rows))
+        return faces[r]
+
+    pools = {i: frozenset(pool) for i, pool in (restrict or {}).items()}
+    columns: list[Sequence[int]] = []
     for p, i in enumerate(positions):
         # (slot of the new face, earlier position q, face r of x_q that fixes it)
         fixed = sorted((j, q, i - 1) if j < i else (j - 1, q, i)
                        for q, j in enumerate(positions[:p]))
-        pool = (restrict or {}).get(i)
-        index = X.slot_index(m, tuple(slot for slot, _, _ in fixed[:2])) if fixed else None
-        steps.append((index, tuple((q, r) for _, q, r in fixed[:2]), tuple(fixed[2:]),
-                      None if pool is None else frozenset(pool)))
-    chosen = [0] * len(steps)
-    last = len(steps) - 1
+        # parent[t] is the frontier row that new row t extends; None while that is row t
+        new: Sequence[int] = range(X.cells[m])
+        parent: Optional[Sequence[int]] = None
+        if fixed:
+            index = X.slot_index(m, tuple(slot for slot, _, _ in fixed[:2]))
+            keys = [_gather(columns[q])(face(r)) for _, q, r in fixed[:2]]
+            found = list(map(index.get, keys[0] if len(keys) == 1 else zip(*keys), repeat(())))
+            new = list(chain.from_iterable(found))
+            if len(new) != len(found) or not all(found):
+                parent = list(chain.from_iterable(map(repeat, range(len(found)), map(len, found))))
+            for slot, q, r in fixed[2:]:
+                want = _gather(columns[q])(face(r))
+                want = want if parent is None else _gather(parent)(want)
+                new, parent = _kept(new, parent, list(map(eq, _gather(new)(face(slot)), want)))
+        pool = pools.get(i)
+        if pool is not None:
+            new, parent = _kept(new, parent, list(map(pool.__contains__, new)))
+        if parent is not None:
+            at = _gather(parent)
+            columns = [at(column) for column in columns]
+        columns.append(new)
+    return columns[::-1] if descending else columns
 
-    def candidates(p: int) -> Iterable[int]:
-        index, key, rest, pool = steps[p]
-        if index is None:
-            found: Sequence[int] = range(X.cells[m])
-        elif len(key) == 1:
-            (q, r), = key
-            found = index.get(rows[chosen[q]][r], ())
-        else:
-            (q, r), (q2, r2) = key
-            found = index.get((rows[chosen[q]][r], rows[chosen[q2]][r2]), ())
-        if rest:
-            want = [(slot, rows[chosen[q]][r]) for slot, q, r in rest]
-            found = [z for z in found if all(rows[z][slot] == v for slot, v in want)]
-        return found if pool is None else [z for z in found if z in pool]
 
-    stack = [iter(candidates(0))]
-    while stack:
-        p = len(stack) - 1
-        for z in stack[p]:
-            chosen[p] = z
-            if p < last:
-                stack.append(iter(candidates(p + 1)))
-                break
-            yield tuple(reversed(chosen)) if descending else tuple(chosen)
-        else:
-            stack.pop()
+def _kept(new: Sequence[int], parent: Optional[Sequence[int]],
+          keep: list[bool]) -> tuple[Sequence[int], Optional[Sequence[int]]]:
+    """The rows of ``new`` that ``keep`` marks, with their parents."""
+    if all(keep):
+        return new, parent
+    return list(compress(new, keep)), list(compress(range(len(keep)) if parent is None else parent, keep))
+
+
+def _horn(n: int, k: int, columns: Sequence[Sequence[int]], t: int) -> Horn:
+    return Horn(n, k, tuple(zip(_positions(n, k), (column[t] for column in columns))))
 
 
 def compatible_horns(X: SemisimplicialSet, n: int, k: int,
                      restrict: Optional[Mapping[int, Iterable[int]]] = None,
                      descending: bool = False) -> Iterator[Horn]:
-    """Enumerate every compatible (n,k) horn, backtracking face by face.
+    """Enumerate every compatible (n,k) horn, in the order of :func:`_face_columns`.
 
     ``restrict`` limits the candidates at chosen face positions. Assignment
     runs over positions in ascending index order (descending with the flag);
     the yield order is deterministic either way.
     """
     order = _positions(n, k)
-    for values in _face_values(X, n, k, restrict, descending):
+    for values in zip(*_face_columns(X, n, k, restrict, descending)):
         yield Horn(n, k, tuple(zip(order, values)))
 
 
@@ -193,36 +211,58 @@ class HornVerdict:
 
 
 def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int):
-    """For (n,k) horns of X: face values -> first target simplex with no lift over it, or None.
+    """For columns of (n,k) horns of X: the first row with no lift and its target, or None.
 
     A horn lifts when every target simplex over its image is the image of a
-    filler; over the point (``p`` None) a lift is a filler. Realized lifts are
-    each n-simplex's row without face k, followed by p(z) over a map.
+    filler; over the point (``p`` None) a lift is a filler, and the target is
+    the point's simplex 0. Realized lifts are each n-simplex's row without
+    face k, followed by p(z) over a map. A whole batch of horns is tested at
+    once: one membership test per horn and target, in row order, targets
+    ascending.
     """
+    faces = [map(itemgetter(i), X.face_rows(n)) for i in _positions(n, k)]
     if p is None:
-        realized = {row[:k] + row[k + 1:] for row in X.face_rows(n)}
-        return lambda values: None if values in realized else 0
+        realized = set(zip(*faces))
+
+        def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+            t = _first_false(map(realized.__contains__, zip(*columns)))
+            return None if t is None else (t, 0)
+
+        return missing
     image, below = p.levels[n], p.levels[n - 1]
-    realized = {row[:k] + row[k + 1:] + (image[z],) for z, row in enumerate(X.face_rows(n))}
+    realized = set(zip(*faces, image))
     over: dict[tuple[int, ...], list[int]] = {}
     for y, row in enumerate(p.target.face_rows(n)):
         over.setdefault(row[:k] + row[k + 1:], []).append(y)
 
-    def missing(values: tuple[int, ...]) -> Optional[int]:
-        for y in over.get(tuple(below[v] for v in values), ()):
-            if values + (y,) not in realized:
-                return y
-        return None
+    def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+        found = list(map(over.get, zip(*(_gather(column)(below) for column in columns)), repeat(())))
+        targets = list(chain.from_iterable(found))
+        if len(targets) == len(found) and all(found):
+            # one target per horn, as over J: row t tests against targets[t]
+            owner: Sequence[int] = range(len(found))
+        else:
+            owner = list(chain.from_iterable(map(repeat, range(len(found)), map(len, found))))
+            columns = [_gather(owner)(column) for column in columns]
+        t = _first_false(map(realized.__contains__, zip(*columns, targets)))
+        return None if t is None else (owner[t], targets[t])
 
     return missing
+
+
+def _first_false(flags: Iterable[bool]) -> Optional[int]:
+    try:
+        return indexOf(flags, False)
+    except ValueError:
+        return None
 
 
 class LiftTests(dict):
     """The lift test of each (n, k) horn shape of X over p, built on first use.
 
-    A command that scans many edges makes one and passes it to each edge
-    check, so each shape's test is built once; it is dropped with the
-    command, and nothing is kept on the set.
+    A command that makes many scans makes one and passes it to each of them,
+    so each shape's test is built once; it is dropped with the command, and
+    nothing is kept on the set.
     """
 
     def __init__(self, X: SemisimplicialSet, p: Optional[SemisimplicialMap] = None):
@@ -234,17 +274,21 @@ class LiftTests(dict):
         return test
 
 
-def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
-          shapes: Iterable[tuple[int, int]]) -> tuple[int, Optional[tuple[Horn, SimplexRef]]]:
-    """Horns checked, and the first that does not lift with the target it misses."""
+def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], shapes: Iterable[tuple[int, int]],
+          lifts: Optional[LiftTests] = None) -> tuple[int, Optional[tuple[Horn, SimplexRef]]]:
+    """Horns checked up to the first that does not lift, and that horn with the target it misses.
+
+    Without ``lifts`` each shape's lift test is built for its scan and dropped after it.
+    """
     checked = 0
     for n, k in shapes:
-        missing = _lift_test(X, p, n, k)
-        for values in _face_values(X, n, k):
-            checked += 1
-            y = missing(values)
-            if y is not None:
-                return checked, (Horn(n, k, tuple(zip(_positions(n, k), values))), SimplexRef(n, y))
+        missing = _lift_test(X, p, n, k) if lifts is None else lifts[n, k]
+        columns = _face_columns(X, n, k)
+        failure = missing(columns)
+        if failure is not None:
+            t, y = failure
+            return checked + t + 1, (_horn(n, k, columns, t), SimplexRef(n, y))
+        checked += len(columns[0])
     return checked, None
 
 
@@ -259,10 +303,16 @@ def check_inner(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     return HornVerdict(failure is None, bound, failure and failure[0], checked)
 
 
-def check_kan(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
-    """Every compatible horn fills, outer horns and the two n = 1 shapes included."""
+def check_kan(X: SemisimplicialSet, D: Optional[int] = None,
+              lifts: Optional[LiftTests] = None) -> HornVerdict:
+    """Every compatible horn fills, outer horns and the two n = 1 shapes included.
+
+    ``lifts``, the lift tests of X over the point, may be shared with the
+    edge checks of one command.
+    """
     bound = X.dim if D is None else min(D, X.dim)
-    checked, failure = _scan(X, None, ((n, k) for n in range(1, bound + 1) for k in range(n, -1, -1)))
+    shapes = ((n, k) for n in range(1, bound + 1) for k in range(n, -1, -1))
+    checked, failure = _scan(X, None, shapes, lifts)
     return HornVerdict(failure is None, bound, failure and failure[0], checked)
 
 
@@ -313,11 +363,11 @@ def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexR
         else:
             k, slot, end, descending = 0, n, "first", True
         pool = [j for j, e in enumerate(X.edges(n - 1, end)) if e == f.index]
-        missing = lifts[n, k]
-        for values in _face_values(X, n, k, restrict={slot: pool}, descending=descending):
-            y = missing(values)
-            if y is not None:
-                return Horn(n, k, tuple(zip(_positions(n, k), values))), SimplexRef(n, y)
+        columns = _face_columns(X, n, k, restrict={slot: pool}, descending=descending)
+        failure = lifts[n, k](columns)
+        if failure is not None:
+            t, y = failure
+            return _horn(n, k, columns, t), SimplexRef(n, y)
     return None
 
 

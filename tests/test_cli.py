@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from degenforge import DegeneracyTable, SemisimplicialSet, SynthesisInput, synthesize
+from degenforge import (
+    DegeneracyTable,
+    SemisimplicialSet,
+    SynthesisInput,
+    replay_certificate,
+    synthesize,
+)
 from degenforge.cli import run
 from degenforge.nerve import cyclic_group, simplex_category
 
@@ -339,6 +345,27 @@ def test_verify_rejects_an_invalid_set(swapped_files, table, cert):
     assert "fails validation" in report["detail"]
 
 
+def test_verify_with_a_certificate_validates_the_set_once(z2_files, monkeypatch):
+    from degenforge import cli, degeneracy
+    table, cert = z2_files["dir"] / "n2.table", z2_files["dir"] / "n2.cert"
+    run(["synthesize", str(z2_files["sset"]), "--out", str(table), "--cert", str(cert)])
+    validated = []
+    for module in (cli, degeneracy):
+        monkeypatch.setattr(module, "validate",
+                            lambda X, real=module.validate: validated.append(X) or real(X))
+    code, report = run(["verify", str(z2_files["sset"]), str(table), "--cert", str(cert)])
+    assert (code, report["verdict"]) == (0, "pass"), report
+    assert len(validated) == 1
+
+
+def test_a_library_replay_still_validates_the_set(swapped_files):
+    from degenforge.errors import ParseError
+    X = SemisimplicialSet.from_json_dict(json.loads(swapped_files["sset"].read_text()))
+    records = json.loads(swapped_files["cert"].read_text())
+    with pytest.raises(ParseError, match="input set fails validation"):
+        replay_certificate(SynthesisInput(X), 4, records)
+
+
 @pytest.fixture()
 def z2_small(tmp_path):
     """Z/2 at D3 (one vertex, so every entry of level 1 is 0) and its identity map."""
@@ -599,6 +626,34 @@ def test_an_edge_that_is_not_idempotent_reports_the_2_simplices_scanned(z2_small
     assert report["edges"][0]["result"] and "index" in report["edges"][0]["witness"]
     assert report["edges"][1] == {"edge": 1, "property": "idempotent", "bound": 2,
                                   "result": False, "witness": {"exhausted": {"dim2_scanned": 4}}}
+
+
+@pytest.fixture()
+def j_small(tmp_path):
+    """J at D3: edges 0 and 1 are the two identities, 2 and 3 join the two objects."""
+    from degenforge.nerve import j_groupoid, nerve
+    sset = tmp_path / "j.sset"
+    sset.write_text(json.dumps(nerve(j_groupoid(), 3).sset.to_json_dict()))
+    return sset
+
+
+def test_idempotent_edges_give_a_verdict_for_each_edge(j_small):
+    code, report = run(["edges", str(j_small), "--property", "idempotent"])
+    assert (code, report["verdict"]) == (1, "no"), report
+    assert [(e["edge"], e["result"]) for e in report["edges"]] == \
+        [(0, True), (1, True), (2, False), (3, False)]
+    # a self-edge's witness is its idempotency 2-simplex; another edge's is [d_1 f, d_0 f]
+    assert all("index" in e["witness"] for e in report["edges"][:2])
+    assert [e["witness"] for e in report["edges"][2:]] == [{"endpoints": [0, 1]},
+                                                           {"endpoints": [1, 0]}]
+    assert report["witness"] == report["edges"][2]
+
+
+def test_idempotent_on_one_edge_with_distinct_endpoints(j_small):
+    code, report = run(["edges", str(j_small), "--property", "idempotent", "--edge", "2"])
+    assert (code, report["verdict"]) == (1, "no"), report
+    assert report["edges"] == [{"edge": 2, "property": "idempotent", "bound": 2,
+                                "result": False, "witness": {"endpoints": [0, 1]}}]
 
 
 NERVES = ["z2", "z3", "z2xz2", "monoid", "poset_01", "square", "j", "z2xj"]
