@@ -262,6 +262,7 @@ def _cmd_nerve(args) -> tuple[str, dict, list]:
 
 def _cmd_demo_uniqueness(args) -> tuple[str, dict, list]:
     C_sset = load_sset(args.sset)
+    _require_valid("input set", validate(C_sset))
     deg0 = load_table(args.deg0, C_sset)
     deg1 = load_table(args.deg1, C_sset)
     dim = _bound(args, C_sset)

@@ -6,6 +6,12 @@ simplex (every identity holds afterwards except d_{N+1} s_N = id), then
 build a correction table of double-degeneracy candidates whose N-th faces
 replace s_N and restore the missing identity.
 
+Each step fills a whole level (N, n) at once. The level's horns are
+prescribed as columns, one per face position, gathered from lower levels;
+their lowest fillers come from one table per level, which maps every horn
+that some simplex fills (over a map, with the image it lies over) to the
+lowest such simplex and is dropped with the level.
+
 Values forced by a subcomplex or by lower degeneracies are never searched:
 they are computed from every available representation and the
 representations are required to agree, turning the well-definedness of the
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
@@ -42,6 +49,8 @@ from .horn import (
     Horn,
     LiftTests,
     _filler_indices,
+    _lift_keys,
+    _positions,
     check_inner,
     check_inner_fibration,
     check_kan,
@@ -70,9 +79,9 @@ class DegeneracyTable:
     ``value(k, n, j)`` is the index in dimension n+1 of s_k applied to the
     j-th n-simplex, or None where undefined. Each ``(k, n)`` level is stored
     once, as a list of length ``c_n`` with None where a value is undefined;
-    a stored level holds at least one value. Reverse lookups, for the
-    degeneracy-image tests of the builder, exist only once ``set_value`` or
-    ``preimage`` has been called: a loaded table never builds them.
+    a stored level holds at least one value. Reverse lookups, for the forced
+    values of the builder, exist only once ``set_value`` or ``preimage`` has
+    been called: a loaded table never builds them.
     """
 
     def __init__(self, base: SemisimplicialSet):
@@ -94,10 +103,16 @@ class DegeneracyTable:
         if level is None:
             level = self._s[(k, n)] = [None] * self.base.cells[n]
         old = level[j]
-        if old is not None:
-            rev.pop(old, None)
+        if old is not None and rev.get(old) == j:
+            del rev[old]  # unless another simplex has taken the old value since
         level[j] = value
         rev[value] = j
+
+    def set_level(self, k: int, n: int, level: list[int]) -> None:
+        """Store a whole ``(k, n)`` level, one value per n-simplex."""
+        self._s[(k, n)] = level
+        if self._rev is not None:
+            self._rev[(k, n)] = dict(zip(level, range(len(level))))
 
     def value(self, k: int, n: int, j: int) -> Optional[int]:
         level = self._s.get((k, n))
@@ -202,7 +217,7 @@ class TTable:
     """Double-degeneracy candidates for one stage, kept for audit."""
 
     N: int
-    t: dict[int, dict[int, int]]
+    t: dict[int, list[int]]  # level n -> t(x_j) by j
 
 
 @dataclass
@@ -327,13 +342,27 @@ def forced_value(sys: GoodSystem, A_data, x: SimplexRef, target_k: int) -> Optio
 # ---------------------------------------------------------------------------
 # the builder
 
-# what one value must satisfy: (i, d_i value) for every i but the horn's gap, None
-# where a lower value is undefined, then its image in the target (None over the point)
-Faces = tuple[tuple[int, Optional[int]], ...]
-Prescribed = tuple[Faces, Optional[int]]
+
+def _through(level: Optional[Sequence[Optional[int]]], column: Sequence[Optional[int]]) -> Sequence:
+    """level[v] for each v of ``column``: None where v is None or the level is undefined."""
+    if level is None:
+        return (None,) * len(column)
+    if None in column:
+        return tuple(None if v is None else level[v] for v in column)
+    return _gather(column)(level)
 
 
 class _Engine:
+    """The two steps of every stage, a level ``(N, n)`` at a time.
+
+    A level's horns are prescribed as columns, one per face position, over
+    the level's simplices; over a map a last column holds each horn's target.
+    Their lowest fillers come from one table per level, and the values'
+    faces and images are checked against the columns. Rows are walked one at
+    a time only to decide forced values, to write the records, and to name
+    the first simplex that fails, in level order.
+    """
+
     def __init__(self, inp: SynthesisInput, D: int):
         self.inp = inp
         self.X = inp.X
@@ -343,7 +372,7 @@ class _Engine:
         self.A = inp.A
         self.Adeg = inp.A_deg
         self.table = DegeneracyTable(self.X)
-        self.t_levels: dict[int, dict[int, int]] = {}
+        self.t_levels: dict[int, list[int]] = {}
         self.records: list = []
         self.stats = {"forced": 0, "filled": 0, "witness": 0, "consistency_checks": 0}
 
@@ -360,17 +389,28 @@ class _Engine:
                 f"run needs the target table up to level {self.D - 1}")
         return v
 
-    def _level_order(self, n: int, stage: int) -> list[int]:
-        # subcomplex images first, then degeneracy images, then the rest
-        first, second, rest = [], [], []
-        for j in range(self.X.cells[n]):
-            if self.A is not None and self.A.contains(n, j):
-                first.append(j)
-            elif any(self.table.preimage(i, n - 1, j) is not None for i in range(stage)):
-                second.append(j)
-            else:
-                rest.append(j)
-        return first + second + rest
+    def _face(self, n: int, i: int) -> tuple[int, ...]:
+        return tuple(map(itemgetter(i), self.X.face_rows(n)))
+
+    def _level_order(self, n: int, stage: int) -> tuple[list[int], list[int], set[int]]:
+        """The simplices that may be forced, the rest, and the degeneracy images.
+
+        Subcomplex members come first, then the other images of s_i (i < stage)
+        of level n-1, then the rest, each ascending; only the first two groups
+        have a representation that can force a value.
+        """
+        c = self.X.cells[n]
+        members = self.A.members[n] if self.A is not None and n <= self.A.ambient.dim else frozenset()
+        images: set[int] = set()
+        for i in range(stage):
+            level = self.table.level(i, n - 1)
+            if level is not None:
+                images.update(level)
+        images.discard(None)
+        first = sorted(members.intersection(range(c)))
+        second = sorted(images.difference(members).intersection(range(c)))
+        rest = list(filterfalse(members.union(images).__contains__, range(c)))
+        return first + second, rest, images
 
     def _forced(self, n: int, j: int, target_k: int) -> Optional[int]:
         reps = _forced_reps(self.table, self.A, self.Adeg, n, j, target_k)
@@ -378,167 +418,201 @@ class _Engine:
             self.stats["consistency_checks"] += 1
         return _agree(reps, (n, j), target_k)
 
-    def _canonical_fill(self, horn: Horn, target: Optional[int], level: int) -> int:
-        bad = compatibility_failures(self.X, horn)
-        if bad:
-            raise ConsistencyViolation(
-                f"prescribed horn at level {level} is incompatible at {bad}; "
-                "the current system violates an identity", simplex=(level, bad))
-        candidates = _filler_indices(self.X, horn.n, horn.faces)
-        if target is not None:
-            candidates = [z for z in candidates if self._proj(horn.n, z) == target]
-        if not candidates:
-            raise UnfillableHorn(
-                f"no admissible filler for the ({horn.n},{horn.k}) horn at level {level}",
-                horn=horn, level=level, target=target)
-        return candidates[0]
+    def _forced_twice(self, n: int, j: int, N: int, image: bool) -> Optional[int]:
+        # s_N s_N x_j, from the subcomplex table or, on a degeneracy image, from the table
+        reps: list[tuple[str, int]] = []
+        if self.A is not None and self.Adeg is not None and self.A.contains(n, j):
+            a1 = self.Adeg.value(N, n, j)
+            a2 = None if a1 is None else self.Adeg.value(N, n + 1, a1)
+            if a2 is not None:
+                reps.append(("subcomplex", a2))
+        if image:
+            s1 = self.table.value(N, n, j)
+            s2 = None if s1 is None else self.table.value(N, n + 1, s1)
+            if s2 is not None:
+                reps.append(("degenerate", s2))
+        if len(reps) > 1:
+            self.stats["consistency_checks"] += 1
+        return _agree(reps, (n, j), N)
 
-    def _horn(self, n: int, k: int, faces: Faces, what: str) -> Horn:
+    def _canonical_fill(self, m: int, k: int, columns: Sequence[Sequence[Optional[int]]],
+                        target: Optional[Sequence[Optional[int]]]) -> list[Optional[int]]:
+        """The lowest filler of each row of prescribed (m,k) horns, or None.
+
+        Over a map a filler must lie over the row's target. One table, built
+        for the call and dropped with it, maps each horn that some m-simplex
+        fills to the lowest such simplex. A row is None where it has no filler,
+        holds an undefined face, or is incompatible: d_a x_b != d_{b-1} x_a for
+        positions a < b, compared a pair of columns at a time.
+        """
+        keys = list(_lift_keys(self.X, self.p, m, k))
+        keys.reverse()
+        lowest = dict(zip(keys, range(len(keys) - 1, -1, -1)))
+        fills = list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
+        if any(None in column for column in columns):
+            # rows with an undefined face are misses already; 0 keeps the compare below defined
+            columns = [tuple(0 if v is None else v for v in column) for column in columns]
+        below = self.X.face_rows(m - 1)
+        rows = [_gather(column)(below) for column in columns]
+        positions = _positions(m, k)
+        for b in range(len(positions)):
+            for a in range(b):
+                left = tuple(map(itemgetter(positions[a]), rows[b]))
+                right = tuple(map(itemgetter(positions[b] - 1), rows[a]))
+                if left != right:
+                    for t, (x, y) in enumerate(zip(left, right)):
+                        if x != y:
+                            fills[t] = None
+        return fills
+
+    def _unfilled(self, m: int, k: int, row: Sequence[Optional[int]], target: Optional[int],
+                  n: int, j: int, what: str) -> None:
+        """Raise what the row's horn fails on: an undefined face, incompatibility, or no filler."""
+        faces = tuple(zip(_positions(m, k), row))
         for i, v in faces:
             if v is None:
                 raise ConsistencyViolation(
-                    f"needed degeneracy value undefined while prescribing face {i} of the {what}")
-        return Horn(n, k, faces)
+                    f"needed degeneracy value undefined while prescribing face {i} of the {what} horn at ({n},{j})")
+        horn = Horn(m, k, faces)
+        bad = compatibility_failures(self.X, horn)
+        if bad:
+            raise ConsistencyViolation(
+                f"prescribed horn at level {n} is incompatible at {bad}; "
+                "the current system violates an identity", simplex=(n, bad))
+        raise UnfillableHorn(f"no admissible filler for the ({m},{k}) horn at level {n}",
+                             horn=horn, level=n, target=target)
 
-    def _check_level(self, N: int, n: int, dim: int, values: Mapping[int, int],
-                     prescribed: Mapping[int, Prescribed], how: dict[int, str]) -> None:
+    def _level(self, N: int, step: int, n: int, columns: list[Sequence[Optional[int]]],
+               target: Optional[Sequence[Optional[int]]]) -> list[int]:
+        """Decide every value of level n in step ``step`` of stage N, write its records, check it.
+
+        ``columns`` prescribe the faces of each value at the horn's positions,
+        ascending, and ``target`` its image over a map. Step 1 fills (n+1, N+1)
+        horns and step 2 (n+2, N) horns; at stage 0 the vertices take the
+        degree-0 candidate in step 1 and an idempotency witness in step 2.
+        """
+        m, k = (n + 1, N + 1) if step == 1 else (n + 2, N)
+        what = "extension" if step == 1 else "correction"
+        head, rest, images = self._level_order(n, N)
+        vertices = N == n == 0
+        fills = None if vertices else self._canonical_fill(m, k, columns, target)
+        rows = list(zip(*columns))
+        names = list(map(str, _positions(m, k)))
+        undefined = target is not None and None in target
+        values: list = [None] * self.X.cells[n]
+        forced: set[int] = set()
+        records = self.records
+        for position, j in enumerate(head + rest):
+            if undefined and target[j] is None:
+                # raises on the target table's first undefined level: n, or n+1 in step 2
+                y = self._y_deg(N, n, self._proj(n, j))
+                self._y_deg(N, n + 1, y)
+            if position < len(head):
+                value = self._forced(n, j, N) if step == 1 else self._forced_twice(n, j, N, j in images)
+                if value is not None:
+                    forced.add(j)
+                    values[j] = value
+                    records.append({"stage": {"N": N, "step": step}, "simplex": [n, j],
+                                    "kind": "forced", "value": value})
+                    continue
+            goal = None if target is None else target[j]
+            if vertices and step == 2:
+                value = values[j] = self._idempotency_witness(j, self.inp.idempotency_witnesses, goal)
+                records.append({"stage": {"N": 0, "step": 2}, "simplex": [0, j],
+                                "kind": "witness", "value": value})
+                continue
+            value = self._s0_fill(j, goal) if vertices else fills[j]
+            if value is None:
+                self._unfilled(m, k, rows[j], goal, n, j, what)
+            values[j] = value
+            records.append({"stage": {"N": N, "step": step}, "simplex": [n, j], "kind": "filled",
+                            "value": value, "horn": {"n": m, "k": k, "faces": dict(zip(names, rows[j]))}})
+        done = len(forced)
+        self.stats["forced"] += done
+        self.stats["witness" if vertices and step == 2 else "filled"] += len(values) - done
+        self._check_values(N, n, m, k, values, columns, target, forced)
+        return values
+
+    def _s0_fill(self, j: int, target: Optional[int]) -> int:
+        s0 = self.inp.s0
+        if s0 is None:
+            raise ValueError("stage 0 requires the degree-0 degeneracy candidate s0")
+        value = s0[j]
+        if self.X.face_index(1, value, 0) != j or (target is not None and self._proj(1, value) != target):
+            raise UnfillableHorn(
+                f"s0 candidate {value} does not fill the base horn at vertex {j}",
+                horn=Horn(1, 1, ((0, j),)), level=0, target=target)
+        return value
+
+    def _check_values(self, N: int, n: int, m: int, k: int, values: list[int],
+                      columns: list[Sequence[Optional[int]]], target: Optional[Sequence[Optional[int]]],
+                      forced: set[int]) -> None:
         # every value, forced or filled, must have its prescribed faces and image
-        for j in range(self.X.cells[n]):
-            v = values[j]
-            faces, target = prescribed[j]
-            row = self.X.faces_of(dim, v)
-            for i, want in faces:
-                if row[i] != want:
-                    self._blame(how.get(j), N, n, j, i)
-            if target is not None and self._proj(dim, v) != target:
-                self._blame(how.get(j), N, n, j, "projection")
+        at = _gather(values)
+        rows = at(self.X.face_rows(m))
+        names: list = list(_positions(m, k))
+        got = [tuple(map(itemgetter(i), rows)) for i in names]
+        want = [tuple(column) for column in columns]
+        if target is not None:
+            names.append("projection")
+            got.append(at(self.p.levels[m]))
+            want.append(tuple(target))
+        if got == want:
+            return
+        for j in range(len(values)):
+            for i, a, b in zip(names, got, want):
+                if a[j] != b[j]:
+                    self._blame(j in forced, N, n, j, i)
 
-    def _blame(self, how: Optional[str], N: int, n: int, j: int, i) -> None:
+    def _blame(self, forced: bool, N: int, n: int, j: int, i) -> None:
         msg = f"s_{N} at simplex ({n},{j}) violates its defining equation at face {i}"
-        if how == "forced" and self.A is not None and self.A.contains(n, j):
+        if forced and self.A is not None and self.A.contains(n, j):
             raise IncompatibleSubcomplexStructure(msg, simplex=(n, j))
         raise ConsistencyViolation(msg, simplex=(n, j))
 
     # -- step one: extension -------------------------------------------------
 
-    def _step1_prescribed(self, N: int, n: int, j: int) -> Prescribed:
-        """d_i s_N(x_j) for every i != N+1, and s_N p(x_j) over a map."""
-        faces = []
-        for i in range(n + 2):
-            if i < N:
-                faces.append((i, self.table.value(N - 1, n - 1, self.X.face_index(n, j, i))))
-            elif i == N:
-                faces.append((i, j))
-            elif i > N + 1:
-                faces.append((i, self.table.value(N, n - 1, self.X.face_index(n, j, i - 1))))
-        target = None if self.p is None else self._y_deg(N, n, self._proj(n, j))
-        return tuple(faces), target
-
     def _step1(self, N: int) -> None:
+        """s_N on every level: the (n+1, N+1) horn with d_i = s_{N-1} d_i (i < N),
+        d_N = id and d_i = s_N d_{i-1} (i > N+1), over s_N p(x) on a map."""
         if self.D < N + 1:
             raise TruncationExhausted(f"stage {N} needs truncation at least {N + 1}")
-        s0 = self.inp.s0
         for n in range(N, self.D):
-            how: dict[int, str] = {}
-            prescribed = {}
-            for j in self._level_order(n, N):
-                faces, target = prescribed[j] = self._step1_prescribed(N, n, j)
-                value = self._forced(n, j, N)
-                if value is not None:
-                    self.stats["forced"] += 1
-                    how[j] = "forced"
-                    self.records.append({"stage": {"N": N, "step": 1}, "simplex": [n, j],
-                                        "kind": "forced", "value": value})
-                else:
-                    horn = self._horn(n + 1, N + 1, faces, f"extension horn at ({n},{j})")
-                    if n == N == 0:
-                        if s0 is None:
-                            raise ValueError("stage 0 requires the degree-0 degeneracy candidate s0")
-                        value = s0[j]
-                        bad = (self.X.face_index(1, value, 0) != j
-                               or (target is not None and self._proj(1, value) != target))
-                        if bad:
-                            raise UnfillableHorn(
-                                f"s0 candidate {value} does not fill the base horn at vertex {j}",
-                                horn=horn, level=n, target=target)
-                    else:
-                        value = self._canonical_fill(horn, target, n)
-                    self.stats["filled"] += 1
-                    how[j] = "filled"
-                    self.records.append({"stage": {"N": N, "step": 1}, "simplex": [n, j],
-                                        "kind": "filled", "value": value,
-                                        "horn": horn.to_json_dict()})
-                self.table.set_value(N, n, j, value)
-            self._check_level(N, n, n + 1, self.table.level(N, n), prescribed, how)
+            c = self.X.cells[n]
+            lower, same = self.table.level(N - 1, n - 1), self.table.level(N, n - 1)
+            columns = [_through(lower, self._face(n, i)) if i < N else range(c) if i == N
+                       else _through(same, self._face(n, i - 1))
+                       for i in range(n + 2) if i != N + 1]
+            target = None
+            if self.p is not None:
+                target = _through(self.Ydeg.level(N, n), self.p.levels[n])
+            self.table.set_level(N, n, self._level(N, 1, n, columns, target))
 
     # -- step two: correction -------------------------------------------------
 
-    def _step2_prescribed(self, N: int, n: int, j: int, t: dict[int, dict[int, int]]) -> Prescribed:
-        """d_i t(x_j) for every i != N, and s_N s_N p(x_j) over a map."""
-        faces = []
-        for i in range(n + 3):
-            if i < N:
-                mid = self.table.value(N - 1, n - 1, self.X.face_index(n, j, i))
-                faces.append((i, None if mid is None else self.table.value(N - 1, n, mid)))
-            elif i in (N + 1, N + 2):
-                faces.append((i, self.table.value(N, n, j)))
-            elif i > N:
-                faces.append((i, t[n - 1][self.X.face_index(n, j, i - 2)]))
-        target = None
-        if self.p is not None:
-            target = self._y_deg(N, n + 1, self._y_deg(N, n, self._proj(n, j)))
-        return tuple(faces), target
-
     def _step2(self, N: int) -> None:
+        """t on every level: the (n+2, N) horn with d_i = s_{N-1} s_{N-1} d_i (i < N),
+        d_{N+1} = d_{N+2} = s_N and d_i = t d_{i-2} (i > N+2), over s_N s_N p(x)
+        on a map; then s_N = d_N t below the top level."""
         if self.D < N + 2:
             raise TruncationExhausted(f"the stage-{N} correction needs truncation at least {N + 2}")
-        witnesses = self.inp.idempotency_witnesses
-        t: dict[int, dict[int, int]] = {}
+        t: dict[int, list[int]] = {}
         for n in range(N, self.D - 1):
-            t[n] = {}
-            how: dict[int, str] = {}
-            prescribed = {}
-            for j in self._level_order(n, N):
-                faces, target = prescribed[j] = self._step2_prescribed(N, n, j, t)
-                reps: list[tuple[str, int]] = []
-                if self.A is not None and self.Adeg is not None and self.A.contains(n, j):
-                    a1 = self.Adeg.value(N, n, j)
-                    a2 = None if a1 is None else self.Adeg.value(N, n + 1, a1)
-                    if a2 is not None:
-                        reps.append(("subcomplex", a2))
-                if any(self.table.preimage(i, n - 1, j) is not None for i in range(N)):
-                    s1 = self.table.value(N, n, j)
-                    s2 = None if s1 is None else self.table.value(N, n + 1, s1)
-                    if s2 is not None:
-                        reps.append(("degenerate", s2))
-                if len(reps) > 1:
-                    self.stats["consistency_checks"] += 1
-                value = _agree(reps, (n, j), N)
-                if value is not None:
-                    self.stats["forced"] += 1
-                    how[j] = "forced"
-                    self.records.append({"stage": {"N": N, "step": 2}, "simplex": [n, j],
-                                        "kind": "forced", "value": value})
-                elif N == 0 and n == 0:
-                    value = self._idempotency_witness(j, witnesses, target)
-                    self.stats["witness"] += 1
-                    how[j] = "witness"
-                    self.records.append({"stage": {"N": 0, "step": 2}, "simplex": [0, j],
-                                        "kind": "witness", "value": value})
-                else:
-                    horn = self._horn(n + 2, N, faces, f"correction horn at ({n},{j})")
-                    value = self._canonical_fill(horn, target, n)
-                    self.stats["filled"] += 1
-                    how[j] = "filled"
-                    self.records.append({"stage": {"N": N, "step": 2}, "simplex": [n, j],
-                                        "kind": "filled", "value": value,
-                                        "horn": horn.to_json_dict()})
-                t[n][j] = value
-            self._check_level(N, n, n + 2, t[n], prescribed, how)
+            c = self.X.cells[n]
+            lower, upper = self.table.level(N - 1, n - 1), self.table.level(N - 1, n)
+            own = self.table.level(N, n) or (None,) * c
+            columns = [_through(upper, _through(lower, self._face(n, i))) if i < N
+                       else own if i <= N + 2 else _through(t[n - 1], self._face(n, i - 2))
+                       for i in range(n + 3) if i != N]
+            target = None
+            if self.p is not None:
+                once = _through(self.Ydeg.level(N, n), self.p.levels[n])
+                target = _through(self.Ydeg.level(N, n + 1), once)
+            t[n] = self._level(N, 2, n, columns, target)
         # correction: replace s_N below the provisional top level
         for n in range(N, self.D - 1):
-            for j, tv in t[n].items():
-                self.table.set_value(N, n, j, self.X.face_index(n + 2, tv, N))
+            corrected = _gather(t[n])(self.X.face_rows(n + 2))
+            self.table.set_level(N, n, list(map(itemgetter(N), corrected)))
         self._check_corrected(N)
         self.t_levels = t
 
@@ -562,13 +636,14 @@ class _Engine:
         raise MissingWitness(f"no idempotency witness found at vertex {j}", vertex=j)
 
     def _check_corrected(self, N: int) -> None:
+        # d_{N+1} s_N = id, a level at a time
         for n in range(N, self.D - 1):
-            for j in range(self.X.cells[n]):
-                v = self.table.value(N, n, j)
-                if self.X.face_index(n + 1, v, N + 1) != j:
-                    raise ConsistencyViolation(
-                        f"correction failed: d_{N + 1} s_{N} != id at ({n},{j})",
-                        simplex=(n, j))
+            level = self.table.level(N, n)
+            got = tuple(map(itemgetter(N + 1), _gather(level)(self.X.face_rows(n + 1))))
+            if got != tuple(range(len(level))):
+                j = next(j for j, v in enumerate(got) if v != j)
+                raise ConsistencyViolation(
+                    f"correction failed: d_{N + 1} s_{N} != id at ({n},{j})", simplex=(n, j))
 
     # -- driver ----------------------------------------------------------------
 

@@ -210,27 +210,35 @@ class HornVerdict:
         return out
 
 
+def _lift_keys(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int,
+               k: int) -> Iterator[tuple[int, ...]]:
+    """Each n-simplex's face row without face k, followed by p(z) over a map, by index.
+
+    This is the (n,k) horn a simplex fills, with the image it lies over: the
+    key of the realized lifts here and of the synthesis engine's fill tables.
+    """
+    faces = [map(itemgetter(i), X.face_rows(n)) for i in _positions(n, k)]
+    return zip(*faces) if p is None else zip(*faces, p.levels[n])
+
+
 def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int):
     """For columns of (n,k) horns of X: the first row with no lift and its target, or None.
 
     A horn lifts when every target simplex over its image is the image of a
     filler; over the point (``p`` None) a lift is a filler, and the target is
-    the point's simplex 0. Realized lifts are each n-simplex's row without
-    face k, followed by p(z) over a map. A whole batch of horns is tested at
-    once: one membership test per horn and target, in row order, targets
-    ascending.
+    the point's simplex 0. Realized lifts are the :func:`_lift_keys` of X. A
+    whole batch of horns is tested at once: one membership test per horn and
+    target, in row order, targets ascending.
     """
-    faces = [map(itemgetter(i), X.face_rows(n)) for i in _positions(n, k)]
+    realized = set(_lift_keys(X, p, n, k))
     if p is None:
-        realized = set(zip(*faces))
 
         def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
             t = _first_false(map(realized.__contains__, zip(*columns)))
             return None if t is None else (t, 0)
 
         return missing
-    image, below = p.levels[n], p.levels[n - 1]
-    realized = set(zip(*faces, image))
+    below = p.levels[n - 1]
     over: dict[tuple[int, ...], list[int]] = {}
     for y, row in enumerate(p.target.face_rows(n)):
         over.setdefault(row[:k] + row[k + 1:], []).append(y)

@@ -345,6 +345,15 @@ def test_verify_rejects_an_invalid_set(swapped_files, table, cert):
     assert "fails validation" in report["detail"]
 
 
+def test_demo_uniqueness_rejects_an_invalid_set(swapped_files):
+    # the set is validated before the product is built, so the witness names simplex 40 of C
+    argv = ["demo-uniqueness", str(swapped_files["sset"]), "--deg0", str(swapped_files["oracle"]),
+            "--deg1", str(swapped_files["oracle"]), "--dim", "4"]
+    code, report = run(argv)
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert report["detail"].startswith("input set fails validation: [('face_commutation', 4, 40, ")
+
+
 def test_verify_with_a_certificate_validates_the_set_once(z2_files, monkeypatch):
     from degenforge import cli, degeneracy
     table, cert = z2_files["dir"] / "n2.table", z2_files["dir"] / "n2.cert"

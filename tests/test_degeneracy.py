@@ -1,6 +1,7 @@
 """Synthesis engine: forced values, the two steps, full runs, verification, replay."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,16 +10,20 @@ from degenforge import (
     ConsistencyViolation,
     DegeneracyTable,
     GoodSystem,
+    Horn,
     IncompatibleSubcomplexStructure,
+    MissingDegeneracies,
     NoIdempotentEquivalence,
     NotKan,
     SemisimplicialMap,
+    SemisimplicialSet,
     SimplexRef,
     Subcomplex,
     SynthesisInput,
     TruncationExhausted,
     UnfillableHorn,
     addendum_s0,
+    compatibility_failures,
     forced_value,
     nerve,
     product,
@@ -27,9 +32,10 @@ from degenforge import (
     step2_correct,
     synthesize,
     synthesize_relative,
+    uniqueness_demo,
     verify_simplicial,
 )
-from degenforge.nerve import cyclic_group, j_groupoid
+from degenforge.nerve import cyclic_group, idempotent_monoid, j_groupoid, poset_01
 
 
 def fresh_system(X):
@@ -59,6 +65,17 @@ def test_forced_value_agrees_across_representations(n2):
     x = SimplexRef(2, n2.index_of(2, (0, 1)))  # the chain (1, g) = s_0(g)
     value = forced_value(sys, (whole, oracle), x, 1)
     assert value == SimplexRef(3, n2.index_of(3, (0, 0, 1)))
+
+
+def test_preimages_follow_values_that_trade_places(n2):
+    table = DegeneracyTable(n2.sset)
+    table.set_value(0, 1, 0, 2)
+    table.set_value(0, 1, 1, 3)
+    table.set_value(0, 1, 0, 3)
+    table.set_value(0, 1, 1, 2)
+    assert [table.preimage(0, 1, v) for v in (2, 3)] == [1, 0]
+    table.set_level(0, 1, [4, 5])
+    assert [table.preimage(0, 1, v) for v in (2, 4, 5)] == [None, 0, 1]
 
 
 def test_forced_value_detects_corrupted_overlap(n2):
@@ -115,6 +132,98 @@ def test_step1_with_doctored_s0_hits_unfillable_horn(deltas):
     inp = SynthesisInput(d1, s0={0: 0, 1: 0})
     with pytest.raises(UnfillableHorn):
         step1_extend(fresh_system(d1), inp, 4)
+
+
+def _without_level(table, k, n):
+    data = table.to_json_dict()
+    data["s"][k][n] = None
+    return DegeneracyTable.from_json_dict(data, table.base)
+
+
+def _with_value(table, k, n, j, value):
+    data = table.to_json_dict()
+    data["s"][k][n][j] = value
+    return DegeneracyTable.from_json_dict(data, table.base)
+
+
+def _raised(kind, call):
+    with pytest.raises(kind) as caught:
+        call()
+    assert type(caught.value) is kind
+    return str(caught.value), getattr(caught.value, "simplex", None)
+
+
+def test_extension_horn_with_an_undefined_lower_value(n2):
+    inp = base_input(n2)
+    good0 = step2_correct(step1_extend(fresh_system(n2.sset), inp, 5), inp, 5)
+    system = GoodSystem(_without_level(good0.table, 0, 1), N=0)
+    assert _raised(ConsistencyViolation, lambda: step1_extend(system, inp, 5)) == (
+        "needed degeneracy value undefined while prescribing face 0 of the extension horn at (2,0)",
+        None)
+
+
+def test_correction_horn_with_an_undefined_lower_value(n2):
+    inp = base_input(n2)
+    good0 = step2_correct(step1_extend(fresh_system(n2.sset), inp, 5), inp, 5)
+    almost1 = step1_extend(good0, inp, 5)
+    system = GoodSystem(_without_level(almost1.table, 0, 1), N=1, almost=True)
+    assert _raised(ConsistencyViolation, lambda: step2_correct(system, inp, 5)) == (
+        "needed degeneracy value undefined while prescribing face 0 of the correction horn at (1,1)",
+        None)
+
+
+@pytest.mark.parametrize("n, j, value, text, simplex", [
+    (1, 1, 3, "prescribed horn at level 2 is incompatible at [(0, 3)]; "
+              "the current system violates an identity", (2, [(0, 3)])),
+    (2, 3, 4, "prescribed horn at level 3 is incompatible at [(0, 1), (0, 3), (0, 4)]; "
+              "the current system violates an identity", (3, [(0, 1), (0, 3), (0, 4)])),
+    (1, 0, 2, "s_1 at simplex (1,0) violates its defining equation at face 1", (1, 0)),
+    (3, 2, 4, "s_1 at simplex (3,2) violates its defining equation at face 0", (3, 2)),
+])
+def test_extension_over_a_corrupted_lower_value(n2, n, j, value, text, simplex):
+    # an incompatible prescribed horn fails before its fill; a wrong forced
+    # value off the subcomplex fails the level's check as a ConsistencyViolation
+    inp = base_input(n2)
+    good0 = step2_correct(step1_extend(fresh_system(n2.sset), inp, 5), inp, 5)
+    system = GoodSystem(_with_value(good0.table, 0, n, j, value), N=0)
+    assert _raised(ConsistencyViolation, lambda: step1_extend(system, inp, 5)) == (text, simplex)
+
+
+@pytest.mark.parametrize("truncated, level", [(1, 2), (2, 3)])
+def test_relative_run_with_a_truncated_target_table(n2, nj, truncated, level):
+    _, inp = _relative_product_input(n2, nj, 4)
+    inp = replace(inp, Y_deg=nj.oracle_degeneracies.restricted(truncated))
+    assert _raised(MissingDegeneracies, lambda: synthesize_relative(inp, 4)) == (
+        f"target degeneracy s_0 undefined at level {level}; "
+        "the relative run needs the target table up to level 3", None)
+
+
+@pytest.mark.parametrize("k, n, j, face", [(0, 1, 1, 0), (0, 2, 3, 0), (1, 2, 3, 0), (1, 3, 7, 0)])
+def test_a_wrong_subcomplex_value_is_blamed_on_the_subcomplex(n2, k, n, j, face):
+    X = n2.sset
+    whole = Subcomplex(X, [set(range(c)) for c in X.cells])
+    corrupt = n2.oracle_degeneracies.copy()
+    corrupt.set_value(k, n, j, (corrupt.value(k, n, j) + 1) % X.cells[n + 1])
+    inp = SynthesisInput(X, A=whole, A_deg=corrupt)
+    assert _raised(IncompatibleSubcomplexStructure, lambda: synthesize(inp, 5)) == (
+        f"s_{k} at simplex ({n},{j}) violates its defining equation at face {face}", (n, j))
+
+
+def test_an_incompatible_horn_takes_no_filler_from_an_invalid_set():
+    # with d_0 and d_3 of a 3-simplex swapped, its faces form an incompatible
+    # (3,2) horn that the fill table finds; the compatibility check turns it away
+    from degenforge.degeneracy import _Engine
+    data = nerve(cyclic_group(2), 3).sset.to_json_dict()
+    row = data["faces"][2][3]
+    row[0], row[3] = row[3], row[0]
+    X = SemisimplicialSet.from_json_dict(data)
+    horn = Horn(3, 2, ((0, row[0]), (1, row[1]), (3, row[3])))
+    assert compatibility_failures(X, horn) == [(0, 3), (1, 3)]
+    assert [z for z in range(X.cells[3]) if all(X.faces_of(3, z)[i] == v for i, v in horn.faces)] == [3]
+    engine = _Engine(SynthesisInput(X), 3)
+    columns = [(row[0],), (row[1],), (row[3],)]
+    assert engine._canonical_fill(3, 2, columns, None) == [None]
+    assert engine._canonical_fill(3, 2, [(row[0], 0), (row[1], 0), (row[3], 0)], None) == [None, 0]
 
 
 def test_step1_truncation_guard(n2):
@@ -313,8 +422,10 @@ def test_relative_detects_corrupted_subcomplex_table(n2, nj):
     x = bundle.pair_index(2, n2.index_of(2, (0, 1)), nj.index_of(2, (0, 0)))
     wrong = bundle.pair_index(3, n2.index_of(3, (1, 1, 1)), nj.index_of(3, (0, 0, 0)))
     inp.A_deg.set_value(1, 2, x, wrong)
-    with pytest.raises((ConsistencyViolation, IncompatibleSubcomplexStructure)):
-        synthesize_relative(inp, 4)
+    # the member is also s_0 of a lower simplex, so the two representations disagree
+    assert _raised(ConsistencyViolation, lambda: synthesize_relative(inp, 4)) == (
+        f"representations of s_1 at (2, {x}) disagree: "
+        f"[('subcomplex', {wrong}), ('degenerate:s_0', 16)]", (2, x))
 
 
 # -- certificates ----------------------------------------------------------------
@@ -357,3 +468,54 @@ def test_certificate_records_have_the_documented_shape(n2):
         assert record["stage"]["step"] in (1, 2)
         if record["kind"] == "filled":
             assert "horn" in record
+
+
+def _lowest_filler_by_scan(X, horn, image=None, target=None):
+    # a plain row scan of the recorded horn, independent of the engine's fill tables
+    m = horn["n"]
+    faces = [(int(i), v) for i, v in horn["faces"].items()]
+    for z in range(X.cells[m]):
+        if all(X.face_index(m, z, i) == v for i, v in faces):
+            if image is None or image[m][z] == target:
+                return z
+    return None
+
+
+def _check_filled_records(X, result, p=None, Y_deg=None):
+    filled = 0
+    for record in result.certificate:
+        if record["kind"] != "filled":
+            continue
+        if record["simplex"][0] == 0:
+            # the stage-0 fills of vertices are the degree-0 candidate, not a search
+            assert record["value"] == result.s0[record["simplex"][1]]
+            continue
+        target = None
+        if p is not None:
+            N, step = record["stage"]["N"], record["stage"]["step"]
+            n, j = record["simplex"]
+            target = Y_deg.value(N, n, p.levels[n][j])
+            if step == 2:
+                target = Y_deg.value(N, n + 1, target)
+        image = None if p is None else p.levels
+        assert record["value"] == _lowest_filler_by_scan(X, record["horn"], image, target), record
+        filled += 1
+    assert filled > 0
+
+
+@pytest.mark.parametrize("name, dim", [("z2", 5), ("z3", 5), ("z4", 4), ("monoid", 5),
+                                       ("poset", 5), ("j", 5)])
+def test_every_filled_record_is_the_lowest_filler_of_its_horn(name, dim):
+    category = {"z2": lambda: cyclic_group(2), "z3": lambda: cyclic_group(3),
+                "z4": lambda: cyclic_group(4), "monoid": idempotent_monoid,
+                "poset": poset_01, "j": j_groupoid}[name]()
+    X = nerve(category, dim).sset
+    _check_filled_records(X, synthesize(SynthesisInput(X), dim))
+
+
+def test_every_filled_lift_over_j_is_the_lowest_over_its_target():
+    # the demo-uniqueness run: C x J over J, with a table on each end of J
+    C, J = nerve(cyclic_group(2), 4), nerve(j_groupoid(), 4)
+    demo = uniqueness_demo(C.sset, C.oracle_degeneracies, C.oracle_degeneracies, 4)
+    bundle = product(C.sset, J.sset)
+    _check_filled_records(bundle.sset, demo.result, bundle.right, J.oracle_degeneracies)

@@ -313,6 +313,27 @@ def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
         check_inner(bundle.sset, 2)
 
 
+def test_synthesis_fills_without_a_slot_index(monkeypatch):
+    # the engine fills a level from a table it builds and drops, so after a run
+    # the set holds no top-level slot index; the checks before it stop below
+    from degenforge import degeneracy
+    X = nerve(cyclic_group(3), 5).sset
+    engine_run = degeneracy._Engine.run
+
+    def guarded(engine):
+        def forbidden(*args):
+            raise AssertionError("the engine looked up a slot index")
+        with monkeypatch.context() as inside:
+            inside.setattr(SemisimplicialSet, "with_face", forbidden)
+            inside.setattr(SemisimplicialSet, "slot_index", forbidden)
+            return engine_run(engine)
+
+    monkeypatch.setattr(degeneracy._Engine, "run", guarded)
+    result = degeneracy.synthesize(degeneracy.SynthesisInput(X))
+    assert result.verification.ok
+    assert X._index and not [key for key in X._index if key[0] == X.dim]
+
+
 INDEX_FIXTURES = {
     "Z/2": lambda: cyclic_group(2),
     "J": j_groupoid,
