@@ -65,6 +65,7 @@ from .sset import (
     SemisimplicialSet,
     SimplexRef,
     Subcomplex,
+    _canonical,
     _gather,
     _is_index,
     _require_valid,
@@ -200,7 +201,7 @@ class DegeneracyTable:
                     j, v = next((j, v) for j, v in enumerate(level) if not _is_index(v, limit))
                     raise ParseError(f"s_{k} of ({n},{j}) is {v!r}, not an index "
                                      f"in 0..{limit - 1}")
-                out._s[(k, n)] = list(level)
+                out._s[(k, n)] = list(map(_canonical(limit).__getitem__, level))
         return out
 
     def __eq__(self, other) -> bool:
@@ -1001,10 +1002,11 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
                 columns[m] = [tuple(map(itemgetter(i), X.face_rows(m))) for i in range(m + 1)]
         columns.pop(n - 1, None)
         level = s[(k, n)]
+        indices = _canonical(len(level))
         if whole((k, n)):
-            js, vals, at_j = range(len(level)), level, tuple
+            js, vals, at_j = indices[:len(level)], level, tuple
         else:
-            js = [j for j, v in enumerate(level) if v is not None]
+            js = [j for j, v in zip(indices, level) if v is not None]
             vals, at_j = [level[j] for j in js], _gather(js)
         at_v = _gather(vals)  # s_k(x_j) picked out of a level-(n+1) sequence, per defined j
 

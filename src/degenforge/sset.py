@@ -7,12 +7,21 @@ The face data is immutable after construction. Derived lookups that only
 the horn scans need (face-slot indices, per-level first and last edges)
 are caches, filled on first use and kept for the life of the set; a set
 that is only loaded, validated and verified never builds them.
+
+Simplex indices are canonical ints. A module-wide pool holds one int object
+per index, and every face level, map level and loaded degeneracy level whose
+entries are all in range stores the pool's objects, not the ones its input
+came with; so do the lazy slot indices and edge arrays. A level with any
+entry out of range, such as -1 or c_{n-1} among the faces of n-simplices, is
+stored as given, and ``validate`` names those entries as before. Interning
+changes no value: reports, hashes and files are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -29,6 +38,36 @@ def _is_int(value) -> bool:
 def _is_index(value, limit: int) -> bool:
     """An integer in 0..limit-1; bools and floats are not indices."""
     return _is_int(value) and 0 <= value < limit
+
+
+# The canonical int object of every simplex index handed out so far, grown on
+# demand and never shrunk. With one object per distinct index, column gathers
+# read ints that lie together and tuple compares stop at the identity test.
+# Position i always holds i, so sharing the pool changes no value anyone reads.
+_CANONICAL: list[int] = []
+_GROWING = threading.Lock()
+
+
+def _canonical(count: int) -> list[int]:
+    """The pool of canonical ints, holding at least 0..count-1."""
+    if len(_CANONICAL) < count:
+        with _GROWING:
+            _CANONICAL.extend(range(len(_CANONICAL), count))
+    return _CANONICAL
+
+
+def _interned(values: Sequence[int], limit: int) -> Iterable[int]:
+    """The canonical ints of ``values`` if every one is in 0..limit-1, else ``values``.
+
+    ``values`` holds ints only. A sequence with an entry out of range, such as
+    -1 or ``limit``, is handed back as given: it is never read through the
+    pool, where -1 would index from the end. The pool grows only to the
+    largest value, since a limit such as a vertex count is not bounded by the
+    size of the input.
+    """
+    if values and 0 <= min(values) and (top := max(values)) < limit:
+        return map(_canonical(top + 1).__getitem__, values)
+    return values
 
 
 @dataclass(frozen=True, order=True)
@@ -70,15 +109,17 @@ class SemisimplicialSet:
             raise ValueError(f"expected {self.dim} face levels, got {len(faces)}")
         levels: list[tuple[tuple[int, ...], ...]] = [()]
         for n in range(1, self.dim + 1):
-            rows = tuple(map(tuple, faces[n - 1]))
-            if len(rows) != self.cells[n]:
-                raise ValueError(f"dimension {n}: {len(rows)} face rows for {self.cells[n]} simplices")
-            if set(map(len, rows)) - {n + 1}:
-                j, row = next((j, row) for j, row in enumerate(rows) if len(row) != n + 1)
+            level = faces[n - 1]
+            flat = list(chain.from_iterable(level))
+            if len(level) != self.cells[n]:
+                raise ValueError(f"dimension {n}: {len(level)} face rows for {self.cells[n]} simplices")
+            if set(map(len, level)) - {n + 1}:
+                j, row = next((j, row) for j, row in enumerate(level) if len(row) != n + 1)
                 raise ValueError(f"simplex ({n},{j}) needs {n + 1} faces, got {len(row)}")
-            if set(map(type, chain.from_iterable(rows))) - {int}:
+            if set(map(type, flat)) - {int}:
                 raise ValueError(f"dimension {n}: every face entry must be an integer")
-            levels.append(rows)
+            # each row is cut once from the flat stream, n + 1 entries at a time
+            levels.append(tuple(zip(*[iter(_interned(flat, self.cells[n - 1]))] * (n + 1))))
         self._faces = tuple(levels)
         # (n, i) -> {v: n-simplices with d_i = v}; (n, a, b) -> {(v, w): ... d_a = v, d_b = w}
         self._index: dict = {}
@@ -108,7 +149,8 @@ class SemisimplicialSet:
         if index is None:
             face = itemgetter(*slots)
             found: dict = {}
-            for j, row in enumerate(self._faces[n]):
+            rows = self._faces[n]
+            for j, row in zip(_canonical(len(rows)), rows):
                 found.setdefault(face(row), []).append(j)
             index = self._index[key] = {value: tuple(js) for value, js in found.items()}
         return index
@@ -128,7 +170,7 @@ class SemisimplicialSet:
         found = self._edges.get(key)
         if found is None:
             if n == 1:
-                found = tuple(range(self.cells[1]))
+                found = tuple(_canonical(self.cells[1])[:self.cells[1]])
             else:
                 below = self.edges(n - 1, end)
                 i = 0 if end == "last" else n
@@ -271,7 +313,7 @@ class SemisimplicialMap:
                 raise ValueError(f"level {n}: {len(row)} values for {source.cells[n]} simplices")
             if not all(map(_is_int, row)):
                 raise ValueError(f"level {n}: every value must be an integer")
-            norm.append(row)
+            norm.append(tuple(_interned(row, target.cells[n])))
         self.levels = tuple(norm)
 
     def apply_index(self, n: int, j: int) -> int:
