@@ -13,15 +13,17 @@ per index, and every face level, map level and loaded degeneracy level whose
 entries are all in range stores the pool's objects, not the ones its input
 came with; so do the lazy slot indices and edge arrays. A level with any
 entry out of range, such as -1 or c_{n-1} among the faces of n-simplices, is
-stored as given, and ``validate`` names those entries as before. Interning
-changes no value: reports, hashes and files are the same bytes either way.
+stored as given, and ``validate`` names those entries as before. So is a
+level whose largest entry would grow the pool by more than the level's
+length, such as a vertex 10**9 named in a file of a few bytes: the pool never
+holds more ints than the inputs held entries. Interning changes no value:
+reports, hashes and files are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -45,14 +47,17 @@ def _is_index(value, limit: int) -> bool:
 # read ints that lie together and tuple compares stop at the identity test.
 # Position i always holds i, so sharing the pool changes no value anyone reads.
 _CANONICAL: list[int] = []
-_GROWING = threading.Lock()
 
 
 def _canonical(count: int) -> list[int]:
-    """The pool of canonical ints, holding at least 0..count-1."""
+    """The pool of canonical ints, holding at least 0..count-1.
+
+    ``count`` must be one the input paid for with as many entries of its own,
+    such as a row count or a level's length; a vertex count is not, since a
+    few bytes can name any number of vertices.
+    """
     if len(_CANONICAL) < count:
-        with _GROWING:
-            _CANONICAL.extend(range(len(_CANONICAL), count))
+        _CANONICAL.extend(range(len(_CANONICAL), count))
     return _CANONICAL
 
 
@@ -61,11 +66,12 @@ def _interned(values: Sequence[int], limit: int) -> Iterable[int]:
 
     ``values`` holds ints only. A sequence with an entry out of range, such as
     -1 or ``limit``, is handed back as given: it is never read through the
-    pool, where -1 would index from the end. The pool grows only to the
-    largest value, since a limit such as a vertex count is not bounded by the
-    size of the input.
+    pool, where -1 would index from the end. So is one whose largest entry
+    would grow the pool by more than ``len(values)``: neither ``limit`` nor
+    that entry is bounded by the size of the input, so the pool stays within
+    the number of entries that were ever interned.
     """
-    if values and 0 <= min(values) and (top := max(values)) < limit:
+    if values and 0 <= min(values) and (top := max(values)) < min(limit, len(_CANONICAL) + len(values)):
         return map(_canonical(top + 1).__getitem__, values)
     return values
 

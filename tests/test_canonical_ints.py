@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from degenforge import cyclic_group, j_groupoid, nerve, product
+from degenforge import cyclic_group, j_groupoid, nerve, product, sset
 from degenforge.cli import load_map, load_sset, load_table, run
 from degenforge.sset import SemisimplicialMap, SemisimplicialSet, _canonical, validate, validate_map
 
@@ -57,6 +57,30 @@ def test_an_out_of_range_map_value_is_stored_as_given(value):
     report = validate_map(F)
     assert (report.ok, report.checked, report.violations) == (False, 42, [("range", 1, 3)])
     assert F.to_json_dict() == doc
+
+
+def test_the_pool_grows_with_the_input_not_with_its_values(tmp_path):
+    """A few bytes naming vertex 10**9 leave the pool as it was, not 10**9 ints long."""
+    big = 10**9
+    X = SemisimplicialSet([big + 1, 1], [[[big, 0]]])
+    assert X.face_rows(1) == ((big, 0),)
+    files = {"big.sset": X.to_json_dict(),
+             "big.deg": {"base_hash": X.content_hash(), "s": []},
+             "edge.sset": {"dim": 1, "cells": [2, 1], "faces": [[[1, 0]]]},
+             "f.map": {"levels": [[0, big], [0]]}}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    path = {name: str(tmp_path / name) for name in files}
+    before = len(sset._CANONICAL)
+    # the verdicts the program gave before it interned anything
+    assert run(["validate", path["big.sset"]])[1]["verdict"] == "ok"
+    assert run(["check", "--inner", path["big.sset"]])[1]["verdict"] == "yes"
+    code, out = run(["verify", path["big.sset"], path["big.deg"]])
+    assert (code, out["verdict"], out["detail"]["checked"]) == (0, "pass", 0)
+    code, out = run(["check", "--inner-fibration", path["edge.sset"],
+                     "--map", path["f.map"], "--target", path["big.sset"]])
+    assert (code, out["verdict"]) == (0, "yes")
+    assert len(sset._CANONICAL) <= max(before, 2)
 
 
 def _assert_canonical(levels, limits) -> None:
