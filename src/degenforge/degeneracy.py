@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from itertools import filterfalse
-from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -390,8 +389,8 @@ class _Engine:
                 f"run needs the target table up to level {self.D - 1}")
         return v
 
-    def _face(self, n: int, i: int) -> tuple[int, ...]:
-        return tuple(map(itemgetter(i), self.X.face_rows(n)))
+    def _face(self, n: int, i: int) -> list[int]:
+        return self.X.face_column(n, i)
 
     def _level_order(self, n: int, stage: int) -> tuple[list[int], list[int], set[int]]:
         """The simplices that may be forced, the rest, and the degeneracy images.
@@ -453,13 +452,12 @@ class _Engine:
         if any(None in column for column in columns):
             # rows with an undefined face are misses already; 0 keeps the compare below defined
             columns = [tuple(0 if v is None else v for v in column) for column in columns]
-        below = self.X.face_rows(m - 1)
-        rows = [_gather(column)(below) for column in columns]
         positions = _positions(m, k)
+        below = [self.X.face_column(m - 1, r) for r in range(m)]
         for b in range(len(positions)):
             for a in range(b):
-                left = tuple(map(itemgetter(positions[a]), rows[b]))
-                right = tuple(map(itemgetter(positions[b] - 1), rows[a]))
+                left = _gather(columns[b])(below[positions[a]])
+                right = _gather(columns[a])(below[positions[b] - 1])
                 if left != right:
                     for t, (x, y) in enumerate(zip(left, right)):
                         if x != y:
@@ -550,9 +548,8 @@ class _Engine:
                       forced: set[int]) -> None:
         # every value, forced or filled, must have its prescribed faces and image
         at = _gather(values)
-        rows = at(self.X.face_rows(m))
         names: list = list(_positions(m, k))
-        got = [tuple(map(itemgetter(i), rows)) for i in names]
+        got = [at(self.X.face_column(m, i)) for i in names]
         want = [tuple(column) for column in columns]
         if target is not None:
             names.append("projection")
@@ -612,8 +609,7 @@ class _Engine:
             t[n] = self._level(N, 2, n, columns, target)
         # correction: replace s_N below the provisional top level
         for n in range(N, self.D - 1):
-            corrected = _gather(t[n])(self.X.face_rows(n + 2))
-            self.table.set_level(N, n, list(map(itemgetter(N), corrected)))
+            self.table.set_level(N, n, list(_gather(t[n])(self.X.face_column(n + 2, N))))
         self._check_corrected(N)
         self.t_levels = t
 
@@ -640,7 +636,7 @@ class _Engine:
         # d_{N+1} s_N = id, a level at a time
         for n in range(N, self.D - 1):
             level = self.table.level(N, n)
-            got = tuple(map(itemgetter(N + 1), _gather(level)(self.X.face_rows(n + 1))))
+            got = _gather(level)(self.X.face_column(n + 1, N + 1))
             if got != tuple(range(len(level))):
                 j = next(j for j, v in enumerate(got) if v != j)
                 raise ConsistencyViolation(
@@ -999,7 +995,7 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     for k, n in sorted((key for key in s if key[1] + 1 <= bound), key=lambda key: (key[1], key[0])):
         for m in (n, n + 1):
             if m and m not in columns:
-                columns[m] = [tuple(map(itemgetter(i), X.face_rows(m))) for i in range(m + 1)]
+                columns[m] = [X.face_column(m, i) for i in range(m + 1)]
         columns.pop(n - 1, None)
         level = s[(k, n)]
         indices = _canonical(len(level))

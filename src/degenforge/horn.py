@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import eq, indexOf, itemgetter
+from operator import eq, indexOf
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -130,12 +130,12 @@ def _face_columns(X: SemisimplicialSet, n: int, k: int,
     if n < 1 or n > X.dim or X.cells[n - 1] == 0:
         return [[] for _ in positions]
     m = n - 1
-    rows, faces = X.face_rows(m), {}
+    faces: dict[int, list[int]] = {}
 
-    def face(r: int) -> tuple[int, ...]:
-        # d_r of every (n-1)-simplex, gathered once per scan
+    def face(r: int) -> list[int]:
+        # d_r of every (n-1)-simplex, sliced once per scan
         if r not in faces:
-            faces[r] = tuple(map(itemgetter(r), rows))
+            faces[r] = X.face_column(m, r)
         return faces[r]
 
     pools = {i: frozenset(pool) for i, pool in (restrict or {}).items()}
@@ -217,7 +217,7 @@ def _lift_keys(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int,
     This is the (n,k) horn a simplex fills, with the image it lies over: the
     key of the realized lifts here and of the synthesis engine's fill tables.
     """
-    faces = [map(itemgetter(i), X.face_rows(n)) for i in _positions(n, k)]
+    faces = [X.face_column(n, i) for i in _positions(n, k)]
     return zip(*faces) if p is None else zip(*faces, p.levels[n])
 
 
@@ -240,8 +240,8 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
         return missing
     below = p.levels[n - 1]
     over: dict[tuple[int, ...], list[int]] = {}
-    for y, row in enumerate(p.target.face_rows(n)):
-        over.setdefault(row[:k] + row[k + 1:], []).append(y)
+    for y, key in enumerate(zip(*(p.target.face_column(n, i) for i in _positions(n, k)))):
+        over.setdefault(key, []).append(y)
 
     def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
         found = list(map(over.get, zip(*(_gather(column)(below) for column in columns)), repeat(())))

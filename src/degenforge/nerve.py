@@ -24,7 +24,6 @@ from .errors import (
     InvalidCategory,
     InvalidDegeneracyTable,
     ParseError,
-    RestrictionMismatch,
     TruncationExhausted,
 )
 from .sset import SemisimplicialSet, Subcomplex, product
@@ -358,9 +357,11 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
     The subcomplex sits over the two constant chains of the two-object
     groupoid, carrying deg0 over the one end and deg1 over the other; the
     degree-0 candidate pairs each end's degeneracy with the identity chain.
-    The output is checked to restrict to the given tables exactly and to
-    commute with the projection. Nothing beyond this construction is
-    asserted about the two structures.
+    The synthesis checks its output to restrict to the given tables exactly
+    and to commute with the projection, raising on any violation; the report
+    counts those checks from its ``restriction`` and ``projection``
+    families. Nothing beyond this construction is asserted about the two
+    structures.
     """
     for label, table in (("deg0", deg0), ("deg1", deg1)):
         report = verify_simplicial(C_sset, table, C_sset.dim)
@@ -408,21 +409,6 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
     inp = SynthesisInput(X, p=p, Y_deg=J.oracle_degeneracies, A=A, A_deg=A_deg, s0=s0)
     result = synthesize_relative(inp, bound)
 
-    restriction_checked = 0
-    for side, table in ((0, deg0), (1, deg1)):
-        for k, n, c, v in table.entries():
-            got = result.table.value(k, n, bundle.pair_index(n, c, constant[n][side]))
-            if got is None:
-                continue
-            restriction_checked += 1
-            if got != bundle.pair_index(n + 1, v, constant[n + 1][side]):
-                raise RestrictionMismatch(
-                    f"output disagrees with deg{side} at s_{k}({n},{c})")
-    projection_checked = 0
-    for k, n, j, v in result.table.entries():
-        want = J.oracle_degeneracies.value(k, n, p.apply_index(n, j))
-        projection_checked += 1
-        if p.apply_index(n + 1, v) != want:
-            raise RestrictionMismatch(f"output does not commute with the projection at s_{k}({n},{j})")
-    return UniquenessDemo(True, bound, bundle.sset.cells, restriction_checked,
-                          projection_checked, result)
+    checked = result.verification.by_family
+    return UniquenessDemo(True, bound, bundle.sset.cells, checked["restriction"],
+                          checked["projection"], result)

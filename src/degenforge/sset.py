@@ -1,33 +1,39 @@
 """Finite, dimension-truncated semisimplicial sets.
 
 A set carries all data up to its truncation dimension D and nothing above:
-cell counts ``c_0..c_D`` and, for every n >= 1, a dense face table where
+cell counts ``c_0..c_D`` and, for every n >= 1, a dense face level where
 entry ``(n, j, i)`` is the index of the i-th face of the j-th n-simplex.
-The face data is immutable after construction. Derived lookups that only
-the horn scans need (face-slot indices, per-level first and last edges)
-are caches, filled on first use and kept for the life of the set; a set
-that is only loaded, validated and verified never builds them.
+Each level is one flat list, row after row, so that entry sits at position
+``j*(n+1) + i``: ``face_column(n, i)``, d_i of every n-simplex, is the slice
+``[i::n+1]``, and ``faces_of(n, j)`` is a row slice. The identity checks,
+the horn scans and the synthesis engine read a level a face position at a
+time, from columns; no row tuple is stored. The face data is immutable
+after construction. Derived lookups that only the horn scans need
+(face-slot indices, per-level first and last edges) are caches, filled on
+first use and kept for the life of the set; a set that is only loaded,
+validated and verified never builds them.
 
 Simplex indices are canonical ints. A module-wide pool holds one int object
 per index, and every face level, map level and loaded degeneracy level whose
 entries are all in range stores the pool's objects, not the ones its input
 came with; so do the lazy slot indices and edge arrays. A level with any
 entry out of range, such as -1 or c_{n-1} among the faces of n-simplices, is
-stored as given, and ``validate`` names those entries as before. So is a
-level whose largest entry would grow the pool by more than the level's
-length, such as a vertex 10**9 named in a file of a few bytes: the pool never
-holds more ints than the inputs held entries. Interning changes no value:
-reports, hashes and files are the same bytes either way.
+stored as given. So is a level whose largest entry would grow the pool by
+more than the level's length, such as a vertex 10**9 named in a file of a
+few bytes: the pool never holds more ints than the inputs held entries.
+Interning changes no value: reports, hashes and files are the same bytes
+either way. The constructor takes each level's min and max once and records
+the face levels out of range; ``validate`` walks only those to name their
+entries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionTooLow, ParseError
 
@@ -61,8 +67,8 @@ def _canonical(count: int) -> list[int]:
     return _CANONICAL
 
 
-def _interned(values: Sequence[int], limit: int) -> Iterable[int]:
-    """The canonical ints of ``values`` if every one is in 0..limit-1, else ``values``.
+def _interned(values: Sequence[int], limit: int) -> tuple[Iterable[int], bool]:
+    """The canonical ints of ``values``, and whether every one is in 0..limit-1.
 
     ``values`` holds ints only. A sequence with an entry out of range, such as
     -1 or ``limit``, is handed back as given: it is never read through the
@@ -71,9 +77,14 @@ def _interned(values: Sequence[int], limit: int) -> Iterable[int]:
     that entry is bounded by the size of the input, so the pool stays within
     the number of entries that were ever interned.
     """
-    if values and 0 <= min(values) and (top := max(values)) < min(limit, len(_CANONICAL) + len(values)):
-        return map(_canonical(top + 1).__getitem__, values)
-    return values
+    if not values:
+        return values, True
+    top = max(values)
+    if min(values) < 0 or top >= limit:
+        return values, False
+    if top >= len(_CANONICAL) + len(values):
+        return values, True
+    return map(_canonical(top + 1).__getitem__, values), True
 
 
 @dataclass(frozen=True, order=True)
@@ -97,36 +108,45 @@ class ValidationReport:
 
 
 class SemisimplicialSet:
-    """Truncated semisimplicial set with dense face tables.
+    """Truncated semisimplicial set with dense, flat face levels.
 
     ``faces`` is given per dimension n = 1..D; ``faces[n-1][j]`` lists the
     indices of d_0(x_j), ..., d_n(x_j). Empty dimensions (including an empty
-    vertex set) are allowed.
+    vertex set) are allowed. Level n is stored as one flat list, row after
+    row: entry ``j*(n+1) + i`` is d_i(x_j), so :meth:`face_column` is a slice.
     """
 
     def __init__(self, cells: Sequence[int], faces: Sequence[Sequence[Sequence[int]]]):
+        self._store(cells, len(faces), map(_flattened, count(1), faces, cells[1:]))
+
+    @classmethod
+    def _from_flat(cls, cells: Sequence[int], levels: Sequence[list[int]]) -> "SemisimplicialSet":
+        """The set whose level n is the flat list ``levels[n-1]``, row after row."""
+        X = cls.__new__(cls)
+        X._store(cells, len(levels), levels)
+        return X
+
+    def _store(self, cells: Sequence[int], depth: int, levels: Iterable[list[int]]) -> None:
+        # the one way face data is stored: checked, then interned level by level
         if len(cells) == 0:
             raise ValueError("a semisimplicial set has at least dimension 0")
         self.dim = len(cells) - 1
         self.cells = tuple(cells)
         if not all(_is_int(c) and c >= 0 for c in self.cells):
             raise ValueError(f"cell counts must be non-negative integers, got {list(self.cells)}")
-        if len(faces) != self.dim:
-            raise ValueError(f"expected {self.dim} face levels, got {len(faces)}")
-        levels: list[tuple[tuple[int, ...], ...]] = [()]
-        for n in range(1, self.dim + 1):
-            level = faces[n - 1]
-            flat = list(chain.from_iterable(level))
-            if len(level) != self.cells[n]:
-                raise ValueError(f"dimension {n}: {len(level)} face rows for {self.cells[n]} simplices")
-            if set(map(len, level)) - {n + 1}:
-                j, row = next((j, row) for j, row in enumerate(level) if len(row) != n + 1)
-                raise ValueError(f"simplex ({n},{j}) needs {n + 1} faces, got {len(row)}")
+        if depth != self.dim:
+            raise ValueError(f"expected {self.dim} face levels, got {depth}")
+        stored: list[list[int]] = [[]]
+        # levels with an entry outside 0..c_{n-1}-1, stored as given; only they need a range pass
+        self._out_of_range: set[int] = set()
+        for n, flat in enumerate(levels, 1):
             if set(map(type, flat)) - {int}:
                 raise ValueError(f"dimension {n}: every face entry must be an integer")
-            # each row is cut once from the flat stream, n + 1 entries at a time
-            levels.append(tuple(zip(*[iter(_interned(flat, self.cells[n - 1]))] * (n + 1))))
-        self._faces = tuple(levels)
+            values, in_range = _interned(flat, self.cells[n - 1])
+            if not in_range:
+                self._out_of_range.add(n)
+            stored.append(list(values))
+        self._faces = stored
         # (n, i) -> {v: n-simplices with d_i = v}; (n, a, b) -> {(v, w): ... d_a = v, d_b = w}
         self._index: dict = {}
         self._edges: dict = {}
@@ -134,14 +154,15 @@ class SemisimplicialSet:
     # -- access -----------------------------------------------------------
 
     def face_index(self, n: int, j: int, i: int) -> int:
-        return self._faces[n][j][i]
+        return self._faces[n][j * (n + 1) + i]
 
-    def faces_of(self, n: int, j: int) -> tuple[int, ...]:
-        return self._faces[n][j]
+    def faces_of(self, n: int, j: int) -> list[int]:
+        """d_0, ..., d_n of the j-th n-simplex."""
+        return self._faces[n][j * (n + 1):(j + 1) * (n + 1)]
 
-    def face_rows(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """Every n-simplex's face row, by index."""
-        return self._faces[n]
+    def face_column(self, n: int, i: int) -> list[int]:
+        """d_i of every n-simplex, by index."""
+        return self._faces[n][i::n + 1]
 
     def slot_index(self, n: int, slots: tuple[int, ...]) -> dict:
         """The n-simplices by their faces at one or two ``slots``, each list ascending.
@@ -153,11 +174,10 @@ class SemisimplicialSet:
         key = (n, *slots)
         index = self._index.get(key)
         if index is None:
-            face = itemgetter(*slots)
             found: dict = {}
-            rows = self._faces[n]
-            for j, row in zip(_canonical(len(rows)), rows):
-                found.setdefault(face(row), []).append(j)
+            columns = [self.face_column(n, i) for i in slots]
+            for j, value in zip(_canonical(self.cells[n]), columns[0] if len(slots) == 1 else zip(*columns)):
+                found.setdefault(value, []).append(j)
             index = self._index[key] = {value: tuple(js) for value, js in found.items()}
         return index
 
@@ -178,15 +198,9 @@ class SemisimplicialSet:
             if n == 1:
                 found = tuple(_canonical(self.cells[1])[:self.cells[1]])
             else:
-                below = self.edges(n - 1, end)
-                i = 0 if end == "last" else n
-                found = tuple(below[row[i]] for row in self._faces[n])
+                found = _gather(self.face_column(n, 0 if end == "last" else n))(self.edges(n - 1, end))
             self._edges[key] = found
         return found
-
-    def simplices(self, n: int) -> Iterator[SimplexRef]:
-        for j in range(self.cells[n]):
-            yield SimplexRef(n, j)
 
     # -- serialization ----------------------------------------------------
 
@@ -194,7 +208,9 @@ class SemisimplicialSet:
         return {
             "dim": self.dim,
             "cells": list(self.cells),
-            "faces": [[list(row) for row in self._faces[n]] for n in range(1, self.dim + 1)],
+            # each row cut once from the flat level, n + 1 entries at a time
+            "faces": [list(map(list, zip(*[iter(flat)] * (n + 1))))
+                      for n, flat in enumerate(self._faces[1:], 1)],
         }
 
     @classmethod
@@ -217,9 +233,14 @@ class SemisimplicialSet:
             raise ParseError(str(exc)) from exc
 
     def content_hash(self) -> str:
-        # the bytes of to_json_dict(): json writes tuples as arrays, so no row is copied
-        data = {"dim": self.dim, "cells": self.cells, "faces": self._faces[1:]}
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        # the bytes json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":")) writes,
+        # each level formatted from its flat list by one template
+        levels = []
+        for n, flat in enumerate(self._faces[1:], 1):
+            row = "[" + ",".join(["%d"] * (n + 1)) + "]"
+            levels.append(("[" + ",".join([row] * self.cells[n]) + "]") % tuple(flat))
+        blob = '{"cells":[%s],"dim":%d,"faces":[%s]}' % (",".join(map(str, self.cells)), self.dim,
+                                                          ",".join(levels))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def __eq__(self, other) -> bool:
@@ -229,6 +250,17 @@ class SemisimplicialSet:
 
     def __repr__(self) -> str:
         return f"SemisimplicialSet(cells={list(self.cells)})"
+
+
+def _flattened(n: int, level: Sequence[Sequence[int]], simplices: int) -> list[int]:
+    """The face rows of ``simplices`` n-simplices as one flat list, row after row."""
+    flat = list(chain.from_iterable(level))
+    if len(level) != simplices:
+        raise ValueError(f"dimension {n}: {len(level)} face rows for {simplices} simplices")
+    if set(map(len, level)) - {n + 1}:
+        j, row = next((j, row) for j, row in enumerate(level) if len(row) != n + 1)
+        raise ValueError(f"simplex ({n},{j}) needs {n + 1} faces, got {len(row)}")
+    return flat
 
 
 def _gather(indices: Sequence[int]):
@@ -246,27 +278,27 @@ def validate(X: SemisimplicialSet) -> ValidationReport:
     ``("range", n, j, i)``. Violations are report content, not exceptions,
     listed by n, then j, then k, then i.
 
-    Each level is checked at once: a min and a max for the ranges, and two
-    gathered columns, d_i d_k and d_{k-1} d_i of every simplex, per identity.
-    Rows are walked only to name the witnesses of a level that fails.
+    The ranges were taken when the set was stored, so only a level it
+    recorded as out of range is walked for its range witnesses. Then each
+    level is checked at once: two gathered face columns, d_i d_k and
+    d_{k-1} d_i of every simplex, per identity. Rows are walked only to name
+    the witnesses of a level that fails.
     """
     violations = []
-    checked = 0
-    for n in range(1, X.dim + 1):
-        rows, limit = X.face_rows(n), X.cells[n - 1]
-        checked += len(rows) * (n + 1)
-        if rows and not 0 <= min(chain.from_iterable(rows)) <= max(chain.from_iterable(rows)) < limit:
-            violations += [("range", n, j, i) for j, row in enumerate(rows)
-                           for i, v in enumerate(row) if not 0 <= v < limit]
+    checked = sum(X.cells[n] * (n + 1) for n in range(1, X.dim + 1))
+    for n in sorted(X._out_of_range):
+        limit, width = X.cells[n - 1], n + 1
+        violations += [("range", n, *divmod(entry, width)) for entry, v in enumerate(X._faces[n])
+                       if not 0 <= v < limit]
     if violations:
         return ValidationReport(False, checked, violations)
     columns: list = []
     for n in range(1, X.dim + 1):
-        rows, below = X.face_rows(n), columns
-        columns = [tuple(map(itemgetter(i), rows)) for i in range(n + 1)]
-        if n == 1 or not rows:
+        below = columns
+        columns = [X.face_column(n, i) for i in range(n + 1)]
+        if n == 1 or not X.cells[n]:
             continue
-        checked += len(rows) * n * (n + 1) // 2
+        checked += X.cells[n] * n * (n + 1) // 2
         at = [_gather(column) for column in columns]
         bad = []
         for k in range(1, n + 1):
@@ -319,14 +351,11 @@ class SemisimplicialMap:
                 raise ValueError(f"level {n}: {len(row)} values for {source.cells[n]} simplices")
             if not all(map(_is_int, row)):
                 raise ValueError(f"level {n}: every value must be an integer")
-            norm.append(tuple(_interned(row, target.cells[n])))
+            norm.append(tuple(_interned(row, target.cells[n])[0]))
         self.levels = tuple(norm)
 
     def apply_index(self, n: int, j: int) -> int:
         return self.levels[n][j]
-
-    def apply(self, s: SimplexRef) -> SimplexRef:
-        return SimplexRef(s.dim, self.levels[s.dim][s.index])
 
     def to_json_dict(self) -> dict:
         return {"levels": [list(level) for level in self.levels]}
@@ -378,12 +407,11 @@ def validate_map(F: SemisimplicialMap) -> ValidationReport:
         if not level:
             continue
         checked += len(level) * (n + 1)
-        rows, image_rows = F.source.face_rows(n), F.target.face_rows(n)
         at_image = _gather(level)
         bad = []
         for i in range(n + 1):
-            lhs = _gather(tuple(map(itemgetter(i), rows)))(below)
-            rhs = at_image(tuple(map(itemgetter(i), image_rows)))
+            lhs = _gather(F.source.face_column(n, i))(below)
+            rhs = at_image(F.target.face_column(n, i))
             if lhs != rhs:
                 bad += [(j, i) for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
         violations += [("face_commutation", n, j, i) for j, i in sorted(bad)]
@@ -478,15 +506,13 @@ def product(X: SemisimplicialSet, Y: SemisimplicialSet) -> ProductBundle:
     cells = [X.cells[n] * Y.cells[n] for n in range(dim + 1)]
     faces = []
     for n in range(1, dim + 1):
-        cy, cy1 = Y.cells[n], Y.cells[n - 1]
-        level = []
-        for jx in range(X.cells[n]):
-            fx = X.faces_of(n, jx)
-            for jy in range(Y.cells[n]):
-                fy = Y.faces_of(n, jy)
-                level.append([fx[i] * cy1 + fy[i] for i in range(n + 1)])
-        faces.append(level)
-    Z = SemisimplicialSet(cells, faces)
+        # d_i of the pair (jx, jy) is the pair (d_i jx, d_i jy), built a face column at a time
+        flat: list = [None] * (cells[n] * (n + 1))
+        for i in range(n + 1):
+            right = Y.face_column(n, i)
+            flat[i::n + 1] = [a + b for a in map(Y.cells[n - 1].__mul__, X.face_column(n, i)) for b in right]
+        faces.append(flat)
+    Z = SemisimplicialSet._from_flat(cells, faces)
     proj_left = SemisimplicialMap(Z, X, [[j // Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)])
     proj_right = SemisimplicialMap(Z, Y, [[j % Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)])
     return ProductBundle(Z, proj_left, proj_right, X, Y)

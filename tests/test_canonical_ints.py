@@ -63,7 +63,7 @@ def test_the_pool_grows_with_the_input_not_with_its_values(tmp_path):
     """A few bytes naming vertex 10**9 leave the pool as it was, not 10**9 ints long."""
     big = 10**9
     X = SemisimplicialSet([big + 1, 1], [[[big, 0]]])
-    assert X.face_rows(1) == ((big, 0),)
+    assert X.faces_of(1, 0) == [big, 0]
     files = {"big.sset": X.to_json_dict(),
              "big.deg": {"base_hash": X.content_hash(), "s": []},
              "edge.sset": {"dim": 1, "cells": [2, 1], "faces": [[[1, 0]]]},
@@ -93,8 +93,8 @@ def _assert_canonical(levels, limits) -> None:
 
 def _assert_canonical_set(X: SemisimplicialSet) -> None:
     assert X.cells[X.dim - 1] > 257  # top-level entries the interpreter does not share
-    _assert_canonical(([v for row in X.face_rows(n) for v in row] for n in range(1, X.dim + 1)),
-                      X.cells[:-1])
+    _assert_canonical(([v for i in range(n + 1) for v in X.face_column(n, i)]
+                       for n in range(1, X.dim + 1)), X.cells[:-1])
 
 
 @pytest.fixture(scope="module")

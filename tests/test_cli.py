@@ -555,6 +555,19 @@ def test_demo_uniqueness_below_truncation_two_is_a_domain_error(z2_small, dim):
     assert (code, report["verdict"]) == (1, "TruncationExhausted"), report
 
 
+@pytest.mark.parametrize("dim, checked", [("2", (2, 2)), ("3", (10, 18))])
+def test_demo_uniqueness_below_the_tables_top_level(z2_files, dim, checked):
+    # the D5 oracle tables reach level 4, above the bound; the output holds s_k
+    # below level dim - 1: at 3, s_0 on 2 vertices and s_0, s_1 on 8 edges,
+    # of which the 2 vertices and 4 edges over the ends of J are restricted
+    deg = str(z2_files["deg"])
+    code, report = run(["demo-uniqueness", str(z2_files["sset"]), "--deg0", deg, "--deg1", deg,
+                        "--dim", dim])
+    assert (code, report["verdict"], report["bound"]) == (0, "success", int(dim)), report
+    detail = report["detail"]
+    assert (detail["restriction_checked"], detail["projection_checked"]) == checked
+
+
 @pytest.mark.parametrize("command", ["edges", "verify"])
 def test_the_reported_bound_is_the_one_checked(z2_small, command):
     # Z/2 at D3 has the oracle table; --dim past the set's dimension checks up to 3

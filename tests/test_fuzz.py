@@ -9,7 +9,9 @@ exit 2 with ``"error"``, and a domain verdict is exit 0 or 1.
 
 The valid files are small so that 500 examples stay cheap: Z/2 at D3 over
 the point, and Z/2 x J at D2 over J, with the whole set as a subcomplex
-carrying its synthesized table.
+carrying its synthesized table. ``demo-uniqueness`` reads Z/2 at D4 with its
+identity-insertion table, whose levels reach above the bounds that ``--dim``
+draws.
 """
 
 import copy
@@ -33,7 +35,7 @@ READS = {
     "synthesize": ("a.sset", "a.s0"),
     "addendum-s0": ("a.sset",),
     "verify": ("a.sset", "a.deg", "a.cert"),
-    "demo-uniqueness": ("a.sset", "a.deg"),
+    "demo-uniqueness": ("b.sset", "b.deg"),
     "nerve": ("cat",),
     "check --inner-fibration": ("x.sset", "x.map", "y.sset"),
     "synthesize-rel": ("x.sset", "x.map", "y.sset", "y.deg", "x.sub", "x.deg", "x.s0"),
@@ -48,12 +50,14 @@ OPS = ("replace", "copy", "delete", "append")
 def files(tmp_path_factory):
     """Paths and contents of the valid files, and the argv of every command on them."""
     root = tmp_path_factory.mktemp("fuzz")
-    n2, nj = nerve(cyclic_group(2), 3), nerve(j_groupoid(), 2)
+    n2, n2_4, nj = nerve(cyclic_group(2), 3), nerve(cyclic_group(2), 4), nerve(j_groupoid(), 2)
     bundle = product(nerve(cyclic_group(2), 2).sset, nj.sset)
     docs = {
         "cat": cyclic_group(2).to_json_dict(),
         "a.sset": n2.sset.to_json_dict(),
         "a.s0": [n2.oracle_degeneracies.value(0, 0, 0)],
+        "b.sset": n2_4.sset.to_json_dict(),
+        "b.deg": n2_4.oracle_degeneracies.to_json_dict(),
         "x.sset": bundle.sset.to_json_dict(),
         "x.map": bundle.right.to_json_dict(),
         "x.sub": {"members": [list(range(c)) for c in bundle.sset.cells]},
@@ -79,8 +83,8 @@ def files(tmp_path_factory):
         "synthesize": ["synthesize", a, "--s0", path["a.s0"]],
         "addendum-s0": ["addendum-s0", a],
         "verify": ["verify", a, path["a.deg"], "--cert", path["a.cert"]],
-        "demo-uniqueness": ["demo-uniqueness", a, "--deg0", path["a.deg"], "--deg1", path["a.deg"],
-                            "--dim", "2"],
+        "demo-uniqueness": ["demo-uniqueness", path["b.sset"], "--deg0", path["b.deg"],
+                            "--deg1", path["b.deg"], "--dim", "2"],
         "nerve": ["nerve", "--cat", path["cat"], "--out", str(root / "out"), "--dim", "2"],
         "check --inner-fibration": ["check", "--inner-fibration", x, *over],
         "synthesize-rel": [*rel, "--sub", path["x.sub"], "--adeg", path["x.deg"],

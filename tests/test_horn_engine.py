@@ -194,8 +194,8 @@ def test_checker_verdicts_match_brute_force(naive):
 
 def _punctured(X: SemisimplicialSet, j: int) -> SemisimplicialSet:
     """X without its top simplex j."""
-    faces = [X.face_rows(n) for n in range(1, X.dim + 1)]
-    faces[-1] = faces[-1][:j] + faces[-1][j + 1:]
+    faces = X.to_json_dict()["faces"]
+    del faces[-1][j]
     return SemisimplicialSet([*X.cells[:-1], X.cells[-1] - 1], faces)
 
 
@@ -221,8 +221,8 @@ def test_a_punctured_nerve_fails_in_the_middle_of_a_shape():
 def _doubled_maps() -> dict:
     # Z/2 at D3 with every 3-simplex j duplicated as 2j and 2j+1: each inner 3-horn has two targets
     plain = nerve(cyclic_group(2), 3).sset
-    faces = [plain.face_rows(n) for n in range(1, 4)]
-    faces[-1] = tuple(row for row in faces[-1] for _ in (0, 1))
+    faces = plain.to_json_dict()["faces"]
+    faces[-1] = [row for row in faces[-1] for _ in (0, 1)]
     doubled = SemisimplicialSet([*plain.cells[:-1], 2 * plain.cells[-1]], faces)
     levels = [list(range(c)) for c in plain.cells[:-1]] + [[2 * j for j in range(plain.cells[-1])]]
     return {"doubled->doubled": identity_map(doubled),
