@@ -134,16 +134,10 @@ def _cmd_check(args) -> tuple[str, dict, list]:
         p = load_map(args.map, X, Y)
         _require_valid("map", validate_map(p))
         verdict = check_inner_fibration(p, dim)
-        payload = {"bound": verdict.bound, "checked": verdict.checked}
-        if verdict.witness is not None:
-            horn, y = verdict.witness
-            payload["witness"] = {"horn": horn.to_json_dict(), "target": y.index}
-        return ("yes" if verdict.ok else "no", payload, [])
-    checker = check_inner if args.inner else check_kan
-    verdict = checker(X, dim)
-    payload = {"bound": verdict.bound, "checked": verdict.checked}
-    if verdict.witness is not None:
-        payload["witness"] = verdict.witness.to_json_dict()
+    else:
+        verdict = (check_inner if args.inner else check_kan)(X, dim)
+    payload = verdict.to_json_dict()
+    del payload["result"]
     return ("yes" if verdict.ok else "no", payload, [])
 
 
@@ -267,13 +261,7 @@ def _cmd_demo_uniqueness(args) -> tuple[str, dict, list]:
     deg1 = load_table(args.deg1, C_sset)
     dim = _bound(args, C_sset)
     demo = uniqueness_demo(C_sset, deg0, deg1, dim)
-    outputs = []
-    if args.out:
-        _dump_json(args.out, demo.result.table.to_json_dict())
-        outputs.append(args.out)
-    if args.cert:
-        _dump_json(args.cert, demo.result.certificate)
-        outputs.append(args.cert)
+    outputs = _write_synthesis(args, demo.result)
     payload = {
         "bound": demo.bound,
         "detail": {

@@ -10,13 +10,17 @@ Each step fills a whole level (N, n) at once. The level's horns are
 prescribed as columns, one per face position, gathered from lower levels;
 their lowest fillers come from one table per level, which maps every horn
 that some simplex fills (over a map, with the image it lies over) to the
-lowest such simplex and is dropped with the level.
+lowest such simplex and is dropped with the level. Only valid sets reach
+the engine, so a horn that matches a simplex exactly is compatible.
 
 Values forced by a subcomplex or by lower degeneracies are never searched:
 they are computed from every available representation and the
 representations are required to agree, turning the well-definedness of the
-construction into a runtime check. Every decision (fill, forcing, witness)
-is recorded in an ordered certificate that replays deterministically.
+construction into a runtime check. A lower degeneracy forces s_N(x) through
+s_N s_i = s_i s_{N-1} (i < N) where x = s_i(y); since d_i s_i = id, the only
+candidate is y = d_i x, read off the face table. Every decision (fill,
+forcing, witness) is recorded in an ordered certificate that replays
+deterministically.
 
 Working tables keep one provisional level above the verified range (the
 stage-N step-one values at the top level feed later stages' forced values);
@@ -79,49 +83,27 @@ class DegeneracyTable:
     ``value(k, n, j)`` is the index in dimension n+1 of s_k applied to the
     j-th n-simplex, or None where undefined. Each ``(k, n)`` level is stored
     once, as a list of length ``c_n`` with None where a value is undefined;
-    a stored level holds at least one value. Reverse lookups, for the forced
-    values of the builder, exist only once ``set_value`` or ``preimage`` has
-    been called: a loaded table never builds them.
+    a stored level holds at least one value. Lookups go one way: where
+    d_k s_k = id holds, x = s_k(y) only for y = d_k x.
     """
 
     def __init__(self, base: SemisimplicialSet):
         self.base = base
         self._s: dict[tuple[int, int], list[Optional[int]]] = {}
-        self._rev: Optional[dict[tuple[int, int], dict[int, int]]] = None
-
-    def _reverse(self) -> dict[tuple[int, int], dict[int, int]]:
-        # built from the stored levels in ascending j, then kept up to date by set_value
-        if self._rev is None:
-            self._rev = {}
-            for key, level in self._s.items():
-                self._rev[key] = {v: j for j, v in enumerate(level) if v is not None}
-        return self._rev
 
     def set_value(self, k: int, n: int, j: int, value: int) -> None:
-        rev = self._reverse().setdefault((k, n), {})
         level = self._s.get((k, n))
         if level is None:
             level = self._s[(k, n)] = [None] * self.base.cells[n]
-        old = level[j]
-        if old is not None and rev.get(old) == j:
-            del rev[old]  # unless another simplex has taken the old value since
         level[j] = value
-        rev[value] = j
 
     def set_level(self, k: int, n: int, level: list[int]) -> None:
         """Store a whole ``(k, n)`` level, one value per n-simplex."""
         self._s[(k, n)] = level
-        if self._rev is not None:
-            self._rev[(k, n)] = dict(zip(level, range(len(level))))
 
     def value(self, k: int, n: int, j: int) -> Optional[int]:
         level = self._s.get((k, n))
         return None if level is None else level[j]
-
-    def preimage(self, k: int, n: int, value: int) -> Optional[int]:
-        """The j with s_k(x_j) = value for x_j in dimension n, if any."""
-        level = (self._rev if self._rev is not None else self._reverse()).get((k, n))
-        return None if level is None else level.get(value)
 
     def domain(self):
         return self._s.keys()
@@ -140,8 +122,6 @@ class DegeneracyTable:
     def copy(self) -> "DegeneracyTable":
         out = DegeneracyTable(self.base)
         out._s = {key: list(level) for key, level in self._s.items()}
-        if self._rev is not None:
-            out._rev = {key: dict(level) for key, level in self._rev.items()}
         return out
 
     def restricted(self, max_level: int) -> "DegeneracyTable":
@@ -301,9 +281,10 @@ def _forced_reps(table: DegeneracyTable, A: Optional[Subcomplex],
         v = A_deg.value(target_k, n, j)
         if v is not None:
             reps.append(("subcomplex", v))
-    for i in range(target_k):
-        y = table.preimage(i, n - 1, j)
-        if y is None:
+    for i in range(min(target_k, n)):
+        # x_j is an image of s_i only as s_i d_i x_j, since d_i s_i = id
+        y = table.base.face_index(n, j, i)
+        if table.value(i, n - 1, y) != j:
             continue
         mid = table.value(target_k - 1, n - 1, y)
         if mid is None:
@@ -441,28 +422,15 @@ class _Engine:
 
         Over a map a filler must lie over the row's target. One table, built
         for the call and dropped with it, maps each horn that some m-simplex
-        fills to the lowest such simplex. A row is None where it has no filler,
-        holds an undefined face, or is incompatible: d_a x_b != d_{b-1} x_a for
-        positions a < b, compared a pair of columns at a time.
+        fills to the lowest such simplex. A row is None where it has no filler
+        or holds an undefined face. An incompatible row has no filler either:
+        the faces of a simplex of a valid set are compatible, and only valid
+        sets reach the engine.
         """
         keys = list(_lift_keys(self.X, self.p, m, k))
         keys.reverse()
         lowest = dict(zip(keys, range(len(keys) - 1, -1, -1)))
-        fills = list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
-        if any(None in column for column in columns):
-            # rows with an undefined face are misses already; 0 keeps the compare below defined
-            columns = [tuple(0 if v is None else v for v in column) for column in columns]
-        positions = _positions(m, k)
-        below = [self.X.face_column(m - 1, r) for r in range(m)]
-        for b in range(len(positions)):
-            for a in range(b):
-                left = _gather(columns[b])(below[positions[a]])
-                right = _gather(columns[a])(below[positions[b] - 1])
-                if left != right:
-                    for t, (x, y) in enumerate(zip(left, right)):
-                        if x != y:
-                            fills[t] = None
-        return fills
+        return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
 
     def _unfilled(self, m: int, k: int, row: Sequence[Optional[int]], target: Optional[int],
                   n: int, j: int, what: str) -> None:
@@ -658,6 +626,7 @@ class _Engine:
 def step1_extend(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None) -> GoodSystem:
     """Extend an (N-1)-good system to an almost-N-good one by horn filling."""
     X = inp.X
+    _require_valid("input set", validate(X))
     bound = X.dim if D is None else min(D, X.dim)
     N = sys.N + 1
     if bound < N + 1:
@@ -671,6 +640,7 @@ def step1_extend(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None) 
 def step2_correct(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None) -> GoodSystem:
     """Correct an almost-N-good system to an N-good one via its T-table."""
     X = inp.X
+    _require_valid("input set", validate(X))
     bound = X.dim if D is None else min(D, X.dim)
     engine = _Engine(inp, bound)
     engine.table = sys.table.copy()
@@ -833,6 +803,8 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
                 f"subcomplex is not face-closed: {closure.violations[:3]}")
         if Adeg is not None:
             _check_subcomplex_table(X, p, inp.Y_deg, A, Adeg)
+    elif Adeg is not None:
+        raise ParseError("a subcomplex table is given without its subcomplex")
     if p is None:
         inner = check_inner(X, bound)
         if not inner.ok:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq, indexOf
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DimensionTooLow,
@@ -81,7 +81,7 @@ def compatibility_failures(X: SemisimplicialSet, horn: Horn) -> list[tuple[int, 
 
 
 def _filler_indices(X: SemisimplicialSet, n: int, items: Sequence[tuple[int, int]]) -> list[int]:
-    # intersect the preimage lists, starting from the scarcest face constraint
+    # intersect the with_face lists, starting from the scarcest face constraint
     pools = [(i, v, X.with_face(n, i, v)) for i, v in items]
     base_i, _, base = min(pools, key=lambda t: len(t[2]))
     out = []
@@ -194,13 +194,27 @@ def compatible_horns(X: SemisimplicialSet, n: int, k: int,
         yield Horn(n, k, tuple(zip(order, values)))
 
 
+class LiftFailure(NamedTuple):
+    """A horn that does not lift, with the target simplex it misses (0 over the point)."""
+
+    horn: Horn
+    target: SimplexRef
+
+    def to_json_dict(self) -> dict:
+        return {"horn": self.horn.to_json_dict(), "target": self.target.index}
+
+
 @dataclass
 class HornVerdict:
-    """Outcome of an exhaustive horn-filling scan up to a bound."""
+    """Outcome of an exhaustive horn-filling or lifting scan up to a bound.
+
+    The witness is the first horn that does not fill, or over a map the
+    first lifting problem without a solution.
+    """
 
     ok: bool
     bound: int
-    witness: Optional[Horn] = None
+    witness: Optional[Union[Horn, LiftFailure]] = None
     checked: int = 0
 
     def to_json_dict(self) -> dict:
@@ -283,7 +297,7 @@ class LiftTests(dict):
 
 
 def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], shapes: Iterable[tuple[int, int]],
-          lifts: Optional[LiftTests] = None) -> tuple[int, Optional[tuple[Horn, SimplexRef]]]:
+          lifts: Optional[LiftTests] = None) -> tuple[int, Optional[LiftFailure]]:
     """Horns checked up to the first that does not lift, and that horn with the target it misses.
 
     Without ``lifts`` each shape's lift test is built for its scan and dropped after it.
@@ -295,7 +309,7 @@ def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], shapes: Iterable
         failure = missing(columns)
         if failure is not None:
             t, y = failure
-            return checked + t + 1, (_horn(n, k, columns, t), SimplexRef(n, y))
+            return checked + t + 1, LiftFailure(_horn(n, k, columns, t), SimplexRef(n, y))
         checked += len(columns[0])
     return checked, None
 
@@ -308,7 +322,7 @@ def check_inner(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible inner horn (0 < k < n <= D) has at least one filler."""
     bound = X.dim if D is None else min(D, X.dim)
     checked, failure = _scan(X, None, _inner_shapes(bound))
-    return HornVerdict(failure is None, bound, failure and failure[0], checked)
+    return HornVerdict(failure is None, bound, failure and failure.horn, checked)
 
 
 def check_kan(X: SemisimplicialSet, D: Optional[int] = None,
@@ -321,7 +335,7 @@ def check_kan(X: SemisimplicialSet, D: Optional[int] = None,
     bound = X.dim if D is None else min(D, X.dim)
     shapes = ((n, k) for n in range(1, bound + 1) for k in range(n, -1, -1))
     checked, failure = _scan(X, None, shapes, lifts)
-    return HornVerdict(failure is None, bound, failure and failure[0], checked)
+    return HornVerdict(failure is None, bound, failure and failure.horn, checked)
 
 
 @dataclass
@@ -341,13 +355,10 @@ class EdgeVerdict:
             "bound": self.bound,
             "result": self.result,
         }
-        if isinstance(self.witness, Horn):
+        if isinstance(self.witness, (Horn, LiftFailure)):
             out["witness"] = self.witness.to_json_dict()
         elif isinstance(self.witness, SimplexRef):
             out["witness"] = {"dim": self.witness.dim, "index": self.witness.index}
-        elif isinstance(self.witness, tuple):
-            horn, y = self.witness
-            out["witness"] = {"horn": horn.to_json_dict(), "target": y.index}
         elif self.witness is not None:
             out["witness"] = self.witness
         return out
@@ -355,7 +366,7 @@ class EdgeVerdict:
 
 def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexRef,
                property: str, bound: int,
-               lifts: Optional[LiftTests]) -> Optional[tuple[Horn, SimplexRef]]:
+               lifts: Optional[LiftTests]) -> Optional[LiftFailure]:
     """First horn of a cartesian (cocartesian) scan of f that does not lift, with its target.
 
     Cartesian scans visit the right horns whose last edge, read off x_0, is f;
@@ -375,7 +386,7 @@ def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexR
         failure = lifts[n, k](columns)
         if failure is not None:
             t, y = failure
-            return _horn(n, k, columns, t), SimplexRef(n, y)
+            return LiftFailure(_horn(n, k, columns, t), SimplexRef(n, y))
     return None
 
 
@@ -388,7 +399,7 @@ def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
     """
     bound = X.dim if D is None else min(D, X.dim)
     failure = _edge_scan(X, None, f, property, bound, lifts)
-    return EdgeVerdict(f, property, bound, failure is None, failure and failure[0])
+    return EdgeVerdict(f, property, bound, failure is None, failure and failure.horn)
 
 
 def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None,
@@ -430,28 +441,11 @@ def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optiona
     return out
 
 
-@dataclass
-class FibrationVerdict:
-    """Outcome of a relative lifting scan over a semisimplicial map."""
-
-    ok: bool
-    bound: int
-    witness: Optional[tuple[Horn, SimplexRef]] = None
-    checked: int = 0
-
-    def to_json_dict(self) -> dict:
-        out = {"result": self.ok, "bound": self.bound, "checked": self.checked}
-        if self.witness is not None:
-            horn, y = self.witness
-            out["witness"] = {"horn": horn.to_json_dict(), "target": y.index}
-        return out
-
-
-def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> FibrationVerdict:
+def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> HornVerdict:
     """Every inner horn of the source lifts against every matching target simplex."""
     bound = p.depth if D is None else min(D, p.depth)
     checked, failure = _scan(p.source, p, _inner_shapes(bound))
-    return FibrationVerdict(failure is None, bound, failure, checked)
+    return HornVerdict(failure is None, bound, failure, checked)
 
 
 def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,

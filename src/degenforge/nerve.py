@@ -14,7 +14,6 @@ from typing import Mapping, Optional, Sequence
 
 from .degeneracy import (
     DegeneracyTable,
-    SimplicialReport,
     SynthesisInput,
     SynthesisResult,
     synthesize_relative,

@@ -33,7 +33,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain, count
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionTooLow, ParseError
 

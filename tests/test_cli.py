@@ -303,6 +303,37 @@ def test_synthesize_rel_rejects_a_malformed_s0(rel_files, tmp_path, defect):
     assert (code, report["verdict"]) == (2, "error"), report
 
 
+def test_a_relative_lift_failure_reports_its_witness(tmp_path):
+    # the spine of the 2-simplex over the point: its (2,1) horn has no filler
+    from degenforge.nerve import nerve
+    point = nerve(cyclic_group(1), 2)
+    files = {"sset": {"dim": 2, "cells": [3, 2, 0], "faces": [[[1, 0], [2, 1]], []]},
+             "target": point.sset.to_json_dict(), "ydeg": point.oracle_degeneracies.to_json_dict(),
+             "map": {"levels": [[0, 0, 0], [0, 0], []]}}
+    paths = {}
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    witness = {"horn": {"n": 2, "k": 1, "faces": {"0": 1, "2": 0}}, "target": 0}
+    code, report = run(["check", "--inner-fibration", str(paths["sset"]),
+                        "--map", str(paths["map"]), "--target", str(paths["target"])])
+    assert (code, report["verdict"], report["witness"]) == (1, "no", witness)
+    code, report = _synthesize_rel(paths)
+    assert (code, report["verdict"], report.get("witness")) == (1, "NotQuasiSemicategory", witness)
+
+
+def test_a_subcomplex_table_needs_its_subcomplex(rel_files, tmp_path):
+    X = SemisimplicialSet.from_json_dict(json.loads(rel_files["sset"].read_text()))
+    adeg = tmp_path / "adeg.json"
+    adeg.write_text(json.dumps({"base_hash": X.content_hash(), "s": [[[0] * X.cells[0]]]}))
+    code, report = _synthesize_rel(rel_files, "--adeg", str(adeg))
+    assert (code, report["verdict"]) == (2, "error"), report
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"members": [list(range(X.cells[0]))]}))
+    code, report = _synthesize_rel(rel_files, "--sub", str(sub), "--adeg", str(adeg))
+    assert (code, report["verdict"]) == (1, "IncompatibleSubcomplexStructure"), report
+
+
 def test_validate_rejects_a_face_row_given_as_a_number(z2_files):
     _edit(z2_files["sset"], lambda d: d["faces"][1].__setitem__(0, 7))
     code, report = run(["validate", str(z2_files["sset"])])

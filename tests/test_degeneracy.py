@@ -15,6 +15,7 @@ from degenforge import (
     MissingDegeneracies,
     NoIdempotentEquivalence,
     NotKan,
+    ParseError,
     SemisimplicialMap,
     SemisimplicialSet,
     SimplexRef,
@@ -65,17 +66,6 @@ def test_forced_value_agrees_across_representations(n2):
     x = SimplexRef(2, n2.index_of(2, (0, 1)))  # the chain (1, g) = s_0(g)
     value = forced_value(sys, (whole, oracle), x, 1)
     assert value == SimplexRef(3, n2.index_of(3, (0, 0, 1)))
-
-
-def test_preimages_follow_values_that_trade_places(n2):
-    table = DegeneracyTable(n2.sset)
-    table.set_value(0, 1, 0, 2)
-    table.set_value(0, 1, 1, 3)
-    table.set_value(0, 1, 0, 3)
-    table.set_value(0, 1, 1, 2)
-    assert [table.preimage(0, 1, v) for v in (2, 3)] == [1, 0]
-    table.set_level(0, 1, [4, 5])
-    assert [table.preimage(0, 1, v) for v in (2, 4, 5)] == [None, 0, 1]
 
 
 def test_forced_value_detects_corrupted_overlap(n2):
@@ -209,21 +199,22 @@ def test_a_wrong_subcomplex_value_is_blamed_on_the_subcomplex(n2, k, n, j, face)
         f"s_{k} at simplex ({n},{j}) violates its defining equation at face {face}", (n, j))
 
 
-def test_an_incompatible_horn_takes_no_filler_from_an_invalid_set():
+def test_staged_builders_reject_a_set_with_an_incompatible_simplex():
     # with d_0 and d_3 of a 3-simplex swapped, its faces form an incompatible
-    # (3,2) horn that the fill table finds; the compatibility check turns it away
-    from degenforge.degeneracy import _Engine
+    # (3,2) horn; every path into the engine refuses the set before filling
     data = nerve(cyclic_group(2), 3).sset.to_json_dict()
     row = data["faces"][2][3]
     row[0], row[3] = row[3], row[0]
     X = SemisimplicialSet.from_json_dict(data)
     horn = Horn(3, 2, ((0, row[0]), (1, row[1]), (3, row[3])))
     assert compatibility_failures(X, horn) == [(0, 3), (1, 3)]
-    assert [z for z in range(X.cells[3]) if all(X.faces_of(3, z)[i] == v for i, v in horn.faces)] == [3]
-    engine = _Engine(SynthesisInput(X), 3)
-    columns = [(row[0],), (row[1],), (row[3],)]
-    assert engine._canonical_fill(3, 2, columns, None) == [None]
-    assert engine._canonical_fill(3, 2, [(row[0], 0), (row[1], 0), (row[3], 0)], None) == [None, 0]
+    inp = SynthesisInput(X, s0={0: 0})
+    almost0 = GoodSystem(DegeneracyTable(X), N=0, almost=True)
+    for run in (lambda: step1_extend(fresh_system(X), inp, 3),
+                lambda: step2_correct(almost0, inp, 3),
+                lambda: synthesize(inp, 3)):
+        with pytest.raises(ParseError, match="input set fails validation: .*face_commutation"):
+            run()
 
 
 def test_step1_truncation_guard(n2):
