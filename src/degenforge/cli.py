@@ -123,6 +123,8 @@ def _cmd_validate(args) -> tuple[str, dict, list]:
 
 
 def _cmd_check(args) -> tuple[str, dict, list]:
+    if not args.inner_fibration and (args.map or args.target):
+        raise ParseError("--map and --target need --inner-fibration")
     X = load_sset(args.sset)
     _require_valid("input set", validate(X))
     dim = _bound(args, X)

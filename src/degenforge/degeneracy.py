@@ -37,6 +37,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import (
     CertificateMismatch,
     ConsistencyViolation,
+    DegenforgeError,
     IncompatibleSubcomplexStructure,
     MissingDegeneracies,
     MissingWitness,
@@ -593,8 +594,6 @@ class _Engine:
                     raise MissingWitness(
                         f"supplied idempotency witness {w} at vertex {j} is invalid", vertex=j)
                 return w
-        if self.X.dim < 2:
-            raise MissingWitness(f"no idempotency witness possible at vertex {j}", vertex=j)
         for w in _filler_indices(self.X, 2, ((0, f), (1, f), (2, f))):
             if target is None or self._proj(2, w) == target:
                 return w
@@ -625,24 +624,15 @@ class _Engine:
 
 def step1_extend(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None) -> GoodSystem:
     """Extend an (N-1)-good system to an almost-N-good one by horn filling."""
-    X = inp.X
-    _require_valid("input set", validate(X))
-    bound = X.dim if D is None else min(D, X.dim)
-    N = sys.N + 1
-    if bound < N + 1:
-        raise TruncationExhausted(f"stage {N} needs truncation at least {N + 1}")
-    engine = _Engine(inp, bound)
+    engine = _Engine(*_prepared(inp, D))
     engine.table = sys.table.copy()
-    engine._step1(N)
-    return GoodSystem(table=engine.table, N=N, almost=True)
+    engine._step1(sys.N + 1)
+    return GoodSystem(table=engine.table, N=sys.N + 1, almost=True)
 
 
 def step2_correct(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None) -> GoodSystem:
     """Correct an almost-N-good system to an N-good one via its T-table."""
-    X = inp.X
-    _require_valid("input set", validate(X))
-    bound = X.dim if D is None else min(D, X.dim)
-    engine = _Engine(inp, bound)
+    engine = _Engine(*_prepared(inp, D))
     engine.table = sys.table.copy()
     engine._step2(sys.N)
     return GoodSystem(table=engine.table, N=sys.N, almost=False,
@@ -705,65 +695,93 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
     return s0, witnesses
 
 
+def _relative_s0_check(inp: SynthesisInput, D: int, lifts: LiftTests, v: int, e: int,
+                       w: Optional[int]):
+    """The witness of e as s0(v) over ``inp.p`` (a supplied ``w`` skips its test), or e's first failure."""
+    X, p, Ydeg, Adeg = inp.X, inp.p, inp.Y_deg, inp.A_deg
+    if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
+        return NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
+    a_value = None if Adeg is None else Adeg.value(0, 0, v)
+    if a_value is not None and a_value != e:
+        return IncompatibleSubcomplexStructure(
+            f"s0({v}) = {e} disagrees with the subcomplex value {a_value}", simplex=(0, v))
+    want = Ydeg.value(0, 0, p.apply_index(0, v))
+    if want is not None and p.apply_index(1, e) != want:
+        return ConsistencyViolation(
+            f"s0({v}) = {e} does not project to the target degeneracy", simplex=(0, v))
+    if w is None:
+        verdict = p_edge_property(p, SimplexRef(1, e), "idempotent", D, Ydeg)
+        if not verdict.result:
+            return NoIdempotentEquivalence(f"s0({v}) = {e} is not fiberwise idempotent", vertex=v)
+        w = verdict.witness.index
+    for prop in ("cartesian", "cocartesian"):
+        if not p_edge_property(p, SimplexRef(1, e), prop, D, lifts=lifts).result:
+            return NoIdempotentEquivalence(f"s0({v}) = {e} is not {prop} over the base", vertex=v)
+    return w
+
+
 def _resolve_s0_relative(inp: SynthesisInput, D: int):
-    X, p, Ydeg, A, Adeg = inp.X, inp.p, inp.Y_deg, inp.A, inp.A_deg
-    lifts = LiftTests(X, p)
+    # each vertex once: an edge fixed by s0, or by the subcomplex table where it
+    # defines s_0(v), must pass every check; otherwise the lowest edge that does is taken
+    X, Adeg, given = inp.X, inp.A_deg, inp.idempotency_witnesses
+    lifts = LiftTests(X, inp.p)
     s0: dict[int, int] = {}
-    if inp.s0 is not None:
-        s0 = dict(inp.s0)
-    else:
-        for v in range(X.cells[0]):
-            if A is not None and A.contains(0, v):
-                value = Adeg.value(0, 0, v) if Adeg is not None else None
-                if value is None:
-                    raise IncompatibleSubcomplexStructure(
-                        f"subcomplex vertex {v} lacks a degree-0 degeneracy", simplex=(0, v))
-                s0[v] = value
-                continue
-            want = Ydeg.value(0, 0, p.apply_index(0, v))
-            picked = None
-            for e in X.with_face(1, 0, v):
-                if X.face_index(1, e, 1) != v or p.apply_index(1, e) != want:
-                    continue
-                if not p_edge_property(p, SimplexRef(1, e), "idempotent", D, Ydeg).result:
-                    continue
-                if not p_edge_property(p, SimplexRef(1, e), "cartesian", D, lifts=lifts).result:
-                    continue
-                if not p_edge_property(p, SimplexRef(1, e), "cocartesian", D, lifts=lifts).result:
-                    continue
-                picked = e
-                break
-            if picked is None:
-                raise NoIdempotentEquivalence(
-                    f"no admissible degree-0 degeneracy found at vertex {v}", vertex=v)
-            s0[v] = picked
     witnesses: dict[int, int] = {}
-    given = inp.idempotency_witnesses
-    for v, e in s0.items():
-        if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
-            raise NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
-        if A is not None and A.contains(0, v) and Adeg is not None:
-            a_value = Adeg.value(0, 0, v)
-            if a_value is not None and a_value != e:
-                raise IncompatibleSubcomplexStructure(
-                    f"s0({v}) = {e} disagrees with the subcomplex value {a_value}", simplex=(0, v))
-        want = Ydeg.value(0, 0, p.apply_index(0, v))
-        if want is not None and p.apply_index(1, e) != want:
-            raise ConsistencyViolation(
-                f"s0({v}) = {e} does not project to the target degeneracy", simplex=(0, v))
+    for v in range(X.cells[0]):
         w = None
         if given is not None:
             w = given.get(v) if hasattr(given, "get") else given[v]
-        if w is None:
-            verdict = p_edge_property(p, SimplexRef(1, e), "idempotent", D, Ydeg)
-            if not verdict.result:
-                raise NoIdempotentEquivalence(f"s0({v}) = {e} is not fiberwise idempotent", vertex=v)
-            w = verdict.witness.index
-        for prop in ("cartesian", "cocartesian"):
-            if not p_edge_property(p, SimplexRef(1, e), prop, D, lifts=lifts).result:
-                raise NoIdempotentEquivalence(f"s0({v}) = {e} is not {prop} over the base", vertex=v)
-        witnesses[v] = w
+        e = inp.s0[v] if inp.s0 is not None else (None if Adeg is None else Adeg.value(0, 0, v))
+        if e is not None:
+            found = _relative_s0_check(inp, D, lifts, v, e, w)
+            if isinstance(found, DegenforgeError):
+                raise found
+        else:
+            # a search keeps the idempotent test even where a witness is supplied
+            for e in X.with_face(1, 0, v):
+                found = _relative_s0_check(inp, D, lifts, v, e, None)
+                if not isinstance(found, DegenforgeError):
+                    break
+            else:
+                raise NoIdempotentEquivalence(
+                    f"no admissible degree-0 degeneracy found at vertex {v}", vertex=v)
+        s0[v] = e
+        witnesses[v] = found if w is None else w
     return s0, witnesses
+
+
+def _prepared(inp: SynthesisInput, D: Optional[int],
+              validated: bool = False) -> tuple[SynthesisInput, int]:
+    """``inp`` with ``s0`` as one edge per vertex, and the bound; every way into the engine starts here.
+
+    The set, target and map are validated before anything else is checked,
+    unless ``validated`` says that the caller has already validated ``inp.X``.
+    """
+    X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
+    if not validated:
+        _require_valid("input set", validate(X))
+    bound = X.dim if D is None else min(D, X.dim)
+    if p is not None:
+        _require_valid("target set", validate(p.target))
+        _require_valid("projection", validate_map(p))
+        if inp.Y_deg is None:
+            raise MissingDegeneracies("relative synthesis needs the target's degeneracy table")
+        if p.source is not X and p.source != X:
+            raise ValueError("the projection's source must be the synthesis input set")
+        bound = min(bound, p.depth)
+    if inp.s0 is not None:
+        edges = X.cells[1] if X.dim else 0
+        inp = replace(inp, s0=_as_vertex_map(inp.s0, X.cells[0], edges, "s0"))
+    if A is not None:
+        closure = A.validate()
+        if not closure.ok:
+            raise IncompatibleSubcomplexStructure(
+                f"subcomplex is not face-closed: {closure.violations[:3]}")
+        if Adeg is not None:
+            _check_subcomplex_table(X, p, inp.Y_deg, A, Adeg)
+    elif Adeg is not None:
+        raise ParseError("a subcomplex table is given without its subcomplex")
+    return inp, bound
 
 
 def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
@@ -775,36 +793,16 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
     map every fill is a lift over the image prescribed by the target's
     degeneracies. Values on a subcomplex are taken from its table, and the
     output must restrict to it. Without a supplied ``s0``, each vertex gets
-    the lowest-index idempotent equivalence (over a map: the lowest fiberwise
-    idempotent, cartesian and cocartesian self-edge, or the subcomplex value).
-    ``_validated`` says that the caller has already validated ``inp.X``.
+    the lowest-index idempotent equivalence; over a map, the subcomplex value
+    where the subcomplex's table defines s_0, else the lowest fiberwise
+    idempotent, cartesian and cocartesian self-edge. An input that fails
+    validation gets no verdict, at any bound; ``_validated`` says that the
+    caller has already validated ``inp.X``.
     """
-    X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
-    bound = X.dim if D is None else min(D, X.dim)
-    if p is not None:
-        if inp.Y_deg is None:
-            raise MissingDegeneracies("relative synthesis needs the target's degeneracy table")
-        if p.source is not X and p.source != X:
-            raise ValueError("the projection's source must be the synthesis input set")
-        bound = min(bound, p.depth)
+    inp, bound = _prepared(inp, D, _validated)
     if bound < 2:
         raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
-    if not _validated:
-        _require_valid("input set", validate(X))
-    if p is not None:
-        _require_valid("target set", validate(p.target))
-        _require_valid("projection", validate_map(p))
-    if inp.s0 is not None:
-        inp = replace(inp, s0=_as_vertex_map(inp.s0, X.cells[0], X.cells[1], "s0"))
-    if A is not None:
-        closure = A.validate()
-        if not closure.ok:
-            raise IncompatibleSubcomplexStructure(
-                f"subcomplex is not face-closed: {closure.violations[:3]}")
-        if Adeg is not None:
-            _check_subcomplex_table(X, p, inp.Y_deg, A, Adeg)
-    elif Adeg is not None:
-        raise ParseError("a subcomplex table is given without its subcomplex")
+    X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
     if p is None:
         inner = check_inner(X, bound)
         if not inner.ok:
@@ -909,7 +907,6 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
         raise NotKan("a horn is unfillable", witness=kan.witness)
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
-    equivalence_cache: dict[int, bool] = {}
     for v in range(X.cells[0]):
         e = min(j for j in X.with_face(1, 1, v))
         sigma = _filler_indices(X, 2, ((0, e), (1, e)))[0]
@@ -920,9 +917,7 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
             raise ConsistencyViolation(
                 f"witness read-off failed at vertex {v}; the face tables are inconsistent",
                 simplex=(0, v))
-        if f not in equivalence_cache:
-            equivalence_cache[f] = is_equivalence(X, SimplexRef(1, f), bound, lifts).result
-        if not equivalence_cache[f]:
+        if not is_equivalence(X, SimplexRef(1, f), bound, lifts).result:
             raise ConsistencyViolation(
                 f"edge {f} is not an equivalence despite the Kan condition", simplex=(1, f))
         s0[v] = f

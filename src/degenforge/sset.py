@@ -349,7 +349,7 @@ class SemisimplicialMap:
             row = tuple(level)
             if len(row) != source.cells[n]:
                 raise ValueError(f"level {n}: {len(row)} values for {source.cells[n]} simplices")
-            if not all(map(_is_int, row)):
+            if set(map(type, row)) - {int}:
                 raise ValueError(f"level {n}: every value must be an integer")
             norm.append(tuple(_interned(row, target.cells[n])[0]))
         self.levels = tuple(norm)
@@ -427,7 +427,7 @@ class Subcomplex:
         if len(padded) != ambient.dim + 1:
             raise ValueError("more member levels than ambient dimensions")
         for n, level in enumerate(padded):
-            if not all(map(_is_int, level)):
+            if set(map(type, level)) - {int}:
                 raise ValueError(f"level {n}: every member must be an integer")
         self.members = tuple(frozenset(level) for level in padded)
 

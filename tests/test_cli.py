@@ -334,6 +334,61 @@ def test_a_subcomplex_table_needs_its_subcomplex(rel_files, tmp_path):
     assert (code, report["verdict"]) == (1, "IncompatibleSubcomplexStructure"), report
 
 
+@pytest.mark.parametrize("command", ["synthesize", "synthesize-rel"])
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_synthesis_gives_no_verdict_on_an_invalid_set_at_any_dim(tmp_path, command, dim):
+    # face entry 5 of the 2-simplex is out of range; below bound 2 the run must
+    # still refuse the set rather than name the bound
+    from degenforge.nerve import nerve
+    point = nerve(cyclic_group(1), 2)
+    files = {"sset": {"dim": 2, "cells": [1, 1, 1], "faces": [[[0, 0]], [[0, 5, 0]]]},
+             "target": point.sset.to_json_dict(), "ydeg": point.oracle_degeneracies.to_json_dict(),
+             "map": {"levels": [[0], [0], [0]]}}
+    paths = {}
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    argv = (["synthesize", str(paths["sset"])] if command == "synthesize"
+            else ["synthesize-rel", str(paths["sset"]), "--map", str(paths["map"]),
+                  "--target", str(paths["target"]), "--ydeg", str(paths["ydeg"])])
+    code, report = run([*argv, "--dim", dim])
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert report["detail"].startswith("input set fails validation")
+
+
+def test_a_subcomplex_without_its_table_fixes_no_value(rel_files, tmp_path):
+    # the vertices alone, with no table: the run writes what it writes without --sub
+    plain, with_sub = tmp_path / "plain.table", tmp_path / "sub.table"
+    assert _synthesize_rel(rel_files, "--dim", "3", "--out", str(plain))[0] == 0
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"members": [[0, 1]]}))
+    code, report = _synthesize_rel(rel_files, "--dim", "3", "--sub", str(sub), "--out", str(with_sub))
+    assert (code, report["verdict"]) == (0, "success"), report
+    assert with_sub.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("with_s0", [False, True])
+def test_a_target_table_without_vertex_degeneracies(rel_files, tmp_path, with_s0):
+    # J's table with its s_0 level on vertices null: no run can pick or check s0
+    _edit(rel_files["ydeg"], lambda d: d["s"][0].__setitem__(0, None))
+    extra = []
+    if with_s0:
+        s0 = tmp_path / "s0.json"
+        s0.write_text(json.dumps(rel_files["s0"]))
+        extra = ["--s0", str(s0)]
+    code, report = _synthesize_rel(rel_files, "--dim", "3", *extra)
+    assert (code, report["verdict"], report["detail"]) == (
+        1, "MissingDegeneracies", "target degeneracies undefined at the base vertex"), report
+
+
+@pytest.mark.parametrize("mode", ["--inner", "--kan"])
+@pytest.mark.parametrize("flag", ["--map", "--target"])
+def test_check_without_inner_fibration_refuses_a_map(rel_files, mode, flag):
+    code, report = run(["check", mode, str(rel_files["sset"]), flag, str(rel_files[flag[2:]])])
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert "--inner-fibration" in report["detail"]
+
+
 def test_validate_rejects_a_face_row_given_as_a_number(z2_files):
     _edit(z2_files["sset"], lambda d: d["faces"][1].__setitem__(0, 7))
     code, report = run(["validate", str(z2_files["sset"])])

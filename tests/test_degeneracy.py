@@ -217,6 +217,54 @@ def test_staged_builders_reject_a_set_with_an_incompatible_simplex():
             run()
 
 
+def _builder_inputs(nj, terminal):
+    """Inputs that every way into the engine must refuse alike, with what it raises."""
+    X = nj.sset
+    s0 = {v: nj.oracle_degeneracies.value(0, 0, v) for v in range(X.cells[0])}
+    to_point = SemisimplicialMap(X, terminal.sset, [[0] * c for c in X.cells])
+    return {
+        "target table missing": (
+            SynthesisInput(X, p=to_point, s0=s0), MissingDegeneracies,
+            "relative synthesis needs the target's degeneracy table"),
+        "s0 missing a vertex": (
+            SynthesisInput(X, s0={0: s0[0]}), ParseError, "s0 must cover every vertex; missing 1"),
+        "s0 out of range": (
+            SynthesisInput(X, s0={0: s0[0], 1: 99}), ParseError,
+            "s0(1) = 99 is not an edge index in 0..3"),
+        "subcomplex not face-closed": (
+            SynthesisInput(X, A=Subcomplex(X, [set(), {0}]), s0=s0), IncompatibleSubcomplexStructure,
+            "subcomplex is not face-closed: [('closure', 1, 0, 0), ('closure', 1, 0, 1)]"),
+        "table without its subcomplex": (
+            SynthesisInput(X, A_deg=nj.oracle_degeneracies, s0=s0), ParseError,
+            "a subcomplex table is given without its subcomplex"),
+    }
+
+
+@pytest.mark.parametrize("case", ["target table missing", "s0 missing a vertex", "s0 out of range",
+                                  "subcomplex not face-closed", "table without its subcomplex"])
+def test_staged_builders_refuse_what_synthesize_refuses(nj, terminal, case):
+    inp, kind, text = _builder_inputs(nj, terminal)[case]
+    almost0 = GoodSystem(DegeneracyTable(nj.sset), N=0, almost=True)
+    for run in (lambda: synthesize(inp, 4), lambda: step1_extend(fresh_system(nj.sset), inp, 4),
+                lambda: step2_correct(almost0, inp, 4)):
+        assert _raised(kind, run)[0] == text
+
+
+def test_staged_builders_stop_at_the_depth_of_the_map(n2):
+    # the map reaches level 2 of the D5 set, so every run is bounded at 2
+    X = n2.sset
+    shallow = nerve(cyclic_group(1), 2)
+    p = SemisimplicialMap(X, shallow.sset, [[0] * c for c in X.cells[:3]])
+    inp = replace(base_input(n2), p=p, Y_deg=shallow.oracle_degeneracies)
+    good = step2_correct(step1_extend(fresh_system(X), inp, 5), inp, 5)
+    result = synthesize(inp, 5)
+    assert result.bound == 2
+    assert good.table.restricted(0) == result.table
+    almost1 = step1_extend(good, inp, 5)
+    assert _raised(TruncationExhausted, lambda: step2_correct(almost1, inp, 5))[0] == (
+        "the stage-1 correction needs truncation at least 3")
+
+
 def test_step1_truncation_guard(n2):
     sys = fresh_system(n2.sset)
     with pytest.raises(TruncationExhausted):
