@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Optional
@@ -42,6 +43,7 @@ from .sset import (
     SimplexRef,
     Subcomplex,
     _require_valid,
+    hash_seed,
     validate,
     validate_map,
 )
@@ -52,12 +54,15 @@ AFFIRMATIVE = {"ok", "yes", "success", "pass"}
 # -- file helpers ------------------------------------------------------------
 
 
-def _load_json(path: str):
+def _load_json(path: str, keep_bytes: bool = False):
+    """The JSON value in the UTF-8 file ``path``; with ``keep_bytes``, the pair of it and the bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        data = json.loads(blob.decode("utf-8"))  # json.loads(bytes) would accept UTF-16 and UTF-32
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    return (data, blob) if keep_bytes else data
 
 
 def _dump_json(path: str, payload) -> None:
@@ -71,7 +76,10 @@ def _dump_json(path: str, payload) -> None:
 
 
 def load_sset(path: str) -> SemisimplicialSet:
-    return SemisimplicialSet.from_json_dict(_load_json(path))
+    data, blob = _load_json(path, keep_bytes=True)
+    seed = hash_seed(blob)
+    del blob  # no copy of the file is alive while the set is built
+    return SemisimplicialSet.from_json_dict(data, seed)
 
 
 def load_map(path: str, source: SemisimplicialSet, target: SemisimplicialSet) -> SemisimplicialMap:
@@ -383,6 +391,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> tuple[int, dict]:
+    """Run one command; the cyclic collector is paused until it returns or raises.
+
+    What a command builds (parsed JSON, int levels, tuples, records) holds no
+    cycles, yet its allocations would run the collector over it again and again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Optional[list[str]]) -> tuple[int, dict]:
     parser = _build_parser()
     args = parser.parse_args(argv)
     report = {"command": args.command}
@@ -400,11 +423,8 @@ def run(argv: Optional[list[str]] = None) -> tuple[int, dict]:
             report["witness"] = witness.to_json_dict()
         for key in ("vertex", "simplex", "position"):
             value = getattr(exc, key, None)
-            if key == "simplex" and value is not None:
-                # an incompatible horn's violation holds its failing face pairs in place of j
-                value = list(value) if all(type(i) is int for i in value) else None
             if value is not None:
-                report["witness"] = {key: value}
+                report["witness"] = {key: list(value) if key == "simplex" else value}
         return 1, report
     report["verdict"] = verdict
     report.update(payload)

@@ -696,13 +696,14 @@ class _Engine:
         for i, v in faces:
             if v is None:
                 raise ConsistencyViolation(
-                    f"needed degeneracy value undefined while prescribing face {i} of the {what} horn at ({n},{j})")
+                    f"needed degeneracy value undefined while prescribing face {i} of the {what} horn at ({n},{j})",
+                    simplex=(n, j))
         horn = Horn(m, k, faces)
         bad = compatibility_failures(self.X, horn)
         if bad:
             raise ConsistencyViolation(
                 f"prescribed horn at level {n} is incompatible at {bad}; "
-                "the current system violates an identity", simplex=(n, bad))
+                "the current system violates an identity", simplex=(n, j))
         raise UnfillableHorn(f"no admissible filler for the ({m},{k}) horn at level {n}",
                              horn=horn, level=n, target=target)
 

@@ -24,7 +24,8 @@ few bytes: the pool never holds more ints than the inputs held entries.
 Interning changes no value: reports, hashes and files are the same bytes
 either way. The constructor takes each level's min and max once and records
 the face levels out of range; ``validate`` walks only those to name their
-entries.
+entries. ``content_hash`` is computed once per set, or seeded at load from the
+file's bytes when they are the set's canonical JSON (see ``hash_seed``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain, count
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionTooLow, ParseError
 
@@ -150,6 +151,7 @@ class SemisimplicialSet:
         # (n, i) -> {v: n-simplices with d_i = v}; (n, a, b) -> {(v, w): ... d_a = v, d_b = w}
         self._index: dict = {}
         self._edges: dict = {}
+        self._hash: Optional[str] = None
 
     # -- access -----------------------------------------------------------
 
@@ -214,7 +216,8 @@ class SemisimplicialSet:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SemisimplicialSet":
+    def from_json_dict(cls, data: Mapping, seed: Optional[tuple[bytes, str]] = None) -> "SemisimplicialSet":
+        """The set ``data`` holds; ``seed`` is ``hash_seed`` of the bytes it was parsed from."""
         try:
             dim = data["dim"]
             cells = list(data["cells"])
@@ -228,20 +231,31 @@ class SemisimplicialSet:
         if len(faces) != dim:
             raise ParseError(f"dim {dim} disagrees with {len(faces)} face levels")
         try:
-            return cls(cells, faces)
+            X = cls(cells, faces)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
+        if seed is not None and seed[0] == X._head().encode():
+            X._hash = seed[1]
+        return X
+
+    def _head(self) -> str:
+        """The canonical JSON up to the face levels: cell counts, dimension, ``"faces":[``."""
+        return '{"cells":[%s],"dim":%d,"faces":[' % (",".join(map(str, self.cells)), self.dim)
 
     def content_hash(self) -> str:
-        # the bytes json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":")) writes,
-        # each level formatted from its flat list by one template
-        levels = []
-        for n, flat in enumerate(self._faces[1:], 1):
-            row = "[" + ",".join(["%d"] * (n + 1)) + "]"
-            levels.append(("[" + ",".join([row] * self.cells[n]) + "]") % tuple(flat))
-        blob = '{"cells":[%s],"dim":%d,"faces":[%s]}' % (",".join(map(str, self.cells)), self.dim,
-                                                          ",".join(levels))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """sha256 of the set's canonical JSON, computed once.
+
+        Those are the bytes json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":"))
+        writes, each level formatted from its flat list by one template.
+        """
+        if self._hash is None:
+            levels = []
+            for n, flat in enumerate(self._faces[1:], 1):
+                row = "[" + ",".join(["%d"] * (n + 1)) + "]"
+                levels.append(("[" + ",".join([row] * self.cells[n]) + "]") % tuple(flat))
+            blob = self._head() + ",".join(levels) + "]}"
+            self._hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemisimplicialSet):
@@ -250,6 +264,23 @@ class SemisimplicialSet:
 
     def __repr__(self) -> str:
         return f"SemisimplicialSet(cells={list(self.cells)})"
+
+
+def hash_seed(blob: bytes) -> Optional[tuple[bytes, str]]:
+    """The head and sha256 of a set file's bytes when they may be its canonical JSON, else None.
+
+    Less one final newline, the bytes of a file that parsed to a set are that
+    set's canonical JSON exactly when they begin with the set's head, hold no
+    ``"`` but the six of its three keys (so no other key and no escape), and
+    hold no whitespace and no ``-`` (so no ``-0``). The head, up to
+    ``"faces":[``, is compared once the set is built, so no copy of the file
+    need outlive this call.
+    """
+    end = len(blob) - blob.endswith(b"\n")
+    at = blob.find(b'"faces":[')
+    if at < 0 or blob.count(b'"') != 6 or blob.count(b"\n", 0, end) or any(c in blob for c in b" \t\r-"):
+        return None
+    return blob[:at + len(b'"faces":[')], hashlib.sha256(memoryview(blob)[:end]).hexdigest()
 
 
 def _flattened(n: int, level: Sequence[Sequence[int]], simplices: int) -> list[int]:

@@ -636,9 +636,8 @@ def test_an_ill_typed_record_is_named_by_its_position(z2_certified, field, value
     assert report["detail"] == f"{z2_certified['cert']}: record 5 {problem}"
 
 
-@pytest.mark.parametrize("simplex, witness", [((2, 1), {"simplex": [2, 1]}), ((2, [(0, 3)]), None)])
+@pytest.mark.parametrize("simplex, witness", [((2, 1), {"simplex": [2, 1]})])
 def test_a_violation_reports_a_simplex_that_is_a_pair_of_ints(z2_small, monkeypatch, simplex, witness):
-    # an incompatible horn's violation holds its failing face pairs in place of j
     from degenforge import cli
     from degenforge.errors import ConsistencyViolation
 
@@ -842,3 +841,89 @@ def test_a_synthesized_table_reloads_equal_and_replays(tmp_path, name):
     assert loaded == synthesize(SynthesisInput(X)).table
     code, report = run(["verify", str(sset), str(table), "--cert", str(cert)])
     assert (code, report["verdict"]) == (0, "pass"), report
+
+
+@pytest.fixture()
+def every_kind(rel_files, z2_certified, tmp_path):
+    """Argv reading each kind of input file, and that file's path."""
+    s0 = tmp_path / "s0.json"
+    s0.write_text(json.dumps([0]))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"members": [[0]]}))
+    cat = tmp_path / "z2.cat"
+    cat.write_text(json.dumps(cyclic_group(2).to_json_dict()))
+    z2 = [str(z2_certified[name]) for name in ("sset", "table", "cert")]
+    rel = ["synthesize-rel", str(rel_files["sset"]), "--map", str(rel_files["map"]),
+           "--target", str(rel_files["target"]), "--ydeg", str(rel_files["ydeg"])]
+    return {
+        "set": (["validate", z2[0]], z2[0]),
+        "map": (rel, str(rel_files["map"])),
+        "table": (["verify", *z2[:2]], z2[1]),
+        "subcomplex": ([*rel, "--sub", str(sub)], str(sub)),
+        "s0": (["synthesize", z2[0], "--s0", str(s0)], str(s0)),
+        "certificate": (["verify", z2[0], z2[1], "--cert", z2[2]], z2[2]),
+        "category": (["nerve", "--cat", str(cat), "--dim", "2", "--out", str(tmp_path / "o.sset")], str(cat)),
+    }
+
+
+@pytest.mark.parametrize("encoding", ["bytes ff fe first", "UTF-16"])
+@pytest.mark.parametrize("kind", ["set", "map", "table", "subcomplex", "s0", "certificate", "category"])
+def test_a_file_that_is_not_utf8_is_unreadable_input(every_kind, kind, encoding):
+    argv, path = every_kind[kind]
+    assert run(argv)[0] == 0
+    with open(path, "rb") as handle:
+        valid = handle.read()
+    bad = b"\xff\xfe" + valid if encoding == "bytes ff fe first" else valid.decode("utf-8").encode("utf-16")
+    with open(path, "wb") as handle:
+        handle.write(bad)
+    code, report = run(argv)
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert report["detail"].startswith(f"cannot read {path}: 'utf-8' codec can't decode"), report
+
+
+@pytest.fixture()
+def collector():
+    """Puts the collector back as the test found it."""
+    import gc
+    enabled = gc.isenabled()
+    yield gc
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("before", [True, False])
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 1", "exit 2", "argparse exit"])
+def test_a_command_pauses_the_collector_and_restores_it(z2_small, monkeypatch, collector, before, outcome):
+    from degenforge import cli
+    from degenforge.errors import ConsistencyViolation
+
+    seen = []
+    validate = cli.validate
+
+    def watched(X):
+        seen.append(collector.isenabled())
+        if outcome == "exit 1":
+            raise ConsistencyViolation("violated")
+        return validate(X)
+
+    monkeypatch.setattr(cli, "validate", watched)
+    sset = str(z2_small["sset"]) if outcome != "exit 2" else str(z2_small["sset"]) + ".missing"
+    (collector.enable if before else collector.disable)()
+    if outcome == "argparse exit":
+        with pytest.raises(SystemExit):
+            run(["validate", sset, "--no-such-flag"])
+    else:
+        assert run(["validate", sset])[0] == int(outcome[-1])
+    assert collector.isenabled() is before
+    assert seen == ([] if outcome in ("exit 2", "argparse exit") else [False])
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[" * 100000, "maximum recursion depth exceeded"),
+    ('{"cells":[%s],"dim":0,"faces":[]}' % ("1" * 5000), "Exceeds the limit (4300 digits)"),
+], ids=["nested too deep", "an int of 5000 digits"])
+def test_a_file_the_json_parser_refuses_is_unreadable_input(tmp_path, text, problem):
+    sset = tmp_path / "x.sset"
+    sset.write_text(text)
+    code, report = run(["validate", str(sset)])
+    assert (code, report["verdict"]) == (2, "error"), report
+    assert report["detail"].startswith(f"cannot read {sset}: {problem}")

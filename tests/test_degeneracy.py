@@ -149,7 +149,7 @@ def test_extension_horn_with_an_undefined_lower_value(n2):
     system = GoodSystem(_without_level(good0.table, 0, 1), N=0)
     assert _raised(ConsistencyViolation, lambda: step1_extend(system, inp, 5)) == (
         "needed degeneracy value undefined while prescribing face 0 of the extension horn at (2,0)",
-        None)
+        (2, 0))
 
 
 def test_correction_horn_with_an_undefined_lower_value(n2):
@@ -159,20 +159,21 @@ def test_correction_horn_with_an_undefined_lower_value(n2):
     system = GoodSystem(_without_level(almost1.table, 0, 1), N=1, almost=True)
     assert _raised(ConsistencyViolation, lambda: step2_correct(system, inp, 5)) == (
         "needed degeneracy value undefined while prescribing face 0 of the correction horn at (1,1)",
-        None)
+        (1, 1))
 
 
 @pytest.mark.parametrize("n, j, value, text, simplex", [
     (1, 1, 3, "prescribed horn at level 2 is incompatible at [(0, 3)]; "
-              "the current system violates an identity", (2, [(0, 3)])),
+              "the current system violates an identity", (2, 1)),
     (2, 3, 4, "prescribed horn at level 3 is incompatible at [(0, 1), (0, 3), (0, 4)]; "
-              "the current system violates an identity", (3, [(0, 1), (0, 3), (0, 4)])),
+              "the current system violates an identity", (3, 3)),
     (1, 0, 2, "s_1 at simplex (1,0) violates its defining equation at face 1", (1, 0)),
     (3, 2, 4, "s_1 at simplex (3,2) violates its defining equation at face 0", (3, 2)),
 ])
 def test_extension_over_a_corrupted_lower_value(n2, n, j, value, text, simplex):
-    # an incompatible prescribed horn fails before its fill; a wrong forced
-    # value off the subcomplex fails the level's check as a ConsistencyViolation
+    # an incompatible prescribed horn fails before its fill, naming its simplex and
+    # the failing face pairs; a wrong forced value off the subcomplex fails the
+    # level's check as a ConsistencyViolation
     inp = base_input(n2)
     good0 = step2_correct(step1_extend(fresh_system(n2.sset), inp, 5), inp, 5)
     system = GoodSystem(_with_value(good0.table, 0, n, j, value), N=0)

@@ -303,9 +303,9 @@ def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
     assert run(["verify", str(sset), str(table)])[0] == 0
     assert len(loaded) == 2 and len(tables) == 1
     for X in loaded:
-        # a loaded set holds its face data and no slot index or edge array
+        # a loaded set holds its face data, its content hash and no slot index or edge array
         assert not [name for name, value in vars(X).items()
-                    if name not in ("dim", "cells", "_faces") and value]
+                    if name not in ("dim", "cells", "_faces", "_hash") and value]
     # a loaded table holds its base and its levels, and no reverse lookup
     assert not [name for name, value in vars(tables[0]).items()
                 if name not in ("base", "_s") and value]

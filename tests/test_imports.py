@@ -35,3 +35,11 @@ def test_a_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(name for name, _ in _imports(tree) if name not in used) == []
+
+
+def test_only_the_command_line_touches_the_collector():
+    # the library never pauses or runs the cyclic collector; ``cli.run`` pauses it per command
+    package = SOURCES[0].parent
+    importers = [p.name for p in sorted(package.glob("*.py"))
+                 if "gc" in {top for _, top in _imports(ast.parse(p.read_text(encoding="utf-8")))}]
+    assert importers == ["cli.py"]
