@@ -54,15 +54,23 @@ AFFIRMATIVE = {"ok", "yes", "success", "pass"}
 # -- file helpers ------------------------------------------------------------
 
 
-def _load_json(path: str, keep_bytes: bool = False):
-    """The JSON value in the UTF-8 file ``path``; with ``keep_bytes``, the pair of it and the bytes."""
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file ``path``."""
     try:
         with open(path, "rb") as handle:
-            blob = handle.read()
-        data = json.loads(blob.decode("utf-8"))  # json.loads(bytes) would accept UTF-16 and UTF-32
-    except (OSError, ValueError, RecursionError) as exc:
+            return handle.read().decode("utf-8")  # json.loads(bytes) would accept UTF-16 and UTF-32
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return (data, blob) if keep_bytes else data
+
+
+def _load_json(path: str, text: Optional[str] = None):
+    """The JSON value in the UTF-8 file ``path``, whose ``text`` the caller may have read."""
+    if text is None:
+        text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _dump_json(path: str, payload) -> None:
@@ -76,10 +84,14 @@ def _dump_json(path: str, payload) -> None:
 
 
 def load_sset(path: str) -> SemisimplicialSet:
-    data, blob = _load_json(path, keep_bytes=True)
-    seed = hash_seed(blob)
-    del blob  # no copy of the file is alive while the set is built
-    return SemisimplicialSet.from_json_dict(data, seed)
+    text = _read_text(path)
+    seed = hash_seed(text)
+    data = _load_json(path, text)
+    del text  # no copy of the file is alive while the set is built
+    X = SemisimplicialSet.from_json_dict(data)
+    if seed is not None and seed[0] == X._head():
+        X._hash = seed[1]  # the file is the set's canonical JSON
+    return X
 
 
 def load_map(path: str, source: SemisimplicialSet, target: SemisimplicialSet) -> SemisimplicialMap:

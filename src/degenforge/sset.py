@@ -24,8 +24,8 @@ few bytes: the pool never holds more ints than the inputs held entries.
 Interning changes no value: reports, hashes and files are the same bytes
 either way. The constructor takes each level's min and max once and records
 the face levels out of range; ``validate`` walks only those to name their
-entries. ``content_hash`` is computed once per set, or seeded at load from the
-file's bytes when they are the set's canonical JSON (see ``hash_seed``).
+entries. ``content_hash`` is computed once per set, or seeded by the loader
+from the file's text when it is the set's canonical JSON (see ``hash_seed``).
 """
 
 from __future__ import annotations
@@ -216,8 +216,7 @@ class SemisimplicialSet:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, seed: Optional[tuple[bytes, str]] = None) -> "SemisimplicialSet":
-        """The set ``data`` holds; ``seed`` is ``hash_seed`` of the bytes it was parsed from."""
+    def from_json_dict(cls, data: Mapping) -> "SemisimplicialSet":
         try:
             dim = data["dim"]
             cells = list(data["cells"])
@@ -231,12 +230,9 @@ class SemisimplicialSet:
         if len(faces) != dim:
             raise ParseError(f"dim {dim} disagrees with {len(faces)} face levels")
         try:
-            X = cls(cells, faces)
+            return cls(cells, faces)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
-        if seed is not None and seed[0] == X._head().encode():
-            X._hash = seed[1]
-        return X
 
     def _head(self) -> str:
         """The canonical JSON up to the face levels: cell counts, dimension, ``"faces":[``."""
@@ -266,21 +262,23 @@ class SemisimplicialSet:
         return f"SemisimplicialSet(cells={list(self.cells)})"
 
 
-def hash_seed(blob: bytes) -> Optional[tuple[bytes, str]]:
-    """The head and sha256 of a set file's bytes when they may be its canonical JSON, else None.
+def hash_seed(text: str) -> Optional[tuple[str, str]]:
+    """The head and sha256 of a set file's text when it may be the set's canonical JSON, else None.
 
-    Less one final newline, the bytes of a file that parsed to a set are that
-    set's canonical JSON exactly when they begin with the set's head, hold no
-    ``"`` but the six of its three keys (so no other key and no escape), and
-    hold no whitespace and no ``-`` (so no ``-0``). The head, up to
-    ``"faces":[``, is compared once the set is built, so no copy of the file
-    need outlive this call.
+    Less one final newline, the text of a file that parsed to a set is that
+    set's canonical JSON exactly when it begins with the set's head (see
+    ``_head``) and holds no ``"`` but the six of its three keys (so no other
+    key and no escape), no ``{`` but the first (so no empty level written as
+    ``{}``, the one other container an accepted level may be) and no
+    whitespace and no ``-`` (so no ``-0``): what follows the head is then
+    lists of ints, each with one spelling. The head is compared once the set
+    is built, so that no copy of the text need be alive while it is.
     """
-    end = len(blob) - blob.endswith(b"\n")
-    at = blob.find(b'"faces":[')
-    if at < 0 or blob.count(b'"') != 6 or blob.count(b"\n", 0, end) or any(c in blob for c in b" \t\r-"):
+    body = text.removesuffix("\n")
+    at = body.find('"faces":[')
+    if at < 0 or body.count('"') != 6 or body.count("{") != 1 or any(c in body for c in " \t\r\n-"):
         return None
-    return blob[:at + len(b'"faces":[')], hashlib.sha256(memoryview(blob)[:end]).hexdigest()
+    return body[:at + len('"faces":[')], hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def _flattened(n: int, level: Sequence[Sequence[int]], simplices: int) -> list[int]:

@@ -77,7 +77,12 @@ VARIANTS = {
     "space among the faces": lambda doc, text: _in_faces(text, ",", ", "),
     "two trailing newlines": lambda doc, text: text + "\n",
     "CRLF": lambda doc, text: text[:-1] + "\r\n",
+    "empty level as {}": lambda doc, text: _in_faces(text, "[]", "{}"),
 }
+# the sets each spelling applies to: only a set with an empty face level has a "[]" among its faces
+SPELLINGS = [(name, variant) for name in ("z2xj@D4", "z1@D12")
+             for variant in sorted(VARIANTS) if variant != "empty level as {}"]
+SPELLINGS.append(("empty top level", "empty level as {}"))
 
 
 def _variant(tmp_path, name: str, variant: str):
@@ -90,8 +95,7 @@ def _variant(tmp_path, name: str, variant: str):
     return X, path
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("name", ["z2xj@D4", "z1@D12"])
+@pytest.mark.parametrize("name, variant", SPELLINGS)
 def test_another_spelling_computes_the_same_hash(tmp_path, name, variant):
     X, path = _variant(tmp_path, name, variant)
     loaded = load_sset(str(path))
