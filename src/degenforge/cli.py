@@ -79,8 +79,11 @@ def _dump_json(path: str, payload) -> None:
         blob = payload.to_json() + "\n"
     else:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(blob)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(blob)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def load_sset(path: str) -> SemisimplicialSet:
@@ -111,9 +114,10 @@ def load_category(path: str) -> CategoryPresentation:
 
 
 def _load_certificate(path: str) -> Certificate:
-    records = _load_json(path)
+    text = _read_text(path)
+    records = _load_json(path, text)
     try:
-        return Certificate.from_records(records)
+        return Certificate.from_records(records, text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -24,7 +24,9 @@ candidate is y = d_i x, read off the face table. Every decision (fill,
 forcing, witness) is recorded in an ordered certificate that replays
 deterministically: one typed block per level, holding the level's j order,
 kinds and values and one column per horn face, from which dict records are
-made only when they are read. Replay compares blocks a column at a time.
+made only when they are read. A run is a deterministic byte string, so a
+certificate read from a file replays by one compare of its text with the
+run's; records are compared as dicts only where the texts differ.
 
 Working tables keep one provisional level above the verified range (the
 stage-N step-one values at the top level feed later stages' forced values);
@@ -37,7 +39,7 @@ import functools
 import json
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, filterfalse, groupby, islice, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import is_, not_
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -282,7 +284,7 @@ class SimplicialReport:
 
 
 FORCED, FILLED, WITNESS = "forced", "filled", "witness"
-_KINDS = {kind: kind for kind in (FORCED, FILLED, WITNESS)}
+_KINDS = frozenset({FORCED, FILLED, WITNESS})
 _FIELDS = frozenset({"stage", "simplex", "kind", "value"})
 _HORNED = _FIELDS | {"horn"}
 _STAGE, _HORN = frozenset({"N", "step"}), frozenset({"n", "k", "faces"})
@@ -311,13 +313,13 @@ class CertificateBlock(NamedTuple):
     values: list
     faces: tuple
 
-    def records(self, start: int = 0) -> Iterator[dict]:
-        """The block's dict records from position ``start`` on."""
+    def records(self) -> Iterator[dict]:
+        """The block's dict records."""
         N, step, n = self.N, self.step, self.n
         m, k = _horn_shape(N, step, n)
         names = list(map(str, _positions(m, k))) if self.faces else []
-        rows = islice(zip(*self.faces), self.kinds[:start].count(FILLED), None)
-        for j, kind, value in zip(self.js[start:], self.kinds[start:], self.values[start:]):
+        rows = zip(*self.faces)
+        for j, kind, value in zip(self.js, self.kinds, self.values):
             record = {"stage": {"N": N, "step": step}, "simplex": [n, j], "kind": kind, "value": value}
             if kind == FILLED:
                 record["horn"] = {"n": m, "k": k, "faces": dict(zip(names, next(rows)))}
@@ -351,27 +353,27 @@ class CertificateBlock(NamedTuple):
 
 
 class Certificate(SequenceABC):
-    """The decisions of a synthesis run as typed blocks, read as dict records on demand.
+    """The decisions of a run, read as a sequence of dict records.
 
     A record is ``{"stage": {"N", "step"}, "simplex": [n, j], "kind",
     "value"}``, and a filled one adds ``"horn": {"n", "k", "faces"}`` with
-    its faces keyed by position. The engine appends one
-    :class:`CertificateBlock` per level. :meth:`from_records` parses a list
-    of records into the same form.
+    its faces keyed by position. A run's certificate holds one
+    :class:`CertificateBlock` per level, appended by the engine. A read one
+    (:meth:`from_records`) holds its type-checked records and, in ``text``,
+    the JSON text they were parsed from.
     """
 
     def __init__(self):
         self.blocks: list[CertificateBlock] = []
-        self._source: Optional[list] = None  # the records it was parsed from
+        self.text: Optional[str] = None
+        self._records: Optional[list] = None
 
     @classmethod
-    def from_records(cls, records: list) -> "Certificate":
-        """Type-check a list of records and parse it into blocks.
+    def from_records(cls, records: list, text: Optional[str] = None) -> "Certificate":
+        """Type-check a list of records and keep it, with the ``text`` it was parsed from if given.
 
         An ill-typed record is a ParseError that names its position. The
-        blocks stop before the first level holding a record that no run
-        writes (see :func:`_blocks`). The records themselves are kept, so that
-        a mismatch quotes them as given.
+        records are kept as given, and a mismatch quotes them as given.
         """
         if not isinstance(records, list):
             raise ParseError("a certificate is an ordered list of records")
@@ -380,52 +382,54 @@ class Certificate(SequenceABC):
             if problem is not None:
                 raise ParseError(f"record {position} {problem}")
         out = cls()
-        out.blocks, out._source = _blocks(records), records
+        out._records, out.text = records, text
         return out
 
     def to_json(self) -> str:
         """The records as compact JSON with sorted keys, byte for byte as ``json.dumps`` writes them.
 
-        A run's certificate is written a block at a time; a parsed one is
+        A run's certificate is written a block at a time; read records are
         dumped as given.
         """
-        if self._source is not None:
-            return json.dumps(self._source, sort_keys=True, separators=(",", ":"))
-        return "[" + ",".join(block.to_json() for block in self.blocks) + "]"
+        if self._records is not None:
+            return json.dumps(self._records, sort_keys=True, separators=(",", ":"))
+        return "".join(self._texts())
+
+    def _texts(self) -> Iterator[str]:
+        """A run's :meth:`to_json`, a block of records at a time."""
+        yield "["
+        for i, block in enumerate(self.blocks):
+            if i:
+                yield ","
+            yield block.to_json()
+        yield "]"
+
+    def _written_as(self, text: str) -> bool:
+        """Whether ``text``, less one final newline, is a run's :meth:`to_json`; neither is copied whole."""
+        at = 0
+        for piece in self._texts():
+            if not text.startswith(piece, at):
+                return False
+            at += len(piece)
+        return text[at:] in ("", "\n")
 
     def __len__(self) -> int:
-        if self._source is not None:
-            return len(self._source)
+        if self._records is not None:
+            return len(self._records)
         return sum(len(block.js) for block in self.blocks)
 
     def __iter__(self) -> Iterator[dict]:
-        return self.records()
-
-    def records(self, start: int = 0) -> Iterator[dict]:
-        """The dict records from position ``start`` on; blocks before it are skipped whole."""
-        if self._source is not None:
-            return islice(self._source, start, None)
-        return chain.from_iterable(self._blocks_from(start))
-
-    def _blocks_from(self, start: int) -> Iterator[Iterator[dict]]:
-        for block in self.blocks:
-            if start < len(block.js):
-                yield block.records(start)
-                start = 0
-            else:
-                start -= len(block.js)
+        if self._records is not None:
+            return iter(self._records)
+        return chain.from_iterable(block.records() for block in self.blocks)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        return next(self.records(range(len(self))[index]))
+        return list(self)[index]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Certificate, list)):
             return list(self) == list(other)
         return NotImplemented
-
-    __hash__ = None
 
 
 def _ints(values) -> bool:
@@ -461,59 +465,6 @@ def _record_problem(record) -> Optional[str]:
                              or not _ints(horn["faces"].values()) or not _digit_keys(horn["faces"])):
         return 'has a "horn" that is not {"n", "k", "faces"} with int faces under digit-string keys'
     return None
-
-
-def _blocks(records: list) -> list[CertificateBlock]:
-    """The blocks of well-typed records, up to the first level that no run writes.
-
-    No run writes a step other than 1 and 2, a horn on a record that is not
-    filled, a filled record without one, or a horn other than its level's.
-    """
-    blocks = []
-    for (N, step, n), group in groupby(records, key=_level_of):
-        block = _block(N, step, n, list(group))
-        if block is None:
-            break
-        blocks.append(block)
-    return blocks
-
-
-def _level_of(record: dict) -> tuple[int, int, int]:
-    stage = record["stage"]
-    return stage["N"], stage["step"], record["simplex"][0]
-
-
-def _block(N: int, step: int, n: int, records: list) -> Optional[CertificateBlock]:
-    """The block of one level's records, or None where no run writes them so."""
-    if step not in (1, 2):
-        return None
-    kinds = [_KINDS[record["kind"]] for record in records]
-    if ["horn" in record for record in records] != [kind is FILLED for kind in kinds]:
-        return None
-    horns = [record["horn"] for record in records if "horn" in record]
-    faces: tuple = ()
-    if horns:
-        m, k = _horn_shape(N, step, n)
-        if m < 1 or not 0 <= k <= m:
-            return None
-        names = list(map(str, _positions(m, k)))
-        keys = set(names)
-        if any((horn["n"], horn["k"]) != (m, k) or horn["faces"].keys() != keys for horn in horns):
-            return None
-        rows = [horn["faces"] for horn in horns]
-        faces = tuple([row[name] for row in rows] for name in names)
-    return CertificateBlock(N, step, n, [record["simplex"][1] for record in records], kinds,
-                            [record["value"] for record in records], faces)
-
-
-def _agreement(x: Certificate, y: Certificate) -> int:
-    """How many leading records of two certificates lie in equal blocks, a column at a time."""
-    position = 0
-    for a, b in zip(x.blocks, y.blocks):
-        if a != b:
-            break
-        position += len(a.js)
-    return position
 
 
 # ---------------------------------------------------------------------------
@@ -1123,20 +1074,22 @@ def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate, *,
     """Re-run the synthesis and compare its records with ``certificate``.
 
     ``certificate`` is a :class:`Certificate` or a list of records, which is
-    type-checked before the run (see :meth:`Certificate.from_records`). The
-    blocks are compared a column at a time, and dict records are made only
-    from the first block that differs. The first diverging record, or a
-    certificate with fewer or more records than the run, raises
-    CertificateMismatch at that position. ``_validated`` says that the caller
-    has already validated ``inp.X``, as ``verify`` does.
+    type-checked before the run (see :meth:`Certificate.from_records`). A
+    certificate whose ``text``, less one final newline, is the run's
+    :meth:`Certificate.to_json` passes on that compare alone, made a block of
+    the run at a time. Otherwise the records are compared as dicts from the
+    first on: the first diverging record, or a certificate with fewer or more
+    records than the run, raises CertificateMismatch at that position.
+    ``_validated`` says that the caller has already validated ``inp.X``, as
+    ``verify`` does.
     """
     if not isinstance(certificate, Certificate):
         certificate = Certificate.from_records(certificate)
     result = synthesize(inp, D, _validated=_validated)
     run = result.certificate
-    start = _agreement(certificate, run)
-    pairs = zip(certificate.records(start), run.records(start))
-    for position, (expected, record) in enumerate(pairs, start):
+    if certificate.text is not None and run._written_as(certificate.text):
+        return result.table
+    for position, (expected, record) in enumerate(zip(certificate, run)):
         if expected != record:
             raise CertificateMismatch(
                 f"record {position} diverges: expected {expected}, recomputed {record}",

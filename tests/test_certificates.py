@@ -122,14 +122,15 @@ def test_verify_names_the_first_diverging_record(certified, tmp_path, tamper, po
 # -- the typed form -----------------------------------------------------------------
 
 
-def test_a_parsed_certificate_has_the_blocks_of_its_run():
-    result = synthesize(SynthesisInput(X3), 3)
-    records = json.loads(json.dumps(list(result.certificate)))
-    parsed = Certificate.from_records(records)
-    assert parsed.blocks == result.certificate.blocks
-    assert [len(block.js) for block in parsed.blocks] == [1, 2, 4, 1, 2, 2, 4, 2]
-    assert len(parsed) == len(result.certificate) == 18
-    assert parsed == result.certificate and list(parsed) == records
+def test_a_read_certificate_is_its_records_and_its_text():
+    run_certificate = synthesize(SynthesisInput(X3), 3).certificate
+    text = run_certificate.to_json() + "\n"
+    records = json.loads(text)
+    read = Certificate.from_records(records, text)
+    assert (read.text, len(read), len(run_certificate)) == (text, 18, 18)
+    assert read == run_certificate and list(read) == records
+    assert read.to_json() == run_certificate.to_json()
+    assert Certificate.from_records(records).text is None
 
 
 def test_a_certificate_reads_as_its_records():
@@ -137,20 +138,41 @@ def test_a_certificate_reads_as_its_records():
     records = list(certificate)
     assert certificate[-1] == records[-1] and certificate[7] == records[7]
     assert certificate[5:9] == records[5:9]
-    assert certificate == records and list(certificate.records(11)) == records[11:]
+    assert certificate == records
     with pytest.raises(IndexError):
         certificate[18]
 
 
-def test_a_level_no_run_writes_ends_the_blocks():
+def test_a_record_no_run_writes_diverges_where_it_stands():
     # a horn on a forced record is well typed, but no run writes it
     records = json.loads(json.dumps(list(synthesize(SynthesisInput(X3), 3).certificate)))
     records[12]["horn"] = {"n": 3, "k": 2, "faces": {"0": 0, "1": 0, "3": 0}}
-    parsed = Certificate.from_records(records)
-    assert [len(block.js) for block in parsed.blocks] == [1, 2, 4, 1, 2, 2]
     with pytest.raises(CertificateMismatch) as caught:
         replay_certificate(SynthesisInput(X3), 3, records)
     assert caught.value.position == 12
+
+
+REWRITTEN = {
+    "indented": lambda records: json.dumps(records, sort_keys=True, indent=2) + "\n",
+    "unsorted keys": lambda records: json.dumps([dict(reversed(r.items())) for r in records]) + "\n",
+    "no final newline": lambda records: json.dumps(records, sort_keys=True, separators=(",", ":")),
+    "CRLF line endings": lambda records: json.dumps(records, sort_keys=True, indent=1)
+    .replace("\n", "\r\n") + "\r\n",
+    "compact with CRLF": lambda records: json.dumps(records, sort_keys=True, separators=(",", ":"))
+    + "\r\n",
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(REWRITTEN))
+def test_a_certificate_with_other_bytes_but_the_same_records_passes(certified, tmp_path, rewrite):
+    written = certified["x.cert"].read_bytes()
+    records = json.loads(written)
+    cert = tmp_path / "rewritten.cert"
+    cert.write_bytes(REWRITTEN[rewrite](records).encode("utf-8"))
+    assert json.loads(cert.read_bytes()) == records and cert.read_bytes() != written
+    code, report = run(["verify", str(certified["x.sset"]), str(certified["x.table"]),
+                        "--cert", str(cert)])
+    assert (code, report["verdict"], report["detail"]["replayed_records"]) == (0, "pass", 18)
 
 
 # -- fill tables ----------------------------------------------------------------------
@@ -211,10 +233,13 @@ def _nodes(node, path=()):
 
 @pytest.mark.parametrize("value", [None, True, 0.5, "1", "forced", [], [0, 0], {}, 7, -1])
 def test_a_tampered_certificate_parses_into_the_blocks_of_its_records(value):
-    # every node of every record replaced in turn: ParseError names the first record
-    # that _record_problem refuses, and an accepted certificate's blocks hold the
-    # records it was parsed from, up to the first level that no run writes
-    base = json.loads(json.dumps(list(synthesize(SynthesisInput(X3), 3).certificate)))
+    # every node of every record replaced in turn, and the certificate read from its
+    # canonical text: ParseError names the first record that _record_problem refuses;
+    # a well-typed certificate replays exactly when its records are the run's, and
+    # otherwise raises CertificateMismatch at the first record that differs
+    run_records = list(synthesize(SynthesisInput(X3), 3).certificate)
+    base = json.loads(json.dumps(run_records))
+    outcomes = Counter()
     for path in _nodes(base):
         records = copy.deepcopy(base)
         *parent, last = path
@@ -222,13 +247,23 @@ def test_a_tampered_certificate_parses_into_the_blocks_of_its_records(value):
         for key in parent:
             node = node[key]
         node[last] = value
+        text = json.dumps(records, sort_keys=True, separators=(",", ":")) + "\n"
         problems = [(p, degeneracy._record_problem(r)) for p, r in enumerate(records)]
         first = next(((p, problem) for p, problem in problems if problem is not None), None)
-        if first is None:
-            parsed = Certificate.from_records(records)
-            typed = [record for block in parsed.blocks for record in block.records()]
-            assert typed == records[:len(typed)] and len(parsed) == 18, path
-        else:
+        if first is not None:
+            outcomes["ill-typed"] += 1
             with pytest.raises(ParseError) as caught:
-                Certificate.from_records(records)
+                Certificate.from_records(records, text)
             assert str(caught.value) == f"record {first[0]} {first[1]}", path
+            continue
+        certificate = Certificate.from_records(records, text)
+        if records == run_records:
+            outcomes["replayed"] += 1
+            replay_certificate(SynthesisInput(X3), 3, certificate)
+            continue
+        outcomes["diverged"] += 1
+        with pytest.raises(CertificateMismatch) as caught:
+            replay_certificate(SynthesisInput(X3), 3, certificate)
+        position = next(p for p, (a, b) in enumerate(zip(records, run_records)) if a != b)
+        assert caught.value.position == position, path
+    assert outcomes["ill-typed"], outcomes

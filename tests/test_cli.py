@@ -927,3 +927,41 @@ def test_a_file_the_json_parser_refuses_is_unreadable_input(tmp_path, text, prob
     code, report = run(["validate", str(sset)])
     assert (code, report["verdict"]) == (2, "error"), report
     assert report["detail"].startswith(f"cannot read {sset}: {problem}")
+
+
+def _writing_commands(files, tmp_path, out):
+    """Every command form that writes a file, writing to ``out``."""
+    sset, target, ydeg = str(files["sset"]), str(files["target"]), str(files["ydeg"])
+    cat = tmp_path / "z2.cat"
+    cat.write_text(json.dumps(cyclic_group(2).to_json_dict()))
+    rel = ["synthesize-rel", sset, "--map", str(files["map"]), "--target", target, "--ydeg", ydeg]
+    demo = ["demo-uniqueness", target, "--deg0", ydeg, "--deg1", ydeg]
+    nerve = ["nerve", "--cat", str(cat), "--dim", "2"]
+    return {
+        "synthesize --out": ["synthesize", target, "--out", out],
+        "synthesize --cert": ["synthesize", target, "--cert", out],
+        "synthesize-rel --out": [*rel, "--out", out],
+        "synthesize-rel --cert": [*rel, "--cert", out],
+        "addendum-s0 --out": ["addendum-s0", target, "--out", out],
+        "nerve --out": [*nerve, "--out", out],
+        "nerve --deg": [*nerve, "--out", str(tmp_path / "n.sset"), "--deg", out],
+        "demo-uniqueness --out": [*demo, "--out", out],
+        "demo-uniqueness --cert": [*demo, "--cert", out],
+    }
+
+
+WRITING_FORMS = ("addendum-s0 --out", "demo-uniqueness --cert", "demo-uniqueness --out", "nerve --deg",
+                 "nerve --out", "synthesize --cert", "synthesize --out", "synthesize-rel --cert",
+                 "synthesize-rel --out")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+@pytest.mark.parametrize("form", WRITING_FORMS)
+def test_an_unwritable_output_path_is_malformed_input(rel_files, tmp_path, form, where):
+    commands = _writing_commands(rel_files, tmp_path, str(tmp_path / "written.json"))
+    assert sorted(commands) == list(WRITING_FORMS)
+    assert run(commands[form])[0] == 0, form
+    out = tmp_path / "missing" / "t.json" if where == "missing directory" else tmp_path
+    code, report = run(_writing_commands(rel_files, tmp_path, str(out))[form])
+    assert (code, report["verdict"], report["outputs"]) == (2, "error", []), (form, report)
+    assert report["detail"].startswith(f"cannot write {out}: ")
