@@ -9,9 +9,11 @@ errors. Output bytes are a deterministic function of the input files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
+import os
 import sys
 from typing import Optional
 
@@ -84,6 +86,26 @@ def _dump_json(path: str, payload) -> None:
             handle.write(blob)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(*files) -> list:
+    """Write ``build()`` to each ``(path, build)`` whose path is not None, in order; the paths written.
+
+    All or nothing: when a write fails, the regular files already written are
+    removed (a device such as /dev/stdout is not) before its error is raised again.
+    """
+    written = []
+    try:
+        for path, build in files:
+            if path is not None:
+                _dump_json(path, build())
+                written.append(path)
+    except ParseError:
+        for path in filter(os.path.isfile, written):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return written
 
 
 def load_sset(path: str) -> SemisimplicialSet:
@@ -205,79 +227,46 @@ def _cmd_edges(args) -> tuple[str, dict, list]:
     return ("yes" if ok else "no", payload, [])
 
 
-def _write_synthesis(args, result) -> list:
-    outputs = []
-    if args.out:
-        _dump_json(args.out, result.table.to_json_dict())
-        outputs.append(args.out)
-    if args.cert:
-        _dump_json(args.cert, result.certificate)
-        outputs.append(args.cert)
-    return outputs
+def _synthesis_input(args) -> SynthesisInput:
+    """The run a command names: over ``--map`` when it is given, else over the point."""
+    X = load_sset(args.sset)
+    p = Y_deg = A = A_deg = None
+    if args.map is not None:
+        Y = load_sset(args.target)
+        p = load_map(args.map, X, Y)
+        Y_deg = load_table(args.ydeg, Y)
+        A = load_subcomplex(args.sub, X) if args.sub else None
+        A_deg = load_table(args.adeg, X) if args.adeg else None
+    s0 = _load_s0(args.s0) if args.s0 else None
+    return SynthesisInput(X, p=p, Y_deg=Y_deg, A=A, A_deg=A_deg, s0=s0)
 
 
 def _cmd_synthesize(args) -> tuple[str, dict, list]:
-    X = load_sset(args.sset)
-    dim = _bound(args, X)
-    s0 = _load_s0(args.s0) if args.s0 else None
-    result = synthesize(SynthesisInput(X, s0=s0), dim)
-    outputs = _write_synthesis(args, result)
-    payload = {
-        "bound": result.bound,
-        "detail": {
-            "s0": [result.s0[v] for v in sorted(result.s0)],
-            "stats": result.stats,
-            "identities_checked": result.verification.checked,
-        },
-    }
-    return ("success", payload, outputs)
-
-
-def _cmd_synthesize_rel(args) -> tuple[str, dict, list]:
-    X = load_sset(args.sset)
-    Y = load_sset(args.target)
-    p = load_map(args.map, X, Y)
-    Y_deg = load_table(args.ydeg, Y)
-    A = load_subcomplex(args.sub, X) if args.sub else None
-    A_deg = load_table(args.adeg, X) if args.adeg else None
-    s0 = _load_s0(args.s0) if args.s0 else None
-    dim = _bound(args, X)
-    inp = SynthesisInput(X, p=p, Y_deg=Y_deg, A=A, A_deg=A_deg, s0=s0)
-    result = synthesize_relative(inp, dim)
-    outputs = _write_synthesis(args, result)
-    payload = {
-        "bound": result.bound,
-        "detail": {"stats": result.stats, "identities_checked": result.verification.checked},
-    }
-    return ("success", payload, outputs)
+    inp = _synthesis_input(args)
+    result = (synthesize if inp.p is None else synthesize_relative)(inp, _bound(args, inp.X))
+    outputs = _write((args.out, result.table.to_json_dict), (args.cert, lambda: result.certificate))
+    detail = {"stats": result.stats, "identities_checked": result.verification.checked}
+    if inp.p is None:
+        detail["s0"] = [result.s0[v] for v in sorted(result.s0)]
+    return ("success", {"bound": result.bound, "detail": detail}, outputs)
 
 
 def _cmd_addendum_s0(args) -> tuple[str, dict, list]:
     X = load_sset(args.sset)
     _require_valid("input set", validate(X))
-    dim = _bound(args, X)
-    found = addendum_s0(X, dim)
-    outputs = []
-    if args.out:
-        _dump_json(args.out, {"s0": [found.s0[v] for v in sorted(found.s0)],
-                              "witnesses": [found.witnesses[v] for v in sorted(found.witnesses)]})
-        outputs.append(args.out)
-    payload = {"bound": found.bound,
-               "detail": {"s0": [found.s0[v] for v in sorted(found.s0)]}}
-    return ("success", payload, outputs)
+    found = addendum_s0(X, _bound(args, X))
+    s0 = [found.s0[v] for v in sorted(found.s0)]
+    outputs = _write((args.out, lambda: {
+        "s0": s0, "witnesses": [found.witnesses[v] for v in sorted(found.witnesses)]}))
+    return ("success", {"bound": found.bound, "detail": {"s0": s0}}, outputs)
 
 
 def _cmd_nerve(args) -> tuple[str, dict, list]:
-    category = load_category(args.cat)
-    bundle = nerve(category, args.dim)
-    outputs = []
-    _dump_json(args.out, bundle.sset.to_json_dict())
-    outputs.append(args.out)
-    if args.deg:
-        if bundle.oracle_degeneracies is None:
-            raise ParseError("the presentation is non-unital; no degeneracy table exists")
-        _dump_json(args.deg, bundle.oracle_degeneracies.to_json_dict())
-        outputs.append(args.deg)
+    bundle = nerve(load_category(args.cat), args.dim)
+    if args.deg and bundle.oracle_degeneracies is None:
+        raise ParseError("the presentation is non-unital; no degeneracy table exists")
+    outputs = _write((args.out, bundle.sset.to_json_dict),
+                     (args.deg, lambda: bundle.oracle_degeneracies.to_json_dict()))
     payload = {"bound": args.dim, "detail": {"cells": list(bundle.sset.cells)}}
     return ("success", payload, outputs)
 
@@ -289,7 +278,8 @@ def _cmd_demo_uniqueness(args) -> tuple[str, dict, list]:
     deg1 = load_table(args.deg1, C_sset)
     dim = _bound(args, C_sset)
     demo = uniqueness_demo(C_sset, deg0, deg1, dim)
-    outputs = _write_synthesis(args, demo.result)
+    outputs = _write((args.out, demo.result.table.to_json_dict),
+                     (args.cert, lambda: demo.result.certificate))
     payload = {
         "bound": demo.bound,
         "detail": {
@@ -302,7 +292,8 @@ def _cmd_demo_uniqueness(args) -> tuple[str, dict, list]:
 
 
 def _cmd_verify(args) -> tuple[str, dict, list]:
-    X = load_sset(args.sset)
+    inp = _synthesis_input(args)
+    X = inp.X
     _require_valid("input set", validate(X))
     table = load_table(args.table, X)
     records = _load_certificate(args.cert) if args.cert else None
@@ -313,7 +304,7 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
         payload["witness"] = [list(v) for v in report.violations[:10]]
         return ("fail", payload, [])
     if records is not None:
-        replayed = replay_certificate(SynthesisInput(X), dim, records, _validated=True)
+        replayed = replay_certificate(inp, dim, records, _validated=True)
         if replayed != table:
             return ("fail", {"bound": dim, "detail": "replay table differs from the given table"}, [])
         payload["detail"]["replayed_records"] = len(records)
@@ -360,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--s0", help="JSON array of edge indices, one per vertex")
     q.add_argument("--out")
     q.add_argument("--cert")
-    q.set_defaults(handler=_cmd_synthesize)
+    q.set_defaults(handler=_cmd_synthesize, map=None)
 
     q = sub.add_parser("synthesize-rel", help="relative synthesis over a map")
     q.add_argument("sset")
@@ -373,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dim", type=int)
     q.add_argument("--out")
     q.add_argument("--cert")
-    q.set_defaults(handler=_cmd_synthesize_rel)
+    q.set_defaults(handler=_cmd_synthesize)
 
     q = sub.add_parser("addendum-s0", help="automatic degree-0 candidate on a Kan set")
     q.add_argument("sset")
@@ -402,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("table")
     q.add_argument("--dim", type=int)
     q.add_argument("--cert")
-    q.set_defaults(handler=_cmd_verify)
+    q.set_defaults(handler=_cmd_verify, map=None, s0=None)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: nerve bundles of the standard categories plus naive oracles.
+"""Shared fixtures: nerve bundles of the standard categories, naive oracles, drawn preorders.
 
 The oracles here are deliberately dumb (full scans, direct enumeration) so
 that they stay independent of the code paths they check.
@@ -7,6 +7,7 @@ that they stay independent of the code paths they check.
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from degenforge import (
     SemisimplicialSet,
@@ -15,6 +16,7 @@ from degenforge import (
     j_groupoid,
     nerve,
     poset_01,
+    poset_category,
     product_category,
     simplex_category,
 )
@@ -72,3 +74,19 @@ def naive_fillers(X: SemisimplicialSet, horn) -> list[int]:
         if all(X.face_index(horn.n, z, i) == v for i, v in horn.items()):
             out.append(z)
     return out
+
+
+@st.composite
+def preorders(draw):
+    """A preorder on at most three elements, as a unital category."""
+    size = draw(st.integers(min_value=1, max_value=3))
+    rel = [[i == j for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                rel[i][j] = draw(st.booleans())
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+    return poset_category([str(i) for i in range(size)], lambda x, y: rel[x][y])

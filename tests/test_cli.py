@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report schema, file round trips."""
 
 import json
+import os
 
 import pytest
 
@@ -965,3 +966,84 @@ def test_an_unwritable_output_path_is_malformed_input(rel_files, tmp_path, form,
     code, report = run(_writing_commands(rel_files, tmp_path, str(out))[form])
     assert (code, report["verdict"], report["outputs"]) == (2, "error", []), (form, report)
     assert report["detail"].startswith(f"cannot write {out}: ")
+
+
+SECOND_FILE = {"demo-uniqueness": "--cert", "nerve": "--deg", "synthesize": "--cert",
+               "synthesize-rel": "--cert"}
+
+
+@pytest.mark.parametrize("command", sorted(SECOND_FILE))
+def test_a_failed_second_write_leaves_no_file_of_its_command(rel_files, tmp_path, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    first, second = out / "first.json", out / "missing" / "second.json"
+    argv = _writing_commands(rel_files, tmp_path, str(first))[f"{command} --out"]
+    assert run(argv)[0] == 0  # the first path is writable
+    first.unlink()
+    code, report = run([*argv, SECOND_FILE[command], str(second)])
+    assert (code, report["verdict"], report["outputs"]) == (2, "error", []), report
+    assert report["detail"] == f"cannot write {second}: [Errno 2] No such file or directory: '{second}'"
+    assert list(out.iterdir()) == []
+
+
+def test_a_failed_write_removes_no_device(rel_files, tmp_path, monkeypatch):
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    missing = str(tmp_path / "missing" / "c.json")
+    for first in (os.devnull, str(tmp_path / "t.json")):
+        code, report = run(["synthesize", str(rel_files["target"]), "--out", first, "--cert", missing])
+        assert (code, report["outputs"]) == (2, []), report
+    assert removed == [str(tmp_path / "t.json")]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cert"])
+def test_an_empty_output_path_is_unwritable(rel_files, flag):
+    code, report = run(["synthesize", str(rel_files["target"]), flag, ""])
+    assert (code, report["detail"], report["outputs"]) == (
+        2, "cannot write : [Errno 2] No such file or directory: ''", []), report
+
+
+def test_nerve_refuses_deg_of_a_non_unital_presentation_before_writing(tmp_path):
+    cat = tmp_path / "delta2.cat"
+    cat.write_text(json.dumps(simplex_category(2).to_json_dict()))
+    code, report = run(["nerve", "--cat", str(cat), "--dim", "2", "--out", str(tmp_path / "n.sset"),
+                        "--deg", str(tmp_path / "n.deg")])
+    assert (code, report["detail"], report["outputs"]) == (
+        2, "the presentation is non-unital; no degeneracy table exists", []), report
+    assert [p.name for p in tmp_path.iterdir()] == ["delta2.cat"]
+
+
+def _subcomplex_and_table(case, bundle, s):
+    """The --sub members and the --adeg levels of ``case``, from the synthesized levels ``s``."""
+    every = [list(range(c)) for c in bundle.sset.cells]
+    if case == "a non-member":
+        return [[1]], s
+    if case == "leaves the subcomplex":
+        return every[:1], [[s[0][0]]]  # every vertex and no edge; only s_0 on vertices
+    s[0][0][0] = bundle.pair_index(1, 0, 2)  # s_0 of vertex 0 becomes the edge (1, u)
+    return every, s
+
+
+@pytest.mark.parametrize("case, detail", [
+    ("a non-member", "subcomplex table defined at non-member (0,0)"),
+    ("leaves the subcomplex", "subcomplex degeneracy s_0(0,0) leaves the subcomplex"),
+    ("off the target table", "subcomplex degeneracy s_0(0,0) does not project to the target table"),
+])
+def test_a_subcomplex_table_the_run_cannot_extend(rel_files, tmp_path, case, detail):
+    """Z/2 x J over J at D3, with its own synthesized table as --adeg."""
+    import degenforge as dg
+    bundle = dg.product(dg.nerve(cyclic_group(2), 3).sset, dg.nerve(dg.j_groupoid(), 3).sset)
+    table, sub = tmp_path / "adeg.json", tmp_path / "sub.json"
+    assert _synthesize_rel(rel_files, "--out", str(table))[0] == 0
+    members, levels = _subcomplex_and_table(case, bundle, json.loads(table.read_text())["s"])
+    _edit(table, lambda d: d.__setitem__("s", levels))
+    sub.write_text(json.dumps({"members": members}))
+    code, report = _synthesize_rel(rel_files, "--sub", str(sub), "--adeg", str(table))
+    assert (code, report["verdict"], report["detail"], report["witness"]) == (
+        1, "IncompatibleSubcomplexStructure", detail, {"simplex": [0, 0]}), report
+
+
+def test_inner_fibration_needs_a_map_and_a_target(rel_files):
+    code, report = run(["check", "--inner-fibration", str(rel_files["sset"])])
+    assert (code, report["verdict"], report["detail"]) == (
+        2, "error", "--inner-fibration needs --map and --target"), report

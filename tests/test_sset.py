@@ -17,12 +17,12 @@ from degenforge import (
     identity_map,
     last_edge,
     nerve,
-    poset_category,
     product,
     simplex_category,
     validate,
     validate_map,
 )
+from conftest import preorders
 
 
 def test_delta2_validates(deltas):
@@ -153,21 +153,6 @@ def test_subcomplex_json_round_trip(n2):
 
 
 # -- randomized structure ------------------------------------------------------
-
-
-@st.composite
-def preorders(draw):
-    size = draw(st.integers(min_value=1, max_value=3))
-    rel = [[i == j for j in range(size)] for i in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if i != j:
-                rel[i][j] = draw(st.booleans())
-    for k in range(size):
-        for i in range(size):
-            for j in range(size):
-                rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
-    return poset_category([str(i) for i in range(size)], lambda x, y: rel[x][y])
 
 
 @settings(max_examples=30, deadline=None)
