@@ -442,8 +442,29 @@ def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optiona
 
 
 def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> HornVerdict:
-    """Every inner horn of the source lifts against every matching target simplex."""
+    """Every inner horn of the source lifts against every matching target simplex.
+
+    Over the right projection C x Y -> Y of :func:`product` (``p.factor`` is
+    C) this is filling in C: a compatible (n, k) horn of C x Y is a pair of
+    compatible horns, one in C and one in Y, and it lifts over a Y-simplex
+    exactly when its C-horn fills in C. So when every level of Y up to the
+    bound is inhabited and C passes the inner scan, the verdict is ``ok``
+    with ``checked`` the sum over shapes of h_C(n, k) * h_Y(n, k), the
+    factors' compatible-horn counts, without listing a horn of C x Y. The
+    full scan of the source runs instead when C fails (it names the
+    witness), when a level of Y is empty, or when the map carries no factor,
+    as every map read from a file does.
+    """
     bound = p.depth if D is None else min(D, p.depth)
+    if p.factor is not None and all(p.target.cells[:bound + 1]):
+        checked = 0
+        for n, k in _inner_shapes(bound):
+            filled, failure = _scan(p.factor, None, [(n, k)])
+            if failure is not None:
+                break
+            checked += filled * len(_face_columns(p.target, n, k)[0])
+        else:
+            return HornVerdict(True, bound, None, checked)
     checked, failure = _scan(p.source, p, _inner_shapes(bound))
     return HornVerdict(failure is None, bound, failure, checked)
 

@@ -364,12 +364,16 @@ class SemisimplicialMap:
 
     Levels run up to the common truncation min(dim source, dim target);
     commutation with the face operators is checked by :func:`validate_map`.
+    ``factor`` is set only on the right projection C x Y -> Y that
+    :func:`product` builds: it is C, which answers the projection's inner
+    lifting problems.
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
-                 levels: Sequence[Sequence[int]]):
+                 levels: Sequence[Sequence[int]], factor: Optional[SemisimplicialSet] = None):
         self.source = source
         self.target = target
+        self.factor = factor
         self.depth = min(source.dim, target.dim)
         if len(levels) != self.depth + 1:
             raise ValueError(f"expected {self.depth + 1} levels, got {len(levels)}")
@@ -518,15 +522,12 @@ class ProductBundle:
     sset: SemisimplicialSet
     left: SemisimplicialMap
     right: SemisimplicialMap
-    left_factor: SemisimplicialSet
-    right_factor: SemisimplicialSet
 
     def pair_index(self, n: int, j_left: int, j_right: int) -> int:
-        return j_left * self.right_factor.cells[n] + j_right
+        return j_left * self.right.target.cells[n] + j_right
 
     def split_index(self, n: int, j: int) -> tuple[int, int]:
-        c = self.right_factor.cells[n]
-        return divmod(j, c)
+        return divmod(j, self.right.target.cells[n])
 
 
 def product(X: SemisimplicialSet, Y: SemisimplicialSet) -> ProductBundle:
@@ -543,5 +544,6 @@ def product(X: SemisimplicialSet, Y: SemisimplicialSet) -> ProductBundle:
         faces.append(flat)
     Z = SemisimplicialSet._from_flat(cells, faces)
     proj_left = SemisimplicialMap(Z, X, [[j // Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)])
-    proj_right = SemisimplicialMap(Z, Y, [[j % Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)])
-    return ProductBundle(Z, proj_left, proj_right, X, Y)
+    proj_right = SemisimplicialMap(Z, Y, [[j % Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)],
+                                   factor=X)
+    return ProductBundle(Z, proj_left, proj_right)

@@ -6,6 +6,13 @@ top level stays small, and every level is relabeled by a drawn permutation,
 as the benchmark's fixtures are. ``synthesize`` must return exactly the
 relabeled oracle table and its s_0, and the files that ``synthesize --out
 --cert`` writes must replay through ``verify --cert``.
+
+Over the two-object groupoid J, the nerve is taken again at the highest D
+at which C x J stays within the same cap. The right projection of C x J
+must get the verdict of its unmarked full scan, pass exactly when C passes
+the inner scan, and count the product of the two factors' horns; and
+``demo-uniqueness`` with the oracle on both ends must return the product of
+the C and J oracle tables.
 """
 
 import json
@@ -17,12 +24,19 @@ from hypothesis import strategies as st
 
 from degenforge import (
     DegeneracyTable,
+    SemisimplicialMap,
     SemisimplicialSet,
     SynthesisInput,
+    check_inner,
+    check_inner_fibration,
+    compatible_horns,
     cyclic_group,
+    j_groupoid,
     nerve,
+    product,
     product_category,
     synthesize,
+    uniqueness_demo,
 )
 from degenforge.cli import run
 from conftest import preorders
@@ -81,3 +95,29 @@ def test_synthesis_on_a_drawn_category_is_the_relabeled_oracle(category, dim, rn
         code, report = run(["verify", sset, table, "--cert", cert])
         assert (code, report["verdict"]) == (0, "pass"), report
         assert report["detail"]["replayed_records"] == len(json.loads(pathlib.Path(cert).read_text()))
+    J = j_groupoid()
+    while dim > 2 and _chains(category, dim) * _chains(J, dim) > TOP_CELLS:
+        dim -= 1
+    if _chains(category, dim) * _chains(J, dim) <= TOP_CELLS:
+        _check_over_j(*_relabeled(nerve(category, dim), rng), nerve(J, dim), dim)
+
+
+def _horns(X: SemisimplicialSet, n: int, k: int) -> int:
+    return sum(1 for _ in compatible_horns(X, n, k))
+
+
+def _check_over_j(C, oracle, nj, dim):
+    bundle = product(C, nj.sset)
+    p = bundle.right
+    verdict = check_inner_fibration(p, dim)
+    assert verdict == check_inner_fibration(SemisimplicialMap(p.source, p.target, p.levels), dim)
+    assert verdict.ok == check_inner(C, dim).ok
+    assert verdict.checked == sum(_horns(C, n, k) * _horns(nj.sset, n, k)
+                                  for n in range(2, dim + 1) for k in range(1, n))
+    demo = uniqueness_demo(C, oracle, oracle, dim)
+    expected = DegeneracyTable(bundle.sset)
+    for k, n, c, v in oracle.restricted(dim - 2).entries():
+        for e in range(nj.sset.cells[n]):
+            expected.set_value(k, n, bundle.pair_index(n, c, e),
+                               bundle.pair_index(n + 1, v, nj.oracle_degeneracies.value(k, n, e)))
+    assert demo.result.table == expected

@@ -229,9 +229,13 @@ def _doubled_maps() -> dict:
             "Z/2->doubled": SemisimplicialMap(plain, doubled, levels)}
 
 
-def _spine_maps() -> dict:
+def _spine() -> SemisimplicialSet:
     # 0 -> 1 -> 2 with no 2-simplex: its one inner horn has no filler
-    spine = SemisimplicialSet([3, 2, 0], [[[1, 0], [2, 1]], []])
+    return SemisimplicialSet([3, 2, 0], [[[1, 0], [2, 1]], []])
+
+
+def _spine_maps() -> dict:
+    spine = _spine()
     point = nerve(cyclic_group(1), 2).sset
     triangle = SemisimplicialSet([3, 3, 1], [[[1, 0], [2, 0], [2, 1]], [[2, 1, 0]]])
     return {"spine->point": SemisimplicialMap(spine, point, [[0, 0, 0], [0, 0], []]),
@@ -243,6 +247,10 @@ MAPS = {
     "Z/2xJ->J": lambda: product(nerve(cyclic_group(2), 4).sset, nerve(j_groupoid(), 4).sset).right,
     "monoidxJ->J": lambda: product(nerve(idempotent_monoid(), 4).sset,
                                    nerve(j_groupoid(), 4).sset).right,
+    # projections whose fibration check takes the full scan: a left factor that
+    # fails inner filling, and a right factor with an empty level
+    "spinexJ->J": lambda: product(_spine(), nerve(j_groupoid(), 2).sset).right,
+    "Z/2xspine->spine": lambda: product(nerve(cyclic_group(2), 2).sset, _spine()).right,
     **{name: (lambda name=name: _spine_maps()[name]) for name in _spine_maps()},
     **{name: (lambda name=name: _doubled_maps()[name]) for name in _doubled_maps()},
 }
@@ -264,6 +272,9 @@ def test_lift_verdicts_match_two_filler_scans(name):
         assert fibration["result"] == (name == "spine->spine")
     if name == "spine->spine":
         assert naive.vacuous > 0  # no target simplex over the horn: a vacuous lift
+    if name == "Z/2xspine->spine":
+        # the spine has no 2-simplex, so every lift is vacuous
+        assert fibration["result"] and naive.vacuous > 0
     if name == "doubled->doubled":
         assert fibration["result"]
     if name == "Z/2->doubled":
@@ -271,6 +282,43 @@ def test_lift_verdicts_match_two_filler_scans(name):
         horn = Horn.from_json_dict(fibration["witness"]["horn"])
         (z,) = _filler_indices(p.source, horn.n, horn.faces)
         assert not fibration["result"] and fibration["witness"]["target"] == 2 * z + 1
+
+
+PRODUCTS = {
+    # name: (left factor C, right factor Y, whether the check takes the full scan)
+    "Z/2@D5xJ": (lambda: nerve(cyclic_group(2), 5).sset, lambda: nerve(j_groupoid(), 5).sset, False),
+    "Z/3@D5xJ": (lambda: nerve(cyclic_group(3), 5).sset, lambda: nerve(j_groupoid(), 5).sset, False),
+    "Z/2xZ/2@D4xJ": (lambda: nerve(product_category(cyclic_group(2), cyclic_group(2)), 4).sset,
+                     lambda: nerve(j_groupoid(), 4).sset, False),
+    "spinexJ": (_spine, lambda: nerve(j_groupoid(), 2).sset, True),
+    "Z/2xspine": (lambda: nerve(cyclic_group(2), 2).sset, _spine, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_a_marked_projection_agrees_with_its_unmarked_copy(name, monkeypatch):
+    # the right projection of a product carries its left factor, and the check
+    # answers from it; the same levels without the mark take the full scan
+    from degenforge import horn
+    left, right, full_scan = PRODUCTS[name]
+    C = left()
+    p = product(C, right()).right
+    unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    assert p.factor is C and unmarked.factor is None
+    scanned = []  # the maps scanned over; the factor's own scans are over the point
+    scan = horn._scan
+
+    def recording(X, q, *args):
+        if q is not None:
+            scanned.append(q)
+        return scan(X, q, *args)
+
+    monkeypatch.setattr(horn, "_scan", recording)
+    marked = check_inner_fibration(p).to_json_dict()
+    assert [q is p for q in scanned] == ([True] if full_scan else [])
+    assert check_inner_fibration(unmarked).to_json_dict() == marked
+    assert scanned[-1] is unmarked
+    assert marked["result"] == check_inner(C, p.depth).ok
 
 
 def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
