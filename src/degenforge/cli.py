@@ -135,15 +135,6 @@ def load_category(path: str) -> CategoryPresentation:
     return CategoryPresentation.from_json_dict(_load_json(path))
 
 
-def _load_certificate(path: str) -> Certificate:
-    text = _read_text(path)
-    records = _load_json(path, text)
-    try:
-        return Certificate.from_records(records, text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def _load_s0(path: str) -> dict:
     data = _load_json(path)
     if isinstance(data, dict) and "s0" in data:
@@ -296,18 +287,20 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
     X = inp.X
     _require_valid("input set", validate(X))
     table = load_table(args.table, X)
-    records = _load_certificate(args.cert) if args.cert else None
+    certificate = Certificate.read(_read_text(args.cert), args.cert) if args.cert else None
     dim = _bound(args, X)
     report = verify_simplicial(X, table, dim)
     payload = {"bound": dim, "detail": report.to_json_dict()}
     if not report.ok:
+        if certificate is not None:
+            certificate.parse()  # an unreadable certificate is an input error before any verdict
         payload["witness"] = [list(v) for v in report.violations[:10]]
         return ("fail", payload, [])
-    if records is not None:
-        replayed = replay_certificate(inp, dim, records, _validated=True)
+    if certificate is not None:
+        replayed = replay_certificate(inp, dim, certificate, _validated=True)
         if replayed != table:
             return ("fail", {"bound": dim, "detail": "replay table differs from the given table"}, [])
-        payload["detail"]["replayed_records"] = len(records)
+        payload["detail"]["replayed_records"] = len(certificate)
     return ("pass", payload, [])
 
 

@@ -26,7 +26,7 @@ deterministically: one typed block per level, holding the level's j order,
 kinds and values and one column per horn face, from which dict records are
 made only when they are read. A run is a deterministic byte string, so a
 certificate read from a file replays by one compare of its text with the
-run's; records are compared as dicts only where the texts differ.
+run's; it is parsed into records only where the texts differ or the run raises.
 
 Working tables keep one provisional level above the verified range (the
 stage-N step-one values at the top level feed later stages' forced values);
@@ -359,50 +359,61 @@ class Certificate(SequenceABC):
     "value"}``, and a filled one adds ``"horn": {"n", "k", "faces"}`` with
     its faces keyed by position. A run's certificate holds one
     :class:`CertificateBlock` per level, appended by the engine. A read one
-    (:meth:`from_records`) holds its type-checked records and, in ``text``,
-    the JSON text they were parsed from.
+    (:meth:`read`) holds its JSON ``text`` and is parsed on first use, unless
+    a replay whose run writes that text gives it the run's blocks first.
     """
 
     def __init__(self):
         self.blocks: list[CertificateBlock] = []
         self.text: Optional[str] = None
         self._records: Optional[list] = None
+        self._name: Optional[str] = None  # a read certificate's name while its text is unparsed
 
     @classmethod
-    def from_records(cls, records: list, text: Optional[str] = None) -> "Certificate":
-        """Type-check a list of records and keep it, with the ``text`` it was parsed from if given.
+    def read(cls, text: str, name: str) -> "Certificate":
+        """The certificate written as ``text``; ``name`` (its path) opens its parse errors."""
+        out = cls()
+        out.text, out._name = text, name
+        return out
 
-        An ill-typed record is a ParseError that names its position. The
-        records are kept as given, and a mismatch quotes them as given.
-        """
+    @classmethod
+    def from_records(cls, records: list, *, name: Optional[str] = None) -> "Certificate":
+        """The records, type-checked and kept as given; a ParseError names the first ill-typed one."""
+        where = "" if name is None else f"{name}: "
         if not isinstance(records, list):
-            raise ParseError("a certificate is an ordered list of records")
+            raise ParseError(where + "a certificate is an ordered list of records")
         for position, record in enumerate(records):
             problem = _record_problem(record)
             if problem is not None:
-                raise ParseError(f"record {position} {problem}")
+                raise ParseError(f"{where}record {position} {problem}")
         out = cls()
-        out._records, out.text = records, text
+        out._records = records
         return out
 
-    def to_json(self) -> str:
-        """The records as compact JSON with sorted keys, byte for byte as ``json.dumps`` writes them.
+    def parse(self) -> None:
+        """Parse and type-check a read certificate's text once: "cannot read <name>: ..." if it is
+        not JSON, "<name>: record N ..." if a record is ill-typed (see :meth:`from_records`)."""
+        if self._name is None:
+            return
+        try:
+            records = json.loads(self.text)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"cannot read {self._name}: {exc}") from exc
+        self._records, self._name = Certificate.from_records(records, name=self._name)._records, None
 
-        A run's certificate is written a block at a time; read records are
-        dumped as given.
-        """
+    def to_json(self) -> str:
+        """The records as ``json.dumps`` writes them, compact with sorted keys: a run's a block at a time."""
+        self.parse()
         if self._records is not None:
             return json.dumps(self._records, sort_keys=True, separators=(",", ":"))
         return "".join(self._texts())
 
     def _texts(self) -> Iterator[str]:
         """A run's :meth:`to_json`, a block of records at a time."""
-        yield "["
         for i, block in enumerate(self.blocks):
-            if i:
-                yield ","
+            yield "," if i else "["
             yield block.to_json()
-        yield "]"
+        yield "]" if self.blocks else "[]"
 
     def _written_as(self, text: str) -> bool:
         """Whether ``text``, less one final newline, is a run's :meth:`to_json`; neither is copied whole."""
@@ -414,11 +425,13 @@ class Certificate(SequenceABC):
         return text[at:] in ("", "\n")
 
     def __len__(self) -> int:
+        self.parse()
         if self._records is not None:
             return len(self._records)
         return sum(len(block.js) for block in self.blocks)
 
     def __iter__(self) -> Iterator[dict]:
+        self.parse()
         if self._records is not None:
             return iter(self._records)
         return chain.from_iterable(block.records() for block in self.blocks)
@@ -430,14 +443,6 @@ class Certificate(SequenceABC):
         if isinstance(other, (Certificate, list)):
             return list(self) == list(other)
         return NotImplemented
-
-
-def _ints(values) -> bool:
-    return {int}.issuperset(map(type, values))
-
-
-def _digit_keys(keys) -> bool:
-    return {str}.issuperset(map(type, keys)) and all(map(str.isdigit, keys)) and all(map(str.isascii, keys))
 
 
 def _record_problem(record) -> Optional[str]:
@@ -459,10 +464,12 @@ def _record_problem(record) -> Optional[str]:
     if type(record["value"]) is not int:
         return 'has a "value" that is not an int'
     horn = record.get("horn")
+    faces = horn.get("faces") if type(horn) is dict else None
     if "horn" in record and (type(horn) is not dict or horn.keys() != _HORN
                              or type(horn["n"]) is not int or type(horn["k"]) is not int
-                             or type(horn["faces"]) is not dict
-                             or not _ints(horn["faces"].values()) or not _digit_keys(horn["faces"])):
+                             or type(faces) is not dict or not {int}.issuperset(map(type, faces.values()))
+                             or not {str}.issuperset(map(type, faces))
+                             or not all(map(str.isdigit, faces)) or not all(map(str.isascii, faces))):
         return 'has a "horn" that is not {"n", "k", "faces"} with int faces under digit-string keys'
     return None
 
@@ -1073,33 +1080,33 @@ def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate, *,
                        _validated: bool = False) -> DegeneracyTable:
     """Re-run the synthesis and compare its records with ``certificate``.
 
-    ``certificate`` is a :class:`Certificate` or a list of records, which is
-    type-checked before the run (see :meth:`Certificate.from_records`). A
-    certificate whose ``text``, less one final newline, is the run's
-    :meth:`Certificate.to_json` passes on that compare alone, made a block of
-    the run at a time. Otherwise the records are compared as dicts from the
-    first on: the first diverging record, or a certificate with fewer or more
-    records than the run, raises CertificateMismatch at that position.
-    ``_validated`` says that the caller has already validated ``inp.X``, as
-    ``verify`` does.
+    ``certificate`` is a :class:`Certificate` or a list of records. A read one
+    whose text, less one final newline, is the run's ``to_json`` passes on
+    that compare, made a block of the run at a time, and takes the run's
+    blocks as its records. Otherwise, or when the synthesis raises, it is
+    parsed first; then the first diverging record, or a certificate with fewer
+    or more records than the run, raises CertificateMismatch at that position.
+    ``_validated``: the caller has already validated ``inp.X``, as ``verify`` has.
     """
     if not isinstance(certificate, Certificate):
         certificate = Certificate.from_records(certificate)
-    result = synthesize(inp, D, _validated=_validated)
+    try:
+        result = synthesize(inp, D, _validated=_validated)
+    except DegenforgeError:
+        certificate.parse()
+        raise
     run = result.certificate
     if certificate.text is not None and run._written_as(certificate.text):
+        certificate.blocks, certificate._name = run.blocks, None  # its records are the run's, unparsed
         return result.table
     for position, (expected, record) in enumerate(zip(certificate, run)):
         if expected != record:
             raise CertificateMismatch(
                 f"record {position} diverges: expected {expected}, recomputed {record}",
                 position=position)
-    if len(certificate) < len(run):
-        raise CertificateMismatch("certificate has fewer records than the run",
-                                  position=len(certificate))
-    if len(certificate) > len(run):
-        raise CertificateMismatch("certificate has more records than the run",
-                                  position=len(run))
+    if len(certificate) != len(run):
+        raise CertificateMismatch(f"certificate has {'fewer' if len(certificate) < len(run) else 'more'} "
+                                  "records than the run", position=min(len(certificate), len(run)))
     return result.table
 
 

@@ -126,11 +126,30 @@ def test_a_read_certificate_is_its_records_and_its_text():
     run_certificate = synthesize(SynthesisInput(X3), 3).certificate
     text = run_certificate.to_json() + "\n"
     records = json.loads(text)
-    read = Certificate.from_records(records, text)
+    read = Certificate.read(text, "c.json")
     assert (read.text, len(read), len(run_certificate)) == (text, 18, 18)
     assert read == run_certificate and list(read) == records
     assert read.to_json() == run_certificate.to_json()
     assert Certificate.from_records(records).text is None
+
+
+def _parses(monkeypatch):
+    """Record every text ``json.loads`` reads and every record ``_record_problem`` checks."""
+    texts, checked = [], []
+    real_loads, real_problem = json.loads, degeneracy._record_problem
+    monkeypatch.setattr(json, "loads", lambda text, **kw: texts.append(text) or real_loads(text, **kw))
+    monkeypatch.setattr(degeneracy, "_record_problem", lambda r: checked.append(r) or real_problem(r))
+    return texts, checked
+
+
+def test_a_canonical_certificate_replays_without_a_parse(certified, monkeypatch):
+    # the compare with the run's text decides, and the run gives the record count
+    records = len(json.loads(certified["x.cert"].read_text()))
+    texts, checked = _parses(monkeypatch)
+    code, report = run(["verify", str(certified["x.sset"]), str(certified["x.table"]),
+                        "--cert", str(certified["x.cert"])])
+    assert (code, report["verdict"], report["detail"]["replayed_records"]) == (0, "pass", records)
+    assert [text[:1] for text in texts] == ["{", "{"] and checked == []  # the set and the table
 
 
 def test_a_certificate_reads_as_its_records():
@@ -164,15 +183,21 @@ REWRITTEN = {
 
 
 @pytest.mark.parametrize("rewrite", sorted(REWRITTEN))
-def test_a_certificate_with_other_bytes_but_the_same_records_passes(certified, tmp_path, rewrite):
+def test_a_certificate_with_other_bytes_but_the_same_records_passes(certified, tmp_path, rewrite,
+                                                                   monkeypatch):
     written = certified["x.cert"].read_bytes()
     records = json.loads(written)
     cert = tmp_path / "rewritten.cert"
     cert.write_bytes(REWRITTEN[rewrite](records).encode("utf-8"))
     assert json.loads(cert.read_bytes()) == records and cert.read_bytes() != written
+    texts, checked = _parses(monkeypatch)
     code, report = run(["verify", str(certified["x.sset"]), str(certified["x.table"]),
                         "--cert", str(cert)])
     assert (code, report["verdict"], report["detail"]["replayed_records"]) == (0, "pass", 18)
+    if rewrite == "no final newline":  # the run's text, less one final newline: no parse
+        assert texts[2:] == [] and checked == []
+    else:
+        assert texts[2:] == [cert.read_bytes().decode("utf-8")] and checked == records
 
 
 # -- fill tables ----------------------------------------------------------------------
@@ -250,13 +275,13 @@ def test_a_tampered_certificate_parses_into_the_blocks_of_its_records(value):
         text = json.dumps(records, sort_keys=True, separators=(",", ":")) + "\n"
         problems = [(p, degeneracy._record_problem(r)) for p, r in enumerate(records)]
         first = next(((p, problem) for p, problem in problems if problem is not None), None)
+        certificate = Certificate.read(text, "c.json")
         if first is not None:
             outcomes["ill-typed"] += 1
             with pytest.raises(ParseError) as caught:
-                Certificate.from_records(records, text)
-            assert str(caught.value) == f"record {first[0]} {first[1]}", path
+                certificate.parse()
+            assert str(caught.value) == f"c.json: record {first[0]} {first[1]}", path
             continue
-        certificate = Certificate.from_records(records, text)
         if records == run_records:
             outcomes["replayed"] += 1
             replay_certificate(SynthesisInput(X3), 3, certificate)

@@ -637,6 +637,50 @@ def test_an_ill_typed_record_is_named_by_its_position(z2_certified, field, value
     assert report["detail"] == f"{z2_certified['cert']}: record 5 {problem}"
 
 
+def _unreadable_certificates(cert) -> dict:
+    """Certificate texts that verify refuses, with the detail it reports for each."""
+    with pytest.raises(ValueError) as caught:
+        json.loads("[{")
+    return {
+        "ill-typed": ('[{"a":1}]',
+                      f'{cert}: record 0 is not an object holding "stage", "simplex", "kind" and "value"'),
+        "not JSON": ("[{", f"cannot read {cert}: {caught.value}"),
+    }
+
+
+@pytest.mark.parametrize("bad", ["ill-typed", "not JSON"])
+@pytest.mark.parametrize("case, verdict", [("the synthesis raises", "TruncationExhausted"),
+                                           ("the identity check fails", "fail")])
+def test_an_unreadable_certificate_is_an_input_error_before_any_verdict(z2_certified, bad, case, verdict):
+    # with its own certificate the same verify exits 1; a bad one exits 2 first
+    argv = ["verify", str(z2_certified["sset"]), str(z2_certified["table"]), "--cert",
+            str(z2_certified["cert"])]
+    if case == "the synthesis raises":
+        argv += ["--dim", "1"]  # the replay's synthesis needs a bound of at least 2
+    else:
+        # s_0 of edge 0 moved to another 2-simplex: the table stays pinned to the set
+        _edit(z2_certified["table"], lambda d: d["s"][0][1].__setitem__(0, 3))
+    code, report = run(argv)
+    assert (code, report["verdict"]) == (1, verdict), report
+    text, detail = _unreadable_certificates(z2_certified["cert"])[bad]
+    z2_certified["cert"].write_text(text)
+    code, report = run(argv)
+    assert (code, report["verdict"], report["detail"]) == (2, "error", detail), report
+
+
+def test_a_diverging_record_is_named_in_any_layout(z2_certified):
+    records = json.loads(z2_certified["cert"].read_text())
+    records[5]["value"] += 1
+    reports = []
+    for indent in (None, 2):
+        z2_certified["cert"].write_text(json.dumps(records, sort_keys=True, indent=indent,
+                                                   separators=(",", ":") if indent is None else None))
+        reports.append(_verify_cert(z2_certified))
+    assert reports[0] == reports[1]
+    code, report = reports[0]
+    assert (code, report["verdict"], report["witness"]) == (1, "CertificateMismatch", {"position": 5})
+
+
 @pytest.mark.parametrize("simplex, witness", [((2, 1), {"simplex": [2, 1]})])
 def test_a_violation_reports_a_simplex_that_is_a_pair_of_ints(z2_small, monkeypatch, simplex, witness):
     from degenforge import cli

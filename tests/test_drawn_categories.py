@@ -1,11 +1,14 @@
 """Synthesis on drawn categories against the identity-insertion oracle.
 
-A drawn category is a preorder, a cyclic group of order at most 4, or the
-product of two of these. Its nerve is taken at D = 2..4, capped so that the
-top level stays small, and every level is relabeled by a drawn permutation,
-as the benchmark's fixtures are. ``synthesize`` must return exactly the
-relabeled oracle table and its s_0, and the files that ``synthesize --out
---cert`` writes must replay through ``verify --cert``.
+A drawn category is a preorder, a cyclic group of order at most 4, the
+product of two of these, or the group that two drawn permutations of at most
+4 points generate. Its nerve is taken at D = 2..4, capped so that the top
+level stays small, and every level is relabeled by a drawn permutation, as
+the benchmark's fixtures are. ``synthesize`` must return exactly the
+relabeled oracle table and its s_0, the files that ``synthesize --out
+--cert`` writes must replay through ``verify --cert``, and ``edges
+--property equivalence`` must give every edge the verdict of
+``equivalence_criterion`` on its arrow.
 
 Over the two-object groupoid J, the nerve is taken again at the highest D
 at which C x J stays within the same cap. The right projection of C x J
@@ -23,6 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenforge import (
+    Arrow,
+    CategoryPresentation,
     DegeneracyTable,
     SemisimplicialMap,
     SemisimplicialSet,
@@ -31,6 +36,7 @@ from degenforge import (
     check_inner_fibration,
     compatible_horns,
     cyclic_group,
+    equivalence_criterion,
     j_groupoid,
     nerve,
     product,
@@ -43,8 +49,28 @@ from conftest import preorders
 
 TOP_CELLS = 1500  # the most top-level simplices a drawn nerve may have
 
+
+def _permutation_group(generators) -> CategoryPresentation:
+    """The group that the permutations ``generators`` generate, as a one-object category."""
+    elements = [tuple(range(len(generators[0])))]  # the identity first
+    index = {elements[0]: 0}
+    for g in elements:  # grows as the closure finds new products
+        for s in generators:
+            h = tuple(g[i] for i in s)
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+    arrows = [Arrow(str(e), 0, 0) for e in elements]
+    # (g, f) -> g after f
+    compose = {(a, b): index[tuple(g[i] for i in f)]
+               for a, g in enumerate(elements) for b, f in enumerate(elements)}
+    return CategoryPresentation(["*"], arrows, compose, {0: 0})
+
+
 factors = st.one_of(preorders(), st.integers(min_value=1, max_value=4).map(cyclic_group))
-categories = st.one_of(factors, st.builds(product_category, factors, factors))
+permutation_groups = st.integers(min_value=1, max_value=4).flatmap(
+    lambda points: st.lists(st.permutations(range(points)), min_size=2, max_size=2)).map(_permutation_group)
+categories = st.one_of(factors, permutation_groups, st.builds(product_category, factors, factors))
 
 
 def _chains(category, n: int) -> int:
@@ -59,7 +85,7 @@ def _chains(category, n: int) -> int:
 
 
 def _relabeled(bundle, rng):
-    """The nerve and its oracle table with every level permuted; ``perm[n][old] = new``."""
+    """The nerve, its oracle table and ``perm``, every level permuted: ``perm[n][old] = new``."""
     X = bundle.sset
     perm = []
     for count in X.cells:
@@ -75,7 +101,7 @@ def _relabeled(bundle, rng):
     oracle = DegeneracyTable(Y)
     for k, n, j, v in bundle.oracle_degeneracies.entries():
         oracle.set_value(k, n, perm[n][j], perm[n + 1][v])
-    return Y, oracle
+    return Y, oracle, perm
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,7 +109,8 @@ def _relabeled(bundle, rng):
 def test_synthesis_on_a_drawn_category_is_the_relabeled_oracle(category, dim, rng):
     while dim > 2 and _chains(category, dim) > TOP_CELLS:
         dim -= 1
-    X, oracle = _relabeled(nerve(category, dim), rng)
+    bundle = nerve(category, dim)
+    X, oracle, perm = _relabeled(bundle, rng)
     result = synthesize(SynthesisInput(X), dim)
     assert result.table == oracle.restricted(dim - 2)
     assert result.s0 == {v: oracle.value(0, 0, v) for v in range(X.cells[0])}
@@ -95,11 +122,17 @@ def test_synthesis_on_a_drawn_category_is_the_relabeled_oracle(category, dim, rn
         code, report = run(["verify", sset, table, "--cert", cert])
         assert (code, report["verdict"]) == (0, "pass"), report
         assert report["detail"]["replayed_records"] == len(json.loads(pathlib.Path(cert).read_text()))
+        code, report = run(["edges", sset, "--property", "equivalence"])
+        expected = [None] * X.cells[1]
+        for j in range(X.cells[1]):
+            expected[perm[1][j]] = equivalence_criterion(category, bundle.chain(1, j)[0])
+        assert (code, report["verdict"]) == ((0, "yes") if all(expected) else (1, "no")), report
+        assert [(e["edge"], e["result"]) for e in report["edges"]] == list(enumerate(expected))
     J = j_groupoid()
     while dim > 2 and _chains(category, dim) * _chains(J, dim) > TOP_CELLS:
         dim -= 1
     if _chains(category, dim) * _chains(J, dim) <= TOP_CELLS:
-        _check_over_j(*_relabeled(nerve(category, dim), rng), nerve(J, dim), dim)
+        _check_over_j(*_relabeled(nerve(category, dim), rng)[:2], nerve(J, dim), dim)
 
 
 def _horns(X: SemisimplicialSet, n: int, k: int) -> int:
