@@ -238,7 +238,10 @@ class SynthesisInput:
     and every fill is a lift over the image they prescribe. ``A``/``A_deg``
     describe a subcomplex whose structure the output must extend, in either
     case. ``s0`` (vertex index -> edge index) may be omitted where
-    auto-discovery applies.
+    auto-discovery applies. ``idempotency_witnesses`` maps vertices to
+    2-simplex indices: a mapping over some vertices, or a sequence with one
+    entry per vertex, where None means no witness. Anything else is a
+    ``ParseError`` that names the vertex.
     """
 
     X: SemisimplicialSet
@@ -700,7 +703,7 @@ class _Engine:
                     continue
             goal = None if target is None else target[j]
             if vertices and step == 2:
-                values[j] = self._idempotency_witness(j, self.inp.idempotency_witnesses, goal)
+                values[j] = self._idempotency_witness(j, goal)
                 continue
             value = self._s0_fill(j, goal) if vertices else values[j]
             if value is None:
@@ -803,18 +806,17 @@ class _Engine:
         self._check_corrected(N)
         self.t_levels = t
 
-    def _idempotency_witness(self, j: int, witnesses, target: Optional[int]) -> int:
+    def _idempotency_witness(self, j: int, target: Optional[int]) -> int:
         f = self.table.value(0, 0, j)
-        if witnesses is not None:
-            w = witnesses.get(j) if hasattr(witnesses, "get") else witnesses[j]
-            if w is not None:
-                ok = all(self.X.face_index(2, w, i) == f for i in range(3))
-                if ok and target is not None:
-                    ok = self._proj(2, w) == target
-                if not ok:
-                    raise MissingWitness(
-                        f"supplied idempotency witness {w} at vertex {j} is invalid", vertex=j)
-                return w
+        w = self.inp.idempotency_witnesses.get(j)
+        if w is not None:
+            ok = all(self.X.face_index(2, w, i) == f for i in range(3))
+            if ok and target is not None:
+                ok = self._proj(2, w) == target
+            if not ok:
+                raise MissingWitness(
+                    f"supplied idempotency witness {w} at vertex {j} is invalid", vertex=j)
+            return w
         for w in _filler_indices(self.X, 2, ((0, f), (1, f), (2, f))):
             if target is None or self._proj(2, w) == target:
                 return w
@@ -880,6 +882,28 @@ def _as_vertex_map(source, count: int, limit: int, what: str) -> dict[int, int]:
     return out
 
 
+def _as_witness_map(source, X: SemisimplicialSet) -> dict[int, int]:
+    """``source`` as {vertex: 2-simplex index} where it names a witness; {} for None.
+
+    A mapping may leave vertices out; a sequence has one entry per vertex. An
+    entry is None (no witness) or a 2-simplex index.
+    """
+    if source is None:
+        return {}
+    count, limit = X.cells[0], X.cells[2] if X.dim >= 2 else 0
+    given = source if hasattr(source, "get") else dict(enumerate(source))
+    if given is not source and len(given) < count:
+        raise ParseError(f"idempotency witnesses must cover every vertex; missing {len(given)}")
+    for v, w in given.items():
+        if not _is_index(v, count):
+            raise ParseError(
+                f"idempotency witness given at {v!r}, which is not a vertex in 0..{count - 1}")
+        if w is not None and not _is_index(w, limit):
+            raise ParseError(
+                f"idempotency witness {w!r} at vertex {v} is not a 2-simplex index in 0..{limit - 1}")
+    return {v: w for v, w in given.items() if w is not None}
+
+
 def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
@@ -899,12 +923,10 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
     for v, e in s0.items():
         if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
             raise NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
-        w = None
-        if given is not None:
-            w = given.get(v) if hasattr(given, "get") else given[v]
-            if w is not None and not all(X.face_index(2, w, i) == e for i in range(3)):
-                raise NoIdempotentEquivalence(
-                    f"supplied witness {w} at vertex {v} is not an idempotency witness", vertex=v)
+        w = given.get(v)
+        if w is not None and not all(X.face_index(2, w, i) == e for i in range(3)):
+            raise NoIdempotentEquivalence(
+                f"supplied witness {w} at vertex {v} is not an idempotency witness", vertex=v)
         if w is None:
             found = is_idempotent(X, SimplexRef(1, e))
             if found is None:
@@ -949,9 +971,7 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
     for v in range(X.cells[0]):
-        w = None
-        if given is not None:
-            w = given.get(v) if hasattr(given, "get") else given[v]
+        w = given.get(v)
         e = inp.s0[v] if inp.s0 is not None else (None if Adeg is None else Adeg.value(0, 0, v))
         if e is not None:
             found = _relative_s0_check(inp, D, lifts, v, e, w)
@@ -973,7 +993,9 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
 
 def _prepared(inp: SynthesisInput, D: Optional[int],
               validated: bool = False) -> tuple[SynthesisInput, int]:
-    """``inp`` with ``s0`` as one edge per vertex, and the bound; every way into the engine starts here.
+    """``inp`` with ``s0`` as one edge per vertex and its witnesses as a dict, and the bound.
+
+    Every way into the engine starts here.
 
     The set, target and map are validated before anything else is checked,
     unless ``validated`` says that the caller has already validated ``inp.X``.
@@ -993,6 +1015,7 @@ def _prepared(inp: SynthesisInput, D: Optional[int],
     if inp.s0 is not None:
         edges = X.cells[1] if X.dim else 0
         inp = replace(inp, s0=_as_vertex_map(inp.s0, X.cells[0], edges, "s0"))
+    inp = replace(inp, idempotency_witnesses=_as_witness_map(inp.idempotency_witnesses, X))
     if A is not None:
         closure = A.validate()
         if not closure.ok:

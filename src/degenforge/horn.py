@@ -3,8 +3,8 @@
 All checkers are read-only scans: they fill a set's lookup caches but never
 change its faces. Every scan runs through one column-wise enumerator: it
 lists all compatible horns of a shape at once, one column per face, each
-step a slot-pattern lookup over the whole frontier of partial horns. One lift
-test then answers for the whole batch of columns. Verdicts are always "up to D":
+step a slot-pattern lookup over the whole frontier of partial horns. One loop
+applies a lift test to each batch of columns. Verdicts are always "up to D":
 nothing is extrapolated beyond the truncation, and a negative verdict
 carries a concrete witness. Filler tie-breaking is everywhere the lowest
 canonical index.
@@ -296,16 +296,17 @@ class LiftTests(dict):
         return test
 
 
-def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], shapes: Iterable[tuple[int, int]],
+def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], scans: Iterable[tuple],
           lifts: Optional[LiftTests] = None) -> tuple[int, Optional[LiftFailure]]:
     """Horns checked up to the first that does not lift, and that horn with the target it misses.
 
-    Without ``lifts`` each shape's lift test is built for its scan and dropped after it.
+    Each scan is the ``(n, k, restrict, descending)`` of a :func:`_face_columns`
+    call. Without ``lifts`` each shape's lift test is built for its scan and dropped after it.
     """
     checked = 0
-    for n, k in shapes:
+    for n, k, restrict, descending in scans:
         missing = _lift_test(X, p, n, k) if lifts is None else lifts[n, k]
-        columns = _face_columns(X, n, k)
+        columns = _face_columns(X, n, k, restrict, descending)
         failure = missing(columns)
         if failure is not None:
             t, y = failure
@@ -314,14 +315,14 @@ def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], shapes: Iterable
     return checked, None
 
 
-def _inner_shapes(bound: int) -> Iterator[tuple[int, int]]:
-    return ((n, k) for n in range(2, bound + 1) for k in range(n - 1, 0, -1))
+def _inner_scans(bound: int) -> Iterator[tuple]:
+    return ((n, k, None, False) for n in range(2, bound + 1) for k in range(n - 1, 0, -1))
 
 
 def check_inner(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible inner horn (0 < k < n <= D) has at least one filler."""
     bound = X.dim if D is None else min(D, X.dim)
-    checked, failure = _scan(X, None, _inner_shapes(bound))
+    checked, failure = _scan(X, None, _inner_scans(bound))
     return HornVerdict(failure is None, bound, failure and failure.horn, checked)
 
 
@@ -333,8 +334,8 @@ def check_kan(X: SemisimplicialSet, D: Optional[int] = None,
     edge checks of one command.
     """
     bound = X.dim if D is None else min(D, X.dim)
-    shapes = ((n, k) for n in range(1, bound + 1) for k in range(n, -1, -1))
-    checked, failure = _scan(X, None, shapes, lifts)
+    scans = ((n, k, None, False) for n in range(1, bound + 1) for k in range(n, -1, -1))
+    checked, failure = _scan(X, None, scans, lifts)
     return HornVerdict(failure is None, bound, failure and failure.horn, checked)
 
 
@@ -364,30 +365,19 @@ class EdgeVerdict:
         return out
 
 
-def _edge_scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], f: SimplexRef,
-               property: str, bound: int,
-               lifts: Optional[LiftTests]) -> Optional[LiftFailure]:
-    """First horn of a cartesian (cocartesian) scan of f that does not lift, with its target.
+def _edge_scans(X: SemisimplicialSet, f: SimplexRef, property: str, bound: int) -> Iterator[tuple]:
+    """The scans of f's cartesian (cocartesian) condition, one per n up to the bound.
 
     Cartesian scans visit the right horns whose last edge, read off x_0, is f;
     cocartesian scans the left horns whose first edge, read off x_n, is f.
-    ``lifts`` holds the lift tests of X over p, or is None for a scan of its own.
     """
     if property not in ("cartesian", "cocartesian"):
         raise ValueError(f"unknown edge property {property!r}")
-    lifts = LiftTests(X, p) if lifts is None else lifts
+    cartesian = property == "cartesian"
     for n in range(2, bound + 1):
-        if property == "cartesian":
-            k, slot, end, descending = n, 0, "last", False
-        else:
-            k, slot, end, descending = 0, n, "first", True
-        pool = [j for j, e in enumerate(X.edges(n - 1, end)) if e == f.index]
-        columns = _face_columns(X, n, k, restrict={slot: pool}, descending=descending)
-        failure = lifts[n, k](columns)
-        if failure is not None:
-            t, y = failure
-            return LiftFailure(_horn(n, k, columns, t), SimplexRef(n, y))
-    return None
+        k = n if cartesian else 0
+        pool = [j for j, e in enumerate(X.edges(n - 1, "last" if cartesian else "first")) if e == f.index]
+        yield n, k, {n - k: pool}, not cartesian
 
 
 def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
@@ -398,18 +388,17 @@ def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
     checks of one command.
     """
     bound = X.dim if D is None else min(D, X.dim)
-    failure = _edge_scan(X, None, f, property, bound, lifts)
+    _, failure = _scan(X, None, _edge_scans(X, f, property, bound), lifts)
     return EdgeVerdict(f, property, bound, failure is None, failure and failure.horn)
 
 
 def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None,
                    lifts: Optional[LiftTests] = None) -> EdgeVerdict:
-    """Conjunction of the cartesian and cocartesian verdicts at bound D."""
-    cart = edge_property(X, f, "cartesian", D, lifts)
-    if not cart.result:
-        return EdgeVerdict(f, "equivalence", cart.bound, False, cart.witness)
-    cocart = edge_property(X, f, "cocartesian", D, lifts)
-    return EdgeVerdict(f, "equivalence", cocart.bound, cocart.result, cocart.witness)
+    """Conjunction of the cartesian and cocartesian verdicts at bound D: one scan, cartesian first."""
+    bound = X.dim if D is None else min(D, X.dim)
+    scans = chain(_edge_scans(X, f, "cartesian", bound), _edge_scans(X, f, "cocartesian", bound))
+    _, failure = _scan(X, None, scans, lifts)
+    return EdgeVerdict(f, "equivalence", bound, failure is None, failure and failure.horn)
 
 
 def is_idempotent(X: SemisimplicialSet, f: SimplexRef) -> Optional[SimplexRef]:
@@ -458,14 +447,14 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Horn
     bound = p.depth if D is None else min(D, p.depth)
     if p.factor is not None and all(p.target.cells[:bound + 1]):
         checked = 0
-        for n, k in _inner_shapes(bound):
-            filled, failure = _scan(p.factor, None, [(n, k)])
+        for scan in _inner_scans(bound):
+            filled, failure = _scan(p.factor, None, [scan])
             if failure is not None:
                 break
-            checked += filled * len(_face_columns(p.target, n, k)[0])
+            checked += filled * len(_face_columns(p.target, *scan)[0])
         else:
             return HornVerdict(True, bound, None, checked)
-    checked, failure = _scan(p.source, p, _inner_shapes(bound))
+    checked, failure = _scan(p.source, p, _inner_scans(bound))
     return HornVerdict(failure is None, bound, failure, checked)
 
 
@@ -499,5 +488,5 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
                     return EdgeVerdict(f, property, bound, True, SimplexRef(2, z))
         return EdgeVerdict(f, property, bound, False,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
-    failure = _edge_scan(X, p, f, property, bound, lifts)
+    _, failure = _scan(X, p, _edge_scans(X, f, property, bound), lifts)
     return EdgeVerdict(f, property, bound, failure is None, failure)

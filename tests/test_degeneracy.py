@@ -13,6 +13,7 @@ from degenforge import (
     Horn,
     IncompatibleSubcomplexStructure,
     MissingDegeneracies,
+    MissingWitness,
     NoIdempotentEquivalence,
     NotKan,
     ParseError,
@@ -24,6 +25,7 @@ from degenforge import (
     TruncationExhausted,
     UnfillableHorn,
     addendum_s0,
+    check_inner,
     compatibility_failures,
     forced_value,
     nerve,
@@ -34,6 +36,7 @@ from degenforge import (
     synthesize,
     synthesize_relative,
     uniqueness_demo,
+    validate,
     verify_simplicial,
 )
 from degenforge.nerve import cyclic_group, idempotent_monoid, j_groupoid, poset_01
@@ -122,6 +125,44 @@ def test_step1_with_doctored_s0_hits_unfillable_horn(deltas):
     inp = SynthesisInput(d1, s0={0: 0, 1: 0})
     with pytest.raises(UnfillableHorn):
         step1_extend(fresh_system(d1), inp, 4)
+
+
+def test_a_missing_filler_stops_the_next_stage_with_its_horn():
+    # Z/2 without its 3-simplex (g, 1, g) passes validation but not the inner
+    # scan; stage 0 goes through, and stage 1 needs that simplex at level 2
+    n2 = nerve(cyclic_group(2), 3)
+    X, drop = n2.sset, n2.index_of(3, (1, 0, 1))
+    faces = [[list(X.faces_of(n, z)) for z in range(X.cells[n]) if (n, z) != (3, drop)]
+             for n in range(1, 4)]
+    Y = SemisimplicialSet([*X.cells[:3], X.cells[3] - 1], faces)
+    assert validate(Y).ok and not check_inner(Y).ok
+    inp = SynthesisInput(Y, s0={0: 0})
+    good0 = step2_correct(step1_extend(fresh_system(Y), inp, 3), inp, 3)
+    with pytest.raises(UnfillableHorn) as caught:
+        step1_extend(good0, inp, 3)
+    assert (str(caught.value), caught.value.horn, caught.value.level) == (
+        "no admissible filler for the (3,2) horn at level 2", Horn(3, 2, ((0, 1), (1, 3), (3, 2))), 2)
+
+
+def _loop():
+    # one vertex and one self-edge, with no 2-simplex to witness it
+    return SemisimplicialSet([1, 1, 0], [[[0, 0]], []])
+
+
+def test_a_vertex_without_an_idempotency_witness_stops_the_correction():
+    X = _loop()
+    table = DegeneracyTable(X)
+    table.set_value(0, 0, 0, 0)
+    with pytest.raises(MissingWitness) as caught:
+        step2_correct(GoodSystem(table, N=0, almost=True), SynthesisInput(X), 2)
+    assert (str(caught.value), caught.value.vertex) == ("no idempotency witness found at vertex 0", 0)
+
+
+def test_stage_zero_without_s0_is_refused():
+    X = _loop()
+    with pytest.raises(ValueError) as caught:
+        step1_extend(fresh_system(X), SynthesisInput(X), 2)
+    assert str(caught.value) == "stage 0 requires the degree-0 degeneracy candidate s0"
 
 
 def _without_level(table, k, n):

@@ -15,10 +15,12 @@ from degenforge import (
     CategoryPresentation,
     MissingWitness,
     NoIdempotentEquivalence,
+    ParseError,
     SynthesisInput,
     nerve,
     product,
     synthesize,
+    synthesize_relative,
 )
 from degenforge.cli import run
 from degenforge.nerve import Arrow, cyclic_group, idempotent_monoid, j_groupoid
@@ -93,6 +95,29 @@ def test_a_supplied_witness_that_is_not_one_is_refused_over_the_point():
         f"supplied witness {w} at vertex 0 is not an idempotency witness", 0)
 
 
+@pytest.mark.parametrize("order, witnesses, detail", [
+    (2, [], "idempotency witnesses must cover every vertex; missing 0"),
+    (2, [None, None], "idempotency witness given at 1, which is not a vertex in 0..0"),
+    (2, {0: 10**9}, "idempotency witness 1000000000 at vertex 0 is not a 2-simplex index in 0..3"),
+    (1, {0: -1}, "idempotency witness -1 at vertex 0 is not a 2-simplex index in 0..0"),
+    (2, {0: True}, "idempotency witness True at vertex 0 is not a 2-simplex index in 0..3"),
+    (1, {5: 0}, "idempotency witness given at 5, which is not a vertex in 0..0"),
+])
+def test_a_supplied_witness_that_is_not_a_2_simplex_index_is_refused(order, witnesses, detail):
+    X = nerve(cyclic_group(order), 4).sset
+    with pytest.raises(ParseError) as caught:
+        synthesize(SynthesisInput(X, s0={0: 0}, idempotency_witnesses=witnesses), 4)
+    assert str(caught.value) == detail
+
+
+@pytest.mark.parametrize("witnesses", [None, {}, {0: None}, [None], {0: 0}, [0]])
+def test_every_accepted_form_of_the_witnesses_gives_the_same_run(witnesses):
+    X = nerve(cyclic_group(2), 4).sset
+    run = synthesize(SynthesisInput(X, s0={0: 0}, idempotency_witnesses=witnesses), 4)
+    assert (run.witnesses, run.certificate.to_json()) == (
+        {0: 0}, synthesize(SynthesisInput(X, s0={0: 0}), 4).certificate.to_json())
+
+
 # -- over a map -------------------------------------------------------------------
 
 
@@ -161,3 +186,13 @@ def test_a_supplied_witness_that_is_not_one_is_refused_over_j():
         synthesize(inp, 3)
     assert (str(caught.value), caught.value.vertex) == (
         f"supplied idempotency witness {w} at vertex 0 is invalid", 0)
+
+
+def test_a_witness_sequence_without_an_entry_per_vertex_is_refused_over_j():
+    n2, nj = nerve(cyclic_group(2), 3), nerve(j_groupoid(), 3)
+    bundle = product(n2.sset, nj.sset)
+    inp = SynthesisInput(bundle.sset, p=bundle.right, Y_deg=nj.oracle_degeneracies,
+                         idempotency_witnesses=[])
+    with pytest.raises(ParseError) as caught:
+        synthesize_relative(inp, 3)
+    assert str(caught.value) == "idempotency witnesses must cover every vertex; missing 0"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from degenforge import (
     Horn,
     IncompatibleHorn,
+    MissingDegeneracies,
     NotASelfEdge,
     SemisimplicialMap,
     SemisimplicialSet,
@@ -24,9 +25,11 @@ from degenforge import (
     identity_map,
     is_equivalence,
     is_idempotent,
+    nerve,
     p_edge_property,
     product,
 )
+from degenforge.nerve import cyclic_group
 from conftest import naive_fillers
 
 
@@ -122,6 +125,8 @@ def test_idempotent_witnesses(nm, np01):
     assert is_idempotent(nm.sset, SimplexRef(1, 0)) == SimplexRef(2, nm.index_of(2, (0, 0)))
     with pytest.raises(NotASelfEdge):
         is_idempotent(np01.sset, SimplexRef(1, 1))
+    # below dimension 2 there is no 2-simplex to witness anything
+    assert is_idempotent(nerve(cyclic_group(2), 1).sset, SimplexRef(1, 0)) is None
 
 
 def test_idempotent_equivalence_search(n2, nm, deltas):
@@ -131,6 +136,7 @@ def test_idempotent_equivalence_search(n2, nm, deltas):
     d1 = deltas[1].sset
     assert find_idempotent_equivalences(d1, SimplexRef(0, 0), 3) == []
     assert find_idempotent_equivalences(d1, SimplexRef(0, 1), 3) == []
+    assert find_idempotent_equivalences(SemisimplicialSet([1], []), vertex, 3) == []
 
 
 def test_projection_is_inner_fibration(n2, nj):
@@ -180,6 +186,33 @@ def test_relative_idempotent_with_witness_pair(n2, nj):
     assert verdict.result
     expected = bundle.pair_index(2, n2.index_of(2, (0, 0)), nj.index_of(2, (0, 0)))
     assert verdict.witness == SimplexRef(2, expected)
+    with pytest.raises(MissingDegeneracies) as caught:
+        p_edge_property(bundle.right, f, "idempotent", 3)
+    assert str(caught.value) == "the idempotent check needs the target's degeneracies"
+    u = bundle.pair_index(1, 0, 2)  # (identity, u) runs from (*, 0) to (*, 1)
+    with pytest.raises(NotASelfEdge) as caught:
+        p_edge_property(bundle.right, SimplexRef(1, u), "idempotent", 3, nj.oracle_degeneracies)
+    assert str(caught.value) == f"edge {u} has distinct endpoints"
+
+
+@pytest.mark.parametrize("over_a_map", [False, True])
+@pytest.mark.parametrize("bound", [1, 3])
+def test_an_unknown_edge_property_is_refused_before_any_scan(n2, terminal, monkeypatch, over_a_map, bound):
+    from degenforge import horn
+
+    def scanned(*args):
+        raise AssertionError("an edge scan ran")
+
+    monkeypatch.setattr(horn, "_face_columns", scanned)
+    monkeypatch.setattr(horn, "_lift_test", scanned)
+    X, f = n2.sset, SimplexRef(1, 1)
+    to_point = SemisimplicialMap(X, terminal.sset, [[0] * c for c in X.cells])
+    with pytest.raises(ValueError) as caught:
+        if over_a_map:
+            p_edge_property(to_point, f, "sideways", bound)
+        else:
+            edge_property(X, f, "sideways", bound)
+    assert str(caught.value) == "unknown edge property 'sideways'"
 
 
 def test_fillers_match_naive_scan_on_sampled_horns(n2, n3, nm, np01, nsq, nj):
