@@ -40,7 +40,7 @@ import json
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
-from operator import is_, not_
+from operator import and_, eq, floordiv, is_, mod, not_
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -541,6 +541,26 @@ def _through(level: Optional[Sequence[Optional[int]]], column: Sequence[Optional
     return _gather(column)(level)
 
 
+def _pair_fill(lowest: dict, Y: SemisimplicialSet, m: int, k: int,
+               columns: Sequence[Sequence[Optional[int]]], target: Sequence[Optional[int]]) -> list:
+    """The lowest filler of each row of (m,k) horns of C x Y over ``target``, from C's table ``lowest``."""
+    if None in target or any(None in column for column in columns):
+        # a row with an undefined face or target has no filler; the others are answered alone
+        rows = [r for r, row in enumerate(zip(target, *columns)) if None not in row]
+        at = _gather(rows)
+        found = dict(zip(rows, _pair_fill(lowest, Y, m, k, list(map(at, columns)), at(target))))
+        return list(map(found.get, range(len(target))))
+    below, above = Y.cells[m - 1], Y.cells[m]
+    at = _gather(target)
+    fits: Sequence[bool] = [True] * len(target)
+    for i, column in zip(_positions(m, k), columns):
+        parts, want = tuple(map(mod, column, repeat(below))), at(Y.face_column(m, i))
+        if parts != want:
+            fits = list(map(and_, fits, map(eq, parts, want)))
+    found = map(lowest.get, zip(*(map(floordiv, column, repeat(below)) for column in columns)))
+    return [None if z is None or not fit else z * above + y for z, fit, y in zip(found, fits, target)]
+
+
 class _Engine:
     """The two steps of every stage, a level ``(N, n)`` at a time.
 
@@ -640,15 +660,22 @@ class _Engine:
         A row is None where it has no filler or holds an undefined face. An
         incompatible row has no filler either: the faces of a simplex of a
         valid set are compatible, and only valid sets reach the engine.
+        Over a projection marked with its factor C the table is C's: a filler
+        over y is a pair (z, y), and row-major pair indices make the lowest
+        one (lowest C filler, y), where the row's faces pair with y's.
         """
+        factor = None if self.p is None else self.p.factor
         lowest = self._fills.pop((m, k), None)
         if lowest is None:
-            keys = list(_lift_keys(self.X, self.p, m, k))
+            X, p = (self.X, self.p) if factor is None else (factor, None)
+            keys = list(_lift_keys(X, p, m, k))
             keys.reverse()
             lowest = dict(zip(keys, range(len(keys) - 1, -1, -1)))
             if keep:
                 self._fills[(m, k)] = lowest
-        return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
+        if factor is None:
+            return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
+        return _pair_fill(lowest, self.p.target, m, k, columns, target)
 
     def _unfilled(self, m: int, k: int, row: Sequence[Optional[int]], target: Optional[int],
                   n: int, j: int, what: str) -> None:
@@ -905,36 +932,34 @@ def _as_witness_map(source, X: SemisimplicialSet) -> dict[int, int]:
 
 
 def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
+    # each vertex once: the lowest idempotent equivalence, or the supplied s0 edge checked;
+    # a supplied witness must have all three faces that edge, found or supplied
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
     lifts = LiftTests(X)
-    if inp.s0 is None:
-        for v in range(X.cells[0]):
+    for v in range(X.cells[0]):
+        if inp.s0 is None:
             found = find_idempotent_equivalences(X, SimplexRef(0, v), D, lifts)
             if not found:
-                raise NoIdempotentEquivalence(
-                    f"no idempotent equivalence at vertex {v}", vertex=v)
-            edge, witness = found[0]
-            s0[v] = edge.index
-            witnesses[v] = witness.index
-        return s0, witnesses
-    s0 = dict(inp.s0)
-    given = inp.idempotency_witnesses
-    for v, e in s0.items():
-        if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
-            raise NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
-        w = given.get(v)
+                raise NoIdempotentEquivalence(f"no idempotent equivalence at vertex {v}", vertex=v)
+            e, witness = found[0][0].index, found[0][1].index
+        else:
+            e, witness = inp.s0[v], None
+            if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
+                raise NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
+        w = inp.idempotency_witnesses.get(v)
         if w is not None and not all(X.face_index(2, w, i) == e for i in range(3)):
             raise NoIdempotentEquivalence(
                 f"supplied witness {w} at vertex {v} is not an idempotency witness", vertex=v)
-        if w is None:
-            found = is_idempotent(X, SimplexRef(1, e))
-            if found is None:
+        if witness is None and w is None:
+            idempotent = is_idempotent(X, SimplexRef(1, e))
+            if idempotent is None:
                 raise NoIdempotentEquivalence(f"s0({v}) = {e} is not idempotent", vertex=v)
-            w = found.index
-        if not is_equivalence(X, SimplexRef(1, e), D, lifts).result:
+            witness = idempotent.index
+        if inp.s0 is not None and not is_equivalence(X, SimplexRef(1, e), D, lifts).result:
             raise NoIdempotentEquivalence(f"s0({v}) = {e} is not an equivalence", vertex=v)
-        witnesses[v] = w
+        s0[v] = e
+        witnesses[v] = witness if w is None else w
     return s0, witnesses
 
 
@@ -999,14 +1024,21 @@ def _prepared(inp: SynthesisInput, D: Optional[int],
 
     The set, target and map are validated before anything else is checked,
     unless ``validated`` says that the caller has already validated ``inp.X``.
+    Over a projection marked with its factor C, whose source is ``inp.X``,
+    C and Y are validated instead: the product is valid when they are, and
+    the projection commutes by construction. When either fails, the checks
+    run as over any map, so a refusal keeps its text.
     """
     X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
-    if not validated:
+    factored = (p is not None and p.factor is not None and p.source is X
+                and (validated or validate(p.factor).ok) and validate(p.target).ok)
+    if not validated and not factored:
         _require_valid("input set", validate(X))
     bound = X.dim if D is None else min(D, X.dim)
     if p is not None:
-        _require_valid("target set", validate(p.target))
-        _require_valid("projection", validate_map(p))
+        if not factored:
+            _require_valid("target set", validate(p.target))
+            _require_valid("projection", validate_map(p))
         if inp.Y_deg is None:
             raise MissingDegeneracies("relative synthesis needs the target's degeneracy table")
         if p.source is not X and p.source != X:

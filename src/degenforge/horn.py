@@ -284,12 +284,14 @@ class LiftTests(dict):
 
     A command that makes many scans makes one and passes it to each of them,
     so each shape's test is built once; it is dropped with the command, and
-    nothing is kept on the set.
+    nothing is kept on the set. Over a projection marked with its factor C,
+    ``factor`` holds C's tests over the point, for :func:`p_edge_property`.
     """
 
     def __init__(self, X: SemisimplicialSet, p: Optional[SemisimplicialMap] = None):
         super().__init__()
         self.X, self.p = X, p
+        self.factor = None if p is None or p.factor is None else LiftTests(p.factor)
 
     def __missing__(self, shape: tuple[int, int]):
         test = self[shape] = _lift_test(self.X, self.p, *shape)
@@ -468,6 +470,15 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
     faces f projecting to the doubly degenerate image of the base vertex.
     ``lifts``, the lift tests of p's source over p, may be shared by the
     checks of one command.
+
+    Over the right projection C x Y -> Y of :func:`product` (``p.factor`` is
+    C), f is a pair (c, y), and a horn of C x Y, a pair of horns, lifts over
+    a Y-simplex exactly when its C-horn fills. So when y is the last
+    (cocartesian: first) edge of some n-simplex of Y for each n up to the
+    bound, the verdict is C's :func:`edge_property` at c. The full scan runs
+    when that guard misses or C fails, and names the witness. The other
+    readers of the mark are ``check_inner_fibration``, the engine's fill
+    tables and ``_prepared``; :class:`SemisimplicialMap` lists their guards.
     """
     X = p.source
     bound = p.depth if D is None else min(D, p.depth)
@@ -488,5 +499,12 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
                     return EdgeVerdict(f, property, bound, True, SimplexRef(2, z))
         return EdgeVerdict(f, property, bound, False,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
+    if p.factor is not None and bound >= 2:
+        c, y = divmod(f.index, p.target.cells[1])
+        end = "last" if property == "cartesian" else "first"
+        inhabited = all(y in p.target.edges(n, end) for n in range(2, bound + 1))
+        if inhabited and edge_property(p.factor, SimplexRef(1, c), property, bound,
+                                       None if lifts is None else lifts.factor).result:
+            return EdgeVerdict(f, property, bound, True, None)
     _, failure = _scan(X, p, _edge_scans(X, f, property, bound), lifts)
     return EdgeVerdict(f, property, bound, failure is None, failure)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import chain, count
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionTooLow, ParseError
@@ -364,9 +364,17 @@ class SemisimplicialMap:
 
     Levels run up to the common truncation min(dim source, dim target);
     commutation with the face operators is checked by :func:`validate_map`.
-    ``factor`` is set only on the right projection C x Y -> Y that
-    :func:`product` builds: it is C, which answers the projection's inner
-    lifting problems.
+
+    ``factor`` = C marks the map as the right projection of the source
+    ``product(C, target)``, as :func:`product` builds it; C's cell counts
+    times the target's must be the source's. Four places answer from C; all
+    but the fill tables fall back to the whole source on a miss:
+    ``check_inner_fibration`` (C's inner scan, unless C fails or a level of Y
+    is empty), ``p_edge_property`` (C's edge scan at c for f = (c, y), unless
+    C fails or y is not the last, or first, edge of an n-simplex of Y),
+    ``_Engine._canonical_fill`` (C's fill tables, always) and ``_prepared``
+    (``validate`` of C and Y instead of the source's and ``validate_map``,
+    unless one fails).
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
@@ -375,6 +383,10 @@ class SemisimplicialMap:
         self.target = target
         self.factor = factor
         self.depth = min(source.dim, target.dim)
+        top = self.depth + 1
+        if factor is not None and list(map(mul, factor.cells, target.cells[:top])) != list(source.cells[:top]):
+            raise ValueError("a factor's cell counts times the target's must be the source's, "
+                             f"up to level {self.depth}")
         if len(levels) != self.depth + 1:
             raise ValueError(f"expected {self.depth + 1} levels, got {len(levels)}")
         norm = []

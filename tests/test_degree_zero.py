@@ -95,6 +95,19 @@ def test_a_supplied_witness_that_is_not_one_is_refused_over_the_point():
         f"supplied witness {w} at vertex 0 is not an idempotency witness", 0)
 
 
+@pytest.mark.parametrize("s0", [None, {0: 0}])
+def test_a_supplied_witness_is_checked_whether_s0_is_searched_or_supplied(s0):
+    # 2-simplex 3 of Z/2 is (g, g), whose faces are g, 1, g; the search picks the identity edge 0
+    X = nerve(cyclic_group(2), 4).sset
+    with pytest.raises(NoIdempotentEquivalence) as caught:
+        synthesize(SynthesisInput(X, s0=s0, idempotency_witnesses={0: 3}), 4)
+    assert (str(caught.value), caught.value.vertex) == (
+        "supplied witness 3 at vertex 0 is not an idempotency witness", 0)
+    run, plain = (synthesize(SynthesisInput(X, s0=s0, idempotency_witnesses=w), 4) for w in ({0: 0}, None))
+    assert (run.witnesses, run.table, run.certificate.to_json()) == (
+        {0: 0}, plain.table, plain.certificate.to_json())
+
+
 @pytest.mark.parametrize("order, witnesses, detail", [
     (2, [], "idempotency witnesses must cover every vertex; missing 0"),
     (2, [None, None], "idempotency witness given at 1, which is not a vertex in 0..0"),

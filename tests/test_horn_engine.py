@@ -16,10 +16,15 @@ from collections import Counter
 import pytest
 
 from degenforge import (
+    DegeneracyTable,
+    DegenforgeError,
     Horn,
+    ParseError,
     SemisimplicialMap,
     SemisimplicialSet,
     SimplexRef,
+    SynthesisInput,
+    UnfillableHorn,
     check_inner,
     check_inner_fibration,
     check_kan,
@@ -36,9 +41,11 @@ from degenforge import (
     product,
     product_category,
     simplex_category,
+    synthesize_relative,
 )
 from degenforge.cli import run
-from degenforge.horn import _filler_indices
+from degenforge.horn import LiftTests, _filler_indices
+from degenforge.nerve import uniqueness_demo
 from conftest import naive_fillers
 
 FIXTURES = {
@@ -319,6 +326,151 @@ def test_a_marked_projection_agrees_with_its_unmarked_copy(name, monkeypatch):
     assert check_inner_fibration(unmarked).to_json_dict() == marked
     assert scanned[-1] is unmarked
     assert marked["result"] == check_inner(C, p.depth).ok
+
+
+def _invalid_z2() -> SemisimplicialSet:
+    # Z/2 with d_1 and d_2 of the 2-simplex (g, g) swapped: it fails validate, and so does C x J
+    data = nerve(cyclic_group(2), 3).sset.to_json_dict()
+    row = data["faces"][1][3]
+    row[1], row[2] = row[2], row[1]
+    return SemisimplicialSet(data["cells"], data["faces"])
+
+
+AGREEMENT = {
+    # name: (left factor C, right factor Y)
+    **{name: (left, right) for name, (left, right, _) in PRODUCTS.items()},
+    "monoid@D4xJ": (lambda: nerve(idempotent_monoid(), 4).sset, lambda: nerve(j_groupoid(), 4).sset),
+    "invalidxJ": (_invalid_z2, lambda: nerve(j_groupoid(), 3).sset),
+}
+# the cases whose relative run succeeds; the others are refused
+SYNTHESIZED = {"Z/2@D5xJ", "Z/3@D5xJ", "Z/2xZ/2@D4xJ", "monoid@D4xJ"}
+# why the edge scans over a marked projection take the full scan, per case
+EDGE_FALLBACKS = {"monoid@D4xJ": {"C fails"}, "spinexJ": {"C fails"}, "invalidxJ": {"C fails"},
+                  "Z/2xspine": {"no n-simplex over y"}}
+
+
+def _synthesis(p, Y_deg):
+    """A relative run's table, certificate text, stats, s0 and witnesses, or its error's type and text."""
+    try:
+        result = synthesize_relative(SynthesisInput(p.source, p=p, Y_deg=Y_deg))
+    except DegenforgeError as exc:
+        return type(exc), str(exc)
+    return (result.table.to_json_dict(), result.certificate.to_json(), result.stats, result.s0,
+            result.witnesses)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT))
+def test_marked_and_unmarked_projections_agree_on_edges_and_synthesis(name, monkeypatch):
+    # the edge scans and the relative run answer from C over a marked projection; verdicts,
+    # witnesses, tables, certificates and refusals are those of the same levels unmarked
+    from degenforge import horn
+    left, right = AGREEMENT[name]
+    C, Y = left(), right()
+    p = product(C, Y).right
+    unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    scanned = []
+    scan = horn._scan
+
+    def recording(X, q, *args):
+        scanned.append(q)
+        return scan(X, q, *args)
+
+    monkeypatch.setattr(horn, "_scan", recording)
+    marked_lifts, unmarked_lifts = LiftTests(p.source, p), LiftTests(p.source, unmarked)
+    reasons = set()
+    for e in range(p.source.cells[1]):
+        c, y = divmod(e, Y.cells[1])
+        for prop, end in (("cartesian", "last"), ("cocartesian", "first")):
+            del scanned[:]
+            marked = p_edge_property(p, SimplexRef(1, e), prop, lifts=marked_lifts).to_json_dict()
+            assert p_edge_property(unmarked, SimplexRef(1, e), prop,
+                                   lifts=unmarked_lifts).to_json_dict() == marked
+            inhabited = all(y in Y.edges(n, end) for n in range(2, p.depth + 1))
+            factor = edge_property(C, SimplexRef(1, c), prop, p.depth).result
+            reason = None if inhabited and factor else "C fails" if inhabited else "no n-simplex over y"
+            assert any(q is p for q in scanned) == (reason is not None), (e, prop)
+            if reason is None:
+                assert marked["result"]
+            reasons.add(reason)
+    assert reasons - {None} == EDGE_FALLBACKS.get(name, set())
+    Y_deg = nerve(j_groupoid(), Y.dim).oracle_degeneracies if Y == nerve(j_groupoid(), Y.dim).sset \
+        else DegeneracyTable(Y)
+    outcome = _synthesis(p, Y_deg)
+    assert outcome == _synthesis(unmarked, Y_deg)
+    assert (len(outcome) == 5) == (name in SYNTHESIZED), outcome[:2]
+
+
+def test_a_target_table_that_breaks_an_identity_is_refused_alike():
+    # a tampered J table prescribes horns whose faces do not lie over the target's faces;
+    # C's fill tables must give those rows no filler, as the product's table does
+    nj = nerve(j_groupoid(), 3)
+    p = product(nerve(cyclic_group(2), 3).sset, nj.sset).right
+    unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    unfilled = 0
+    for k, n, j, _ in nj.oracle_degeneracies.entries():
+        if n != 1:
+            continue
+        for w in range(nj.sset.cells[2]):
+            Y_deg = nj.oracle_degeneracies.copy()
+            Y_deg.set_value(k, n, j, w)
+            outcome = _synthesis(p, Y_deg)
+            assert outcome == _synthesis(unmarked, Y_deg), (k, n, j, w)
+            unfilled += outcome[0] is UnfillableHorn
+    assert unfilled
+
+
+def _recorded(monkeypatch) -> list:
+    """The sets that the lift scans, the fill tables and the validation of a run are given."""
+    from degenforge import degeneracy, horn
+    seen = []
+    for module, name in ((horn, "_scan"), (horn, "_lift_keys"), (degeneracy, "_lift_keys"),
+                         (degeneracy, "validate"), (degeneracy, "validate_map")):
+        real = getattr(module, name)
+
+        def recording(X, *args, real=real):
+            seen.append(getattr(X, "source", X))  # validate_map is given the map
+            return real(X, *args)
+
+        monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_the_demo_never_enumerates_the_product(order, monkeypatch):
+    seen = _recorded(monkeypatch)
+    C = nerve(cyclic_group(order), 4)
+    demo = uniqueness_demo(C.sset, C.oracle_degeneracies, C.oracle_degeneracies, 4)
+    assert demo.ok and seen
+    assert not any(X is demo.result.table.base for X in seen)
+
+
+def _monoid_edge():
+    # the edge (e, id0): e has no right inverse, so C fails its cartesian scan
+    p = product(nerve(idempotent_monoid(), 4).sset, nerve(j_groupoid(), 4).sset).right
+    p_edge_property(p, SimplexRef(1, 1 * 4 + 0), "cartesian")
+    return p.source
+
+
+def _spine_edge():
+    # the spine has no 2-simplex, so no right horn has a target over its edges
+    p = product(nerve(cyclic_group(2), 2).sset, _spine()).right
+    p_edge_property(p, SimplexRef(1, 0), "cartesian")
+    return p.source
+
+
+def _invalid_run():
+    nj = nerve(j_groupoid(), 3)
+    p = product(_invalid_z2(), nj.sset).right
+    with pytest.raises(ParseError, match="input set fails validation"):
+        synthesize_relative(SynthesisInput(p.source, p=p, Y_deg=nj.oracle_degeneracies))
+    return p.source
+
+
+@pytest.mark.parametrize("case", [_monoid_edge, _spine_edge, _invalid_run])
+def test_each_fallback_reads_the_product(case, monkeypatch):
+    seen = _recorded(monkeypatch)
+    X = case()
+    assert any(Z is X for Z in seen)
 
 
 def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):

@@ -89,6 +89,18 @@ def test_product_counts_and_projections(n2, nj):
     assert validate_map(bundle.right).ok
 
 
+def test_a_factor_whose_cells_do_not_factor_the_source_is_refused(n2, nj):
+    # the factor mark says the source is product(factor, target); cell counts must agree to the depth
+    bundle = product(n2.sset, nj.sset)
+    levels = bundle.right.levels
+    assert SemisimplicialMap(bundle.sset, nj.sset, levels, factor=n2.sset).factor is n2.sset
+    for factor in (nj.sset, nerve(simplex_category(1), 1).sset):
+        with pytest.raises(ValueError) as caught:
+            SemisimplicialMap(bundle.sset, nj.sset, levels, factor=factor)
+        assert str(caught.value) == ("a factor's cell counts times the target's must be the source's, "
+                                     f"up to level {bundle.right.depth}")
+
+
 def test_product_with_terminal_is_isomorphic(n2, terminal):
     bundle = product(n2.sset, terminal.sset)
     assert bundle.sset.cells == n2.sset.cells
