@@ -939,7 +939,7 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
     lifts = LiftTests(X)
     for v in range(X.cells[0]):
         if inp.s0 is None:
-            found = find_idempotent_equivalences(X, SimplexRef(0, v), D, lifts)
+            found = find_idempotent_equivalences(X, SimplexRef(0, v), D, lifts, limit=1)
             if not found:
                 raise NoIdempotentEquivalence(f"no idempotent equivalence at vertex {v}", vertex=v)
             e, witness = found[0][0].index, found[0][1].index

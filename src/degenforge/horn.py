@@ -414,8 +414,12 @@ def is_idempotent(X: SemisimplicialSet, f: SimplexRef) -> Optional[SimplexRef]:
 
 
 def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optional[int] = None,
-                                 lifts: Optional[LiftTests] = None) -> list[tuple[SimplexRef, SimplexRef]]:
-    """All idempotent-equivalence self-edges at a vertex, with their witnesses."""
+                                 lifts: Optional[LiftTests] = None,
+                                 limit: Optional[int] = None) -> list[tuple[SimplexRef, SimplexRef]]:
+    """The idempotent-equivalence self-edges at a vertex, ascending, with their witnesses.
+
+    All of them, or only the lowest ``limit``: the scan stops once it has them.
+    """
     out = []
     if X.dim < 1:
         return out
@@ -429,6 +433,8 @@ def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optiona
             continue
         if is_equivalence(X, f, D, lifts).result:
             out.append((f, witness))
+            if len(out) == limit:
+                break
     return out
 
 

@@ -5,11 +5,21 @@ ordered lexicographically by arrow indices, which fixes the canonical
 simplex order that all downstream tie-breaking relies on. Unital
 presentations additionally yield an identity-insertion degeneracy table,
 used as an independent oracle against the synthesized one.
+
+``nerve`` builds each level from the one below as whole columns: an
+m-chain is an (m-1)-chain extended by one arrow, the extensions of one
+chain sit together in arrow order, and so each face and each identity
+insertion is a gather of the level below plus the arrow's rank. No chain
+tuple is built on the way; ``NerveBundle.chains`` reads them off the faces
+when asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .degeneracy import (
@@ -110,18 +120,19 @@ class CategoryPresentation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CategoryPresentation":
+        # a name or a composable pair given twice is an error, not an entry that overrides
         try:
             objects = [str(o) for o in data["objects"]]
-            obj_index = {o: i for i, o in enumerate(objects)}
-            arrows = []
-            arrow_index = {}
-            for spec in data["arrows"]:
-                a = Arrow(str(spec["name"]), obj_index[spec["src"]], obj_index[spec["tgt"]])
-                arrow_index[a.name] = len(arrows)
-                arrows.append(a)
+            obj_index = _named("object", objects)
+            arrows = [Arrow(str(spec["name"]), obj_index[spec["src"]], obj_index[spec["tgt"]])
+                      for spec in data["arrows"]]
+            arrow_index = _named("arrow", [a.name for a in arrows])
             compose = {}
             for g, f, gf in data["compose"]:
-                compose[(arrow_index[g], arrow_index[f])] = arrow_index[gf]
+                pair = (arrow_index[g], arrow_index[f])
+                if pair in compose:
+                    raise ParseError(f"the composite of ({g!r}, {f!r}) is given twice")
+                compose[pair] = arrow_index[gf]
             identities = None
             if data.get("identities") is not None:
                 if not isinstance(data["identities"], dict):
@@ -132,15 +143,45 @@ class CategoryPresentation:
         return cls(objects, arrows, compose, identities)
 
 
+def _named(kind: str, names: Sequence[str]) -> dict[str, int]:
+    """Each name's position; a name given twice is a :class:`ParseError`."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if index.setdefault(name, i) != i:
+            raise ParseError(f"{kind} name {name!r} is given twice")
+    return index
+
+
 @dataclass
 class NerveBundle:
-    """A nerve with its chain bookkeeping and optional identity-insertion oracle."""
+    """A nerve with its chain bookkeeping and optional identity-insertion oracle.
+
+    ``chains[n][j]`` is the j-th n-simplex as a tuple of arrow indices (an
+    object index at n = 0), and ``index_of`` inverts it. Both are read off
+    the face levels on first use, since an n-chain is its last face d_n
+    extended by the last arrow of its first face d_0; a nerve that is only
+    written or checked never builds them.
+    """
 
     category: CategoryPresentation
     sset: SemisimplicialSet
-    chains: tuple
     oracle_degeneracies: Optional[DegeneracyTable] = None
-    _lookup: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def chains(self) -> tuple:
+        X = self.sset
+        levels = [tuple(range(X.cells[0]))]
+        if X.dim:
+            levels.append(tuple((a,) for a in range(X.cells[1])))
+        for n in range(2, X.dim + 1):
+            below = levels[-1]
+            levels.append(tuple(p + q[-1:] for p, q in zip(map(below.__getitem__, X.face_column(n, n)),
+                                                            map(below.__getitem__, X.face_column(n, 0)))))
+        return tuple(levels)
+
+    @cached_property
+    def _lookup(self) -> tuple:
+        return tuple({ch: j for j, ch in enumerate(level)} for level in self.chains)
 
     def index_of(self, n: int, chain) -> int:
         return self._lookup[n][chain]
@@ -149,68 +190,100 @@ class NerveBundle:
         return self.chains[n][j]
 
 
+def _children(first: list[int], image: Sequence[int], degrees: Sequence[int]) -> list[int]:
+    """Per chain q, in order, the chains image[q] + a for the arrows a leaving q's end.
+
+    image[q] ends where q does, its children start at ``first[image[q]]``, and
+    q has ``degrees[q]`` of them, so they are one range each.
+    """
+    starts = list(map(first.__getitem__, image))
+    return list(chain.from_iterable(map(range, starts, map(add, starts, degrees))))
+
+
 def nerve(C: CategoryPresentation, D: int) -> NerveBundle:
     """Chains of composable arrows up to dimension D, with chain-calculus faces.
 
     d_0 drops the first arrow, d_n the last, and the inner d_i composes at
     position i; a 0-simplex is an object. Identity insertion at position k
     gives the oracle degeneracies when the presentation is unital.
+
+    Level m >= 2 is built from level m-1 a whole column at a time. An
+    m-chain is its parent, an (m-1)-chain q, extended by an arrow a that
+    leaves q's end. The children of q are contiguous and in arrow order, so
+    q + a has index ``first[q] + rank[a]``: ``first`` is the running sum of
+    the out-degrees of the parents' ends, and ``rank[a]`` is a's position
+    among the arrows leaving a's source. Each face and identity insertion
+    is then a gather over the level below: d_m(q + a) = q,
+    d_i(q + a) = d_i(q) + a for i < m-1, d_{m-1}(q + a) = d_{m-1}(q) + a.b
+    for q's last arrow b, s_k(q + a) = s_k(q) + a for k < m-1, and
+    s_{m-1}(x) = x + id(end x). Level 1 is the arrows in index order, not
+    grouped by source, so levels 1 and 2 read arrow indices directly.
     """
     C.validate()
     if D < 0:
         raise ValueError("truncation dimension must be non-negative")
-    arrows = C.arrows
-    chains: list[tuple] = [tuple(range(len(C.objects)))]
-    for n in range(1, D + 1):
-        level = []
-        if n == 1:
-            level = [(a,) for a in range(len(arrows))]
+    src = [a.src for a in C.arrows]
+    tgt = [a.tgt for a in C.arrows]
+    leaving: list[list[int]] = [[] for _ in C.objects]  # per object, the arrows out of it, ascending
+    for a, x in enumerate(src):
+        leaving[x].append(a)
+    rank = [0] * len(C.arrows)
+    for out in leaving:
+        for r, a in enumerate(out):
+            rank[a] = r
+    degree = list(map(len, leaving))
+    # per arrow b, the composites a.b over the arrows a leaving b's target, in order
+    after = [[C.compose[(a, b)] for a in leaving[t]] for b, t in enumerate(tgt)]
+
+    cells = [len(C.objects)]
+    faces: list[list[int]] = []
+    # per level n >= 1, per n-chain: its end object and how many arrows leave
+    # it; first[n + 1] starts the children of each n-chain at level n + 1
+    ends: list = [None, tgt]
+    degrees: list = [None, list(map(degree.__getitem__, tgt))]
+    first: list = [None, None]
+    last = range(len(C.arrows))  # per chain of the level last built, its last arrow
+    for m in range(1, D + 1):
+        if m == 1:
+            columns = [tgt, src]
         else:
-            for ch in chains[n - 1]:
-                tail = arrows[ch[-1]].tgt
-                for a in range(len(arrows)):
-                    if arrows[a].src == tail:
-                        level.append(ch + (a,))
-        chains.append(tuple(level))
-    lookup = tuple({ch: j for j, ch in enumerate(level)} for level in chains)
-
-    def chain_src(n: int, ch) -> int:
-        return ch if n == 0 else arrows[ch[0]].src
-
-    faces = []
-    for n in range(1, D + 1):
-        level = []
-        for ch in chains[n]:
-            row = []
-            for i in range(n + 1):
-                if n == 1:
-                    value = arrows[ch[0]].tgt if i == 0 else arrows[ch[0]].src
-                elif i == 0:
-                    value = lookup[n - 1][ch[1:]]
-                elif i == n:
-                    value = lookup[n - 1][ch[:-1]]
-                else:
-                    composed = ch[:i - 1] + (C.compose[(ch[i], ch[i - 1])],) + ch[i + 1:]
-                    value = lookup[n - 1][composed]
-                row.append(value)
-            level.append(row)
-        faces.append(level)
-    sset = SemisimplicialSet([len(level) for level in chains], faces)
+            below = faces[-1]
+            first.append(list(accumulate(degrees[m - 1], initial=0)))
+            parent = list(chain.from_iterable(map(repeat, range(cells[m - 1]), degrees[m - 1])))
+            composed = chain.from_iterable(map(after.__getitem__, last))  # a.b for q + a, b ending q
+            last = list(chain.from_iterable(map(leaving.__getitem__, ends[m - 1])))
+            if m == 2:
+                columns = [last, list(composed), parent]
+            else:
+                columns = [_children(first[m - 1], below[i::m], degrees[m - 1]) for i in range(m - 1)]
+                starts = map(first[m - 1].__getitem__, below[m - 1::m])
+                columns.append(list(map(add, chain.from_iterable(map(repeat, starts, degrees[m - 1])),
+                                        map(rank.__getitem__, composed))))
+                columns.append(parent)
+            ends.append(list(map(tgt.__getitem__, last)))
+            degrees.append(list(map(degree.__getitem__, ends[m])))
+        flat: list[int] = [0] * (len(columns[0]) * (m + 1))
+        for i, column in enumerate(columns):
+            flat[i::m + 1] = column
+        cells.append(len(columns[0]))
+        faces.append(flat)
+    sset = SemisimplicialSet._from_flat(cells, faces)
 
     oracle = None
     if C.unital:
+        identities = [C.identities[x] for x in range(len(C.objects))]
+        s: dict[tuple[int, int], list[int]] = {(0, 0): identities} if D else {}
+        for n in range(1, D):  # s_k from level n into level n + 1
+            for k in range(n):
+                # level 1 is not grouped by source: s_0 of each arrow a is id(src a) + a
+                s[(k, n)] = (_children(first[n + 1], s[(k, n - 1)], degrees[n - 1]) if n > 1 else
+                             list(map(add, map(first[2].__getitem__, map(identities.__getitem__, src)), rank)))
+            s[(n, n)] = list(map(add, first[n + 1], map(rank.__getitem__, map(identities.__getitem__, ends[n]))))
         oracle = DegeneracyTable(sset)
-        for n in range(D):
-            for j, ch in enumerate(chains[n]):
-                vertices = [chain_src(n, ch)] + ([arrows[a].tgt for a in ch] if n else [])
-                for k in range(n + 1):
-                    ident = C.identities[vertices[k]]
-                    if n == 0:
-                        inserted = (ident,)
-                    else:
-                        inserted = ch[:k] + (ident,) + ch[k:]
-                    oracle.set_value(k, n, j, lookup[n + 1][inserted])
-    return NerveBundle(C, sset, tuple(chains), oracle, lookup)
+        for (k, n), level in s.items():
+            if level:  # a table stores no empty level
+                oracle.set_level(k, n, level)
+    return NerveBundle(C, sset, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared fixtures: nerve bundles of the standard categories, naive oracles, drawn preorders.
+"""Shared fixtures: nerve bundles of the standard categories, naive oracles, drawn categories.
 
 The oracles here are deliberately dumb (full scans, direct enumeration) so
 that they stay independent of the code paths they check.
@@ -10,6 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from degenforge import (
+    Arrow,
+    CategoryPresentation,
     SemisimplicialSet,
     cyclic_group,
     idempotent_monoid,
@@ -90,3 +92,28 @@ def preorders(draw):
             for j in range(size):
                 rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
     return poset_category([str(i) for i in range(size)], lambda x, y: rel[x][y])
+
+
+def permutation_group(generators) -> CategoryPresentation:
+    """The group that the permutations ``generators`` generate, as a one-object category."""
+    elements = [tuple(range(len(generators[0])))]  # the identity first
+    index = {elements[0]: 0}
+    for g in elements:  # grows as the closure finds new products
+        for s in generators:
+            h = tuple(g[i] for i in s)
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+    arrows = [Arrow(str(e), 0, 0) for e in elements]
+    # (g, f) -> g after f
+    compose = {(a, b): index[tuple(g[i] for i in f)]
+               for a, g in enumerate(elements) for b, f in enumerate(elements)}
+    return CategoryPresentation(["*"], arrows, compose, {0: 0})
+
+
+# a preorder, a cyclic group of order at most 4, the product of two of these,
+# or the group that two permutations of at most 4 points generate
+factors = st.one_of(preorders(), st.integers(min_value=1, max_value=4).map(cyclic_group))
+permutation_groups = st.integers(min_value=1, max_value=4).flatmap(
+    lambda points: st.lists(st.permutations(range(points)), min_size=2, max_size=2)).map(permutation_group)
+drawn_categories = st.one_of(factors, permutation_groups, st.builds(product_category, factors, factors))

@@ -13,7 +13,7 @@ from degenforge import (
     synthesize,
 )
 from degenforge.cli import run
-from degenforge.nerve import cyclic_group, simplex_category
+from degenforge.nerve import cyclic_group, idempotent_monoid, simplex_category
 
 
 @pytest.fixture()
@@ -153,6 +153,28 @@ def test_parse_errors_exit_two(tmp_path):
     garbage.write_text("{not json")
     code, report = run(["check", "--inner", str(garbage)])
     assert code == 2
+
+
+_MONOID = idempotent_monoid().to_json_dict()
+
+
+@pytest.mark.parametrize("category, detail", [
+    # a second entry for e.e would make {1, e} the group Z/2
+    ({**_MONOID, "compose": _MONOID["compose"] + [["e", "e", "1"]]},
+     "the composite of ('e', 'e') is given twice"),
+    # a second object '*' would be an isolated vertex
+    ({"objects": ["*", "*"], "arrows": [{"name": "f", "src": "*", "tgt": "*"}],
+      "compose": [["f", "f", "f"]]},
+     "object name '*' is given twice"),
+    ({**_MONOID, "arrows": _MONOID["arrows"] + [{"name": "1", "src": "*", "tgt": "*"}]},
+     "arrow name '1' is given twice"),
+], ids=["composite", "object", "arrow"])
+def test_a_category_file_gives_each_name_and_composite_once(tmp_path, category, detail):
+    cat = tmp_path / "c.cat"
+    cat.write_text(json.dumps(category))
+    code, report = run(["nerve", "--cat", str(cat), "--dim", "3", "--out", str(tmp_path / "c.sset")])
+    assert (code, report["verdict"], report["detail"], report["outputs"]) == (2, "error", detail, [])
+    assert not (tmp_path / "c.sset").exists()
 
 
 def test_emitted_files_reparse_to_equal_values(z2_files):

@@ -85,6 +85,21 @@ def test_an_unfillable_inner_horn_stops_the_run_before_s0(tmp_path):
         {"n": 2, "k": 1, "faces": {"0": 1, "2": 0}})
 
 
+def test_the_s0_search_stops_at_the_lowest_idempotent_equivalence(monkeypatch):
+    # the monoid {1, e} has one vertex and two idempotent self-edges: 1, an equivalence, and e;
+    # the search takes edge 0 and never asks whether e is an equivalence
+    import degenforge.horn as horn
+
+    nm = nerve(idempotent_monoid(), 4)
+    asked = []
+    is_equivalence = horn.is_equivalence
+    monkeypatch.setattr(horn, "is_equivalence",
+                        lambda X, f, *rest: asked.append(f.index) or is_equivalence(X, f, *rest))
+    result = synthesize(SynthesisInput(nm.sset), 4)
+    assert asked == [0]
+    assert (result.s0, result.witnesses) == ({0: 0}, {0: nm.index_of(2, (0, 0))})
+
+
 def test_a_supplied_witness_that_is_not_one_is_refused_over_the_point():
     # the 2-simplex (1, g) of Z/2 has faces g, g, 1, not all three the identity edge 0
     n2 = nerve(cyclic_group(2), 3)

@@ -26,8 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenforge import (
-    Arrow,
-    CategoryPresentation,
     DegeneracyTable,
     SemisimplicialMap,
     SemisimplicialSet,
@@ -35,42 +33,17 @@ from degenforge import (
     check_inner,
     check_inner_fibration,
     compatible_horns,
-    cyclic_group,
     equivalence_criterion,
     j_groupoid,
     nerve,
     product,
-    product_category,
     synthesize,
     uniqueness_demo,
 )
 from degenforge.cli import run
-from conftest import preorders
+from conftest import drawn_categories as categories
 
 TOP_CELLS = 1500  # the most top-level simplices a drawn nerve may have
-
-
-def _permutation_group(generators) -> CategoryPresentation:
-    """The group that the permutations ``generators`` generate, as a one-object category."""
-    elements = [tuple(range(len(generators[0])))]  # the identity first
-    index = {elements[0]: 0}
-    for g in elements:  # grows as the closure finds new products
-        for s in generators:
-            h = tuple(g[i] for i in s)
-            if h not in index:
-                index[h] = len(elements)
-                elements.append(h)
-    arrows = [Arrow(str(e), 0, 0) for e in elements]
-    # (g, f) -> g after f
-    compose = {(a, b): index[tuple(g[i] for i in f)]
-               for a, g in enumerate(elements) for b, f in enumerate(elements)}
-    return CategoryPresentation(["*"], arrows, compose, {0: 0})
-
-
-factors = st.one_of(preorders(), st.integers(min_value=1, max_value=4).map(cyclic_group))
-permutation_groups = st.integers(min_value=1, max_value=4).flatmap(
-    lambda points: st.lists(st.permutations(range(points)), min_size=2, max_size=2)).map(_permutation_group)
-categories = st.one_of(factors, permutation_groups, st.builds(product_category, factors, factors))
 
 
 def _chains(category, n: int) -> int:
