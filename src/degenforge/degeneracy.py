@@ -237,11 +237,12 @@ class SynthesisInput:
     With it, ``p`` maps ``X`` into a base carrying the degeneracies ``Y_deg``
     and every fill is a lift over the image they prescribe. ``A``/``A_deg``
     describe a subcomplex whose structure the output must extend, in either
-    case. ``s0`` (vertex index -> edge index) may be omitted where
-    auto-discovery applies. ``idempotency_witnesses`` maps vertices to
-    2-simplex indices: a mapping over some vertices, or a sequence with one
-    entry per vertex, where None means no witness. Anything else is a
-    ``ParseError`` that names the vertex.
+    case; where ``A_deg`` defines s_0 of a vertex, that edge is the vertex's
+    s0, over the point as over a map. ``s0`` (vertex index -> edge index) may
+    be omitted where auto-discovery applies. ``idempotency_witnesses`` maps
+    vertices to 2-simplex indices: a mapping over some vertices, or a
+    sequence with one entry per vertex, where None means no witness.
+    Anything else is a ``ParseError`` that names the vertex.
     """
 
     X: SemisimplicialSet
@@ -542,11 +543,11 @@ def _through(level: Optional[Sequence[Optional[int]]], column: Sequence[Optional
 
 
 def _pair_fill(lowest: dict, Y: SemisimplicialSet, m: int, k: int,
-               columns: Sequence[Sequence[Optional[int]]], target: Sequence[Optional[int]]) -> list:
+               columns: Sequence[Sequence[Optional[int]]], target: Sequence[int]) -> list:
     """The lowest filler of each row of (m,k) horns of C x Y over ``target``, from C's table ``lowest``."""
-    if None in target or any(None in column for column in columns):
-        # a row with an undefined face or target has no filler; the others are answered alone
-        rows = [r for r, row in enumerate(zip(target, *columns)) if None not in row]
+    if any(None in column for column in columns):
+        # a row with an undefined face has no filler; the others are answered alone
+        rows = [r for r, row in enumerate(zip(*columns)) if None not in row]
         at = _gather(rows)
         found = dict(zip(rows, _pair_fill(lowest, Y, m, k, list(map(at, columns)), at(target))))
         return list(map(found.get, range(len(target))))
@@ -582,26 +583,29 @@ class _Engine:
         self.A = inp.A
         self.Adeg = inp.A_deg
         self.table = DegeneracyTable(self.X)
-        self.t_levels: dict[int, list[int]] = {}
         self.certificate = Certificate()
         self._fills: dict = {}  # fill tables kept for their second use
         self.stats = {"forced": 0, "filled": 0, "witness": 0, "consistency_checks": 0}
 
     # -- shared helpers ------------------------------------------------------
 
-    def _proj(self, n: int, j: int) -> int:
-        return self.p.apply_index(n, j)
+    def _target(self, N: int, n: int, twice: bool) -> Optional[Sequence[int]]:
+        """s_N (``twice``: s_N s_N) of every n-simplex's image over the map; None over the point.
 
-    def _y_deg(self, k: int, n: int, j: int) -> int:
-        v = self.Ydeg.value(k, n, j)
-        if v is None:
-            raise MissingDegeneracies(
-                f"target degeneracy s_{k} undefined at level {n}; the relative "
-                f"run needs the target table up to level {self.D - 1}")
-        return v
-
-    def _face(self, n: int, i: int) -> list[int]:
-        return self.X.face_column(n, i)
+        A target level that is missing, or undefined where the image meets it,
+        refuses the run before any row of level n is decided.
+        """
+        if self.p is None:
+            return None
+        target = self.p.levels[n]
+        for m in (n, n + 1) if twice else (n,):
+            level = self.Ydeg.level(N, m)
+            target = None if level is None else _gather(target)(level)
+            if target is None or None in target:
+                raise MissingDegeneracies(
+                    f"target degeneracy s_{N} undefined at level {m}; the relative "
+                    f"run needs the target table up to level {self.D - 1}")
+        return target
 
     def _level_order(self, n: int, stage: int) -> tuple[list[int], list[int], set[int]]:
         """The simplices that may be forced, the rest, and the degeneracy images.
@@ -647,7 +651,7 @@ class _Engine:
         return _agree(reps, (n, j), N)
 
     def _canonical_fill(self, m: int, k: int, columns: Sequence[Sequence[Optional[int]]],
-                        target: Optional[Sequence[Optional[int]]],
+                        target: Optional[Sequence[int]],
                         keep: bool = False) -> list[Optional[int]]:
         """The lowest filler of each row of prescribed (m,k) horns, or None.
 
@@ -660,9 +664,10 @@ class _Engine:
         A row is None where it has no filler or holds an undefined face. An
         incompatible row has no filler either: the faces of a simplex of a
         valid set are compatible, and only valid sets reach the engine.
-        Over a projection marked with its factor C the table is C's: a filler
-        over y is a pair (z, y), and row-major pair indices make the lowest
-        one (lowest C filler, y), where the row's faces pair with y's.
+        Over a projection marked with its factor C (see
+        :class:`SemisimplicialMap`) the table is C's: a filler over y is a
+        pair (z, y), and row-major pair indices make the lowest one (lowest C
+        filler, y), where the row's faces pair with y's.
         """
         factor = None if self.p is None else self.p.factor
         lowest = self._fills.pop((m, k), None)
@@ -696,31 +701,26 @@ class _Engine:
                              horn=horn, level=n, target=target)
 
     def _level(self, N: int, step: int, n: int, columns: list[Sequence[Optional[int]]],
-               target: Optional[Sequence[Optional[int]]]) -> list[int]:
+               target: Optional[Sequence[int]]) -> list[int]:
         """Decide every value of level n in step ``step`` of stage N, record the block, check it.
 
         ``columns`` prescribe the faces of each value at the horn's positions,
         ascending, and ``target`` its image over a map. Step 1 fills (n+1, N+1)
         horns and step 2 (n+2, N) horns; at stage 0 the vertices take the
         degree-0 candidate in step 1 and an idempotency witness in step 2.
-        Simplices that may be forced go one at a time; so do all of them where
-        a target is undefined and on the vertices. The rest take their fillers.
+        Simplices that may be forced go one at a time, and so do the vertices.
+        The rest take their fillers.
         """
         m, k = _horn_shape(N, step, n)
         what = "extension" if step == 1 else "correction"
         head, rest, images = self._level_order(n, N)
         vertices = N == n == 0
-        undefined = target is not None and None in target
         order = head + rest
         values: list = ([None] * self.X.cells[n] if vertices
                         else self._canonical_fill(m, k, columns, target, keep=step == 1 and m >= k + 2))
         kinds = [WITNESS if vertices and step == 2 else FILLED] * len(order)
         forced: set[int] = set()
-        for position, j in enumerate(order if vertices or undefined else head):
-            if undefined and target[j] is None:
-                # raises on the target table's first undefined level: n, or n+1 in step 2
-                y = self._y_deg(N, n, self._proj(n, j))
-                self._y_deg(N, n + 1, y)
+        for position, j in enumerate(order if vertices else head):
             if position < len(head):
                 value = self._forced(n, j, N) if step == 1 else self._forced_twice(n, j, N, j in images)
                 if value is not None:
@@ -757,14 +757,15 @@ class _Engine:
         if s0 is None:
             raise ValueError("stage 0 requires the degree-0 degeneracy candidate s0")
         value = s0[j]
-        if self.X.face_index(1, value, 0) != j or (target is not None and self._proj(1, value) != target):
+        if (self.X.face_index(1, value, 0) != j
+                or target is not None and self.p.apply_index(1, value) != target):
             raise UnfillableHorn(
                 f"s0 candidate {value} does not fill the base horn at vertex {j}",
                 horn=Horn(1, 1, ((0, j),)), level=0, target=target)
         return value
 
     def _check_values(self, N: int, n: int, m: int, k: int, values: list[int],
-                      columns: list[Sequence[Optional[int]]], target: Optional[Sequence[Optional[int]]],
+                      columns: list[Sequence[Optional[int]]], target: Optional[Sequence[int]],
                       forced: set[int]) -> None:
         # every value, forced or filled, must have its prescribed faces and image
         at = _gather(values)
@@ -798,20 +799,17 @@ class _Engine:
         for n in range(N, self.D):
             c = self.X.cells[n]
             lower, same = self.table.level(N - 1, n - 1), self.table.level(N, n - 1)
-            columns = [_through(lower, self._face(n, i)) if i < N else range(c) if i == N
-                       else _through(same, self._face(n, i - 1))
+            columns = [_through(lower, self.X.face_column(n, i)) if i < N else range(c) if i == N
+                       else _through(same, self.X.face_column(n, i - 1))
                        for i in range(n + 2) if i != N + 1]
-            target = None
-            if self.p is not None:
-                target = _through(self.Ydeg.level(N, n), self.p.levels[n])
-            self.table.set_level(N, n, self._level(N, 1, n, columns, target))
+            self.table.set_level(N, n, self._level(N, 1, n, columns, self._target(N, n, False)))
 
     # -- step two: correction -------------------------------------------------
 
-    def _step2(self, N: int) -> None:
+    def _step2(self, N: int) -> dict[int, list[int]]:
         """t on every level: the (n+2, N) horn with d_i = s_{N-1} s_{N-1} d_i (i < N),
         d_{N+1} = d_{N+2} = s_N and d_i = t d_{i-2} (i > N+2), over s_N s_N p(x)
-        on a map; then s_N = d_N t below the top level."""
+        on a map; then s_N = d_N t below the top level. Returns t by level."""
         if self.D < N + 2:
             raise TruncationExhausted(f"the stage-{N} correction needs truncation at least {N + 2}")
         t: dict[int, list[int]] = {}
@@ -819,19 +817,15 @@ class _Engine:
             c = self.X.cells[n]
             lower, upper = self.table.level(N - 1, n - 1), self.table.level(N - 1, n)
             own = self.table.level(N, n) or (None,) * c
-            columns = [_through(upper, _through(lower, self._face(n, i))) if i < N
-                       else own if i <= N + 2 else _through(t[n - 1], self._face(n, i - 2))
+            columns = [_through(upper, _through(lower, self.X.face_column(n, i))) if i < N
+                       else own if i <= N + 2 else _through(t[n - 1], self.X.face_column(n, i - 2))
                        for i in range(n + 3) if i != N]
-            target = None
-            if self.p is not None:
-                once = _through(self.Ydeg.level(N, n), self.p.levels[n])
-                target = _through(self.Ydeg.level(N, n + 1), once)
-            t[n] = self._level(N, 2, n, columns, target)
+            t[n] = self._level(N, 2, n, columns, self._target(N, n, True))
         # correction: replace s_N below the provisional top level
         for n in range(N, self.D - 1):
             self.table.set_level(N, n, list(_gather(t[n])(self.X.face_column(n + 2, N))))
         self._check_corrected(N)
-        self.t_levels = t
+        return t
 
     def _idempotency_witness(self, j: int, target: Optional[int]) -> int:
         f = self.table.value(0, 0, j)
@@ -839,13 +833,13 @@ class _Engine:
         if w is not None:
             ok = all(self.X.face_index(2, w, i) == f for i in range(3))
             if ok and target is not None:
-                ok = self._proj(2, w) == target
+                ok = self.p.apply_index(2, w) == target
             if not ok:
                 raise MissingWitness(
                     f"supplied idempotency witness {w} at vertex {j} is invalid", vertex=j)
             return w
         for w in _filler_indices(self.X, 2, ((0, f), (1, f), (2, f))):
-            if target is None or self._proj(2, w) == target:
+            if target is None or self.p.apply_index(2, w) == target:
                 return w
         raise MissingWitness(f"no idempotency witness found at vertex {j}", vertex=j)
 
@@ -884,9 +878,8 @@ def step2_correct(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None)
     """Correct an almost-N-good system to an N-good one via its T-table."""
     engine = _Engine(*_prepared(inp, D))
     engine.table = sys.table.copy()
-    engine._step2(sys.N)
-    return GoodSystem(table=engine.table, N=sys.N, almost=False,
-                      t_table=TTable(sys.N, engine.t_levels))
+    t = engine._step2(sys.N)
+    return GoodSystem(table=engine.table, N=sys.N, almost=False, t_table=TTable(sys.N, t))
 
 
 # ---------------------------------------------------------------------------
@@ -932,21 +925,26 @@ def _as_witness_map(source, X: SemisimplicialSet) -> dict[int, int]:
 
 
 def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
-    # each vertex once: the lowest idempotent equivalence, or the supplied s0 edge checked;
-    # a supplied witness must have all three faces that edge, found or supplied
+    # each vertex once: an edge fixed by s0, or by the subcomplex table where it defines
+    # s_0(v), is checked; otherwise the lowest idempotent equivalence is taken. A supplied
+    # witness must have all three faces that edge, found or fixed
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
     lifts = LiftTests(X)
     for v in range(X.cells[0]):
-        if inp.s0 is None:
+        a_value = None if inp.A_deg is None else inp.A_deg.value(0, 0, v)
+        e = inp.s0[v] if inp.s0 is not None else a_value
+        fixed, witness = e is not None, None
+        if not fixed:
             found = find_idempotent_equivalences(X, SimplexRef(0, v), D, lifts, limit=1)
             if not found:
                 raise NoIdempotentEquivalence(f"no idempotent equivalence at vertex {v}", vertex=v)
             e, witness = found[0][0].index, found[0][1].index
-        else:
-            e, witness = inp.s0[v], None
-            if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
-                raise NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
+        elif X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
+            raise NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
+        elif a_value is not None and a_value != e:
+            raise IncompatibleSubcomplexStructure(
+                f"s0({v}) = {e} disagrees with the subcomplex value {a_value}", simplex=(0, v))
         w = inp.idempotency_witnesses.get(v)
         if w is not None and not all(X.face_index(2, w, i) == e for i in range(3)):
             raise NoIdempotentEquivalence(
@@ -956,7 +954,7 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
             if idempotent is None:
                 raise NoIdempotentEquivalence(f"s0({v}) = {e} is not idempotent", vertex=v)
             witness = idempotent.index
-        if inp.s0 is not None and not is_equivalence(X, SimplexRef(1, e), D, lifts).result:
+        if fixed and not is_equivalence(X, SimplexRef(1, e), D, lifts).result:
             raise NoIdempotentEquivalence(f"s0({v}) = {e} is not an equivalence", vertex=v)
         s0[v] = e
         witnesses[v] = witness if w is None else w
@@ -1027,7 +1025,8 @@ def _prepared(inp: SynthesisInput, D: Optional[int],
     Over a projection marked with its factor C, whose source is ``inp.X``,
     C and Y are validated instead: the product is valid when they are, and
     the projection commutes by construction. When either fails, the checks
-    run as over any map, so a refusal keeps its text.
+    run as over any map, so a refusal keeps its text (see
+    :class:`SemisimplicialMap`).
     """
     X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
     factored = (p is not None and p.factor is not None and p.source is X
@@ -1069,11 +1068,12 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
     map every fill is a lift over the image prescribed by the target's
     degeneracies. Values on a subcomplex are taken from its table, and the
     output must restrict to it. Without a supplied ``s0``, each vertex gets
-    the lowest-index idempotent equivalence; over a map, the subcomplex value
-    where the subcomplex's table defines s_0, else the lowest fiberwise
-    idempotent, cartesian and cocartesian self-edge. An input that fails
-    validation gets no verdict, at any bound; ``_validated`` says that the
-    caller has already validated ``inp.X``.
+    the subcomplex value where the subcomplex's table defines s_0, over the
+    point as over a map, checked as a supplied edge is; else the lowest-index
+    idempotent equivalence, or over a map the lowest fiberwise idempotent,
+    cartesian and cocartesian self-edge. An input that fails validation gets
+    no verdict, at any bound; ``_validated`` says that the caller has already
+    validated ``inp.X``.
     """
     inp, bound = _prepared(inp, D, _validated)
     if bound < 2:

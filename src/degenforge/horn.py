@@ -441,19 +441,14 @@ def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optiona
 def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> HornVerdict:
     """Every inner horn of the source lifts against every matching target simplex.
 
-    Over the right projection C x Y -> Y of :func:`product` (``p.factor`` is
-    C) this is filling in C: a compatible (n, k) horn of C x Y is a pair of
-    compatible horns, one in C and one in Y, and it lifts over a Y-simplex
-    exactly when its C-horn fills in C. So when every level of Y up to the
-    bound is inhabited and C passes the inner scan, the verdict is ``ok``
-    with ``checked`` the sum over shapes of h_C(n, k) * h_Y(n, k), the
-    factors' compatible-horn counts, without listing a horn of C x Y. The
-    full scan of the source runs instead when C fails (it names the
-    witness), when a level of Y is empty, or when the map carries no factor,
-    as every map read from a file does.
+    A compatible (n, k) horn of C x Y is a pair of compatible horns, so over
+    a projection marked with its factor C the passing verdict comes from C's
+    inner scan, with ``checked`` the sum over shapes of h_C(n, k) * h_Y(n, k),
+    the factors' compatible-horn counts; :class:`SemisimplicialMap` states
+    the rule.
     """
     bound = p.depth if D is None else min(D, p.depth)
-    if p.factor is not None and all(p.target.cells[:bound + 1]):
+    if p.factor is not None:
         checked = 0
         for scan in _inner_scans(bound):
             filled, failure = _scan(p.factor, None, [scan])
@@ -477,14 +472,9 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
     ``lifts``, the lift tests of p's source over p, may be shared by the
     checks of one command.
 
-    Over the right projection C x Y -> Y of :func:`product` (``p.factor`` is
-    C), f is a pair (c, y), and a horn of C x Y, a pair of horns, lifts over
-    a Y-simplex exactly when its C-horn fills. So when y is the last
-    (cocartesian: first) edge of some n-simplex of Y for each n up to the
-    bound, the verdict is C's :func:`edge_property` at c. The full scan runs
-    when that guard misses or C fails, and names the witness. The other
-    readers of the mark are ``check_inner_fibration``, the engine's fill
-    tables and ``_prepared``; :class:`SemisimplicialMap` lists their guards.
+    Over a projection marked with its factor C, f is a pair (c, y), and a
+    passing verdict comes from C's :func:`edge_property` at c;
+    :class:`SemisimplicialMap` states the rule.
     """
     X = p.source
     bound = p.depth if D is None else min(D, p.depth)
@@ -505,12 +495,9 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
                     return EdgeVerdict(f, property, bound, True, SimplexRef(2, z))
         return EdgeVerdict(f, property, bound, False,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
-    if p.factor is not None and bound >= 2:
-        c, y = divmod(f.index, p.target.cells[1])
-        end = "last" if property == "cartesian" else "first"
-        inhabited = all(y in p.target.edges(n, end) for n in range(2, bound + 1))
-        if inhabited and edge_property(p.factor, SimplexRef(1, c), property, bound,
-                                       None if lifts is None else lifts.factor).result:
+    if p.factor is not None:
+        c = SimplexRef(1, f.index // p.target.cells[1])
+        if edge_property(p.factor, c, property, bound, None if lifts is None else lifts.factor).result:
             return EdgeVerdict(f, property, bound, True, None)
     _, failure = _scan(X, p, _edge_scans(X, f, property, bound), lifts)
     return EdgeVerdict(f, property, bound, failure is None, failure)

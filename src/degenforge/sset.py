@@ -367,14 +367,15 @@ class SemisimplicialMap:
 
     ``factor`` = C marks the map as the right projection of the source
     ``product(C, target)``, as :func:`product` builds it; C's cell counts
-    times the target's must be the source's. Four places answer from C; all
-    but the fill tables fall back to the whole source on a miss:
-    ``check_inner_fibration`` (C's inner scan, unless C fails or a level of Y
-    is empty), ``p_edge_property`` (C's edge scan at c for f = (c, y), unless
-    C fails or y is not the last, or first, edge of an n-simplex of Y),
-    ``_Engine._canonical_fill`` (C's fill tables, always) and ``_prepared``
-    (``validate`` of C and Y instead of the source's and ``validate_map``,
-    unless one fails).
+    times the target's must be the source's. A horn of C x Y is a pair of
+    horns, and it lifts over a Y-simplex when its C-horn fills in C, so where
+    C passes, C x Y passes over Y. ``check_inner_fibration`` (C's inner
+    scan) and ``p_edge_property`` (C's edge scan at c for f = (c, y)) answer
+    from C whenever C passes, and run the full scan of the source only when
+    C fails, to name the witness. ``_Engine._canonical_fill`` always reads
+    C's fill tables. ``_prepared`` validates C and Y in place of the source
+    and ``validate_map``, and runs those checks when either fails, so a
+    refusal keeps its text.
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,

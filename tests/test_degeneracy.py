@@ -17,6 +17,7 @@ from degenforge import (
     NoIdempotentEquivalence,
     NotKan,
     ParseError,
+    RestrictionMismatch,
     SemisimplicialMap,
     SemisimplicialSet,
     SimplexRef,
@@ -203,6 +204,36 @@ def test_correction_horn_with_an_undefined_lower_value(n2):
         (1, 1))
 
 
+def test_correction_horn_through_a_hole_in_a_lower_level(n2):
+    # s_0 is undefined on the edge g alone: the edges take their values, and the
+    # first correction horn that reads s_0(g), at the 2-simplex (1, g), names it
+    inp = base_input(n2)
+    good0 = step2_correct(step1_extend(fresh_system(n2.sset), inp, 5), inp, 5)
+    table = step1_extend(good0, inp, 5).table.copy()
+    table.set_level(0, 1, [None if j == 1 else v for j, v in enumerate(table.level(0, 1))])
+    system = GoodSystem(table, N=1, almost=True)
+    assert _raised(ConsistencyViolation, lambda: step2_correct(system, inp, 5)) == (
+        "needed degeneracy value undefined while prescribing face 0 of the correction horn at (2,1)",
+        (2, 1))
+
+
+def test_a_correction_that_breaks_its_identity_is_refused(n2, monkeypatch):
+    # the top correction level takes simplex 1's value at simplex 0, so s_0 = d_0 t
+    # fails d_1 s_0 = id there; no later level reads that level
+    from degenforge import degeneracy
+    level = degeneracy._Engine._level
+
+    def swapped(engine, N, step, n, *rest):
+        values = level(engine, N, step, n, *rest)
+        return [values[1], *values[1:]] if step == 2 and n == engine.D - 2 else values
+
+    monkeypatch.setattr(degeneracy._Engine, "_level", swapped)
+    inp = base_input(n2)
+    almost0 = step1_extend(fresh_system(n2.sset), inp, 5)
+    assert _raised(ConsistencyViolation, lambda: step2_correct(almost0, inp, 5)) == (
+        "correction failed: d_1 s_0 != id at (3,0)", (3, 0))
+
+
 @pytest.mark.parametrize("n, j, value, text, simplex", [
     (1, 1, 3, "prescribed horn at level 2 is incompatible at [(0, 3)]; "
               "the current system violates an identity", (2, 1)),
@@ -228,6 +259,43 @@ def test_relative_run_with_a_truncated_target_table(n2, nj, truncated, level):
     assert _raised(MissingDegeneracies, lambda: synthesize_relative(inp, 4)) == (
         f"target degeneracy s_0 undefined at level {level}; "
         "the relative run needs the target table up to level 3", None)
+
+
+def _over_j(depth):
+    """Z/2 x J over J at ``depth``, with s0 the identity edge over each vertex of J."""
+    n2, nj = nerve(cyclic_group(2), depth), nerve(j_groupoid(), depth)
+    bundle = product(n2.sset, nj.sset)
+    s0 = {bundle.pair_index(0, 0, y): bundle.pair_index(1, 0, nj.oracle_degeneracies.value(0, 0, y))
+          for y in range(nj.sset.cells[0])}
+    return nj, SynthesisInput(bundle.sset, p=bundle.right, Y_deg=nj.oracle_degeneracies, s0=s0)
+
+
+def test_a_correction_over_a_target_table_without_its_upper_level():
+    # step 2 at level 1 reads s_0 s_0 of each image, so it needs level 2 of the target table
+    nj, inp = _over_j(3)
+    almost0 = step1_extend(fresh_system(inp.X), inp, 3)
+    inp = replace(inp, Y_deg=nj.oracle_degeneracies.restricted(1))
+    assert _raised(MissingDegeneracies, lambda: step2_correct(almost0, inp, 3)) == (
+        "target degeneracy s_0 undefined at level 2; "
+        "the relative run needs the target table up to level 2", None)
+
+
+def test_a_hole_in_the_target_table_is_refused_before_its_level(monkeypatch):
+    # s_0 of J is undefined on u alone; the image meets u, so level 1 of step 1 is refused
+    # before any of its rows is decided
+    from degenforge import degeneracy
+    nj, inp = _over_j(3)
+    holed = nj.oracle_degeneracies.copy()
+    holed.set_level(0, 1, [None if y == 2 else v for y, v in enumerate(holed.level(0, 1))])
+    decided = []
+    level = degeneracy._Engine._level
+    monkeypatch.setattr(degeneracy._Engine, "_level",
+                        lambda engine, N, step, n, *rest: decided.append((N, step, n))
+                        or level(engine, N, step, n, *rest))
+    assert _raised(MissingDegeneracies, lambda: synthesize(replace(inp, Y_deg=holed), 3)) == (
+        "target degeneracy s_0 undefined at level 1; "
+        "the relative run needs the target table up to level 2", None)
+    assert decided == [(0, 1, 0)]
 
 
 @pytest.mark.parametrize("k, n, j, face", [(0, 1, 1, 0), (0, 2, 3, 0), (1, 2, 3, 0), (1, 3, 7, 0)])
@@ -368,6 +436,52 @@ def test_supplied_s0_is_validated(n2):
 
 
 # -- verification --------------------------------------------------------------
+
+
+def test_a_run_whose_table_fails_verification_is_refused(n2, monkeypatch):
+    # the engine's level checks keep this from happening; a run made to return
+    # s_0(g) = s_0(1) is still refused by the exhaustive identity check
+    from degenforge import degeneracy
+    run = degeneracy._Engine.run
+
+    def tampered(engine):
+        table, certificate = run(engine)
+        table.set_value(0, 1, 1, table.value(0, 1, 0))
+        return table, certificate
+
+    monkeypatch.setattr(degeneracy._Engine, "run", tampered)
+    assert _raised(ConsistencyViolation, lambda: synthesize(base_input(n2), 5)) == (
+        "synthesized table failed verification: [('face_degeneracy', 0, 1, 1, 0), "
+        "('face_degeneracy', 0, 1, 1, 1), ('face_degeneracy', 0, 2, 1, 2)]", None)
+
+
+def test_a_run_that_fails_only_its_restriction_is_refused_as_such(n2, monkeypatch):
+    # verification is handed the subcomplex table with s_0(g) moved, so only the restriction fails
+    from degenforge import degeneracy
+    verify = degeneracy.verify_simplicial
+
+    def moved(X, table, D, *, sub_table, **rest):
+        return verify(X, table, D, sub_table=_with_value(sub_table, 0, 1, 1, sub_table.value(0, 1, 0)),
+                      **rest)
+
+    monkeypatch.setattr(degeneracy, "verify_simplicial", moved)
+    X = n2.sset
+    whole = Subcomplex(X, [set(range(c)) for c in X.cells])
+    inp = SynthesisInput(X, A=whole, A_deg=n2.oracle_degeneracies)
+    assert _raised(RestrictionMismatch, lambda: synthesize(inp, 5)) == (
+        "output fails to restrict to the subcomplex table: [('restriction', 0, 1, 1)]", None)
+
+
+def test_a_map_from_another_set_is_refused(n2, n3, terminal):
+    p = SemisimplicialMap(n3.sset, terminal.sset, [[0] * c for c in n3.sset.cells])
+    inp = SynthesisInput(n2.sset, p=p, Y_deg=terminal.oracle_degeneracies)
+    assert _raised(ValueError, lambda: synthesize(inp, 5))[0] == (
+        "the projection's source must be the synthesis input set")
+
+
+def test_relative_synthesis_without_a_map_is_refused(n2):
+    assert _raised(ValueError, lambda: synthesize_relative(SynthesisInput(n2.sset), 5))[0] == (
+        "relative synthesis needs the projection map")
 
 
 def test_verify_oracle_tables(nm, nj):

@@ -7,15 +7,21 @@ index as in ``nerve``: Z/2 and the monoid {1, e} list the identity first,
 J lists id0, id1, u, v.
 """
 
+import itertools
 import json
 
 import pytest
 
 from degenforge import (
     CategoryPresentation,
+    DegeneracyTable,
+    IncompatibleSubcomplexStructure,
     MissingWitness,
     NoIdempotentEquivalence,
     ParseError,
+    SemisimplicialMap,
+    SemisimplicialSet,
+    Subcomplex,
     SynthesisInput,
     nerve,
     product,
@@ -144,6 +150,34 @@ def test_every_accepted_form_of_the_witnesses_gives_the_same_run(witnesses):
     run = synthesize(SynthesisInput(X, s0={0: 0}, idempotency_witnesses=witnesses), 4)
     assert (run.witnesses, run.certificate.to_json()) == (
         {0: 0}, synthesize(SynthesisInput(X, s0={0: 0}), 4).certificate.to_json())
+
+
+def _two_loops():
+    """One vertex, two loops and every triple of loops as a 2-simplex (valid and Kan), with the
+    subcomplex of loop 1 and its 2-simplex (1, 1, 1), whose table fixes s_0 of the vertex at 1."""
+    X = SemisimplicialSet([1, 2, 8], [[[0, 0], [0, 0]], [list(t) for t in itertools.product(range(2), repeat=3)]])
+    A_deg = DegeneracyTable(X)
+    A_deg.set_value(0, 0, 0, 1)
+    return X, Subcomplex(X, [{0}, {1}, {7}]), A_deg
+
+
+def test_the_subcomplex_table_fixes_s0_over_the_point():
+    # the lowest idempotent equivalence is loop 0, but the subcomplex table fixes loop 1;
+    # the run takes it over the point as over the map to the point
+    X, A, A_deg = _two_loops()
+    result = synthesize(SynthesisInput(X, A=A, A_deg=A_deg), 2)
+    assert (result.s0, result.witnesses) == ({0: 1}, {0: 7})
+    to_point = SemisimplicialMap(X, POINT.sset, [[0] * c for c in X.cells])
+    over = synthesize(SynthesisInput(X, p=to_point, Y_deg=POINT.oracle_degeneracies, A=A, A_deg=A_deg), 2)
+    assert (over.s0, over.witnesses, over.table) == (result.s0, result.witnesses, result.table)
+
+
+def test_a_supplied_s0_that_disagrees_with_the_subcomplex_table_is_refused_over_the_point():
+    X, A, A_deg = _two_loops()
+    with pytest.raises(IncompatibleSubcomplexStructure) as caught:
+        synthesize(SynthesisInput(X, A=A, A_deg=A_deg, s0={0: 0}), 2)
+    assert (str(caught.value), caught.value.simplex) == (
+        "s0(0) = 0 disagrees with the subcomplex value 1", (0, 0))
 
 
 # -- over a map -------------------------------------------------------------------

@@ -16,6 +16,11 @@ must get the verdict of its unmarked full scan, pass exactly when C passes
 the inner scan, and count the product of the two factors' horns; and
 ``demo-uniqueness`` with the oracle on both ends must return the product of
 the C and J oracle tables.
+
+Over nerves beyond J, with an empty level or with an edge that is no
+n-simplex's last or first edge, the right projection of C x Y must give
+``check_inner_fibration`` and every edge's ``p_edge_property`` exactly the
+verdicts, counts and witnesses of its unmarked copy.
 """
 
 import json
@@ -29,6 +34,7 @@ from degenforge import (
     DegeneracyTable,
     SemisimplicialMap,
     SemisimplicialSet,
+    SimplexRef,
     SynthesisInput,
     check_inner,
     check_inner_fibration,
@@ -36,11 +42,15 @@ from degenforge import (
     equivalence_criterion,
     j_groupoid,
     nerve,
+    one_arrow_category,
+    p_edge_property,
     product,
+    simplex_category,
     synthesize,
     uniqueness_demo,
 )
 from degenforge.cli import run
+from degenforge.horn import LiftTests
 from conftest import drawn_categories as categories
 
 TOP_CELLS = 1500  # the most top-level simplices a drawn nerve may have
@@ -127,3 +137,27 @@ def _check_over_j(C, oracle, nj, dim):
             expected.set_value(k, n, bundle.pair_index(n, c, e),
                                bundle.pair_index(n + 1, v, nj.oracle_degeneracies.value(k, n, e)))
     assert demo.result.table == expected
+
+
+# bases over which C x Y can pass although C fails: nothing composes in the first two,
+# so level 2 is empty, and the composite 0<2 of simplex_category(2) is no 2-simplex's
+# last or first edge (its level 3 is empty)
+BASES = {"one arrow": one_arrow_category(), "simplex(1)": simplex_category(1),
+         "simplex(2)": simplex_category(2)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(categories, st.sampled_from(sorted(BASES)), st.integers(min_value=2, max_value=3),
+       st.randoms(use_true_random=False))
+def test_a_marked_projection_onto_a_drawn_base_agrees_with_its_unmarked_copy(category, base, dim, rng):
+    while dim > 2 and _chains(category, dim) > TOP_CELLS:
+        dim -= 1
+    C = _relabeled(nerve(category, dim), rng)[0]
+    p = product(C, nerve(BASES[base], dim).sset).right
+    unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    assert check_inner_fibration(p, dim) == check_inner_fibration(unmarked, dim)
+    marked_lifts, unmarked_lifts = LiftTests(p.source, p), LiftTests(p.source, unmarked)
+    for e in range(p.source.cells[1]):
+        for prop in ("cartesian", "cocartesian"):
+            assert p_edge_property(p, SimplexRef(1, e), prop, dim, lifts=marked_lifts) == \
+                p_edge_property(unmarked, SimplexRef(1, e), prop, dim, lifts=unmarked_lifts), (e, prop)
