@@ -11,7 +11,8 @@ time, from columns; no row tuple is stored. The face data is immutable
 after construction. Derived lookups that only the horn scans need
 (face-slot indices, per-level first and last edges) are caches, filled on
 first use and kept for the life of the set; a set that is only loaded,
-validated and verified never builds them.
+validated and verified never builds them. ``validate`` records its verdict
+on the set, for the horn scans to count on.
 
 Simplex indices are canonical ints. A module-wide pool holds one int object
 per index, and every face level, map level and loaded degeneracy level whose
@@ -152,6 +153,8 @@ class SemisimplicialSet:
         self._index: dict = {}
         self._edges: dict = {}
         self._hash: Optional[str] = None
+        # set by validate on a pass: the faces never change, so neither does the verdict
+        self._valid = False
 
     # -- access -----------------------------------------------------------
 
@@ -312,6 +315,11 @@ def validate(X: SemisimplicialSet) -> ValidationReport:
     level is checked at once: two gathered face columns, d_i d_k and
     d_{k-1} d_i of every simplex, per identity. Rows are walked only to name
     the witnesses of a level that fails.
+
+    The verdict is recorded on X, as ``content_hash`` memoises the hash: the
+    faces never change after the set is built. On a set that has passed, the
+    inner and Kan scans of ``horn`` count compatible horns in place of
+    looking each one up.
     """
     violations = []
     checked = sum(X.cells[n] * (n + 1) for n in range(1, X.dim + 1))
@@ -336,6 +344,7 @@ def validate(X: SemisimplicialSet) -> ValidationReport:
                 if lhs != rhs:
                     bad += [(j, k, i) for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
         violations += [("face_commutation", n, j, i, k) for j, k, i in sorted(bad)]
+    X._valid = not violations
     return ValidationReport(not violations, checked, violations)
 
 

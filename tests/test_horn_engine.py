@@ -9,8 +9,11 @@ the target, instead of the realized-lift sets. Canonical order is part of the
 output: lists must match element for element.
 """
 
+import gc
 import itertools
 import json
+import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -42,11 +45,13 @@ from degenforge import (
     product_category,
     simplex_category,
     synthesize_relative,
+    validate,
 )
 from degenforge.cli import run
-from degenforge.horn import LiftTests, _filler_indices
+from degenforge.horn import LiftTests, _face_columns, _filler_indices, _horn_counts
 from degenforge.nerve import uniqueness_demo
 from conftest import naive_fillers
+from test_loop_coskeleta import loop_coskeleton
 
 FIXTURES = {
     "monoid": (idempotent_monoid, 4),
@@ -59,11 +64,17 @@ FIXTURES = {
 
 
 class Naive:
-    """Compatible horns by brute force, cached per (n, k) shape."""
+    """Compatible horns by brute force, cached per (n, k) shape, and whether each fills."""
 
     def __init__(self, X: SemisimplicialSet):
         self.X = X
         self._all: dict[tuple[int, int], list[Horn]] = {}
+        self._fills: dict[Horn, bool] = {}
+
+    def fills(self, horn: Horn) -> bool:
+        if horn not in self._fills:
+            self._fills[horn] = bool(naive_fillers(self.X, horn))
+        return self._fills[horn]
 
     def horns(self, n, k, restrict=None, descending=False) -> list[Horn]:
         if (n, k) not in self._all:
@@ -95,7 +106,7 @@ class Naive:
         for n, k in shapes:
             for horn in self.horns(n, k):
                 checked += 1
-                if not naive_fillers(self.X, horn):
+                if not self.fills(horn):
                     return {"result": False, "bound": bound, "checked": checked,
                             "witness": horn.to_json_dict()}
         return {"result": True, "bound": bound, "checked": checked}
@@ -105,7 +116,7 @@ class Naive:
         for n in range(2, bound + 1):
             k, restrict, descending = _edge_horn_shape(self.X, n, e, prop)
             for horn in self.horns(n, k, restrict, descending):
-                if not naive_fillers(self.X, horn):
+                if not self.fills(horn):
                     return {**out, "result": False, "witness": horn.to_json_dict()}
         return out
 
@@ -186,19 +197,6 @@ def test_enumeration_order_matches_brute_force(naive):
                         naive.horns(n, k, restrict, descending)
 
 
-def test_checker_verdicts_match_brute_force(naive):
-    X = naive.X
-    D = X.dim
-    inner = [(n, k) for n in range(2, D + 1) for k in range(n - 1, 0, -1)]
-    kan = [(n, k) for n in range(1, D + 1) for k in range(n, -1, -1)]
-    assert check_inner(X, D).to_json_dict() == naive.scan(D, inner)
-    assert check_kan(X, D).to_json_dict() == naive.scan(D, kan)
-    for e in range(X.cells[1]):
-        for prop in ("cartesian", "cocartesian"):
-            verdict = edge_property(X, SimplexRef(1, e), prop, D)
-            assert verdict.to_json_dict() == naive.edge(e, prop, D)
-
-
 def _punctured(X: SemisimplicialSet, j: int) -> SemisimplicialSet:
     """X without its top simplex j."""
     faces = X.to_json_dict()["faces"]
@@ -248,6 +246,106 @@ def _spine_maps() -> dict:
     return {"spine->point": SemisimplicialMap(spine, point, [[0, 0, 0], [0, 0], []]),
             "spine->spine": identity_map(spine),
             "spine->triangle": SemisimplicialMap(spine, triangle, [[0, 1, 2], [0, 2], []])}
+
+
+def _dropped(X: SemisimplicialSet, share: float, seed: int) -> SemisimplicialSet:
+    """X without a share of its top simplices, drawn by the seed."""
+    faces = X.to_json_dict()["faces"]
+    top = faces[-1]
+    gone = set(random.Random(seed).sample(range(len(top)), round(share * len(top))))
+    faces[-1] = [row for j, row in enumerate(top) if j not in gone]
+    return SemisimplicialSet([*X.cells[:-1], len(faces[-1])], faces)
+
+
+def _copied(X: SemisimplicialSet, j: int, source: int) -> SemisimplicialSet:
+    """X with top simplex j replaced by a copy of top simplex ``source``.
+
+    It has as many top simplices as compatible inner horns, yet the horn of j
+    has no filler: no face pair tells the copies apart.
+    """
+    faces = X.to_json_dict()["faces"]
+    faces[-1][j] = list(faces[-1][source])
+    return SemisimplicialSet(X.cells, faces)
+
+
+VERDICT_SETS = {
+    **{name: (lambda make=make, D=D: nerve(make(), D).sset) for name, (make, D) in FIXTURES.items()},
+    "square": lambda: nerve(product_category(poset_01(), poset_01()), 4).sset,
+    # no face pair tells their simplices apart, so the count reads the realized sets
+    **{f"L{loops}@D{dim}": (lambda loops=loops, dim=dim: loop_coskeleton(loops, dim))
+       for loops, dim in ((2, 3), (2, 4), (3, 3))},
+    "spine": _spine,
+    **{f"Z/3@D4-{seed}": (lambda seed=seed: _dropped(nerve(cyclic_group(3), 4).sset, 0.07, seed))
+       for seed in (1, 2, 3)},
+    **{f"Z/2@D5-{seed}": (lambda seed=seed: _dropped(nerve(cyclic_group(2), 5).sset, 0.08, seed))
+       for seed in (1, 2, 3)},
+    "Z/2@D4-copied": lambda: _copied(nerve(cyclic_group(2), 4).sset, 5, 6),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(VERDICT_SETS))
+def verdict_naive(request):
+    return Naive(VERDICT_SETS[request.param]())
+
+
+@pytest.mark.parametrize("validated", [False, True], ids=["scanned", "counted"])
+def test_checker_verdicts_match_brute_force(verdict_naive, validated):
+    # a copy that validate has passed is counted, shape by shape, and takes the
+    # ordered scan only to name a witness; a copy it has not checked is scanned
+    naive = verdict_naive
+    X = SemisimplicialSet.from_json_dict(naive.X.to_json_dict())
+    assert validate(X).ok if validated else not X._valid
+    D = X.dim
+    inner = [(n, k) for n in range(2, D + 1) for k in range(n - 1, 0, -1)]
+    kan = [(n, k) for n in range(1, D + 1) for k in range(n, -1, -1)]
+    assert check_inner(X, D).to_json_dict() == naive.scan(D, inner)
+    assert check_kan(X, D).to_json_dict() == naive.scan(D, kan)
+    for e in range(X.cells[1]):
+        for prop in ("cartesian", "cocartesian"):
+            verdict = edge_property(X, SimplexRef(1, e), prop, D)
+            assert verdict.to_json_dict() == naive.edge(e, prop, D)
+    for n in range(1, D + 1):
+        for ks in (range(n - 1, 0, -1), range(n, -1, -1)):
+            assert _horn_counts(X, n, ks) == {k: len(_face_columns(X, n, k)[0]) for k in ks}
+
+
+def test_the_dropped_sets_fail_inner_filling():
+    # a nerve's inner horns have one filler each, so every dropped top simplex leaves one
+    # unfilled, and the brute-force comparison pins witnesses and their checked counts
+    dropped = [name for name in VERDICT_SETS if name.startswith(("Z/3@D4-", "Z/2@D5-"))]
+    assert len(dropped) == 6
+    assert [name for name in dropped if not check_inner(VERDICT_SETS[name]()).ok] == dropped
+
+
+def test_a_counted_scan_leaves_no_cycle_behind():
+    # cli.run turns the collector off, so a reference cycle made by a scan would keep its set alive
+    X = SemisimplicialSet.from_json_dict(nerve(cyclic_group(2), 4).sset.to_json_dict())
+    assert validate(X).ok
+    p = product(X, nerve(j_groupoid(), 4).sset).right
+    alive = weakref.ref(X)
+    gc.disable()
+    try:
+        assert check_inner(X).ok and check_kan(X).ok and check_inner_fibration(p).ok
+        del X, p
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_a_set_that_validate_rejects_keeps_the_ordered_scan():
+    # Z/2 at D3 with faces 0 and 3 of 3-simplex 1 swapped
+    data = nerve(cyclic_group(2), 3).sset.to_json_dict()
+    row = data["faces"][2][1]
+    row[0], row[3] = row[3], row[0]
+    X = SemisimplicialSet(data["cells"], data["faces"])
+    scanned = {"result": False, "bound": 3, "checked": 7,
+               "witness": {"n": 3, "k": 2, "faces": {"0": 1, "1": 1, "3": 0}}}
+    assert check_inner(X).to_json_dict() == scanned
+    assert not validate(X).ok
+    assert check_inner(X).to_json_dict() == scanned
+    # its rows are no compatible horns, so a count would pass it
+    X._valid = True
+    assert check_inner(X).to_json_dict() == {"result": True, "bound": 3, "checked": 20}
 
 
 MAPS = {
@@ -494,9 +592,10 @@ def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
     assert run(["verify", str(sset), str(table)])[0] == 0
     assert len(loaded) == 2 and len(tables) == 1
     for X in loaded:
-        # a loaded set holds its face data, its content hash and no slot index or edge array
+        # a loaded set holds its face data, its content hash, its validate pass and no slot
+        # index or edge array
         assert not [name for name, value in vars(X).items()
-                    if name not in ("dim", "cells", "_faces", "_hash") and value]
+                    if name not in ("dim", "cells", "_faces", "_hash", "_valid") and value]
     # a loaded table holds its base and its levels, and no reverse lookup
     assert not [name for name, value in vars(tables[0]).items()
                 if name not in ("base", "_s") and value]
@@ -597,3 +696,32 @@ def test_a_command_builds_each_lift_test_once(tmp_path, monkeypatch, command):
     counts = Counter(built)
     # addendum-s0 shares one set of tests between its Kan scan and its edge checks
     assert built and max(counts.values()) == 1, counts
+
+
+@pytest.mark.parametrize("argv", [["addendum-s0"], ["check", "--kan"], ["edges"]],
+                         ids=["addendum-s0", "check-kan", "edges"])
+def test_a_shape_count_builds_no_second_realized_set(tmp_path, monkeypatch, argv):
+    # no face pair tells the simplices of L2@D3 apart, so each count reads a
+    # shape's realized set: from the lift test that the command builds anyway
+    from degenforge import horn
+    path = tmp_path / "l2.sset"
+    path.write_text(json.dumps(loop_coskeleton(2, 3).to_json_dict()))
+    tests, keys = [], []
+    lift_test, lift_keys = horn._lift_test, horn._lift_keys
+
+    def recording_test(X, p, n, k):
+        tests.append((n, k))
+        return lift_test(X, p, n, k)
+
+    def recording_keys(X, p, n, k):
+        keys.append((n, k))
+        return lift_keys(X, p, n, k)
+
+    monkeypatch.setattr(horn, "_lift_test", recording_test)
+    monkeypatch.setattr(horn, "_lift_keys", recording_keys)
+    code, report = run([*argv, str(path)])
+    assert code == 0, report
+    assert tests and sorted(keys) == sorted(tests) and len(set(tests)) == len(tests), (keys, tests)
+    if argv != ["edges"]:
+        # the Kan scan counted every shape from its realized set
+        assert set(tests) == {(n, k) for n in range(1, 4) for k in range(n + 1)}
