@@ -297,7 +297,7 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
         payload["witness"] = [list(v) for v in report.violations[:10]]
         return ("fail", payload, [])
     if certificate is not None:
-        replayed = replay_certificate(inp, dim, certificate, _validated=True)
+        replayed = replay_certificate(inp, dim, certificate)
         if replayed != table:
             return ("fail", {"bound": dim, "detail": "replay table differs from the given table"}, [])
         payload["detail"]["replayed_records"] = len(certificate)

@@ -1014,53 +1014,53 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
     return s0, witnesses
 
 
-def _prepared(inp: SynthesisInput, D: Optional[int],
-              validated: bool = False) -> tuple[SynthesisInput, int]:
+def _prepared(inp: SynthesisInput, D: Optional[int]) -> tuple[SynthesisInput, int]:
     """``inp`` with ``s0`` as one edge per vertex and its witnesses as a dict, and the bound.
 
-    Every way into the engine starts here.
-
-    The set, target and map are validated before anything else is checked,
-    unless ``validated`` says that the caller has already validated ``inp.X``.
-    Over a projection marked with its factor C, whose source is ``inp.X``,
-    C and Y are validated instead: the product is valid when they are, and
-    the projection commutes by construction. When either fails, the checks
-    run as over any map, so a refusal keeps its text (see
-    :class:`SemisimplicialMap`).
+    Every way into the engine starts here. The set, target and map are
+    validated before anything else is checked, each unless it already holds
+    a pass (see :func:`validate`). Every other input must be bound to the set
+    it is read against, and is refused where it is first read.
     """
     X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
-    factored = (p is not None and p.factor is not None and p.source is X
-                and (validated or validate(p.factor).ok) and validate(p.target).ok)
-    if not validated and not factored:
+    if not X._valid:
         _require_valid("input set", validate(X))
     bound = X.dim if D is None else min(D, X.dim)
     if p is not None:
-        if not factored:
+        if not p.target._valid:
             _require_valid("target set", validate(p.target))
+        if not p._valid:
             _require_valid("projection", validate_map(p))
         if inp.Y_deg is None:
             raise MissingDegeneracies("relative synthesis needs the target's degeneracy table")
-        if p.source is not X and p.source != X:
-            raise ValueError("the projection's source must be the synthesis input set")
+        _require_same("the projection's source must be the synthesis input set", p.source, X)
+        _require_same("the target table's base must be the projection's target", inp.Y_deg.base, p.target)
         bound = min(bound, p.depth)
     if inp.s0 is not None:
         edges = X.cells[1] if X.dim else 0
         inp = replace(inp, s0=_as_vertex_map(inp.s0, X.cells[0], edges, "s0"))
     inp = replace(inp, idempotency_witnesses=_as_witness_map(inp.idempotency_witnesses, X))
     if A is not None:
+        _require_same("the subcomplex's ambient set must be the synthesis input set", A.ambient, X)
         closure = A.validate()
         if not closure.ok:
             raise IncompatibleSubcomplexStructure(
                 f"subcomplex is not face-closed: {closure.violations[:3]}")
         if Adeg is not None:
+            _require_same("the subcomplex table's base must be the synthesis input set", Adeg.base, X)
             _check_subcomplex_table(X, p, inp.Y_deg, A, Adeg)
     elif Adeg is not None:
         raise ParseError("a subcomplex table is given without its subcomplex")
     return inp, bound
 
 
-def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
-               _validated: bool = False) -> SynthesisResult:
+def _require_same(text: str, given: SemisimplicialSet, expected: SemisimplicialSet) -> None:
+    # an input bound to another set would be read out of its range
+    if given is not expected and given != expected:
+        raise ValueError(text)
+
+
+def synthesize(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:
     """Build a full degeneracy table, over the point or over ``inp.p``.
 
     Alternates extension and correction for N = 0..D-2 and returns the table
@@ -1072,10 +1072,9 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None, *,
     point as over a map, checked as a supplied edge is; else the lowest-index
     idempotent equivalence, or over a map the lowest fiberwise idempotent,
     cartesian and cocartesian self-edge. An input that fails validation gets
-    no verdict, at any bound; ``_validated`` says that the caller has already
-    validated ``inp.X``.
+    no verdict, at any bound.
     """
-    inp, bound = _prepared(inp, D, _validated)
+    inp, bound = _prepared(inp, D)
     if bound < 2:
         raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
     X, p, A, Adeg = inp.X, inp.p, inp.A, inp.A_deg
@@ -1131,8 +1130,7 @@ def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
                 simplex=(n, j))
 
 
-def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate, *,
-                       _validated: bool = False) -> DegeneracyTable:
+def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate) -> DegeneracyTable:
     """Re-run the synthesis and compare its records with ``certificate``.
 
     ``certificate`` is a :class:`Certificate` or a list of records. A read one
@@ -1141,12 +1139,11 @@ def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate, *,
     blocks as its records. Otherwise, or when the synthesis raises, it is
     parsed first; then the first diverging record, or a certificate with fewer
     or more records than the run, raises CertificateMismatch at that position.
-    ``_validated``: the caller has already validated ``inp.X``, as ``verify`` has.
     """
     if not isinstance(certificate, Certificate):
         certificate = Certificate.from_records(certificate)
     try:
-        result = synthesize(inp, D, _validated=_validated)
+        result = synthesize(inp, D)
     except DegenforgeError:
         certificate.parse()
         raise
@@ -1237,6 +1234,7 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     undefined value or the sides differ. Violations are listed by family,
     then by ``(k, n, j, i)``.
     """
+    _require_same("the table's base must be the checked set", table.base, X)
     bound = X.dim if D is None else min(D, X.dim)
     restrict = subcomplex is not None and sub_table is not None
     project = pmap is not None and target_table is not None

@@ -34,7 +34,7 @@ from .errors import (
     NotASelfEdge,
     ParseError,
 )
-from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef, _gather
+from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef, _gather, _is_index
 
 
 @dataclass(frozen=True)
@@ -483,6 +483,12 @@ class EdgeVerdict:
         return out
 
 
+def _require_edge(X: SemisimplicialSet, f: SimplexRef) -> None:
+    # a ref that names no edge would pass every scan vacuously
+    if f.dim != 1 or X.dim < 1 or not _is_index(f.index, X.cells[1]):
+        raise ValueError(f"({f.dim},{f.index}) is not an edge of the checked set")
+
+
 def _edge_scans(X: SemisimplicialSet, f: SimplexRef, property: str, bound: int) -> Iterator[tuple]:
     """The scans of f's cartesian (cocartesian) condition, one per n up to the bound.
 
@@ -505,6 +511,7 @@ def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
     ``lifts``, the lift tests of X over the point, may be shared by the
     checks of one command.
     """
+    _require_edge(X, f)
     bound = X.dim if D is None else min(D, X.dim)
     _, failure = _scan(X, None, _edge_scans(X, f, property, bound), lifts)
     return EdgeVerdict(f, property, bound, failure is None, failure and failure.horn)
@@ -513,6 +520,7 @@ def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
 def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None,
                    lifts: Optional[LiftTests] = None) -> EdgeVerdict:
     """Conjunction of the cartesian and cocartesian verdicts at bound D: one scan, cartesian first."""
+    _require_edge(X, f)
     bound = X.dim if D is None else min(D, X.dim)
     scans = chain(_edge_scans(X, f, "cartesian", bound), _edge_scans(X, f, "cocartesian", bound))
     _, failure = _scan(X, None, scans, lifts)
@@ -521,6 +529,7 @@ def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None,
 
 def is_idempotent(X: SemisimplicialSet, f: SimplexRef) -> Optional[SimplexRef]:
     """First 2-simplex all of whose faces are f, or None."""
+    _require_edge(X, f)
     if X.face_index(1, f.index, 0) != X.face_index(1, f.index, 1):
         raise NotASelfEdge(f"edge {f.index} has distinct endpoints")
     if X.dim < 2:
@@ -595,6 +604,7 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
     :class:`SemisimplicialMap` states the rule.
     """
     X = p.source
+    _require_edge(X, f)
     bound = p.depth if D is None else min(D, p.depth)
     if property == "idempotent":
         if Y_degeneracies is None:

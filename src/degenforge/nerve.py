@@ -26,6 +26,7 @@ from .degeneracy import (
     DegeneracyTable,
     SynthesisInput,
     SynthesisResult,
+    _require_same,
     synthesize_relative,
     verify_simplicial,
 )
@@ -436,6 +437,7 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
     structures.
     """
     for label, table in (("deg0", deg0), ("deg1", deg1)):
+        _require_same(f"{label}'s base must be the input set", table.base, C_sset)
         report = verify_simplicial(C_sset, table, C_sset.dim)
         if not report.ok:
             raise InvalidDegeneracyTable(f"{label} fails its identity check: {report.violations[:3]}")

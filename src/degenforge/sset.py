@@ -316,10 +316,10 @@ def validate(X: SemisimplicialSet) -> ValidationReport:
     d_{k-1} d_i of every simplex, per identity. Rows are walked only to name
     the witnesses of a level that fails.
 
-    The verdict is recorded on X, as ``content_hash`` memoises the hash: the
-    faces never change after the set is built. On a set that has passed, the
-    inner and Kan scans of ``horn`` count compatible horns in place of
-    looking each one up.
+    A pass is recorded on X, where every later check reads it, since the
+    faces never change after the set is built; a failure records nothing.
+    On a set that has passed, the inner and Kan scans of ``horn`` count
+    compatible horns in place of looking each one up.
     """
     violations = []
     checked = sum(X.cells[n] * (n + 1) for n in range(1, X.dim + 1))
@@ -382,9 +382,7 @@ class SemisimplicialMap:
     scan) and ``p_edge_property`` (C's edge scan at c for f = (c, y)) answer
     from C whenever C passes, and run the full scan of the source only when
     C fails, to name the witness. ``_Engine._canonical_fill`` always reads
-    C's fill tables. ``_prepared`` validates C and Y in place of the source
-    and ``validate_map``, and runs those checks when either fails, so a
-    refusal keeps its text.
+    C's fill tables.
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
@@ -408,6 +406,7 @@ class SemisimplicialMap:
                 raise ValueError(f"level {n}: every value must be an integer")
             norm.append(tuple(_interned(row, target.cells[n])[0]))
         self.levels = tuple(norm)
+        self._valid = False
 
     def apply_index(self, n: int, j: int) -> int:
         return self.levels[n][j]
@@ -446,7 +445,7 @@ def validate_map(F: SemisimplicialMap) -> ValidationReport:
     listed by n, then j, then i. Each level is checked at once: a min and a
     max for the ranges, and per face i the gathered columns F(d_i x) and
     d_i F(x) of every simplex. Rows are walked only to name the witnesses of
-    a level that fails.
+    a level that fails. A pass is recorded on F, as :func:`validate` does.
     """
     violations = []
     checked = 0
@@ -470,6 +469,7 @@ def validate_map(F: SemisimplicialMap) -> ValidationReport:
             if lhs != rhs:
                 bad += [(j, i) for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
         violations += [("face_commutation", n, j, i) for j, i in sorted(bad)]
+    F._valid = not violations
     return ValidationReport(not violations, checked, violations)
 
 
@@ -553,7 +553,11 @@ class ProductBundle:
 
 
 def product(X: SemisimplicialSet, Y: SemisimplicialSet) -> ProductBundle:
-    """Levelwise product truncated at min(dim X, dim Y); faces act coordinatewise."""
+    """Levelwise product truncated at min(dim X, dim Y); faces act coordinatewise.
+
+    Validates each factor that holds no pass. When both pass, so do the
+    product and its projections, coordinatewise, and a pass is recorded on each.
+    """
     dim = min(X.dim, Y.dim)
     cells = [X.cells[n] * Y.cells[n] for n in range(dim + 1)]
     faces = []
@@ -568,4 +572,5 @@ def product(X: SemisimplicialSet, Y: SemisimplicialSet) -> ProductBundle:
     proj_left = SemisimplicialMap(Z, X, [[j // Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)])
     proj_right = SemisimplicialMap(Z, Y, [[j % Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)],
                                    factor=X)
+    Z._valid = proj_left._valid = proj_right._valid = all(F._valid or validate(F).ok for F in (X, Y))
     return ProductBundle(Z, proj_left, proj_right)

@@ -476,6 +476,20 @@ def test_verify_with_a_certificate_validates_the_set_once(z2_files, monkeypatch)
     assert len(validated) == 1
 
 
+def test_demo_uniqueness_validates_the_input_set_once(z2_files, monkeypatch):
+    from degenforge import cli, degeneracy, sset
+    C = SemisimplicialSet.from_json_dict(json.loads(z2_files["sset"].read_text()))
+    validated = []
+    for module in (cli, degeneracy, sset):
+        monkeypatch.setattr(module, "validate",
+                            lambda X, real=module.validate: validated.append(X) or real(X))
+    deg = str(z2_files["deg"])
+    code, report = run(["demo-uniqueness", str(z2_files["sset"]), "--deg0", deg, "--deg1", deg,
+                        "--dim", "4"])
+    assert (code, report["verdict"]) == (0, "success"), report
+    assert sum(X == C for X in validated) == 1
+
+
 def test_a_library_replay_still_validates_the_set(swapped_files):
     from degenforge.errors import ParseError
     X = SemisimplicialSet.from_json_dict(json.loads(swapped_files["sset"].read_text()))

@@ -714,3 +714,69 @@ def test_every_filled_lift_over_j_is_the_lowest_over_its_target():
     demo = uniqueness_demo(C.sset, C.oracle_degeneracies, C.oracle_degeneracies, 4)
     bundle = product(C.sset, J.sset)
     _check_filled_records(bundle.sset, demo.result, bundle.right, J.oracle_degeneracies)
+
+
+# -- inputs bound to another set -----------------------------------------------------
+
+
+def _z3_table_with_a_last_simplex():
+    """A Z/3 table at D4 whose s_1 of edge 1 is Z/3's last 2-simplex, out of Z/2's range."""
+    z3 = nerve(cyclic_group(3), 4)
+    table = z3.oracle_degeneracies.copy()
+    table.set_value(1, 1, 1, z3.sset.cells[2] - 1)
+    return z3, table
+
+
+def test_a_subcomplex_of_another_set_is_refused():
+    X = nerve(cyclic_group(2), 4).sset
+    z3, table = _z3_table_with_a_last_simplex()
+    A = Subcomplex(z3.sset, [set(range(c)) for c in z3.sset.cells])
+    with pytest.raises(ValueError, match="the subcomplex's ambient set must be the synthesis input set"):
+        synthesize(SynthesisInput(X, A=A, A_deg=table, s0={0: 0}), 4)
+
+
+def test_a_subcomplex_table_of_another_set_is_refused():
+    X = nerve(cyclic_group(2), 4).sset
+    _, table = _z3_table_with_a_last_simplex()
+    A = Subcomplex(X, [set(range(c)) for c in X.cells])
+    with pytest.raises(ValueError, match="the subcomplex table's base must be the synthesis input set"):
+        synthesize(SynthesisInput(X, A=A, A_deg=table, s0={0: 0}), 4)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_target_table_of_another_set_is_refused(order):
+    p = product(nerve(cyclic_group(2), 4).sset, nerve(j_groupoid(), 4).sset).right
+    Y_deg = nerve(cyclic_group(order), 4).oracle_degeneracies
+    with pytest.raises(ValueError, match="the target table's base must be the projection's target"):
+        synthesize(SynthesisInput(p.source, p=p, Y_deg=Y_deg), 4)
+
+
+@pytest.mark.parametrize("on, of", [(2, 3), (3, 2)])
+def test_verify_simplicial_refuses_a_table_of_another_set(on, of):
+    X = nerve(cyclic_group(on), 4).sset
+    table = nerve(cyclic_group(of), 4).oracle_degeneracies
+    with pytest.raises(ValueError, match="the table's base must be the checked set"):
+        verify_simplicial(X, table, 4)
+
+
+@pytest.mark.parametrize("on, of", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("label", ["deg0", "deg1"])
+def test_uniqueness_demo_refuses_a_table_of_another_set(on, of, label):
+    C = nerve(cyclic_group(on), 4)
+    other = nerve(cyclic_group(of), 4).oracle_degeneracies
+    tables = {"deg0": C.oracle_degeneracies, "deg1": C.oracle_degeneracies, label: other}
+    with pytest.raises(ValueError, match=f"{label}'s base must be the input set"):
+        uniqueness_demo(C.sset, tables["deg0"], tables["deg1"], 4)
+
+
+def test_the_staged_steps_validate_their_set_once(monkeypatch):
+    from degenforge import degeneracy, sset
+    bundle = nerve(cyclic_group(2), 5)
+    validated = []
+    for module in (degeneracy, sset):
+        monkeypatch.setattr(module, "validate",
+                            lambda X, real=module.validate: validated.append(X) or real(X))
+    inp = base_input(bundle)
+    good = step2_correct(step1_extend(fresh_system(bundle.sset), inp, 5), inp, 5)
+    assert good.status == "0-good"
+    assert [X is bundle.sset for X in validated] == [True]

@@ -246,3 +246,38 @@ def test_horn_enumeration_is_compatible_and_complete(n2, nm, nj, data):
     for z in range(X.cells[n]):
         faces = tuple(sorted((i, X.face_index(n, z, i)) for i in range(n + 1) if i != k))
         assert faces in seen
+
+
+# -- refs that name no edge -------------------------------------------------------
+
+NOT_EDGES = [SimplexRef(1, 2), SimplexRef(1, 99), SimplexRef(1, -1), SimplexRef(2, 0), SimplexRef(0, 0)]
+
+
+@pytest.mark.parametrize("f", NOT_EDGES, ids=str)
+@pytest.mark.parametrize("prop", ["cartesian", "cocartesian"])
+def test_edge_property_refuses_a_ref_that_is_no_edge(nm, f, prop):
+    # the {1,e} monoid at D5 has 2 edges; any other ref once passed every scan vacuously
+    with pytest.raises(ValueError, match="is not an edge of the checked set"):
+        edge_property(nm.sset, f, prop, 4)
+
+
+@pytest.mark.parametrize("f", NOT_EDGES, ids=str)
+def test_is_equivalence_refuses_a_ref_that_is_no_edge(nm, f):
+    with pytest.raises(ValueError, match="is not an edge of the checked set"):
+        is_equivalence(nm.sset, f, 4)
+
+
+@pytest.mark.parametrize("f", NOT_EDGES, ids=str)
+def test_is_idempotent_refuses_a_ref_that_is_no_edge(nm, f):
+    # edge -1 once read the last edge's faces through a negative index
+    with pytest.raises(ValueError, match="is not an edge of the checked set"):
+        is_idempotent(nm.sset, f)
+
+
+@pytest.mark.parametrize("f", [SimplexRef(1, 10**6), SimplexRef(1, -1), SimplexRef(2, 0)], ids=str)
+@pytest.mark.parametrize("prop", ["cartesian", "cocartesian", "idempotent"])
+def test_p_edge_property_refuses_a_ref_that_is_no_edge_of_the_source(nm, nj, f, prop):
+    # the check comes before the factor's scan and the idempotent branch
+    p = product(nm.sset, nj.sset).right
+    with pytest.raises(ValueError, match="is not an edge of the checked set"):
+        p_edge_property(p, f, prop, 4, Y_degeneracies=nj.oracle_degeneracies)

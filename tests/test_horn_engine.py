@@ -439,6 +439,7 @@ AGREEMENT = {
     **{name: (left, right) for name, (left, right, _) in PRODUCTS.items()},
     "monoid@D4xJ": (lambda: nerve(idempotent_monoid(), 4).sset, lambda: nerve(j_groupoid(), 4).sset),
     "invalidxJ": (_invalid_z2, lambda: nerve(j_groupoid(), 3).sset),
+    "Z/2xinvalid": (lambda: nerve(cyclic_group(2), 3).sset, _invalid_z2),
 }
 # the cases whose relative run succeeds; the others are refused
 SYNTHESIZED = {"Z/2@D5xJ", "Z/3@D5xJ", "Z/2xZ/2@D4xJ", "monoid@D4xJ"}
@@ -494,6 +495,18 @@ def test_marked_and_unmarked_projections_agree_on_edges_and_synthesis(name, monk
     outcome = _synthesis(p, Y_deg)
     assert outcome == _synthesis(unmarked, Y_deg)
     assert (len(outcome) == 5) == (name in SYNTHESIZED), outcome[:2]
+
+
+@pytest.mark.parametrize("name", ["invalidxJ", "Z/2xinvalid"])
+def test_a_failing_factor_is_refused_as_the_product_is(name):
+    # product records no pass, so the marked run validates the product, as the unmarked one does
+    left, right = AGREEMENT[name]
+    p = product(left(), right()).right
+    unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    assert not p.source._valid and not p._valid
+    for q in (p, unmarked):
+        outcome = _synthesis(q, DegeneracyTable(q.target))
+        assert outcome[0] is ParseError and outcome[1].startswith("input set fails validation"), outcome
 
 
 def test_a_target_table_that_breaks_an_identity_is_refused_alike():

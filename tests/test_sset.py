@@ -23,6 +23,7 @@ from degenforge import (
     validate_map,
 )
 from conftest import preorders
+from test_horn_engine import _invalid_z2
 
 
 def test_delta2_validates(deltas):
@@ -183,3 +184,35 @@ def test_product_preserves_validity(c1, c2, depth):
     assert validate(bundle.sset).ok
     assert validate_map(bundle.left).ok
     assert validate_map(bundle.right).ok
+
+
+# -- recorded validity ----------------------------------------------------------
+
+
+def test_validate_map_records_a_pass_and_nothing_on_a_failure():
+    from degenforge.nerve import cyclic_group
+    X = nerve(cyclic_group(2), 3).sset
+    F = identity_map(X)
+    assert not F._valid
+    assert validate_map(F).ok and F._valid
+    out_of_range = SemisimplicialMap(X, X, [[0], [0, 2], [0, 1, 2, 3], list(range(8))])
+    assert not validate_map(out_of_range).ok and not out_of_range._valid
+    # the identity edge sent to g: the faces of the 2-simplices no longer commute
+    tampered = SemisimplicialMap(X, X, [[0], [1, 1], [0, 1, 2, 3], list(range(8))])
+    assert not validate_map(tampered).ok and not tampered._valid
+
+
+@pytest.mark.parametrize("failing", [None, "left", "right"])
+def test_product_records_a_pass_exactly_when_both_factors_pass(failing):
+    from degenforge.nerve import cyclic_group, j_groupoid
+    C = _invalid_z2() if failing == "left" else nerve(cyclic_group(2), 3).sset
+    Y = _invalid_z2() if failing == "right" else nerve(j_groupoid(), 3).sset
+    assert not C._valid and not Y._valid
+    bundle = product(C, Y)
+    passed = failing is None
+    # each factor that held no pass was validated, up to the first that fails
+    assert (C._valid, Y._valid) == (failing != "left", passed)
+    assert [bundle.sset._valid, bundle.left._valid, bundle.right._valid] == [passed] * 3
+    # the record is the verdict validate gives
+    assert validate(bundle.sset).ok == passed
+    assert validate_map(bundle.left).ok and validate_map(bundle.right).ok
