@@ -30,7 +30,6 @@ from .degeneracy import (
 from .errors import DegenforgeError, ParseError, TruncationExhausted
 from .horn import (
     EdgeVerdict,
-    LiftTests,
     check_inner,
     check_inner_fibration,
     check_kan,
@@ -182,10 +181,10 @@ def _cmd_check(args) -> tuple[str, dict, list]:
     return ("yes" if verdict.ok else "no", payload, [])
 
 
-def _edge_verdict(X, j: int, prop: str, dim: int, lifts: LiftTests) -> EdgeVerdict:
+def _edge_verdict(X, j: int, prop: str, dim: int) -> EdgeVerdict:
     f = SimplexRef(1, j)
     if prop == "equivalence":
-        return is_equivalence(X, f, dim, lifts)
+        return is_equivalence(X, f, dim)
     if prop == "idempotent":
         ends = [X.face_index(1, j, 1), X.face_index(1, j, 0)]
         if ends[0] != ends[1]:
@@ -195,7 +194,7 @@ def _edge_verdict(X, j: int, prop: str, dim: int, lifts: LiftTests) -> EdgeVerdi
         if witness is None:
             return EdgeVerdict(f, prop, 2, False, {"exhausted": {"dim2_scanned": X.cells[2]}})
         return EdgeVerdict(f, prop, 2, True, witness)
-    return edge_property(X, f, prop, dim, lifts)
+    return edge_property(X, f, prop, dim)
 
 
 def _cmd_edges(args) -> tuple[str, dict, list]:
@@ -209,8 +208,7 @@ def _cmd_edges(args) -> tuple[str, dict, list]:
         if args.edge not in indices:
             raise ParseError(f"--edge {args.edge} is not an edge index in 0..{len(indices) - 1}")
         indices = [args.edge]
-    lifts = LiftTests(X)
-    verdicts = [_edge_verdict(X, j, args.property, dim, lifts) for j in indices]
+    verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
     ok = all(v.result for v in verdicts)
     payload = {"bound": dim, "edges": [v.to_json_dict() for v in verdicts]}
     if not ok:

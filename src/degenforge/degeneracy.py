@@ -10,9 +10,9 @@ Each step fills a whole level (N, n) at once. The level's horns are
 prescribed as columns, one per face position, gathered from lower levels;
 their lowest fillers come from one table per (m, k) horn shape, which maps
 every horn that some m-simplex fills (over a map, with the image it lies
-over) to the lowest such simplex. Step 1 of stage k-1 and step 2 of stage k
-ask the same (m, k) table for every m >= k+2, so within one run the table
-is kept from its first use to its second and dropped there. Only valid sets
+over) to the lowest such simplex. It is the table the horn checks read,
+``horn._lowest``, kept on the set or the map: the s0 checks, both steps of
+every stage and any later run on the same set share it. Only valid sets
 reach the engine, so a horn that matches a simplex exactly is compatible.
 
 Values forced by a subcomplex or by lower degeneracies are never searched:
@@ -60,9 +60,8 @@ from .errors import (
 )
 from .horn import (
     Horn,
-    LiftTests,
     _filler_indices,
-    _lift_keys,
+    _lowest,
     _positions,
     check_inner,
     check_inner_fibration,
@@ -584,7 +583,6 @@ class _Engine:
         self.Adeg = inp.A_deg
         self.table = DegeneracyTable(self.X)
         self.certificate = Certificate()
-        self._fills: dict = {}  # fill tables kept for their second use
         self.stats = {"forced": 0, "filled": 0, "witness": 0, "consistency_checks": 0}
 
     # -- shared helpers ------------------------------------------------------
@@ -651,36 +649,25 @@ class _Engine:
         return _agree(reps, (n, j), N)
 
     def _canonical_fill(self, m: int, k: int, columns: Sequence[Sequence[Optional[int]]],
-                        target: Optional[Sequence[int]],
-                        keep: bool = False) -> list[Optional[int]]:
+                        target: Optional[Sequence[int]]) -> list[Optional[int]]:
         """The lowest filler of each row of prescribed (m,k) horns, or None.
 
-        Over a map a filler must lie over the row's target. One table maps
-        each horn that some m-simplex fills to the lowest such simplex. It
-        depends on the shape only, so a table built with ``keep`` waits on the
-        engine for its second use and is dropped there: step 1 of stage k-1
-        builds the (m,k) table that step 2 of stage k asks again, and a run
-        that completes leaves none.
+        Over a map a filler must lie over the row's target. The fillers are
+        read from the shape's :func:`~degenforge.horn._lowest` table, kept on
+        the set, or over a map on the map, where the horn checks find it too.
         A row is None where it has no filler or holds an undefined face. An
         incompatible row has no filler either: the faces of a simplex of a
         valid set are compatible, and only valid sets reach the engine.
         Over a projection marked with its factor C (see
-        :class:`SemisimplicialMap`) the table is C's: a filler over y is a
-        pair (z, y), and row-major pair indices make the lowest one (lowest C
-        filler, y), where the row's faces pair with y's.
+        :class:`SemisimplicialMap`) the table is C's, kept on C: a filler
+        over y is a pair (z, y), and row-major pair indices make the lowest
+        one (lowest C filler, y), where the row's faces pair with y's.
         """
         factor = None if self.p is None else self.p.factor
-        lowest = self._fills.pop((m, k), None)
-        if lowest is None:
-            X, p = (self.X, self.p) if factor is None else (factor, None)
-            keys = list(_lift_keys(X, p, m, k))
-            keys.reverse()
-            lowest = dict(zip(keys, range(len(keys) - 1, -1, -1)))
-            if keep:
-                self._fills[(m, k)] = lowest
-        if factor is None:
-            return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
-        return _pair_fill(lowest, self.p.target, m, k, columns, target)
+        if factor is not None:
+            return _pair_fill(_lowest(factor, None, m, k), self.p.target, m, k, columns, target)
+        lowest = _lowest(self.X, self.p, m, k)
+        return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
 
     def _unfilled(self, m: int, k: int, row: Sequence[Optional[int]], target: Optional[int],
                   n: int, j: int, what: str) -> None:
@@ -717,7 +704,7 @@ class _Engine:
         vertices = N == n == 0
         order = head + rest
         values: list = ([None] * self.X.cells[n] if vertices
-                        else self._canonical_fill(m, k, columns, target, keep=step == 1 and m >= k + 2))
+                        else self._canonical_fill(m, k, columns, target))
         kinds = [WITNESS if vertices and step == 2 else FILLED] * len(order)
         forced: set[int] = set()
         for position, j in enumerate(order if vertices else head):
@@ -930,13 +917,12 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
     # witness must have all three faces that edge, found or fixed
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
-    lifts = LiftTests(X)
     for v in range(X.cells[0]):
         a_value = None if inp.A_deg is None else inp.A_deg.value(0, 0, v)
         e = inp.s0[v] if inp.s0 is not None else a_value
         fixed, witness = e is not None, None
         if not fixed:
-            found = find_idempotent_equivalences(X, SimplexRef(0, v), D, lifts, limit=1)
+            found = find_idempotent_equivalences(X, SimplexRef(0, v), D, limit=1)
             if not found:
                 raise NoIdempotentEquivalence(f"no idempotent equivalence at vertex {v}", vertex=v)
             e, witness = found[0][0].index, found[0][1].index
@@ -954,15 +940,14 @@ def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
             if idempotent is None:
                 raise NoIdempotentEquivalence(f"s0({v}) = {e} is not idempotent", vertex=v)
             witness = idempotent.index
-        if fixed and not is_equivalence(X, SimplexRef(1, e), D, lifts).result:
+        if fixed and not is_equivalence(X, SimplexRef(1, e), D).result:
             raise NoIdempotentEquivalence(f"s0({v}) = {e} is not an equivalence", vertex=v)
         s0[v] = e
         witnesses[v] = witness if w is None else w
     return s0, witnesses
 
 
-def _relative_s0_check(inp: SynthesisInput, D: int, lifts: LiftTests, v: int, e: int,
-                       w: Optional[int]):
+def _relative_s0_check(inp: SynthesisInput, D: int, v: int, e: int, w: Optional[int]):
     """The witness of e as s0(v) over ``inp.p`` (a supplied ``w`` skips its test), or e's first failure."""
     X, p, Ydeg, Adeg = inp.X, inp.p, inp.Y_deg, inp.A_deg
     if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
@@ -981,7 +966,7 @@ def _relative_s0_check(inp: SynthesisInput, D: int, lifts: LiftTests, v: int, e:
             return NoIdempotentEquivalence(f"s0({v}) = {e} is not fiberwise idempotent", vertex=v)
         w = verdict.witness.index
     for prop in ("cartesian", "cocartesian"):
-        if not p_edge_property(p, SimplexRef(1, e), prop, D, lifts=lifts).result:
+        if not p_edge_property(p, SimplexRef(1, e), prop, D).result:
             return NoIdempotentEquivalence(f"s0({v}) = {e} is not {prop} over the base", vertex=v)
     return w
 
@@ -990,20 +975,19 @@ def _resolve_s0_relative(inp: SynthesisInput, D: int):
     # each vertex once: an edge fixed by s0, or by the subcomplex table where it
     # defines s_0(v), must pass every check; otherwise the lowest edge that does is taken
     X, Adeg, given = inp.X, inp.A_deg, inp.idempotency_witnesses
-    lifts = LiftTests(X, inp.p)
     s0: dict[int, int] = {}
     witnesses: dict[int, int] = {}
     for v in range(X.cells[0]):
         w = given.get(v)
         e = inp.s0[v] if inp.s0 is not None else (None if Adeg is None else Adeg.value(0, 0, v))
         if e is not None:
-            found = _relative_s0_check(inp, D, lifts, v, e, w)
+            found = _relative_s0_check(inp, D, v, e, w)
             if isinstance(found, DegenforgeError):
                 raise found
         else:
             # a search keeps the idempotent test even where a witness is supplied
             for e in X.with_face(1, 0, v):
-                found = _relative_s0_check(inp, D, lifts, v, e, None)
+                found = _relative_s0_check(inp, D, v, e, None)
                 if not isinstance(found, DegenforgeError):
                     break
             else:
@@ -1179,13 +1163,14 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
     Per vertex x: take the lowest-index edge e leaving x, fill the right
     (2,2)-horn with both faces e and read f off face 2 (a self-edge at x),
     then fill the right (3,3)-horn with all three faces equal to that filler
-    and read the idempotency witness for f off face 3.
+    and read the idempotency witness for f off face 3. Each f is an
+    equivalence up to the bound without a further scan: its cartesian and
+    cocartesian horns are (n, n) and (n, 0) horns, which the Kan scan filled.
     """
     bound = X.dim if D is None else min(D, X.dim)
     if bound < 3:
         raise TruncationExhausted("the automatic construction needs truncation at least 3")
-    lifts = LiftTests(X)
-    kan = check_kan(X, bound, lifts)
+    kan = check_kan(X, bound)
     if not kan.ok:
         raise NotKan("a horn is unfillable", witness=kan.witness)
     s0: dict[int, int] = {}
@@ -1200,9 +1185,6 @@ def addendum_s0(X: SemisimplicialSet, D: Optional[int] = None) -> AddendumS0:
             raise ConsistencyViolation(
                 f"witness read-off failed at vertex {v}; the face tables are inconsistent",
                 simplex=(0, v))
-        if not is_equivalence(X, SimplexRef(1, f), bound, lifts).result:
-            raise ConsistencyViolation(
-                f"edge {f} is not an equivalence despite the Kan condition", simplex=(1, f))
         s0[v] = f
         witnesses[v] = w
     return AddendumS0(s0=s0, witnesses=witnesses, bound=bound)
@@ -1235,6 +1217,14 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     then by ``(k, n, j, i)``.
     """
     _require_same("the table's base must be the checked set", table.base, X)
+    if subcomplex is not None:
+        _require_same("the subcomplex's ambient set must be the checked set", subcomplex.ambient, X)
+    if sub_table is not None:
+        _require_same("the subcomplex table's base must be the checked set", sub_table.base, X)
+    if pmap is not None:
+        _require_same("the map's source must be the checked set", pmap.source, X)
+        if target_table is not None:
+            _require_same("the target table's base must be the map's target", target_table.base, pmap.target)
     bound = X.dim if D is None else min(D, X.dim)
     restrict = subcomplex is not None and sub_table is not None
     project = pmap is not None and target_table is not None

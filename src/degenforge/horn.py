@@ -9,13 +9,20 @@ nothing is extrapolated beyond the truncation, and a negative verdict
 carries a concrete witness. Filler tie-breaking is everywhere the lowest
 canonical index.
 
+Every lift test reads one table per (n, k) horn shape, :func:`_lowest`: it
+maps each horn that some n-simplex fills (over a map, with the image it lies
+over) to the lowest such simplex. The synthesis engine takes its fillers from
+the same tables. A table is built on first use and kept on the set, or over
+a map on the map, so each shape is built once for the life of the set,
+however many scans and runs read it.
+
 The inner and Kan scans of a set that ``validate`` has passed count before
 they look up. A level counter runs the enumerator's step over the partial
 horns that a level's shapes share, and yields the number of compatible
 horns of each shape. There the rows of the n-simplices without face k are
 compatible (n, k) horns, so every such horn fills exactly when the counts
 agree with the number of distinct rows: c_n when two other faces tell the
-n-simplices apart, else the size of the shape's realized set. A shape whose
+n-simplices apart, else the size of the shape's table. A shape whose
 counts differ takes the ordered scan, which names its first unfilled horn.
 A set that ``validate`` has not passed is always scanned in order.
 """
@@ -286,33 +293,46 @@ def _lift_keys(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int,
                k: int) -> Iterator[tuple[int, ...]]:
     """Each n-simplex's face row without face k, followed by p(z) over a map, by index.
 
-    This is the (n,k) horn a simplex fills, with the image it lies over: the
-    key of the realized lifts here and of the synthesis engine's fill tables.
+    This is the (n,k) horn a simplex fills, with the image it lies over.
     """
     faces = [X.face_column(n, i) for i in _positions(n, k)]
     return zip(*faces) if p is None else zip(*faces, p.levels[n])
 
 
+def _lowest(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int) -> dict:
+    """Each (n,k) horn that an n-simplex of X fills, with its image over p, to the lowest such simplex.
+
+    The one table of realized horns: the lift tests read its keys and the
+    synthesis engine its values. It depends on the shape only, so it is built
+    on first use and kept on X, or over a map on p, for the life of the set.
+    """
+    tables = X._lowest if p is None else p._lowest
+    table = tables.get((n, k))
+    if table is None:
+        keys = list(_lift_keys(X, p, n, k))
+        keys.reverse()
+        table = tables[n, k] = dict(zip(keys, range(len(keys) - 1, -1, -1)))
+    return table
+
+
 def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int):
-    """The (n,k) lift test of X, with the number of distinct realized lifts.
+    """The (n,k) lift test of X over p.
 
     The test takes columns of (n,k) horns of X to the first row with no lift
     and its target, or None. A horn lifts when every target simplex over its
     image is the image of a filler; over the point (``p`` None) a lift is a
     filler, and the target is the point's simplex 0. Realized lifts are the
-    :func:`_lift_keys` of X; over the point their number is that of the
-    distinct horns the n-simplices fill. A whole batch of horns is tested at
-    once: one membership test per horn and target, in row order, targets
-    ascending.
+    keys of :func:`_lowest`. A whole batch of horns is tested at once: one
+    membership test per horn and target, in row order, targets ascending.
     """
-    realized = set(_lift_keys(X, p, n, k))
+    realized = _lowest(X, p, n, k)
     if p is None:
 
         def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
             t = _first_false(map(realized.__contains__, zip(*columns)))
             return None if t is None else (t, 0)
 
-        return missing, len(realized)
+        return missing
     below = p.levels[n - 1]
     over: dict[tuple[int, ...], list[int]] = {}
     for y, key in enumerate(zip(*(p.target.face_column(n, i) for i in _positions(n, k)))):
@@ -330,7 +350,7 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
         t = _first_false(map(realized.__contains__, zip(*columns, targets)))
         return None if t is None else (owner[t], targets[t])
 
-    return missing, len(realized)
+    return missing
 
 
 def _first_false(flags: Iterable[bool]) -> Optional[int]:
@@ -340,38 +360,18 @@ def _first_false(flags: Iterable[bool]) -> Optional[int]:
         return None
 
 
-class LiftTests(dict):
-    """The :func:`_lift_test` of each (n, k) horn shape of X over p, built on first use.
-
-    A command that makes many scans makes one and passes it to each of them,
-    so each shape's test is built once; it is dropped with the command, and
-    nothing is kept on the set. Over a projection marked with its factor C,
-    ``factor`` holds C's tests over the point, for :func:`p_edge_property`.
-    """
-
-    def __init__(self, X: SemisimplicialSet, p: Optional[SemisimplicialMap] = None):
-        super().__init__()
-        self.X, self.p = X, p
-        self.factor = None if p is None or p.factor is None else LiftTests(p.factor)
-
-    def __missing__(self, shape: tuple[int, int]):
-        test = self[shape] = _lift_test(self.X, self.p, *shape)
-        return test
-
-
 def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
     """Whether the n-simplices of X are told apart by their faces at ``pair``."""
     return len(set(zip(X.face_column(n, pair[0]), X.face_column(n, pair[1])))) == X.cells[n]
 
 
-def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap], scans: Iterable[tuple],
-            lifts: Optional[LiftTests] = None) -> Iterator[tuple[int, int, int, Optional[LiftFailure]]]:
+def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
+            scans: Iterable[tuple]) -> Iterator[tuple[int, int, int, Optional[LiftFailure]]]:
     """Per scan, up to the first that fails: ``(n, k, horns checked, failure)``.
 
     Each scan is the ``(n, k, restrict, descending)`` of a :func:`_face_columns`
     call, and a scan that fails checked its horns up to the failing one.
-    Without ``lifts`` each shape's lift test is built for its scan and dropped
-    after it.
+    Every scan of a shape reads the same :func:`_lowest` table.
 
     A level of unrestricted, ascending scans over the point, on a set that
     :func:`validate` has passed, is counted: there the n-simplex rows without
@@ -379,13 +379,9 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap], scans: Iterabl
     when :func:`_horn_counts` equals the number of distinct rows. That is c_n
     when two faces other than k tell the n-simplices apart (0 and n for inner
     k; each pair is tested once per level), else the size of the shape's
-    realized set, from ``lifts`` when given. A shape whose counts differ, and
-    every other scan, runs the ordered scan, which names the first horn that
-    does not lift.
+    :func:`_lowest` table. A shape whose counts differ, and every other scan,
+    runs the ordered scan, which names the first horn that does not lift.
     """
-    def lift_test(n: int, k: int):
-        return _lift_test(X, p, n, k) if lifts is None else lifts[n, k]
-
     counted = p is None and X._valid
     for n, level in groupby(scans, itemgetter(0)):
         level = list(level)
@@ -394,19 +390,15 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap], scans: Iterabl
             counts = _horn_counts(X, n, [k for _, k, _, _ in level])
         separated: dict[tuple[int, int], bool] = {}
         for _, k, restrict, descending in level:
-            test = None
             if k in counts:
                 pair = (1 if k == 0 else 0, n - 1 if k == n else n)
                 if pair not in separated:
                     separated[pair] = _separates(X, n, pair)
-                if not separated[pair]:
-                    test = lift_test(n, k)
-                if (X.cells[n] if test is None else test[1]) == counts[k]:
+                if (X.cells[n] if separated[pair] else len(_lowest(X, None, n, k))) == counts[k]:
                     yield n, k, counts[k], None
                     continue
-            missing, _ = lift_test(n, k) if test is None else test
             columns = _face_columns(X, n, k, restrict, descending)
-            failure = missing(columns)
+            failure = _lift_test(X, p, n, k)(columns)
             if failure is not None:
                 t, y = failure
                 yield n, k, t + 1, LiftFailure(_horn(n, k, columns, t), SimplexRef(n, y))
@@ -414,8 +406,8 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap], scans: Iterabl
             yield n, k, len(columns[0]), None
 
 
-def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], scans: Iterable[tuple],
-          lifts: Optional[LiftTests] = None) -> tuple[int, Optional[LiftFailure]]:
+def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
+          scans: Iterable[tuple]) -> tuple[int, Optional[LiftFailure]]:
     """Horns checked up to the first that does not lift, and that horn with the target it misses.
 
     The scans run through :func:`_shapes`: on a set that ``validate`` has
@@ -426,7 +418,7 @@ def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap], scans: Iterable[
     position plus one, as an ordered scan of every shape gives.
     """
     checked = 0
-    for _, _, horns, failure in _shapes(X, p, scans, lifts):
+    for _, _, horns, failure in _shapes(X, p, scans):
         checked += horns
         if failure is not None:
             return checked, failure
@@ -444,16 +436,15 @@ def check_inner(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     return HornVerdict(failure is None, bound, failure and failure.horn, checked)
 
 
-def check_kan(X: SemisimplicialSet, D: Optional[int] = None,
-              lifts: Optional[LiftTests] = None) -> HornVerdict:
+def check_kan(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible horn fills, outer horns and the two n = 1 shapes included.
 
-    ``lifts``, the lift tests of X over the point, may be shared with the
-    edge checks of one command.
+    Its realized horns are the :func:`_lowest` tables kept on X, which the
+    edge checks and the synthesis engine read too.
     """
     bound = X.dim if D is None else min(D, X.dim)
     scans = ((n, k, None, False) for n in range(1, bound + 1) for k in range(n, -1, -1))
-    checked, failure = _scan(X, None, scans, lifts)
+    checked, failure = _scan(X, None, scans)
     return HornVerdict(failure is None, bound, failure and failure.horn, checked)
 
 
@@ -505,25 +496,24 @@ def _edge_scans(X: SemisimplicialSet, f: SimplexRef, property: str, bound: int) 
 
 
 def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
-                  D: Optional[int] = None, lifts: Optional[LiftTests] = None) -> EdgeVerdict:
+                  D: Optional[int] = None) -> EdgeVerdict:
     """Cartesian: every right horn whose last edge is f fills; cocartesian dual.
 
-    ``lifts``, the lift tests of X over the point, may be shared by the
-    checks of one command.
+    The scans of every edge read the (n, n) or (n, 0) :func:`_lowest` tables
+    kept on X, so each shape is built once for the life of the set.
     """
     _require_edge(X, f)
     bound = X.dim if D is None else min(D, X.dim)
-    _, failure = _scan(X, None, _edge_scans(X, f, property, bound), lifts)
+    _, failure = _scan(X, None, _edge_scans(X, f, property, bound))
     return EdgeVerdict(f, property, bound, failure is None, failure and failure.horn)
 
 
-def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None,
-                   lifts: Optional[LiftTests] = None) -> EdgeVerdict:
+def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None) -> EdgeVerdict:
     """Conjunction of the cartesian and cocartesian verdicts at bound D: one scan, cartesian first."""
     _require_edge(X, f)
     bound = X.dim if D is None else min(D, X.dim)
     scans = chain(_edge_scans(X, f, "cartesian", bound), _edge_scans(X, f, "cocartesian", bound))
-    _, failure = _scan(X, None, scans, lifts)
+    _, failure = _scan(X, None, scans)
     return EdgeVerdict(f, "equivalence", bound, failure is None, failure and failure.horn)
 
 
@@ -539,7 +529,6 @@ def is_idempotent(X: SemisimplicialSet, f: SimplexRef) -> Optional[SimplexRef]:
 
 
 def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optional[int] = None,
-                                 lifts: Optional[LiftTests] = None,
                                  limit: Optional[int] = None) -> list[tuple[SimplexRef, SimplexRef]]:
     """The idempotent-equivalence self-edges at a vertex, ascending, with their witnesses.
 
@@ -548,7 +537,6 @@ def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optiona
     out = []
     if X.dim < 1:
         return out
-    lifts = LiftTests(X) if lifts is None else lifts
     for j in X.with_face(1, 0, x.index):
         if X.face_index(1, j, 1) != x.index:
             continue
@@ -556,7 +544,7 @@ def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optiona
         witness = is_idempotent(X, f)
         if witness is None:
             continue
-        if is_equivalence(X, f, D, lifts).result:
+        if is_equivalence(X, f, D).result:
             out.append((f, witness))
             if len(out) == limit:
                 break
@@ -589,19 +577,17 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Horn
 
 
 def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
-                    D: Optional[int] = None, Y_degeneracies=None,
-                    lifts: Optional[LiftTests] = None) -> EdgeVerdict:
+                    D: Optional[int] = None, Y_degeneracies=None) -> EdgeVerdict:
     """Relative version of the edge properties over a map p.
 
     cartesian/cocartesian: the absolute horn condition with a lift demanded
-    over every matching target simplex. idempotent: a 2-simplex with all
-    faces f projecting to the doubly degenerate image of the base vertex.
-    ``lifts``, the lift tests of p's source over p, may be shared by the
-    checks of one command.
+    over every matching target simplex, read from the :func:`_lowest` tables
+    kept on p. idempotent: a 2-simplex with all faces f projecting to the
+    doubly degenerate image of the base vertex.
 
     Over a projection marked with its factor C, f is a pair (c, y), and a
-    passing verdict comes from C's :func:`edge_property` at c;
-    :class:`SemisimplicialMap` states the rule.
+    passing verdict comes from C's :func:`edge_property` at c, which reads
+    the tables kept on C; :class:`SemisimplicialMap` states the rule.
     """
     X = p.source
     _require_edge(X, f)
@@ -625,7 +611,7 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
     if p.factor is not None:
         c = SimplexRef(1, f.index // p.target.cells[1])
-        if edge_property(p.factor, c, property, bound, None if lifts is None else lifts.factor).result:
+        if edge_property(p.factor, c, property, bound).result:
             return EdgeVerdict(f, property, bound, True, None)
-    _, failure = _scan(X, p, _edge_scans(X, f, property, bound), lifts)
+    _, failure = _scan(X, p, _edge_scans(X, f, property, bound))
     return EdgeVerdict(f, property, bound, failure is None, failure)

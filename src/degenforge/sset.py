@@ -8,10 +8,12 @@ Each level is one flat list, row after row, so that entry sits at position
 ``[i::n+1]``, and ``faces_of(n, j)`` is a row slice. The identity checks,
 the horn scans and the synthesis engine read a level a face position at a
 time, from columns; no row tuple is stored. The face data is immutable
-after construction. Derived lookups that only the horn scans need
-(face-slot indices, per-level first and last edges) are caches, filled on
-first use and kept for the life of the set; a set that is only loaded,
-validated and verified never builds them. ``validate`` records its verdict
+after construction. Derived lookups that only the horn scans and the
+synthesis engine need (face-slot indices, per-level first and last edges,
+and the lowest-filler table of each horn shape) are caches, filled on first
+use and kept for the life of the set; a map keeps the lowest-filler tables
+of the lifts over it the same way. A set that is only loaded, validated and
+verified never builds them. ``validate`` records its verdict
 on the set, for the horn scans to count on.
 
 Simplex indices are canonical ints. A module-wide pool holds one int object
@@ -152,6 +154,8 @@ class SemisimplicialSet:
         # (n, i) -> {v: n-simplices with d_i = v}; (n, a, b) -> {(v, w): ... d_a = v, d_b = w}
         self._index: dict = {}
         self._edges: dict = {}
+        # (n, k) -> {realized (n, k) horn: its lowest filler}, built by horn._lowest
+        self._lowest: dict = {}
         self._hash: Optional[str] = None
         # set by validate on a pass: the faces never change, so neither does the verdict
         self._valid = False
@@ -382,7 +386,7 @@ class SemisimplicialMap:
     scan) and ``p_edge_property`` (C's edge scan at c for f = (c, y)) answer
     from C whenever C passes, and run the full scan of the source only when
     C fails, to name the witness. ``_Engine._canonical_fill`` always reads
-    C's fill tables.
+    C's lowest-filler tables.
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
@@ -406,6 +410,8 @@ class SemisimplicialMap:
                 raise ValueError(f"level {n}: every value must be an integer")
             norm.append(tuple(_interned(row, target.cells[n])[0]))
         self.levels = tuple(norm)
+        # (n, k) -> {(realized (n, k) horn, image): its lowest filler}, built by horn._lowest
+        self._lowest: dict = {}
         self._valid = False
 
     def apply_index(self, n: int, j: int) -> int:

@@ -29,6 +29,7 @@ from degenforge import (
     check_inner,
     compatibility_failures,
     forced_value,
+    identity_map,
     nerve,
     product,
     replay_certificate,
@@ -757,6 +758,41 @@ def test_verify_simplicial_refuses_a_table_of_another_set(on, of):
     table = nerve(cyclic_group(of), 4).oracle_degeneracies
     with pytest.raises(ValueError, match="the table's base must be the checked set"):
         verify_simplicial(X, table, 4)
+
+
+def _z2xj_run():
+    """Z/2 x J over J at D4: the set, its synthesized table, the map, J's table and Z/2."""
+    nj, nc = nerve(j_groupoid(), 4), nerve(cyclic_group(2), 4)
+    p = product(nc.sset, nj.sset).right
+    table = synthesize(SynthesisInput(p.source, p=p, Y_deg=nj.oracle_degeneracies), 4).table
+    return p.source, table, p, nj.oracle_degeneracies, nc
+
+
+def test_verify_simplicial_refuses_a_map_of_another_set():
+    X, table, _, _, nc = _z2xj_run()
+    with pytest.raises(ValueError, match="the map's source must be the checked set"):
+        verify_simplicial(X, table, 4, pmap=identity_map(nc.sset), target_table=nc.oracle_degeneracies)
+
+
+def test_verify_simplicial_refuses_a_target_table_of_another_set():
+    X, table, p, _, _ = _z2xj_run()
+    Y_deg = nerve(cyclic_group(3), 4).oracle_degeneracies
+    with pytest.raises(ValueError, match="the target table's base must be the map's target"):
+        verify_simplicial(X, table, 4, pmap=p, target_table=Y_deg)
+
+
+def test_verify_simplicial_refuses_a_subcomplex_of_another_set():
+    X, table, _, _, nc = _z2xj_run()
+    A = Subcomplex(nc.sset, [set(range(c)) for c in nc.sset.cells])
+    with pytest.raises(ValueError, match="the subcomplex's ambient set must be the checked set"):
+        verify_simplicial(X, table, 4, subcomplex=A, sub_table=table)
+
+
+def test_verify_simplicial_refuses_a_subcomplex_table_of_another_set():
+    X, table, _, _, nc = _z2xj_run()
+    A = Subcomplex(X, [set(range(c)) for c in X.cells])
+    with pytest.raises(ValueError, match="the subcomplex table's base must be the checked set"):
+        verify_simplicial(X, table, 4, subcomplex=A, sub_table=nc.oracle_degeneracies)
 
 
 @pytest.mark.parametrize("on, of", [(2, 3), (3, 2)])

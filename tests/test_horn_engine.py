@@ -2,11 +2,11 @@
 
 The references enumerate horns with a pruned ``itertools.product`` filtered
 by ``compatibility_failures`` and fill them by full scans, so they share no code
-with the slot-pattern index, the column-wise enumerator, the realized-horn
-sets or the edge arrays. The lift reference enumerates the same way and runs
+with the slot-pattern index, the column-wise enumerator, the lowest-filler
+tables or the edge arrays. The lift reference enumerates the same way and runs
 two ``_filler_indices`` intersections per horn, one in the source and one in
-the target, instead of the realized-lift sets. Canonical order is part of the
-output: lists must match element for element.
+the target, instead of the lowest-filler tables over the map. Canonical order
+is part of the output: lists must match element for element.
 """
 
 import gc
@@ -37,6 +37,7 @@ from degenforge import (
     edge_property,
     identity_map,
     idempotent_monoid,
+    is_equivalence,
     j_groupoid,
     nerve,
     p_edge_property,
@@ -44,11 +45,12 @@ from degenforge import (
     product,
     product_category,
     simplex_category,
+    synthesize,
     synthesize_relative,
     validate,
 )
 from degenforge.cli import run
-from degenforge.horn import LiftTests, _face_columns, _filler_indices, _horn_counts
+from degenforge.horn import _face_columns, _filler_indices, _horn_counts
 from degenforge.nerve import uniqueness_demo
 from conftest import naive_fillers
 from test_loop_coskeleta import loop_coskeleton
@@ -474,15 +476,13 @@ def test_marked_and_unmarked_projections_agree_on_edges_and_synthesis(name, monk
         return scan(X, q, *args)
 
     monkeypatch.setattr(horn, "_scan", recording)
-    marked_lifts, unmarked_lifts = LiftTests(p.source, p), LiftTests(p.source, unmarked)
     reasons = set()
     for e in range(p.source.cells[1]):
         c = e // Y.cells[1]
         for prop in ("cartesian", "cocartesian"):
             del scanned[:]
-            marked = p_edge_property(p, SimplexRef(1, e), prop, lifts=marked_lifts).to_json_dict()
-            assert p_edge_property(unmarked, SimplexRef(1, e), prop,
-                                   lifts=unmarked_lifts).to_json_dict() == marked
+            marked = p_edge_property(p, SimplexRef(1, e), prop).to_json_dict()
+            assert p_edge_property(unmarked, SimplexRef(1, e), prop).to_json_dict() == marked
             factor = edge_property(C, SimplexRef(1, c), prop, p.depth).result
             reason = None if factor else "C fails"
             assert any(q is p for q in scanned) == (reason is not None), (e, prop)
@@ -532,7 +532,7 @@ def _recorded(monkeypatch) -> list:
     """The sets that the lift scans, the fill tables and the validation of a run are given."""
     from degenforge import degeneracy, horn
     seen = []
-    for module, name in ((horn, "_scan"), (horn, "_lift_keys"), (degeneracy, "_lift_keys"),
+    for module, name in ((horn, "_scan"), (horn, "_lift_keys"),
                          (degeneracy, "validate"), (degeneracy, "validate_map")):
         real = getattr(module, name)
 
@@ -617,8 +617,9 @@ def test_load_validate_verify_build_no_horn_index(tmp_path, monkeypatch):
 
 
 def test_synthesis_fills_without_a_slot_index(monkeypatch):
-    # the engine fills a level from a table it builds and drops, so after a run
-    # the set holds no top-level slot index; the checks before it stop below
+    # the engine fills a level from the set's lowest-filler tables, which no slot
+    # index builds, so after a run the set holds no top-level slot index; the
+    # checks before it stop below
     from degenforge import degeneracy
     X = nerve(cyclic_group(3), 5).sset
     engine_run = degeneracy._Engine.run
@@ -698,16 +699,16 @@ def test_a_command_builds_each_lift_test_once(tmp_path, monkeypatch, command):
     # J has two vertices and four edges, so every command checks more than one edge
     from degenforge import horn
     built = []
-    lift_test = horn._lift_test
+    lift_keys = horn._lift_keys
 
     def recording(X, p, n, k):
         built.append((id(X), id(p), n, k))
-        return lift_test(X, p, n, k)
+        return lift_keys(X, p, n, k)
 
-    monkeypatch.setattr(horn, "_lift_test", recording)
+    monkeypatch.setattr(horn, "_lift_keys", recording)
     assert run(LIFT_COMMANDS[command](_lift_files(tmp_path)))[0] == 0
     counts = Counter(built)
-    # addendum-s0 shares one set of tests between its Kan scan and its edge checks
+    # addendum-s0 reads one table per shape in its Kan scan and its edge checks
     assert built and max(counts.values()) == 1, counts
 
 
@@ -715,26 +716,105 @@ def test_a_command_builds_each_lift_test_once(tmp_path, monkeypatch, command):
                          ids=["addendum-s0", "check-kan", "edges"])
 def test_a_shape_count_builds_no_second_realized_set(tmp_path, monkeypatch, argv):
     # no face pair tells the simplices of L2@D3 apart, so each count reads a
-    # shape's realized set: from the lift test that the command builds anyway
+    # shape's realized set: from the table that the lift tests read too
     from degenforge import horn
     path = tmp_path / "l2.sset"
     path.write_text(json.dumps(loop_coskeleton(2, 3).to_json_dict()))
-    tests, keys = [], []
-    lift_test, lift_keys = horn._lift_test, horn._lift_keys
-
-    def recording_test(X, p, n, k):
-        tests.append((n, k))
-        return lift_test(X, p, n, k)
+    keys = []
+    lift_keys = horn._lift_keys
 
     def recording_keys(X, p, n, k):
         keys.append((n, k))
         return lift_keys(X, p, n, k)
 
-    monkeypatch.setattr(horn, "_lift_test", recording_test)
     monkeypatch.setattr(horn, "_lift_keys", recording_keys)
     code, report = run([*argv, str(path)])
     assert code == 0, report
-    assert tests and sorted(keys) == sorted(tests) and len(set(tests)) == len(tests), (keys, tests)
+    assert keys and len(set(keys)) == len(keys), keys
     if argv != ["edges"]:
         # the Kan scan counted every shape from its realized set
-        assert set(tests) == {(n, k) for n in range(1, 4) for k in range(n + 1)}
+        assert set(keys) == {(n, k) for n in range(1, 4) for k in range(n + 1)}
+
+
+def _marked_run():
+    """Z/2 x J over J at D4, the projection marked with its factor Z/2."""
+    nj = nerve(j_groupoid(), 4)
+    C = nerve(cyclic_group(2), 4).sset
+    return C, product(C, nj.sset).right, nj.oracle_degeneracies
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_a_second_run_on_the_same_set_builds_no_table(monkeypatch, relative):
+    from degenforge import horn
+    if relative:
+        _, p, Y_deg = _marked_run()
+        inp = SynthesisInput(p.source, p=p, Y_deg=Y_deg)
+    else:
+        inp = SynthesisInput(nerve(cyclic_group(2), 5).sset)
+    first = synthesize(inp)
+    built = []
+    lift_keys = horn._lift_keys
+
+    def recording(X, p, n, k):
+        built.append((n, k))
+        return lift_keys(X, p, n, k)
+
+    monkeypatch.setattr(horn, "_lift_keys", recording)
+    second = synthesize(inp)
+    assert built == []
+    assert (second.table, second.certificate.to_json()) == (first.table, first.certificate.to_json())
+
+
+def test_tables_over_a_map_are_kept_on_the_map():
+    # unmarked, the checks and the engine read the tables over p; marked, C's tables
+    C, p, Y_deg = _marked_run()
+    unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    synthesize_relative(SynthesisInput(unmarked.source, p=unmarked, Y_deg=Y_deg))
+    assert unmarked._lowest and not unmarked.source._lowest
+    synthesize_relative(SynthesisInput(p.source, p=p, Y_deg=Y_deg))
+    assert C._lowest and not p.source._lowest and not p._lowest
+
+
+@pytest.mark.parametrize("order, dim, shared", [(2, 5, 6), (3, 4, 4), (5, 5, 6)])
+def test_the_s0_checks_and_the_engine_share_each_table(monkeypatch, order, dim, shared):
+    # the edge checks of the s0 resolution build (n, n) and (n, 0) tables that both
+    # steps of the engine read again: the engine reads those very tables
+    from degenforge import degeneracy, horn
+    X = nerve(cyclic_group(order), dim).sset
+    before, read, built = {}, set(), Counter()
+    engine_run, canonical_fill = degeneracy._Engine.run, degeneracy._Engine._canonical_fill
+    lift_keys = horn._lift_keys
+
+    def recording_run(engine):
+        before.update(X._lowest)
+        return engine_run(engine)
+
+    def recording_fill(engine, m, k, *args):
+        read.add((m, k))
+        return canonical_fill(engine, m, k, *args)
+
+    def recording_keys(Z, p, n, k):
+        built[n, k] += 1
+        return lift_keys(Z, p, n, k)
+
+    monkeypatch.setattr(degeneracy._Engine, "run", recording_run)
+    monkeypatch.setattr(degeneracy._Engine, "_canonical_fill", recording_fill)
+    monkeypatch.setattr(horn, "_lift_keys", recording_keys)
+    synthesize(SynthesisInput(X), dim)
+    assert len(read & set(before)) == shared
+    assert set(built.values()) == {1} and set(built) == read | set(before)
+    assert all(X._lowest[shape] is table for shape, table in before.items())
+
+
+def test_a_kan_set_has_only_equivalences():
+    # the cartesian (cocartesian) horns of an edge are (n, n) ((n, 0)) horns, so where
+    # the Kan scan passes at a bound every edge is an equivalence at it: addendum_s0
+    # reads its edges off filled horns and checks none of them again
+    kan = []  # the sets that pass the Kan scan at their own dimension
+    for name, make in sorted(VERDICT_SETS.items()):
+        X = make()
+        for D in range(1, X.dim + 1):
+            if check_kan(X, D).ok:
+                assert all(is_equivalence(X, SimplexRef(1, e), D).result for e in range(X.cells[1])), (name, D)
+                kan += [name] if D == X.dim else []
+    assert {"J", "Z/2", "Z/2xJ", "L2@D4"} <= set(kan)
