@@ -34,6 +34,7 @@ from .horn import (
     check_inner_fibration,
     check_kan,
     edge_property,
+    edge_verdicts,
     is_equivalence,
     is_idempotent,
 )
@@ -208,7 +209,10 @@ def _cmd_edges(args) -> tuple[str, dict, list]:
         if args.edge not in indices:
             raise ParseError(f"--edge {args.edge} is not an edge index in 0..{len(indices) - 1}")
         indices = [args.edge]
-    verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
+    if args.edge is None and args.property != "idempotent":
+        verdicts = edge_verdicts(X, args.property, dim)
+    else:
+        verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
     ok = all(v.result for v in verdicts)
     payload = {"bound": dim, "edges": [v.to_json_dict() for v in verdicts]}
     if not ok:

@@ -25,13 +25,18 @@ agree with the number of distinct rows: c_n when two other faces tell the
 n-simplices apart, else the size of the shape's table. A shape whose
 counts differ takes the ordered scan, which names its first unfilled horn.
 A set that ``validate`` has not passed is always scanned in order.
+
+An edge's cartesian (cocartesian) horns are the (n, n) ((n, 0)) horns whose
+last (first) edge it is, so an edge passes whenever its shape fills, and
+:func:`edge_verdicts` scans a failing shape once for every edge. A question
+about one edge runs that edge's restricted scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
-from operator import eq, indexOf, itemgetter
+from operator import eq, indexOf, itemgetter, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -322,8 +327,10 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
     and its target, or None. A horn lifts when every target simplex over its
     image is the image of a filler; over the point (``p`` None) a lift is a
     filler, and the target is the point's simplex 0. Realized lifts are the
-    keys of :func:`_lowest`. A whole batch of horns is tested at once: one
-    membership test per horn and target, in row order, targets ascending.
+    keys of :func:`_lowest`, and over a map the target simplices of each
+    (n,k) horn of the target are indexed once and kept on p beside them. A
+    whole batch of horns is tested at once: one membership test per horn and
+    target, in row order, targets ascending.
     """
     realized = _lowest(X, p, n, k)
     if p is None:
@@ -334,9 +341,11 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
 
         return missing
     below = p.levels[n - 1]
-    over: dict[tuple[int, ...], list[int]] = {}
-    for y, key in enumerate(zip(*(p.target.face_column(n, i) for i in _positions(n, k)))):
-        over.setdefault(key, []).append(y)
+    over = p._over.get((n, k))
+    if over is None:
+        over = p._over[n, k] = {}
+        for y, key in enumerate(_lift_keys(p.target, None, n, k)):
+            over.setdefault(key, []).append(y)
 
     def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
         found = list(map(over.get, zip(*(_gather(column)(below) for column in columns)), repeat(())))
@@ -365,6 +374,22 @@ def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
     return len(set(zip(X.face_column(n, pair[0]), X.face_column(n, pair[1])))) == X.cells[n]
 
 
+def _filled(X: SemisimplicialSet, n: int, k: int, count: int,
+            separated: dict[tuple[int, int], bool]) -> bool:
+    """Whether all ``count`` compatible (n, k) horns of X fill, on a set that ``validate`` has passed.
+
+    There the n-simplex rows without face k are compatible (n, k) horns, so
+    every compatible horn fills exactly when the count equals the number of
+    distinct rows. That is c_n when two faces other than k tell the
+    n-simplices apart (0 and n for inner k; ``separated`` keeps each pair's
+    test), else the size of the shape's :func:`_lowest` table.
+    """
+    pair = (1 if k == 0 else 0, n - 1 if k == n else n)
+    if pair not in separated:
+        separated[pair] = _separates(X, n, pair)
+    return (X.cells[n] if separated[pair] else len(_lowest(X, None, n, k))) == count
+
+
 def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
             scans: Iterable[tuple]) -> Iterator[tuple[int, int, int, Optional[LiftFailure]]]:
     """Per scan, up to the first that fails: ``(n, k, horns checked, failure)``.
@@ -374,13 +399,10 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
     Every scan of a shape reads the same :func:`_lowest` table.
 
     A level of unrestricted, ascending scans over the point, on a set that
-    :func:`validate` has passed, is counted: there the n-simplex rows without
-    face k are compatible (n, k) horns, so every compatible horn fills exactly
-    when :func:`_horn_counts` equals the number of distinct rows. That is c_n
-    when two faces other than k tell the n-simplices apart (0 and n for inner
-    k; each pair is tested once per level), else the size of the shape's
-    :func:`_lowest` table. A shape whose counts differ, and every other scan,
-    runs the ordered scan, which names the first horn that does not lift.
+    :func:`validate` has passed, is counted by :func:`_horn_counts`, and a
+    shape that :func:`_filled` passes yields its count. A shape whose counts
+    differ, and every other scan, runs the ordered scan, which names the
+    first horn that does not lift.
     """
     counted = p is None and X._valid
     for n, level in groupby(scans, itemgetter(0)):
@@ -390,13 +412,9 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
             counts = _horn_counts(X, n, [k for _, k, _, _ in level])
         separated: dict[tuple[int, int], bool] = {}
         for _, k, restrict, descending in level:
-            if k in counts:
-                pair = (1 if k == 0 else 0, n - 1 if k == n else n)
-                if pair not in separated:
-                    separated[pair] = _separates(X, n, pair)
-                if (X.cells[n] if separated[pair] else len(_lowest(X, None, n, k))) == counts[k]:
-                    yield n, k, counts[k], None
-                    continue
+            if k in counts and _filled(X, n, k, counts[k], separated):
+                yield n, k, counts[k], None
+                continue
             columns = _face_columns(X, n, k, restrict, descending)
             failure = _lift_test(X, p, n, k)(columns)
             if failure is not None:
@@ -515,6 +533,44 @@ def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None)
     scans = chain(_edge_scans(X, f, "cartesian", bound), _edge_scans(X, f, "cocartesian", bound))
     _, failure = _scan(X, None, scans)
     return EdgeVerdict(f, "equivalence", bound, failure is None, failure and failure.horn)
+
+
+def edge_verdicts(X: SemisimplicialSet, property: str, D: Optional[int] = None) -> list[EdgeVerdict]:
+    """Every edge's :func:`edge_property` or :func:`is_equivalence` verdict, by edge index.
+
+    Each (n, n) or (n, 0) shape is read once for all edges. On a set that
+    ``validate`` has passed it is counted first, and where it fills every
+    edge passes at n. Otherwise it takes one unrestricted scan in the edge
+    scans' order, and each failing row is charged to the edge of its x_0
+    (cartesian) or x_n (cocartesian). An edge's restricted scan visits a
+    subsequence of that scan, so the first failing row of each edge is its
+    witness; an equivalence's is its first cartesian failure, else its first
+    cocartesian one.
+    """
+    if property not in ("cartesian", "cocartesian", "equivalence"):
+        raise ValueError(f"unknown edge property {property!r}")
+    props = ("cartesian", "cocartesian") if property == "equivalence" else (property,)
+    bound = X.dim if D is None else min(D, X.dim)
+    failed: dict[str, dict[int, Horn]] = {prop: {} for prop in props}
+    for n in range(2, bound + 1):
+        shapes = [(prop, n if prop == "cartesian" else 0) for prop in props]
+        counts = _horn_counts(X, n, [k for _, k in shapes]) if X._valid else {}
+        for prop, k in shapes:
+            if k in counts and _filled(X, n, k, counts[k], {}):
+                continue
+            cartesian = k == n
+            columns = _face_columns(X, n, k, descending=not cartesian)
+            ends = _gather(columns[0 if cartesian else -1])(X.edges(n - 1, "last" if cartesian else "first"))
+            first = failed[prop]
+            unfilled = map(not_, map(_lowest(X, None, n, k).__contains__, zip(*columns)))
+            for t in compress(range(len(ends)), unfilled):
+                if ends[t] not in first:
+                    first[ends[t]] = _horn(n, k, columns, t)
+    verdicts = []
+    for e in range(X.cells[1] if X.dim >= 1 else 0):
+        witness = next((first[e] for first in failed.values() if e in first), None)
+        verdicts.append(EdgeVerdict(SimplexRef(1, e), property, bound, witness is None, witness))
+    return verdicts
 
 
 def is_idempotent(X: SemisimplicialSet, f: SimplexRef) -> Optional[SimplexRef]:

@@ -30,6 +30,8 @@ def _commands(name: str) -> list[list[str]]:
         ["check", "--inner", x],
         ["check", "--kan", x],
         ["edges", x],
+        ["edges", x, "--property", "cartesian"],
+        ["edges", x, "--property", "cocartesian"],
         ["synthesize", x, "--out", f"{name}.table", "--cert", f"{name}.cert"],
         ["verify", x, f"{name}.table", "--cert", f"{name}.cert"],
         ["demo-uniqueness", x, "--deg0", f"{name}.deg", "--deg1", f"{name}.table",
@@ -86,6 +88,10 @@ GOLDEN = {
         [0, "1c4b78a029545e81634eeca7a8955e748d9a5948a19ec2dfa4c962cd1150ac70"],
     "edges z2.sset":
         [0, "7a87eb8daa2012f9bee6297498385a150b23fe4b96ecc58d7588918283711f87"],
+    "edges z2.sset --property cartesian":
+        [0, "a8f2b68bc053f6c7d134d8bb219b145a83a47a5993680a8f38d6adc699963c74"],
+    "edges z2.sset --property cocartesian":
+        [0, "4696badb67a9d3310124e5bad56507d1e6d96ca1e7a0800d793aee0dae855713"],
     "synthesize z2.sset --out z2.table --cert z2.cert":
         [0, "66621231dbd57a74c739db75cc6a83825162a64c3665b1292abdcec2edddf734"],
     "z2.table":
@@ -114,6 +120,10 @@ GOLDEN = {
         [0, "f9638bc3d98ab2b0dc4b5f91d45843fd3370b416f0b0e68f0e6e4c2670e308ca"],
     "edges z3.sset":
         [0, "85be034118fa86c820cf2b86319aa7d020d72e5352a1622ed19c515425f6c006"],
+    "edges z3.sset --property cartesian":
+        [0, "dd45ed1da23815feb628213fc4e7b72e79e8fef244651e45d099aa8c14434615"],
+    "edges z3.sset --property cocartesian":
+        [0, "e10f306c70d5cccc80677243ce2b724a3e59d4d30484f20b200477e6909d2d0d"],
     "synthesize z3.sset --out z3.table --cert z3.cert":
         [0, "40dbcedeba5fdd4dda19f962da8a0bc56e65bd73c24c094ed31a9e413ec22537"],
     "z3.table":
@@ -142,6 +152,10 @@ GOLDEN = {
         [0, "850438db725f2aaa27c2f2a4e3a0ebe45562a0f544e459e447802a199f7b9edd"],
     "edges j.sset":
         [0, "88dfb93125350c4db3a7a5b0ee792863f54a1efd3000b37c41f81a8ae7cd2faf"],
+    "edges j.sset --property cartesian":
+        [0, "cb1f3052d7e80e59e8aa8058d105ebb38f2d72a52c446495cf98f07595ba043d"],
+    "edges j.sset --property cocartesian":
+        [0, "f0290872684c5f81f5475b0a66597f94d2744f12dd7d0a4f93658e8f09548981"],
     "synthesize j.sset --out j.table --cert j.cert":
         [0, "a7b6e0f711ca929dbe4080c0b9e92e3c0638f00e92f10891c220595881f5c3bb"],
     "j.table":
@@ -170,6 +184,10 @@ GOLDEN = {
         [1, "92e431406a4d8f8e94f0765d74deeeda28df4b5bf231ff7bfbcf612063cb4137"],
     "edges monoid.sset":
         [1, "48337587e7018411536878afdab85954a48d28319b8b7b29110bafbcd80a0e22"],
+    "edges monoid.sset --property cartesian":
+        [1, "bf5d4a6034f0d9d31a103b1a6e86f5a8b8ce62751ac71defb9a6f189c37b69ed"],
+    "edges monoid.sset --property cocartesian":
+        [1, "41d5f4912398a0acb06cb0656bd820c7455beb663c7deed3f1ac7980ff45848c"],
     "synthesize monoid.sset --out monoid.table --cert monoid.cert":
         [0, "428353c1a5836760e6a68f176e4d469c76adeb02ba3d2bdc8ab8d9196558831d"],
     "monoid.table":

@@ -35,6 +35,7 @@ from degenforge import (
     compatible_horns,
     cyclic_group,
     edge_property,
+    edge_verdicts,
     identity_map,
     idempotent_monoid,
     is_equivalence,
@@ -309,6 +310,21 @@ def test_checker_verdicts_match_brute_force(verdict_naive, validated):
     for n in range(1, D + 1):
         for ks in (range(n - 1, 0, -1), range(n, -1, -1)):
             assert _horn_counts(X, n, ks) == {k: len(_face_columns(X, n, k)[0]) for k in ks}
+
+
+@pytest.mark.parametrize("validated", [False, True], ids=["scanned", "counted"])
+@pytest.mark.parametrize("name", sorted(VERDICT_SETS))
+def test_one_pass_per_shape_matches_each_edge_scan(name, validated):
+    # one pass over each (n, n) and (n, 0) shape answers every edge as its own
+    # restricted scans do: counted where the shape fills, its first failing row else
+    X = VERDICT_SETS[name]()
+    assert validate(X).ok if validated else not X._valid
+    for D in range(1, X.dim + 1):
+        for prop in ("cartesian", "cocartesian", "equivalence"):
+            alone = [is_equivalence(X, SimplexRef(1, e), D) if prop == "equivalence"
+                     else edge_property(X, SimplexRef(1, e), prop, D) for e in range(X.cells[1])]
+            assert [v.to_json_dict() for v in edge_verdicts(X, prop, D)] == \
+                [v.to_json_dict() for v in alone], (prop, D)
 
 
 def test_the_dropped_sets_fail_inner_filling():
@@ -672,10 +688,11 @@ def test_slot_lookups_match_a_row_scan(name):
 
 
 def _lift_files(tmp_path) -> dict:
-    """J at D4, and Z/2 x J over J at D3, as files."""
+    """J at D4, L2@D3, and Z/2 x J over J at D3, as files."""
     nj, nj3 = nerve(j_groupoid(), 4), nerve(j_groupoid(), 3)
     bundle = product(nerve(cyclic_group(2), 3).sset, nj3.sset)
-    payloads = {"j": nj.sset.to_json_dict(), "z2xj": bundle.sset.to_json_dict(),
+    payloads = {"j": nj.sset.to_json_dict(), "l2": loop_coskeleton(2, 3).to_json_dict(),
+                "z2xj": bundle.sset.to_json_dict(),
                 "map": bundle.right.to_json_dict(), "j3": nj3.sset.to_json_dict(),
                 "ydeg": nj3.oracle_degeneracies.to_json_dict()}
     files = {}
@@ -686,7 +703,8 @@ def _lift_files(tmp_path) -> dict:
 
 
 LIFT_COMMANDS = {
-    "edges": lambda f: ["edges", f["j"], "--property", "equivalence"],
+    # every shape of J counts and builds no table; no face pair tells L2's simplices apart
+    "edges": lambda f: ["edges", f["l2"], "--property", "equivalence"],
     "addendum-s0": lambda f: ["addendum-s0", f["j"]],
     "synthesize": lambda f: ["synthesize", f["j"]],
     "synthesize-rel": lambda f: ["synthesize-rel", f["z2xj"], "--map", f["map"],
@@ -696,7 +714,8 @@ LIFT_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(LIFT_COMMANDS))
 def test_a_command_builds_each_lift_test_once(tmp_path, monkeypatch, command):
-    # J has two vertices and four edges, so every command checks more than one edge
+    # J has two vertices and four edges and L2 one vertex and two loops, so every
+    # command checks more than one edge
     from degenforge import horn
     built = []
     lift_keys = horn._lift_keys
@@ -765,12 +784,26 @@ def test_a_second_run_on_the_same_set_builds_no_table(monkeypatch, relative):
     assert (second.table, second.certificate.to_json()) == (first.table, first.certificate.to_json())
 
 
-def test_tables_over_a_map_are_kept_on_the_map():
-    # unmarked, the checks and the engine read the tables over p; marked, C's tables
+def test_tables_over_a_map_are_kept_on_the_map(monkeypatch):
+    # unmarked, the checks and the engine read the tables over p, and the lift tests
+    # of a shape over p one index of the target's (n, k) horns, built once and kept
+    # on p; marked, C's tables
+    from degenforge import horn
     C, p, Y_deg = _marked_run()
     unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    built = Counter()
+    lift_keys = horn._lift_keys
+
+    def recording(X, q, n, k):
+        if X is unmarked.target:
+            built[n, k] += 1
+        return lift_keys(X, q, n, k)
+
+    monkeypatch.setattr(horn, "_lift_keys", recording)
     synthesize_relative(SynthesisInput(unmarked.source, p=unmarked, Y_deg=Y_deg))
-    assert unmarked._lowest and not unmarked.source._lowest
+    assert unmarked._lowest and not unmarked.source._lowest and not unmarked.target._lowest
+    assert set(built) == set(unmarked._lowest) == set(unmarked._over)
+    assert set(built.values()) == {1}, built
     synthesize_relative(SynthesisInput(p.source, p=p, Y_deg=Y_deg))
     assert C._lowest and not p.source._lowest and not p._lowest
 
