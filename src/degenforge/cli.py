@@ -182,20 +182,16 @@ def _cmd_check(args) -> tuple[str, dict, list]:
     return ("yes" if verdict.ok else "no", payload, [])
 
 
-def _edge_verdict(X, j: int, prop: str, dim: int) -> EdgeVerdict:
+def _idempotent_verdict(X, j: int) -> EdgeVerdict:
     f = SimplexRef(1, j)
-    if prop == "equivalence":
-        return is_equivalence(X, f, dim)
-    if prop == "idempotent":
-        ends = [X.face_index(1, j, 1), X.face_index(1, j, 0)]
-        if ends[0] != ends[1]:
-            # not a self-edge: a "no" for this edge, not for the whole command
-            return EdgeVerdict(f, prop, 2, False, {"endpoints": ends})
-        witness = is_idempotent(X, f)
-        if witness is None:
-            return EdgeVerdict(f, prop, 2, False, {"exhausted": {"dim2_scanned": X.cells[2]}})
-        return EdgeVerdict(f, prop, 2, True, witness)
-    return edge_property(X, f, prop, dim)
+    ends = [X.face_index(1, j, 1), X.face_index(1, j, 0)]
+    if ends[0] != ends[1]:
+        # not a self-edge: a "no" for this edge, not for the whole command
+        return EdgeVerdict(f, "idempotent", 2, False, {"endpoints": ends})
+    witness = is_idempotent(X, f)
+    if witness is None:
+        return EdgeVerdict(f, "idempotent", 2, False, {"exhausted": {"dim2_scanned": X.cells[2]}})
+    return EdgeVerdict(f, "idempotent", 2, True, witness)
 
 
 def _cmd_edges(args) -> tuple[str, dict, list]:
@@ -209,10 +205,15 @@ def _cmd_edges(args) -> tuple[str, dict, list]:
         if args.edge not in indices:
             raise ParseError(f"--edge {args.edge} is not an edge index in 0..{len(indices) - 1}")
         indices = [args.edge]
-    if args.edge is None and args.property != "idempotent":
+    if args.property == "idempotent":
+        verdicts = [_idempotent_verdict(X, j) for j in indices]
+    elif args.edge is None:
         verdicts = edge_verdicts(X, args.property, dim)
     else:
-        verdicts = [_edge_verdict(X, j, args.property, dim) for j in indices]
+        # one edge's restricted scans cost less than the pass that answers every edge
+        f = SimplexRef(1, args.edge)
+        verdicts = [is_equivalence(X, f, dim) if args.property == "equivalence"
+                    else edge_property(X, f, args.property, dim)]
     ok = all(v.result for v in verdicts)
     payload = {"bound": dim, "edges": [v.to_json_dict() for v in verdicts]}
     if not ok:

@@ -327,10 +327,8 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
     and its target, or None. A horn lifts when every target simplex over its
     image is the image of a filler; over the point (``p`` None) a lift is a
     filler, and the target is the point's simplex 0. Realized lifts are the
-    keys of :func:`_lowest`, and over a map the target simplices of each
-    (n,k) horn of the target are indexed once and kept on p beside them. A
-    whole batch of horns is tested at once: one membership test per horn and
-    target, in row order, targets ascending.
+    keys of :func:`_lowest`. A whole batch of horns is tested at once: one
+    membership test per horn and target, in row order, targets ascending.
     """
     realized = _lowest(X, p, n, k)
     if p is None:
@@ -341,11 +339,9 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
 
         return missing
     below = p.levels[n - 1]
-    over = p._over.get((n, k))
-    if over is None:
-        over = p._over[n, k] = {}
-        for y, key in enumerate(_lift_keys(p.target, None, n, k)):
-            over.setdefault(key, []).append(y)
+    over: dict[tuple[int, ...], list[int]] = {}
+    for y, key in enumerate(zip(*(p.target.face_column(n, i) for i in _positions(n, k)))):
+        over.setdefault(key, []).append(y)
 
     def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
         found = list(map(over.get, zip(*(_gather(column)(below) for column in columns)), repeat(())))
@@ -498,19 +494,24 @@ def _require_edge(X: SemisimplicialSet, f: SimplexRef) -> None:
         raise ValueError(f"({f.dim},{f.index}) is not an edge of the checked set")
 
 
-def _edge_scans(X: SemisimplicialSet, f: SimplexRef, property: str, bound: int) -> Iterator[tuple]:
-    """The scans of f's cartesian (cocartesian) condition, one per n up to the bound.
+def _edge_shapes(property: str, bound: int) -> list[tuple[int, int, int, str, bool]]:
+    """Per n up to the bound, the shape an edge property scans: ``(n, k, face, end, descending)``.
 
-    Cartesian scans visit the right horns whose last edge, read off x_0, is f;
-    cocartesian scans the left horns whose first edge, read off x_n, is f.
+    Cartesian: the right horns (n, n), ascending, whose edge is the last edge
+    of face 0, x_0; cocartesian: the left horns (n, 0), descending, whose edge
+    is the first edge of face n, x_n.
     """
-    if property not in ("cartesian", "cocartesian"):
-        raise ValueError(f"unknown edge property {property!r}")
-    cartesian = property == "cartesian"
-    for n in range(2, bound + 1):
-        k = n if cartesian else 0
-        pool = [j for j, e in enumerate(X.edges(n - 1, "last" if cartesian else "first")) if e == f.index]
-        yield n, k, {n - k: pool}, not cartesian
+    if property == "cartesian":
+        return [(n, n, 0, "last", False) for n in range(2, bound + 1)]
+    if property == "cocartesian":
+        return [(n, 0, n, "first", True) for n in range(2, bound + 1)]
+    raise ValueError(f"unknown edge property {property!r}")
+
+
+def _edge_scans(X: SemisimplicialSet, f: SimplexRef, property: str, bound: int) -> Iterator[tuple]:
+    """The scans of f's cartesian (cocartesian) condition: each shape, restricted to f's horns."""
+    for n, k, face, end, descending in _edge_shapes(property, bound):
+        yield n, k, {face: [j for j, e in enumerate(X.edges(n - 1, end)) if e == f.index]}, descending
 
 
 def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
@@ -547,28 +548,24 @@ def edge_verdicts(X: SemisimplicialSet, property: str, D: Optional[int] = None) 
     witness; an equivalence's is its first cartesian failure, else its first
     cocartesian one.
     """
-    if property not in ("cartesian", "cocartesian", "equivalence"):
-        raise ValueError(f"unknown edge property {property!r}")
     props = ("cartesian", "cocartesian") if property == "equivalence" else (property,)
     bound = X.dim if D is None else min(D, X.dim)
-    failed: dict[str, dict[int, Horn]] = {prop: {} for prop in props}
-    for n in range(2, bound + 1):
-        shapes = [(prop, n if prop == "cartesian" else 0) for prop in props]
-        counts = _horn_counts(X, n, [k for _, k in shapes]) if X._valid else {}
-        for prop, k in shapes:
+    failed: list[dict[int, Horn]] = [{} for _ in props]
+    for level in zip(*(_edge_shapes(prop, bound) for prop in props)):
+        n = level[0][0]
+        counts = _horn_counts(X, n, [k for _, k, _, _, _ in level]) if X._valid else {}
+        for first, (_, k, face, end, descending) in zip(failed, level):
             if k in counts and _filled(X, n, k, counts[k], {}):
                 continue
-            cartesian = k == n
-            columns = _face_columns(X, n, k, descending=not cartesian)
-            ends = _gather(columns[0 if cartesian else -1])(X.edges(n - 1, "last" if cartesian else "first"))
-            first = failed[prop]
+            columns = _face_columns(X, n, k, descending=descending)
+            ends = _gather(columns[_positions(n, k).index(face)])(X.edges(n - 1, end))
             unfilled = map(not_, map(_lowest(X, None, n, k).__contains__, zip(*columns)))
             for t in compress(range(len(ends)), unfilled):
                 if ends[t] not in first:
                     first[ends[t]] = _horn(n, k, columns, t)
     verdicts = []
     for e in range(X.cells[1] if X.dim >= 1 else 0):
-        witness = next((first[e] for first in failed.values() if e in first), None)
+        witness = next((first[e] for first in failed if e in first), None)
         verdicts.append(EdgeVerdict(SimplexRef(1, e), property, bound, witness is None, witness))
     return verdicts
 

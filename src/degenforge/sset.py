@@ -412,8 +412,6 @@ class SemisimplicialMap:
         self.levels = tuple(norm)
         # (n, k) -> {(realized (n, k) horn, image): its lowest filler}, built by horn._lowest
         self._lowest: dict = {}
-        # (n, k) -> {(n, k) horn of the target: its target simplices, ascending}, built by horn._lift_test
-        self._over: dict = {}
         self._valid = False
 
     def apply_index(self, n: int, j: int) -> int:
