@@ -1020,6 +1020,8 @@ def _prepared(inp: SynthesisInput, D: Optional[int]) -> tuple[SynthesisInput, in
         _require_same("the projection's source must be the synthesis input set", p.source, X)
         _require_same("the target table's base must be the projection's target", inp.Y_deg.base, p.target)
         bound = min(bound, p.depth)
+    elif inp.Y_deg is not None:
+        raise ParseError("a target table is given without its map")
     if inp.s0 is not None:
         edges = X.cells[1] if X.dim else 0
         inp = replace(inp, s0=_as_vertex_map(inp.s0, X.cells[0], edges, "s0"))
@@ -1207,7 +1209,9 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     The three families are the face/degeneracy exchange rules, the two
     identity-section rules, and the degeneracy/degeneracy exchange rule.
     Optionally re-checks the restriction to a subcomplex table and
-    compatibility with a map into a base carrying its own table.
+    compatibility with a map into a base carrying its own table. A subcomplex
+    table or a target table given without its subcomplex or map, and a map
+    given without its target table, are refused, never skipped.
 
     Each ``(k, n)`` level is checked a term at a time: one gather reads a
     term's left side for every simplex with a defined s_k (d_i s_k from face
@@ -1216,6 +1220,12 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
     undefined value or the sides differ. Violations are listed by family,
     then by ``(k, n, j, i)``.
     """
+    if sub_table is not None and subcomplex is None:
+        raise ParseError("a subcomplex table is given without its subcomplex")
+    if target_table is not None and pmap is None:
+        raise ParseError("a target table is given without its map")
+    if pmap is not None and target_table is None:
+        raise MissingDegeneracies("a check over a map needs the target's degeneracy table")
     _require_same("the table's base must be the checked set", table.base, X)
     if subcomplex is not None:
         _require_same("the subcomplex's ambient set must be the checked set", subcomplex.ambient, X)
@@ -1223,11 +1233,8 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
         _require_same("the subcomplex table's base must be the checked set", sub_table.base, X)
     if pmap is not None:
         _require_same("the map's source must be the checked set", pmap.source, X)
-        if target_table is not None:
-            _require_same("the target table's base must be the map's target", target_table.base, pmap.target)
+        _require_same("the target table's base must be the map's target", target_table.base, pmap.target)
     bound = X.dim if D is None else min(D, X.dim)
-    restrict = subcomplex is not None and sub_table is not None
-    project = pmap is not None and target_table is not None
     s = table._s
     whole = functools.cache(lambda key: None not in s[key])  # the level has no undefined value
     found: dict[str, list] = {family: [] for family in _FAMILIES}
@@ -1280,7 +1287,7 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
             else:
                 rhs = tuple(None if x is None else upper[x] for x in mid)
             tally("degeneracy_degeneracy", at_v(outer), rhs, i, got_whole=whole((i, n + 1)))
-        sub = sub_table.level(k, n) if restrict else None
+        sub = None if sub_table is None else sub_table.level(k, n)
         if sub is not None:
             inside, above = subcomplex.members[n], subcomplex.members[n + 1]
             for j, v, want in zip(js, vals, at_j(sub)):
@@ -1288,7 +1295,7 @@ def verify_simplicial(X: SemisimplicialSet, table: DegeneracyTable,
                     checked["restriction"] += 1
                     if v != want or v not in above:
                         found["restriction"].append(("restriction", k, n, j))
-        target = target_table.level(k, n) if project else None
+        target = None if pmap is None else target_table.level(k, n)
         if target is not None:
             tally("projection", at_v(pmap.levels[n + 1]), _gather(at_j(pmap.levels[n]))(target))
     violations = [v for family in _FAMILIES for v in sorted(found[family])]

@@ -308,22 +308,27 @@ def idempotent_monoid() -> CategoryPresentation:
     return CategoryPresentation(["*"], arrows, compose, {0: 0})
 
 
-def poset_category(elements: Sequence[str], leq) -> CategoryPresentation:
-    """A preorder as a unital category: one arrow per related pair."""
+def _relation_category(elements: Sequence[str], related, sign: str, unital: bool) -> CategoryPresentation:
+    """One arrow ``x{sign}y`` per related pair, pairs in order; composites by transitivity."""
     arrows = []
     index = {}
     for x in range(len(elements)):
         for y in range(len(elements)):
-            if leq(x, y):
+            if related(x, y):
                 index[(x, y)] = len(arrows)
-                arrows.append(Arrow(f"{elements[x]}<={elements[y]}", x, y))
+                arrows.append(Arrow(f"{elements[x]}{sign}{elements[y]}", x, y))
     compose = {}
     for (y2, z), g in index.items():
         for (x, y1), f in index.items():
             if y1 == y2:
                 compose[(g, f)] = index[(x, z)]
-    identities = {x: index[(x, x)] for x in range(len(elements))}
+    identities = {x: index[(x, x)] for x in range(len(elements))} if unital else None
     return CategoryPresentation(elements, arrows, compose, identities)
+
+
+def poset_category(elements: Sequence[str], leq) -> CategoryPresentation:
+    """A preorder as a unital category: one arrow per related pair."""
+    return _relation_category(elements, leq, "<=", True)
 
 
 def poset_01() -> CategoryPresentation:
@@ -332,19 +337,7 @@ def poset_01() -> CategoryPresentation:
 
 def simplex_category(n: int) -> CategoryPresentation:
     """Strict inequalities on {0..n}, non-unital; its nerve is the n-simplex."""
-    elements = [str(i) for i in range(n + 1)]
-    arrows = []
-    index = {}
-    for x in range(n + 1):
-        for y in range(x + 1, n + 1):
-            index[(x, y)] = len(arrows)
-            arrows.append(Arrow(f"{x}<{y}", x, y))
-    compose = {}
-    for (y2, z), g in index.items():
-        for (x, y1), f in index.items():
-            if y1 == y2:
-                compose[(g, f)] = index[(x, z)]
-    return CategoryPresentation(elements, arrows, compose, None)
+    return _relation_category([str(i) for i in range(n + 1)], lambda x, y: x < y, "<", False)
 
 
 def one_arrow_category() -> CategoryPresentation:
@@ -428,8 +421,8 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
     """Run the relative synthesis on C x J over J, one table over each end.
 
     The subcomplex sits over the two constant chains of the two-object
-    groupoid, carrying deg0 over the one end and deg1 over the other; the
-    degree-0 candidate pairs each end's degeneracy with the identity chain.
+    groupoid, carrying deg0 over the one end and deg1 over the other. Every
+    vertex of C x J lies in that subcomplex, so its table fixes degree 0.
     The synthesis checks its output to restrict to the given tables exactly
     and to commute with the projection, raising on any violation; the report
     counts those checks from its ``restriction`` and ``projection``
@@ -444,43 +437,32 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
     bound = min(D, C_sset.dim)
     if bound < 2:
         raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
+    for side, table in ((0, deg0), (1, deg1)):
+        edges = table.level(0, 0) or [None] * C_sset.cells[0]
+        if None in edges:
+            raise InvalidDegeneracyTable(f"deg{side} lacks a degree-0 value at vertex {edges.index(None)}")
     J = nerve(j_groupoid(), bound)
     bundle = product(C_sset, J.sset)
-    X, p = bundle.sset, bundle.right
+    X, p, width = bundle.sset, bundle.right, J.sset.cells
 
-    constant = []  # constant[n] = (index of the all-0 chain, index of the all-1 chain)
-    for n in range(bound + 1):
-        if n == 0:
-            constant.append((0, 1))
-        else:
-            constant.append((J.index_of(n, (0,) * n), J.index_of(n, (1,) * n)))
-
-    members = []
-    for n in range(bound + 1):
-        level = set()
-        for c in range(C_sset.cells[n]):
-            level.add(bundle.pair_index(n, c, constant[n][0]))
-            level.add(bundle.pair_index(n, c, constant[n][1]))
-        members.append(level)
-    A = Subcomplex(X, members)
+    # per n, the indices of J's two constant n-chains, all-0 and all-1; (c, a) is c * width[n] + a
+    constant = [(0, 1)] + [(J.index_of(n, (0,) * n), J.index_of(n, (1,) * n)) for n in range(1, bound + 1)]
+    A = Subcomplex(X, [chain(range(a, X.cells[n], width[n]), range(b, X.cells[n], width[n]))
+                       for n, (a, b) in enumerate(constant)])
 
     A_deg = DegeneracyTable(X)
-    for side, table in ((0, deg0), (1, deg1)):
-        for k, n, c, v in table.entries():
-            if n >= bound:
-                continue
-            A_deg.set_value(k, n, bundle.pair_index(n, c, constant[n][side]),
-                            bundle.pair_index(n + 1, v, constant[n + 1][side]))
+    for k, n in sorted({*deg0.domain(), *deg1.domain()}):
+        if n >= bound:
+            continue
+        level: list = [None] * X.cells[n]
+        for side, table in ((0, deg0), (1, deg1)):
+            values, above = table.level(k, n), constant[n + 1][side]
+            if values is not None:
+                level[constant[n][side]::width[n]] = [None if v is None else v * width[n + 1] + above
+                                                      for v in values]
+        A_deg.set_level(k, n, level)
 
-    s0 = {}
-    for side, table in ((0, deg0), (1, deg1)):
-        for c in range(C_sset.cells[0]):
-            value = table.value(0, 0, c)
-            if value is None:
-                raise InvalidDegeneracyTable(f"deg{side} lacks a degree-0 value at vertex {c}")
-            s0[bundle.pair_index(0, c, constant[0][side])] = bundle.pair_index(1, value, constant[1][side])
-
-    inp = SynthesisInput(X, p=p, Y_deg=J.oracle_degeneracies, A=A, A_deg=A_deg, s0=s0)
+    inp = SynthesisInput(X, p=p, Y_deg=J.oracle_degeneracies, A=A, A_deg=A_deg)
     result = synthesize_relative(inp, bound)
 
     checked = result.verification.by_family

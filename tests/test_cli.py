@@ -2,9 +2,13 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import degenforge
 from degenforge import (
     DegeneracyTable,
     SemisimplicialSet,
@@ -12,7 +16,7 @@ from degenforge import (
     replay_certificate,
     synthesize,
 )
-from degenforge.cli import run
+from degenforge.cli import main, run
 from degenforge.nerve import cyclic_group, idempotent_monoid, simplex_category
 
 
@@ -33,6 +37,25 @@ def test_nerve_and_validate(z2_files):
     assert code == 0
     assert report["verdict"] == "ok"
     assert report["command"] == "validate"
+
+
+@pytest.mark.parametrize("argv, want", [(["check", "--inner"], 0), (["check", "--inner", "--dim", "-1"], 2)])
+def test_main_prints_the_report_and_returns_its_code(z2_files, capsys, argv, want):
+    argv = [*argv, str(z2_files["sset"])]
+    code, report = run(argv)
+    assert main(argv) == code == want
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_console_command_runs_as_a_module(z2_files):
+    src = str(pathlib.Path(degenforge.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["validate", str(z2_files["sset"])]
+    done = subprocess.run([sys.executable, "-m", "degenforge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, report = run(argv)
+    assert done.returncode == code == 0
+    assert done.stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_check_inner_report(z2_files):

@@ -795,6 +795,39 @@ def test_verify_simplicial_refuses_a_subcomplex_table_of_another_set():
         verify_simplicial(X, table, 4, subcomplex=A, sub_table=nc.oracle_degeneracies)
 
 
+def test_verify_simplicial_refuses_a_subcomplex_table_without_its_subcomplex():
+    X, table, _, _, _ = _z2xj_run()
+    with pytest.raises(ParseError, match="^a subcomplex table is given without its subcomplex$"):
+        verify_simplicial(X, table, 4, sub_table=table)
+
+
+def test_verify_simplicial_refuses_a_target_table_without_its_map():
+    X, table, _, Y_deg, _ = _z2xj_run()
+    with pytest.raises(ParseError, match="^a target table is given without its map$"):
+        verify_simplicial(X, table, 4, target_table=Y_deg)
+
+
+def test_verify_simplicial_refuses_a_map_without_its_target_table():
+    X, table, p, _, _ = _z2xj_run()
+    with pytest.raises(MissingDegeneracies, match="^a check over a map needs the target's degeneracy table$"):
+        verify_simplicial(X, table, 4, pmap=p)
+
+
+def test_verify_simplicial_accepts_a_subcomplex_without_its_table():
+    # synthesize passes the subcomplex of a run whose subcomplex has no table
+    X, table, _, _, _ = _z2xj_run()
+    A = Subcomplex(X, [set(range(c)) for c in X.cells])
+    report = verify_simplicial(X, table, 4, subcomplex=A)
+    assert report.ok and report.by_family["restriction"] == 0
+    assert report.checked == verify_simplicial(X, table, 4).checked
+
+
+def test_synthesis_refuses_a_target_table_without_its_map():
+    X, _, _, Y_deg, _ = _z2xj_run()
+    with pytest.raises(ParseError, match="^a target table is given without its map$"):
+        synthesize(SynthesisInput(X, Y_deg=Y_deg), 4)
+
+
 @pytest.mark.parametrize("on, of", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("label", ["deg0", "deg1"])
 def test_uniqueness_demo_refuses_a_table_of_another_set(on, of, label):

@@ -8,6 +8,7 @@ import pytest
 from degenforge import (
     Arrow,
     CategoryPresentation,
+    DegeneracyTable,
     InvalidCategory,
     InvalidDegeneracyTable,
     SimplexRef,
@@ -21,7 +22,6 @@ from degenforge import (
     nerve,
     one_arrow_category,
     poset_01,
-    product,
     product_category,
     simplex_category,
     synthesize,
@@ -89,41 +89,6 @@ def test_criterion_agrees_with_horn_filling(n2, nm, np01, nj):
                     == is_equivalence(bundle.sset, SimplexRef(1, e), 4).result)
 
 
-def test_nerve_of_product_is_product_of_nerves():
-    c1, c2 = cyclic_group(2), poset_01()
-    left = nerve(c1, 3)
-    right = nerve(c2, 3)
-    combined = nerve(product_category(c1, c2), 3)
-    bundle = product(left.sset, right.sset)
-    assert combined.sset.cells == bundle.sset.cells
-    # the chain-wise bijection sends a pair chain to its coordinate chains
-    for n in range(4):
-        for j, chain in enumerate(combined.chains[n]):
-            if n == 0:
-                a, b = divmod(chain, len(c2.objects))
-                paired = bundle.pair_index(0, a, b)
-            else:
-                n_arrows = len(c2.arrows)
-                lefts = tuple(a // n_arrows for a in chain)
-                rights = tuple(a % n_arrows for a in chain)
-                paired = bundle.pair_index(n, left.index_of(n, lefts), right.index_of(n, rights))
-            for i in range(1, n + 1):
-                assert (bundle.sset.face_index(n, paired, i)
-                        == _transport(combined, bundle, left, right, c2, n - 1,
-                                      combined.sset.face_index(n, j, i)))
-
-
-def _transport(combined, bundle, left, right, c2, n, j):
-    chain = combined.chains[n][j]
-    if n == 0:
-        a, b = divmod(chain, len(c2.objects))
-        return bundle.pair_index(0, a, b)
-    n_arrows = len(c2.arrows)
-    lefts = tuple(a // n_arrows for a in chain)
-    rights = tuple(a % n_arrows for a in chain)
-    return bundle.pair_index(n, left.index_of(n, lefts), right.index_of(n, rights))
-
-
 def test_group_nerve_validates_everywhere():
     for order in (1, 2, 3, 4):
         for depth in range(1, 7):
@@ -183,6 +148,25 @@ def test_uniqueness_demo_on_group(n2):
 def test_uniqueness_demo_on_monoid(nm):
     demo = uniqueness_demo(nm.sset, nm.oracle_degeneracies, nm.oracle_degeneracies, 4)
     assert demo.ok
+
+
+def test_uniqueness_demo_refuses_a_table_without_degree_0(n2):
+    oracle = n2.oracle_degeneracies
+    lacking = DegeneracyTable(n2.sset)
+    for k, n in oracle.domain() - {(0, 0)}:
+        lacking.set_level(k, n, list(oracle.level(k, n)))
+    assert verify_simplicial(n2.sset, lacking, 5).ok
+    with pytest.raises(InvalidDegeneracyTable, match="^deg1 lacks a degree-0 value at vertex 0$"):
+        uniqueness_demo(n2.sset, oracle, lacking, 4)
+
+
+def test_uniqueness_demo_names_the_first_vertex_without_degree_0(np01):
+    oracle = np01.oracle_degeneracies
+    gap = oracle.copy()
+    gap.set_value(0, 0, 1, None)
+    assert verify_simplicial(np01.sset, gap, 5).ok
+    with pytest.raises(InvalidDegeneracyTable, match="^deg0 lacks a degree-0 value at vertex 1$"):
+        uniqueness_demo(np01.sset, gap, oracle, 4)
 
 
 def test_uniqueness_demo_rejects_corrupt_table(n2):
