@@ -20,17 +20,15 @@ they are computed from every available representation and the
 representations are required to agree, turning the well-definedness of the
 construction into a runtime check. A lower degeneracy forces s_N(x) through
 s_N s_i = s_i s_{N-1} (i < N) where x = s_i(y); since d_i s_i = id, the only
-candidate is y = d_i x, read off the face table. Every decision (fill,
+candidate is y = d_i x, read off the face table. Step 2 fills the degeneracy
+images on level D-2 like any other simplex: their forced form s_N s_N x
+reads level D-1, which no run builds. Every decision (fill,
 forcing, witness) is recorded in an ordered certificate that replays
 deterministically: one typed block per level, holding the level's j order,
 kinds and values and one column per horn face, from which dict records are
 made only when they are read. A run is a deterministic byte string, so a
 certificate read from a file replays by one compare of its text with the
 run's; it is parsed into records only where the texts differ or the run raises.
-
-Working tables keep one provisional level above the verified range (the
-stage-N step-one values at the top level feed later stages' forced values);
-the returned table is restricted to the fully corrected levels n <= D-2.
 """
 
 from __future__ import annotations
@@ -214,8 +212,7 @@ class GoodSystem:
     """Degeneracies s_0..s_N with a staged validity status.
 
     ``almost`` means the stage-N identity d_{N+1} s_N = id is not yet
-    required. The working table keeps the provisional top level (one
-    dimension above the corrected range) until the final restriction.
+    required.
     """
 
     table: DegeneracyTable
@@ -783,7 +780,7 @@ class _Engine:
         d_N = id and d_i = s_N d_{i-1} (i > N+1), over s_N p(x) on a map."""
         if self.D < N + 1:
             raise TruncationExhausted(f"stage {N} needs truncation at least {N + 1}")
-        for n in range(N, self.D):
+        for n in range(N, self.D - 1):
             c = self.X.cells[n]
             lower, same = self.table.level(N - 1, n - 1), self.table.level(N, n - 1)
             columns = [_through(lower, self.X.face_column(n, i)) if i < N else range(c) if i == N
@@ -796,7 +793,7 @@ class _Engine:
     def _step2(self, N: int) -> dict[int, list[int]]:
         """t on every level: the (n+2, N) horn with d_i = s_{N-1} s_{N-1} d_i (i < N),
         d_{N+1} = d_{N+2} = s_N and d_i = t d_{i-2} (i > N+2), over s_N s_N p(x)
-        on a map; then s_N = d_N t below the top level. Returns t by level."""
+        on a map; then s_N = d_N t. Returns t by level."""
         if self.D < N + 2:
             raise TruncationExhausted(f"the stage-{N} correction needs truncation at least {N + 2}")
         t: dict[int, list[int]] = {}
@@ -808,7 +805,6 @@ class _Engine:
                        else own if i <= N + 2 else _through(t[n - 1], self.X.face_column(n, i - 2))
                        for i in range(n + 3) if i != N]
             t[n] = self._level(N, 2, n, columns, self._target(N, n, True))
-        # correction: replace s_N below the provisional top level
         for n in range(N, self.D - 1):
             self.table.set_level(N, n, list(_gather(t[n])(self.X.face_column(n + 2, N))))
         self._check_corrected(N)
@@ -846,7 +842,7 @@ class _Engine:
         for N in range(self.D - 1):
             self._step1(N)
             self._step2(N)
-        return self.table.restricted(self.D - 2), self.certificate
+        return self.table, self.certificate
 
 
 # ---------------------------------------------------------------------------

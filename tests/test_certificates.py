@@ -30,19 +30,19 @@ X3 = nerve(cyclic_group(2), 3).sset
 
 
 def _forced_value(records):
-    records[12]["value"] += 1
+    records[6]["value"] += 1
 
 
 def _filled_value(records):
-    records[5]["value"] += 1
+    records[2]["value"] += 1
 
 
 def _horn_face(records):
-    records[14]["horn"]["faces"]["1"] += 1
+    records[7]["horn"]["faces"]["1"] += 1
 
 
 def _stage_step(records):
-    records[13]["stage"]["step"] = 2
+    records[6]["stage"]["step"] = 2
 
 
 def _simplex_index(records):
@@ -58,31 +58,31 @@ def _append_extra(records):
 
 
 TAMPERED = [
-    (_forced_value, 12,
-     "record 12 diverges: expected {'kind': 'forced', 'simplex': [2, 0], 'stage': {'N': 1, "
-     "'step': 1}, 'value': 1}, recomputed {'stage': {'N': 1, 'step': 1}, 'simplex': [2, 0], "
+    (_forced_value, 6,
+     "record 6 diverges: expected {'kind': 'forced', 'simplex': [1, 0], 'stage': {'N': 1, "
+     "'step': 1}, 'value': 1}, recomputed {'stage': {'N': 1, 'step': 1}, 'simplex': [1, 0], "
      "'kind': 'forced', 'value': 0}"),
-    (_filled_value, 5,
-     "record 5 diverges: expected {'horn': {'faces': {'0': 2, '2': 1, '3': 1}, 'k': 1, 'n': 3}, "
-     "'kind': 'filled', 'simplex': [2, 2], 'stage': {'N': 0, 'step': 1}, 'value': 3}, recomputed "
-     "{'stage': {'N': 0, 'step': 1}, 'simplex': [2, 2], 'kind': 'filled', 'value': 2, 'horn': "
-     "{'n': 3, 'k': 1, 'faces': {'0': 2, '2': 1, '3': 1}}}"),
-    (_horn_face, 14,
-     "record 14 diverges: expected {'horn': {'faces': {'0': 0, '1': 3, '3': 2}, 'k': 2, 'n': 3}, "
-     "'kind': 'filled', 'simplex': [2, 2], 'stage': {'N': 1, 'step': 1}, 'value': 4}, recomputed "
-     "{'stage': {'N': 1, 'step': 1}, 'simplex': [2, 2], 'kind': 'filled', 'value': 4, 'horn': "
-     "{'n': 3, 'k': 2, 'faces': {'0': 0, '1': 2, '3': 2}}}"),
-    (_stage_step, 13,
-     "record 13 diverges: expected {'kind': 'forced', 'simplex': [2, 1], 'stage': {'N': 1, "
-     "'step': 2}, 'value': 1}, recomputed {'stage': {'N': 1, 'step': 1}, 'simplex': [2, 1], "
-     "'kind': 'forced', 'value': 1}"),
+    (_filled_value, 2,
+     "record 2 diverges: expected {'horn': {'faces': {'0': 1, '2': 0}, 'k': 1, 'n': 2}, "
+     "'kind': 'filled', 'simplex': [1, 1], 'stage': {'N': 0, 'step': 1}, 'value': 2}, recomputed "
+     "{'stage': {'N': 0, 'step': 1}, 'simplex': [1, 1], 'kind': 'filled', 'value': 1, 'horn': "
+     "{'n': 2, 'k': 1, 'faces': {'0': 1, '2': 0}}}"),
+    (_horn_face, 7,
+     "record 7 diverges: expected {'horn': {'faces': {'0': 0, '1': 2}, 'k': 2, 'n': 2}, "
+     "'kind': 'filled', 'simplex': [1, 1], 'stage': {'N': 1, 'step': 1}, 'value': 2}, recomputed "
+     "{'stage': {'N': 1, 'step': 1}, 'simplex': [1, 1], 'kind': 'filled', 'value': 2, 'horn': "
+     "{'n': 2, 'k': 2, 'faces': {'0': 0, '1': 1}}}"),
+    (_stage_step, 6,
+     "record 6 diverges: expected {'kind': 'forced', 'simplex': [1, 0], 'stage': {'N': 1, "
+     "'step': 2}, 'value': 0}, recomputed {'stage': {'N': 1, 'step': 1}, 'simplex': [1, 0], "
+     "'kind': 'forced', 'value': 0}"),
     (_simplex_index, 4,
-     "record 4 diverges: expected {'horn': {'faces': {'0': 1, '2': 1, '3': 0}, 'k': 1, 'n': 3}, "
-     "'kind': 'filled', 'simplex': [2, 2], 'stage': {'N': 0, 'step': 1}, 'value': 1}, recomputed "
-     "{'stage': {'N': 0, 'step': 1}, 'simplex': [2, 1], 'kind': 'filled', 'value': 1, 'horn': "
-     "{'n': 3, 'k': 1, 'faces': {'0': 1, '2': 1, '3': 0}}}"),
-    (_drop_last, 17, "certificate has fewer records than the run"),
-    (_append_extra, 18, "certificate has more records than the run"),
+     "record 4 diverges: expected {'horn': {'faces': {'1': 0, '2': 0, '3': 0}, 'k': 0, 'n': 3}, "
+     "'kind': 'filled', 'simplex': [1, 1], 'stage': {'N': 0, 'step': 2}, 'value': 0}, recomputed "
+     "{'stage': {'N': 0, 'step': 2}, 'simplex': [1, 0], 'kind': 'filled', 'value': 0, 'horn': "
+     "{'n': 3, 'k': 0, 'faces': {'1': 0, '2': 0, '3': 0}}}"),
+    (_drop_last, 9, "certificate has fewer records than the run"),
+    (_append_extra, 10, "certificate has more records than the run"),
 ]
 
 
@@ -101,7 +101,7 @@ def certified(tmp_path_factory):
 @pytest.mark.parametrize("tamper, position, text", TAMPERED, ids=[t[0].__name__ for t in TAMPERED])
 def test_replay_names_the_first_diverging_record(certified, tamper, position, text):
     records = json.loads(certified["x.cert"].read_text())
-    assert len(records) == 18
+    assert len(records) == 10
     tamper(records)
     with pytest.raises(CertificateMismatch) as caught:
         replay_certificate(SynthesisInput(X3), 3, records)
@@ -128,7 +128,7 @@ def test_a_read_certificate_is_its_records_and_its_text():
     text = run_certificate.to_json() + "\n"
     records = json.loads(text)
     read = Certificate.read(text, "c.json")
-    assert (read.text, len(read), len(run_certificate)) == (text, 18, 18)
+    assert (read.text, len(read), len(run_certificate)) == (text, 10, 10)
     assert read == run_certificate and list(read) == records
     assert read.to_json() == run_certificate.to_json()
     assert Certificate.from_records(records).text is None
@@ -160,16 +160,16 @@ def test_a_certificate_reads_as_its_records():
     assert certificate[5:9] == records[5:9]
     assert certificate == records
     with pytest.raises(IndexError):
-        certificate[18]
+        certificate[10]
 
 
 def test_a_record_no_run_writes_diverges_where_it_stands():
     # a horn on a forced record is well typed, but no run writes it
     records = json.loads(json.dumps(list(synthesize(SynthesisInput(X3), 3).certificate)))
-    records[12]["horn"] = {"n": 3, "k": 2, "faces": {"0": 0, "1": 0, "3": 0}}
+    records[6]["horn"] = {"n": 2, "k": 2, "faces": {"0": 0, "1": 0}}
     with pytest.raises(CertificateMismatch) as caught:
         replay_certificate(SynthesisInput(X3), 3, records)
-    assert caught.value.position == 12
+    assert caught.value.position == 6
 
 
 REWRITTEN = {
@@ -194,7 +194,7 @@ def test_a_certificate_with_other_bytes_but_the_same_records_passes(certified, t
     texts, checked = _parses(monkeypatch)
     code, report = run(["verify", str(certified["x.sset"]), str(certified["x.table"]),
                         "--cert", str(cert)])
-    assert (code, report["verdict"], report["detail"]["replayed_records"]) == (0, "pass", 18)
+    assert (code, report["verdict"], report["detail"]["replayed_records"]) == (0, "pass", 10)
     if rewrite == "no final newline":  # the run's text, less one final newline: no parse
         assert texts[2:] == [] and checked == []
     else:
@@ -228,14 +228,14 @@ def _relative_input(dim):
     return SynthesisInput(bundle.sset, p=bundle.right, Y_deg=nj.oracle_degeneracies)
 
 
-@pytest.mark.parametrize("relative, dim, fills, shapes", [(False, 5, 22, 18), (True, 4, 13, 12)])
+@pytest.mark.parametrize("relative, dim, fills, shapes", [(False, 5, 18, 17), (True, 4, 10, 11)])
 def test_each_fill_table_is_built_once_per_run(monkeypatch, relative, dim, fills, shapes):
     # the checks before the engine and both steps of every stage read one table per shape:
     # step 1 of stage k-1 and step 2 of stage k ask the same (m, k) table for m >= k+2
     builds, calls = _counted(monkeypatch)
     inp = _relative_input(dim) if relative else SynthesisInput(nerve(cyclic_group(2), dim).sset)
     synthesize(inp, dim)
-    assert calls["fill"] == fills  # as many fill queries as before the tables were shared
+    assert calls["fill"] == fills  # one per level of each step, but for the vertices at stage 0
     assert len(builds) == shapes and set(builds.values()) == {1}
 
 

@@ -129,19 +129,30 @@ def test_step1_with_doctored_s0_hits_unfillable_horn(deltas):
         step1_extend(fresh_system(d1), inp, 4)
 
 
+def _without(X, n, z):
+    """X less its n-simplex z and every simplex with a dropped face, renumbered."""
+    kept = [list(range(c)) for c in X.cells]
+    kept[n].remove(z)
+    faces = []
+    for m in range(1, X.dim + 1):
+        renumbered = {old: new for new, old in enumerate(kept[m - 1])}
+        rows = [[renumbered.get(f) for f in X.faces_of(m, w)] for w in kept[m]]
+        kept[m] = [w for w, row in zip(kept[m], rows) if None not in row]
+        faces.append([row for row in rows if None not in row])
+    return SemisimplicialSet(list(map(len, kept)), faces)
+
+
 def test_a_missing_filler_stops_the_next_stage_with_its_horn():
-    # Z/2 without its 3-simplex (g, 1, g) passes validation but not the inner
-    # scan; stage 0 goes through, and stage 1 needs that simplex at level 2
-    n2 = nerve(cyclic_group(2), 3)
-    X, drop = n2.sset, n2.index_of(3, (1, 0, 1))
-    faces = [[list(X.faces_of(n, z)) for z in range(X.cells[n]) if (n, z) != (3, drop)]
-             for n in range(1, 4)]
-    Y = SemisimplicialSet([*X.cells[:3], X.cells[3] - 1], faces)
+    # Z/2 at D4 without its 3-simplex (g, 1, g) and the 4-simplices on it passes
+    # validation but not the inner scan; stage 0 goes through, and stage 1 needs
+    # that simplex at level 2, a level the run returns
+    n2 = nerve(cyclic_group(2), 4)
+    Y = _without(n2.sset, 3, n2.index_of(3, (1, 0, 1)))
     assert validate(Y).ok and not check_inner(Y).ok
     inp = SynthesisInput(Y, s0={0: 0})
-    good0 = step2_correct(step1_extend(fresh_system(Y), inp, 3), inp, 3)
+    good0 = step2_correct(step1_extend(fresh_system(Y), inp, 4), inp, 4)
     with pytest.raises(UnfillableHorn) as caught:
-        step1_extend(good0, inp, 3)
+        step1_extend(good0, inp, 4)
     assert (str(caught.value), caught.value.horn, caught.value.level) == (
         "no admissible filler for the (3,2) horn at level 2", Horn(3, 2, ((0, 1), (1, 3), (3, 2))), 2)
 

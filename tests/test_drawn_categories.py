@@ -50,7 +50,7 @@ from degenforge import (
     uniqueness_demo,
 )
 from degenforge.cli import run
-from conftest import drawn_categories as categories
+from conftest import drawn_categories as categories, relabeled
 
 TOP_CELLS = 1500  # the most top-level simplices a drawn nerve may have
 
@@ -68,18 +68,7 @@ def _chains(category, n: int) -> int:
 
 def _relabeled(bundle, rng):
     """The nerve, its oracle table and ``perm``, every level permuted: ``perm[n][old] = new``."""
-    X = bundle.sset
-    perm = []
-    for count in X.cells:
-        perm.append(list(range(count)))
-        rng.shuffle(perm[-1])
-    faces = []
-    for n in range(1, X.dim + 1):
-        level = [None] * X.cells[n]
-        for j in range(X.cells[n]):
-            level[perm[n][j]] = [perm[n - 1][v] for v in X.faces_of(n, j)]
-        faces.append(level)
-    Y = SemisimplicialSet(X.cells, faces)
+    Y, perm = relabeled(bundle.sset, rng)
     oracle = DegeneracyTable(Y)
     for k, n, j, v in bundle.oracle_degeneracies.entries():
         oracle.set_value(k, n, perm[n][j], perm[n + 1][v])
