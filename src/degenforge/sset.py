@@ -27,15 +27,20 @@ few bytes: the pool never holds more ints than the inputs held entries.
 Interning changes no value: reports, hashes and files are the same bytes
 either way. The constructor takes each level's min and max once and records
 the face levels out of range; ``validate`` walks only those to name their
-entries. ``content_hash`` is computed once per set, or seeded by the loader
-from the file's text when it is the set's canonical JSON (see ``hash_seed``).
+entries. Those checks are made wherever face data is read from input: the
+constructor, ``from_json_dict`` and ``nerve``. ``product`` gathers its face
+levels and both projections from the pool by index arithmetic and stores
+them as they are, with no second type, range or intern pass; it refuses a
+factor with a face entry out of range on a level it reads. ``content_hash``
+is computed once per set, or seeded by the loader from the file's text when
+it is the set's canonical JSON (see ``hash_seed``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -130,27 +135,43 @@ class SemisimplicialSet:
         X._store(cells, len(levels), levels)
         return X
 
+    @classmethod
+    def _as_is(cls, cells: Sequence[int], levels: Sequence[list[int]]) -> "SemisimplicialSet":
+        """The set whose level n is the flat list ``levels[n-1]``, stored as it is.
+
+        Only for levels built from stored sets, whose entries are in range by
+        construction: nothing is type-checked, range-checked or interned again.
+        """
+        X = cls.__new__(cls)
+        X._keep(tuple(cells), [[], *levels], set())
+        return X
+
     def _store(self, cells: Sequence[int], depth: int, levels: Iterable[list[int]]) -> None:
-        # the one way face data is stored: checked, then interned level by level
+        # the one way face data is read from input: checked, then interned level by level
         if len(cells) == 0:
             raise ValueError("a semisimplicial set has at least dimension 0")
-        self.dim = len(cells) - 1
-        self.cells = tuple(cells)
-        if not all(_is_int(c) and c >= 0 for c in self.cells):
-            raise ValueError(f"cell counts must be non-negative integers, got {list(self.cells)}")
-        if depth != self.dim:
-            raise ValueError(f"expected {self.dim} face levels, got {depth}")
+        cells = tuple(cells)
+        if not all(_is_int(c) and c >= 0 for c in cells):
+            raise ValueError(f"cell counts must be non-negative integers, got {list(cells)}")
+        if depth != len(cells) - 1:
+            raise ValueError(f"expected {len(cells) - 1} face levels, got {depth}")
         stored: list[list[int]] = [[]]
         # levels with an entry outside 0..c_{n-1}-1, stored as given; only they need a range pass
-        self._out_of_range: set[int] = set()
+        out_of_range: set[int] = set()
         for n, flat in enumerate(levels, 1):
             if set(map(type, flat)) - {int}:
                 raise ValueError(f"dimension {n}: every face entry must be an integer")
-            values, in_range = _interned(flat, self.cells[n - 1])
+            values, in_range = _interned(flat, cells[n - 1])
             if not in_range:
-                self._out_of_range.add(n)
+                out_of_range.add(n)
             stored.append(list(values))
-        self._faces = stored
+        self._keep(cells, stored, out_of_range)
+
+    def _keep(self, cells: tuple[int, ...], faces: list[list[int]], out_of_range: set[int]) -> None:
+        self.dim = len(cells) - 1
+        self.cells = cells
+        self._faces = faces
+        self._out_of_range = out_of_range
         # (n, i) -> {v: n-simplices with d_i = v}; (n, a, b) -> {(v, w): ... d_a = v, d_b = w}
         self._index: dict = {}
         self._edges: dict = {}
@@ -391,16 +412,13 @@ class SemisimplicialMap:
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
                  levels: Sequence[Sequence[int]], factor: Optional[SemisimplicialSet] = None):
-        self.source = source
-        self.target = target
-        self.factor = factor
-        self.depth = min(source.dim, target.dim)
-        top = self.depth + 1
+        depth = min(source.dim, target.dim)
+        top = depth + 1
         if factor is not None and list(map(mul, factor.cells, target.cells[:top])) != list(source.cells[:top]):
             raise ValueError("a factor's cell counts times the target's must be the source's, "
-                             f"up to level {self.depth}")
-        if len(levels) != self.depth + 1:
-            raise ValueError(f"expected {self.depth + 1} levels, got {len(levels)}")
+                             f"up to level {depth}")
+        if len(levels) != depth + 1:
+            raise ValueError(f"expected {depth + 1} levels, got {len(levels)}")
         norm = []
         for n, level in enumerate(levels):
             row = tuple(level)
@@ -409,7 +427,23 @@ class SemisimplicialMap:
             if set(map(type, row)) - {int}:
                 raise ValueError(f"level {n}: every value must be an integer")
             norm.append(tuple(_interned(row, target.cells[n])[0]))
-        self.levels = tuple(norm)
+        self._keep(source, target, tuple(norm), factor)
+
+    @classmethod
+    def _as_is(cls, source: SemisimplicialSet, target: SemisimplicialSet, levels: tuple[tuple[int, ...], ...],
+               factor: Optional[SemisimplicialSet] = None) -> "SemisimplicialMap":
+        """The map with ``levels``, stored as they are: only for levels in range by construction."""
+        F = cls.__new__(cls)
+        F._keep(source, target, levels, factor)
+        return F
+
+    def _keep(self, source: SemisimplicialSet, target: SemisimplicialSet,
+              levels: tuple[tuple[int, ...], ...], factor: Optional[SemisimplicialSet]) -> None:
+        self.source = source
+        self.target = target
+        self.factor = factor
+        self.depth = min(source.dim, target.dim)
+        self.levels = levels
         # (n, k) -> {(realized (n, k) horn, image): its lowest filler}, built by horn._lowest
         self._lowest: dict = {}
         self._valid = False
@@ -496,10 +530,22 @@ class Subcomplex:
         return n <= self.ambient.dim and j in self.members[n]
 
     def validate(self) -> ValidationReport:
-        """Ranges plus closure under every face operator."""
+        """Ranges plus closure under every face operator.
+
+        Violations are ``("range", n, j)`` and ``("closure", n, j, i)``,
+        listed by n, then by member in the order of the level's frozenset,
+        then by i. Each level is checked at once: a min and a max for the
+        ranges, and per face i the members' d_i gathered from the flat level.
+        Rows are walked only to name the witnesses of a level that fails.
+        """
         violations = []
         checked = 0
         for n, level in enumerate(self.members):
+            if not level:
+                continue
+            if 0 <= min(level) and max(level) < self.ambient.cells[n] and (n == 0 or self._closed(n, level)):
+                checked += len(level) * (n + 2 if n else 1)
+                continue
             for j in level:
                 checked += 1
                 if not 0 <= j < self.ambient.cells[n]:
@@ -510,6 +556,12 @@ class Subcomplex:
                         if self.ambient.face_index(n, j, i) not in self.members[n - 1]:
                             violations.append(("closure", n, j, i))
         return ValidationReport(not violations, checked, violations)
+
+    def _closed(self, n: int, level: frozenset) -> bool:
+        # every face of every member of level n, read at j*(n+1) + i, is a member of level n-1
+        flat, below = self.ambient._faces[n], self.members[n - 1]
+        starts = list(map((n + 1).__mul__, level))
+        return all(below.issuperset(map(flat.__getitem__, map(i.__add__, starts))) for i in range(n + 1))
 
     def to_json_dict(self) -> dict:
         return {"members": [sorted(level) for level in self.members]}
@@ -561,22 +613,46 @@ class ProductBundle:
 def product(X: SemisimplicialSet, Y: SemisimplicialSet) -> ProductBundle:
     """Levelwise product truncated at min(dim X, dim Y); faces act coordinatewise.
 
-    Validates each factor that holds no pass. When both pass, so do the
-    product and its projections, coordinatewise, and a pass is recorded on each.
+    Every entry is read from the canonical int pool by index arithmetic, and
+    the levels and both projections are stored as they are, with no second
+    type, range or intern pass. d_i of the pair (jx, jy) is
+    ``d_i(jx) * c_{n-1}(Y) + d_i(jy)``, so each face column is, per value a
+    of X's column, Y's column gathered from the pool's slice of
+    ``c_{n-1}(Y)`` ints from ``a * c_{n-1}(Y)``, one block per distinct a.
+    The left projection repeats each n-simplex of X ``c_n(Y)`` times and the
+    right one runs through Y's n-simplices ``c_n(X)`` times. The pool grows
+    to the size of the product's largest level, for which each projection
+    stores as many entries.
+
+    A factor with a face entry out of range on a level the product reads is
+    refused with a ``ValueError``: the arithmetic would read some other
+    simplex for it. Validates each factor that holds no pass. When both pass,
+    so do the product and its projections, coordinatewise, and a pass is
+    recorded on each.
     """
     dim = min(X.dim, Y.dim)
+    for side, F in (("left", X), ("right", Y)):
+        read = [n for n in sorted(F._out_of_range) if n <= dim]
+        if read:
+            raise ValueError(f"the {side} factor has a face entry out of range on level {read[0]}")
     cells = [X.cells[n] * Y.cells[n] for n in range(dim + 1)]
+    # every entry is an index below the largest c_n(Z)
+    ints = _canonical(max(cells))
     faces = []
     for n in range(1, dim + 1):
-        # d_i of the pair (jx, jy) is the pair (d_i jx, d_i jy), built a face column at a time
+        width = Y.cells[n - 1]
         flat: list = [None] * (cells[n] * (n + 1))
         for i in range(n + 1):
-            right = Y.face_column(n, i)
-            flat[i::n + 1] = [a + b for a in map(Y.cells[n - 1].__mul__, X.face_column(n, i)) for b in right]
+            left, at = X.face_column(n, i), _gather(Y.face_column(n, i))
+            blocks = {a: at(ints[a * width:a * width + width]) for a in set(left)}
+            flat[i::n + 1] = chain.from_iterable(map(blocks.__getitem__, left))
         faces.append(flat)
-    Z = SemisimplicialSet._from_flat(cells, faces)
-    proj_left = SemisimplicialMap(Z, X, [[j // Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)])
-    proj_right = SemisimplicialMap(Z, Y, [[j % Y.cells[n] for j in range(cells[n])] for n in range(dim + 1)],
-                                   factor=X)
+    Z = SemisimplicialSet._as_is(cells, faces)
+    lefts, rights = [], []
+    for cx, cy in zip(X.cells[:dim + 1], Y.cells):
+        lefts.append(tuple(chain.from_iterable(map(repeat, ints[:cx], repeat(cy)))))
+        rights.append(tuple(ints[:cy]) * cx)
+    proj_left = SemisimplicialMap._as_is(Z, X, tuple(lefts))
+    proj_right = SemisimplicialMap._as_is(Z, Y, tuple(rights), factor=X)
     Z._valid = proj_left._valid = proj_right._valid = all(F._valid or validate(F).ok for F in (X, Y))
     return ProductBundle(Z, proj_left, proj_right)

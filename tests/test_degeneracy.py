@@ -382,7 +382,9 @@ def test_staged_builders_stop_at_the_depth_of_the_map(n2):
     result = synthesize(inp, 5)
     assert result.bound == 2
     assert good.table.restricted(0) == result.table
-    almost1 = step1_extend(good, inp, 5)
+    assert _raised(TruncationExhausted, lambda: step1_extend(good, inp, 5))[0] == (
+        "the stage-1 extension needs truncation at least 3")
+    almost1 = replace(good, N=1, almost=True)
     assert _raised(TruncationExhausted, lambda: step2_correct(almost1, inp, 5))[0] == (
         "the stage-1 correction needs truncation at least 3")
 

@@ -38,4 +38,8 @@ def test_the_readme_quick_start_runs(tmp_path, monkeypatch):
 
 def test_the_demo_script_runs(capsys):
     _script("run_demo.py")["main"]()
-    assert "oracle agreement: True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "oracle agreement: True" in out
+    # L2@D4: the direct run and a relabeled run pulled back, joined over the two ends of J
+    assert ("  deg0 and deg1 differ in 29 entries; restriction entries checked: 58, "
+            "projection entries checked: 210\n") in out

@@ -1,6 +1,7 @@
 """Core data model: validation, edge extraction, products, maps, serialization."""
 
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,10 @@ from degenforge import (
     validate,
     validate_map,
 )
-from conftest import preorders
+from degenforge.sset import _canonical
+from conftest import drawn_categories, preorders
 from test_horn_engine import _invalid_z2
+from test_loop_coskeleta import loop_coskeleton
 
 
 def test_delta2_validates(deltas):
@@ -216,3 +219,64 @@ def test_product_records_a_pass_exactly_when_both_factors_pass(failing):
     # the record is the verdict validate gives
     assert validate(bundle.sset).ok == passed
     assert validate_map(bundle.left).ok and validate_map(bundle.right).ok
+
+
+# -- the product against its per-pair definition ----------------------------------
+
+
+def test_a_factor_with_a_face_entry_out_of_range_is_refused():
+    # Y's d_1 names vertex 1 of a set with one vertex; read as d_1(x) * c_0(Y) + d_1(y), it would
+    # alias vertex (1, 0) of the product, which would then pass validate where Y fails it
+    X = SemisimplicialSet([2, 1], [[[0, 0]]])
+    Y = SemisimplicialSet([1, 1], [[[0, 1]]])
+    assert validate(X).ok and not validate(Y).ok
+    for left, right, side in ((X, Y, "right"), (Y, X, "left")):
+        with pytest.raises(ValueError) as caught:
+            product(left, right)
+        assert str(caught.value) == f"the {side} factor has a face entry out of range on level 1"
+    negative = SemisimplicialSet([1, 1, 1], [[[0, 0]], [[0, 0, -1]]])
+    with pytest.raises(ValueError, match="^the left factor has a face entry out of range on level 2$"):
+        product(negative, negative)
+    # a level above the product's truncation is never read: the product is built, and holds no pass
+    bundle = product(negative, SemisimplicialSet([1, 1], [[[0, 0]]]))
+    assert bundle.sset.cells == (1, 1) and not bundle.sset._valid
+
+
+factor_sets = st.one_of(
+    st.builds(lambda category, depth: nerve(category, depth).sset, drawn_categories, st.integers(0, 3)),
+    st.builds(loop_coskeleton, st.integers(1, 2), st.integers(0, 3)),
+    # a factor of dim 0 or 1, one with an empty level, one with no vertex, and one that fails validate
+    st.sampled_from([
+        SemisimplicialSet([3], []),
+        SemisimplicialSet([2, 3], [[[1, 0], [0, 0], [1, 1]]]),
+        SemisimplicialSet([2, 1, 0, 0], [[[1, 0]], [], []]),
+        SemisimplicialSet([0, 0, 0], [[], []]),
+        _invalid_z2(),
+    ]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_sets, factor_sets)
+def test_the_product_is_its_per_pair_definition(X, Y):
+    dim = min(X.dim, Y.dim)
+    if sum(X.cells[n] * Y.cells[n] * (n + 1) for n in range(dim + 1)) > 40000:
+        return
+    bundle = product(X, Y)
+    Z, left, right = bundle.sset, bundle.left, bundle.right
+    assert Z.cells == tuple(X.cells[n] * Y.cells[n] for n in range(dim + 1))
+    for n in range(1, dim + 1):
+        width = Y.cells[n - 1]
+        for j in range(Z.cells[n]):
+            jx, jy = divmod(j, Y.cells[n])
+            assert Z.faces_of(n, j) == [X.face_index(n, jx, i) * width + Y.face_index(n, jy, i)
+                                        for i in range(n + 1)]
+    for n in range(dim + 1):
+        assert left.levels[n] == tuple(j // Y.cells[n] for j in range(Z.cells[n]))
+        assert right.levels[n] == tuple(j % Y.cells[n] for j in range(Z.cells[n]))
+    assert (left.source, left.target, left.factor) == (Z, X, None)
+    assert (right.source, right.target, right.factor) == (Z, Y, X)
+    entries = chain.from_iterable([*Z._faces, *left.levels, *right.levels])
+    assert all(v is _canonical(v + 1)[v] for v in entries)
+    passed = validate(X).ok and validate(Y).ok
+    assert [Z._valid, left._valid, right._valid] == [passed] * 3
