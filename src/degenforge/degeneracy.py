@@ -38,7 +38,7 @@ import json
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
-from operator import and_, eq, floordiv, is_, is_not, mod, not_
+from operator import and_, eq, floordiv, is_, mod, not_
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -1095,47 +1095,21 @@ def synthesize_relative(inp: SynthesisInput, D: Optional[int] = None) -> Synthes
 
 
 def _check_subcomplex_table(X, p, Ydeg, A, Adeg) -> None:
-    # the subcomplex table must stay inside the subcomplex and, over a map, project to the target
-    # table; each (k, n) level is checked at once, and its rows are walked only when it fails, to
-    # name its first bad entry
-    for k, n in sorted(Adeg.domain()):
-        level = Adeg.level(k, n)
-        if _subcomplex_level_holds(p, Ydeg, A, k, n, level):
+    # the subcomplex table must stay inside the subcomplex and, over a map, project to the target table
+    for k, n, j, v in Adeg.entries():
+        if not A.contains(n, j):
+            raise IncompatibleSubcomplexStructure(
+                f"subcomplex table defined at non-member ({n},{j})", simplex=(n, j))
+        if not A.contains(n + 1, v):
+            raise IncompatibleSubcomplexStructure(
+                f"subcomplex degeneracy s_{k}({n},{j}) leaves the subcomplex", simplex=(n, j))
+        if p is None:
             continue
-        for j, v in enumerate(level):
-            if v is None:
-                continue
-            if not A.contains(n, j):
-                raise IncompatibleSubcomplexStructure(
-                    f"subcomplex table defined at non-member ({n},{j})", simplex=(n, j))
-            if not A.contains(n + 1, v):
-                raise IncompatibleSubcomplexStructure(
-                    f"subcomplex degeneracy s_{k}({n},{j}) leaves the subcomplex", simplex=(n, j))
-            if p is None:
-                continue
-            want = Ydeg.value(k, n, p.apply_index(n, j))
-            if want is not None and p.apply_index(n + 1, v) != want:
-                raise IncompatibleSubcomplexStructure(
-                    f"subcomplex degeneracy s_{k}({n},{j}) does not project to the target table",
-                    simplex=(n, j))
-
-
-def _subcomplex_level_holds(p, Ydeg, A, k: int, n: int, level: list) -> bool:
-    """Whether no entry of the ``(k, n)`` level of a subcomplex table fails, checked by columns.
-
-    False also where the row walk is left to decide: a level at the top of
-    the ambient set or of the map, or one whose projection differs from the
-    target table anywhere, undefined target values included.
-    """
-    if n >= A.ambient.dim or (p is not None and n >= p.depth):
-        return False
-    defined = list(map(is_not, level, repeat(None)))
-    js, vs = list(compress(range(len(level)), defined)), list(compress(level, defined))
-    if not (A.members[n].issuperset(js) and A.members[n + 1].issuperset(vs)):
-        return False
-    target = None if p is None else Ydeg.level(k, n)
-    return target is None or (list(map(p.levels[n + 1].__getitem__, vs)) ==
-                              list(map(target.__getitem__, map(p.levels[n].__getitem__, js))))
+        want = Ydeg.value(k, n, p.apply_index(n, j))
+        if want is not None and p.apply_index(n + 1, v) != want:
+            raise IncompatibleSubcomplexStructure(
+                f"subcomplex degeneracy s_{k}({n},{j}) does not project to the target table",
+                simplex=(n, j))
 
 
 def replay_certificate(inp: SynthesisInput, D: Optional[int], certificate) -> DegeneracyTable:

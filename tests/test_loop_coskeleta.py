@@ -48,7 +48,7 @@ from degenforge import (
     verify_simplicial,
 )
 from degenforge.cli import run
-from conftest import drawn_categories as categories, pulled_back, relabeled
+from conftest import DEMO, drawn_categories as categories, pulled_back, relabeled
 from test_drawn_categories import _chains
 
 CASES = [(1, 3, [1, 1, 1, 1]), (2, 3, [1, 2, 8, 64]), (2, 4, [1, 2, 8, 64, 1024]),
@@ -93,6 +93,13 @@ def test_a_loop_coskeleton_meets_the_hypotheses(tmp_path, loops, dim, cells):
     for argv in (["validate"], ["check", "--kan"], ["edges"]):
         code, report = run([*argv, str(path)])
         assert (code, report["verdict"]) == (0, "ok" if argv == ["validate"] else "yes"), report
+
+
+@pytest.mark.parametrize("loops, dim, cells", CASES, ids=IDS)
+def test_the_demo_scripts_loop_coskeleton_is_this_one(loops, dim, cells):
+    # scripts/run_demo.py builds L_loops on its own; it must be coskeleton(1, loops, dim), face for face
+    script = DEMO["loop_coskeleton"](loops, dim)
+    assert script.to_json_dict() == loop_coskeleton(loops, dim).to_json_dict()
 
 
 def test_the_point_synthesizes():

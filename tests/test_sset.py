@@ -4,7 +4,7 @@ import json
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degenforge import (
@@ -260,8 +260,7 @@ factor_sets = st.one_of(
 @given(factor_sets, factor_sets)
 def test_the_product_is_its_per_pair_definition(X, Y):
     dim = min(X.dim, Y.dim)
-    if sum(X.cells[n] * Y.cells[n] * (n + 1) for n in range(dim + 1)) > 40000:
-        return
+    assume(sum(X.cells[n] * Y.cells[n] * (n + 1) for n in range(dim + 1)) <= 40000)
     bundle = product(X, Y)
     Z, left, right = bundle.sset, bundle.left, bundle.right
     assert Z.cells == tuple(X.cells[n] * Y.cells[n] for n in range(dim + 1))

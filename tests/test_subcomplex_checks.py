@@ -1,12 +1,10 @@
-"""The subcomplex checks by columns name what the row walks named.
+"""``Subcomplex.validate`` by columns names what the row walk named.
 
-``Subcomplex.validate`` and ``degeneracy._check_subcomplex_table`` check a
-whole level at once and walk its rows only when it fails. The walks below are
-the per-member and per-entry definitions the columnar checks replaced. On
-drawn subcomplexes that are not face-closed, and on subcomplex tables
-tampered inside the subcomplex, outside it and off the target table, the
-columnar checks must list the same violations in the same order, and raise
-the same first ``IncompatibleSubcomplexStructure`` text.
+``Subcomplex.validate`` checks a whole level at once and walks its rows only
+when it fails. The walk below is the per-member definition it replaced. On
+drawn subcomplexes that are not face-closed, the columnar check must list the
+same violations in the same order, and ``synthesize`` must raise the same
+``IncompatibleSubcomplexStructure`` text, which quotes the first three.
 """
 
 import random
@@ -16,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenforge import (
-    DegeneracyTable,
     IncompatibleSubcomplexStructure,
     Subcomplex,
     SynthesisInput,
@@ -24,11 +21,9 @@ from degenforge import (
     idempotent_monoid,
     j_groupoid,
     nerve,
-    poset_01,
     product,
     synthesize,
 )
-from degenforge.degeneracy import _check_subcomplex_table
 from test_loop_coskeleta import loop_coskeleton
 
 DEPTH = 3
@@ -49,29 +44,6 @@ def _validate_by_rows(A: Subcomplex) -> tuple:
                     if A.ambient.face_index(n, j, i) not in A.members[n - 1]:
                         violations.append(("closure", n, j, i))
     return not violations, checked, violations
-
-
-def _first_failure_by_rows(p, Ydeg, A: Subcomplex, Adeg: DegeneracyTable):
-    """The text and simplex of the first entry that fails, in ``entries`` order, or None."""
-    for k, n, j, v in Adeg.entries():
-        if not A.contains(n, j):
-            return f"subcomplex table defined at non-member ({n},{j})", (n, j)
-        if not A.contains(n + 1, v):
-            return f"subcomplex degeneracy s_{k}({n},{j}) leaves the subcomplex", (n, j)
-        if p is None:
-            continue
-        want = Ydeg.value(k, n, p.apply_index(n, j))
-        if want is not None and p.apply_index(n + 1, v) != want:
-            return f"subcomplex degeneracy s_{k}({n},{j}) does not project to the target table", (n, j)
-    return None
-
-
-def _first_failure(p, Ydeg, A: Subcomplex, Adeg: DegeneracyTable):
-    try:
-        _check_subcomplex_table(A.ambient, p, Ydeg, A, Adeg)
-    except IncompatibleSubcomplexStructure as exc:
-        return str(exc), exc.simplex
-    return None
 
 
 AMBIENTS = {
@@ -108,59 +80,3 @@ def test_subcomplex_validate_lists_the_row_walks_violations(ambients, name, seed
         with pytest.raises(IncompatibleSubcomplexStructure) as caught:
             synthesize(SynthesisInput(X, A=A), DEPTH)
         assert str(caught.value) == f"subcomplex is not face-closed: {_validate_by_rows(A)[2][:3]}"
-
-
-CATEGORIES = {"Z/2": cyclic_group(2), "poset": poset_01(), "monoid": idempotent_monoid()}
-
-
-@pytest.fixture(scope="module")
-def relative():
-    """Per category C: C x J, its projection, J's table, the demo's subcomplex and its table."""
-    nj = nerve(j_groupoid(), DEPTH)
-    width = nj.sset.cells
-    constant = [(0, 1)] + [(nj.index_of(n, (0,) * n), nj.index_of(n, (1,) * n)) for n in range(1, DEPTH + 1)]
-    out = {}
-    for name, category in CATEGORIES.items():
-        nc = nerve(category, DEPTH)
-        bundle = product(nc.sset, nj.sset)
-        X = bundle.sset
-        members = [{c * width[n] + e for c in range(nc.sset.cells[n]) for e in constant[n]}
-                   for n in range(DEPTH + 1)]
-        A_deg = DegeneracyTable(X)
-        for k, n, c, v in nc.oracle_degeneracies.entries():
-            for a, b in zip(constant[n], constant[n + 1]):
-                A_deg.set_value(k, n, c * width[n] + a, v * width[n + 1] + b)
-        out[name] = (bundle.right, nj.oracle_degeneracies, Subcomplex(X, members), A_deg)
-    return out
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(CATEGORIES)), st.booleans(), st.booleans(),
-       st.lists(st.sampled_from(["inside", "outside", "off the target", "above the top"]), max_size=3),
-       st.randoms(use_true_random=False))
-def test_the_table_check_raises_the_row_walks_first_failure(relative, name, over_map, partial_target,
-                                                            tampering, rng):
-    p, Ydeg, A, A_deg = relative[name]
-    X = A.ambient
-    table = A_deg.copy()
-    if partial_target:
-        Ydeg = Ydeg.copy()
-        for k, n in Ydeg.domain():
-            level = Ydeg.level(k, n)
-            level[rng.randrange(len(level))] = None
-    levels = sorted(A_deg.domain())
-    for kind in tampering:
-        k, n = rng.choice(levels)
-        inside, above = sorted(A.members[n]), sorted(A.members[n + 1])
-        if kind == "inside":  # a member sent to any simplex, often one outside the subcomplex
-            table.set_value(k, n, rng.choice(inside), rng.randrange(X.cells[n + 1]))
-        elif kind == "outside":  # a value where the subcomplex has no simplex; every vertex is in it
-            k, n = rng.choice([key for key in levels if key[1]])
-            outside = sorted(set(range(X.cells[n])) - A.members[n])
-            table.set_value(k, n, rng.choice(outside), rng.choice(sorted(A.members[n + 1])))
-        elif kind == "off the target":  # a member sent to another member, which may project elsewhere
-            table.set_value(k, n, rng.choice(inside), rng.choice(above))
-        else:  # a value on the top level, which maps out of the set
-            table.set_value(rng.randrange(DEPTH + 1), DEPTH, rng.randrange(X.cells[DEPTH]), 0)
-    given_map = (p, Ydeg) if over_map else (None, None)
-    assert _first_failure(*given_map, A, table) == _first_failure_by_rows(*given_map, A, table)
