@@ -8,7 +8,7 @@ import json
 import pathlib
 import sys
 
-from degenforge import nerve
+from degenforge import nerve, product
 from degenforge.nerve import (
     cyclic_group,
     idempotent_monoid,
@@ -17,6 +17,10 @@ from degenforge.nerve import (
     product_category,
     simplex_category,
 )
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def main() -> None:
@@ -35,16 +39,17 @@ def main() -> None:
         "delta3": simplex_category(3),
     }
     for name, category in categories.items():
-        (out / f"{name}.cat").write_text(
-            json.dumps(category.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        (out / f"{name}.cat").write_text(_json(category.to_json_dict()))
         bundle = nerve(category, 5)
-        (out / f"{name}.sset").write_text(
-            json.dumps(bundle.sset.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        (out / f"{name}.sset").write_text(_json(bundle.sset.to_json_dict()))
         if bundle.oracle_degeneracies is not None:
-            (out / f"{name}.deg").write_text(
-                json.dumps(bundle.oracle_degeneracies.to_json_dict(),
-                           sort_keys=True, separators=(",", ":")) + "\n")
+            (out / f"{name}.deg").write_text(_json(bundle.oracle_degeneracies.to_json_dict()))
         print(f"{name}: cells {list(bundle.sset.cells)}")
+    # Z/2 x J with its right projection to J, for the relative commands
+    bundle = product(nerve(cyclic_group(2), 5).sset, nerve(j_groupoid(), 5).sset)
+    (out / "z2xj.sset").write_text(_json(bundle.sset.to_json_dict()))
+    (out / "z2xj_to_j.map").write_text(_json(bundle.right.to_json_dict()))
+    print(f"z2xj: cells {list(bundle.sset.cells)}, with its projection to j")
     print(f"\nwrote fixture files to {out}/")
 
 

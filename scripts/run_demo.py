@@ -5,16 +5,14 @@ Builds the Z/2 nerve, synthesizes its degeneracies, compares against the
 identity-insertion oracle, runs the automatic degree-0 construction on a
 Kan fixture, and runs the relative run on the product with the two-object
 groupoid. It finishes with that run on a set that is not a nerve, the loop
-coskeleton L2 at D=4, joining two distinct tables: the direct run and a run
-on a relabeled copy, pulled back.
+coskeleton L2 at D=4, joining two distinct tables: the direct run, whose
+degree 0 is the first loop, and the run given the second loop as s0.
 """
 
 import itertools
-import random
 import time
 
 from degenforge import (
-    DegeneracyTable,
     SemisimplicialSet,
     SynthesisInput,
     addendum_s0,
@@ -46,30 +44,6 @@ def loop_coskeleton(loops: int, dim: int) -> SemisimplicialSet:
         faces.append(level)
         below = {simplex: j for j, simplex in enumerate(simplices)}
     return SemisimplicialSet([1] + [loops ** (n * (n + 1) // 2) for n in range(1, dim + 1)], faces)
-
-
-def relabeled(X: SemisimplicialSet, rng: random.Random):
-    """X with every level permuted, and ``perm``: ``perm[n][old] = new``."""
-    perm = []
-    for count in X.cells:
-        perm.append(list(range(count)))
-        rng.shuffle(perm[-1])
-    faces = []
-    for n in range(1, X.dim + 1):
-        level = [None] * X.cells[n]
-        for j in range(X.cells[n]):
-            level[perm[n][j]] = [perm[n - 1][v] for v in X.faces_of(n, j)]
-        faces.append(level)
-    return SemisimplicialSet(X.cells, faces), perm
-
-
-def pulled_back(table: DegeneracyTable, X: SemisimplicialSet, perm) -> DegeneracyTable:
-    """A table of X relabeled by ``perm``, read on X."""
-    back = [{new: old for old, new in enumerate(level)} for level in perm]
-    out = DegeneracyTable(X)
-    for k, n, j, v in table.entries():
-        out.set_value(k, n, back[n][j], back[n + 1][v])
-    return out
 
 
 def main() -> None:
@@ -108,8 +82,7 @@ def main() -> None:
     depth = 4
     L2 = loop_coskeleton(2, depth)
     deg0 = synthesize(SynthesisInput(L2), depth).table
-    copy, perm = relabeled(L2, random.Random(1))
-    deg1 = pulled_back(synthesize(SynthesisInput(copy), depth).table, L2, perm)
+    deg1 = synthesize(SynthesisInput(L2, s0=[1]), depth).table
     differ = sum(deg0.value(k, n, j) != v for k, n, j, v in deg1.entries())
     start = time.perf_counter()
     demo = uniqueness_demo(L2, deg0, deg1, depth)

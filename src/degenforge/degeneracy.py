@@ -18,9 +18,11 @@ reach the engine, so a horn that matches a simplex exactly is compatible.
 Values forced by a subcomplex or by lower degeneracies are never searched:
 they are computed from every available representation and the
 representations are required to agree, turning the well-definedness of the
-construction into a runtime check. A lower degeneracy forces s_N(x) through
-s_N s_i = s_i s_{N-1} (i < N) where x = s_i(y); since d_i s_i = id, the only
-candidate is y = d_i x, read off the face table. Step 2 fills the degeneracy
+construction into a runtime check. Each representation is a column over the
+level's simplices that may be forced, so agreement is a column compare. A
+lower degeneracy forces s_N(x) through s_N s_i = s_i s_{N-1} (i < N) where
+x = s_i(y); since d_i s_i = id, the only candidate is y = d_i x, read off
+the face table. Step 2 fills the degeneracy
 images on level D-2 like any other simplex: their forced form s_N s_N x
 reads level D-1, which no run builds. Every decision (fill,
 forcing, witness) is recorded in an ordered certificate that replays
@@ -38,7 +40,7 @@ import json
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
-from operator import and_, eq, floordiv, is_, mod, not_
+from operator import add, and_, eq, floordiv, is_, is_not, mod, not_
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -564,10 +566,11 @@ class _Engine:
     A level's horns are prescribed as columns, one per face position, over
     the level's simplices; over a map a last column holds each horn's target.
     Their lowest fillers come from one table per horn shape, and the values'
-    faces and images are checked against the columns. Rows are walked one at
-    a time only to decide the values that may be forced and to name the first
-    simplex that fails, in level order. Each level appends one block of
-    columns to the certificate.
+    faces and images are checked against the columns. The values that may be
+    forced are decided as columns too: each representation is gathered over
+    the level's head. Rows are walked one at a time only on the vertices and
+    to name the first simplex that fails, in level order. Each level appends
+    one block of columns to the certificate.
     """
 
     def __init__(self, inp: SynthesisInput, D: int):
@@ -602,12 +605,12 @@ class _Engine:
                     f"run needs the target table up to level {self.D - 1}")
         return target
 
-    def _level_order(self, n: int, stage: int) -> tuple[list[int], list[int], set[int]]:
-        """The simplices that may be forced, the rest, and the degeneracy images.
+    def _level_order(self, n: int, stage: int) -> tuple[list[int], list[int], list[int], set[int]]:
+        """The subcomplex members, the other degeneracy images, the rest, and the images.
 
         Subcomplex members come first, then the other images of s_i (i < stage)
-        of level n-1, then the rest, each ascending; only the first two groups
-        have a representation that can force a value.
+        of level n-1, then the rest, each ascending; only the first two groups,
+        the level's head, have a representation that can force a value.
         """
         c = self.X.cells[n]
         members = self.A.members[n] if self.A is not None and n <= self.A.ambient.dim else frozenset()
@@ -620,30 +623,86 @@ class _Engine:
         first = sorted(members.intersection(range(c)))
         second = sorted(images.difference(members).intersection(range(c)))
         rest = list(filterfalse(members.union(images).__contains__, range(c)))
-        return first + second, rest, images
+        return first, second, rest, images
 
-    def _forced(self, n: int, j: int, target_k: int) -> Optional[int]:
-        reps = _forced_reps(self.table, self.A, self.Adeg, n, j, target_k)
-        if len(reps) > 1:
-            self.stats["consistency_checks"] += 1
-        return _agree(reps, (n, j), target_k)
+    def _forced(self, N: int, step: int, n: int, j: int, image: bool) -> Optional[int]:
+        """s_N (step 1) or s_N s_N (step 2) of x_j as its representations force it, one simplex at a time.
 
-    def _forced_twice(self, n: int, j: int, N: int, image: bool) -> Optional[int]:
-        # s_N s_N x_j, from the subcomplex table or, on a degeneracy image, from the table
-        reps: list[tuple[str, int]] = []
-        if self.A is not None and self.Adeg is not None and self.A.contains(n, j):
-            a1 = self.Adeg.value(N, n, j)
-            a2 = None if a1 is None else self.Adeg.value(N, n + 1, a1)
-            if a2 is not None:
-                reps.append(("subcomplex", a2))
-        if image:
-            s1 = self.table.value(N, n, j)
-            s2 = None if s1 is None else self.table.value(N, n + 1, s1)
-            if s2 is not None:
-                reps.append(("degenerate", s2))
+        Step 2 reads the subcomplex table and, on a degeneracy image, the
+        table. Raises ``ConsistencyViolation`` where the representations
+        disagree.
+        """
+        if step == 1:
+            reps = _forced_reps(self.table, self.A, self.Adeg, n, j, N)
+        else:
+            reps = []
+            if self.A is not None and self.Adeg is not None and self.A.contains(n, j):
+                a1 = self.Adeg.value(N, n, j)
+                a2 = None if a1 is None else self.Adeg.value(N, n + 1, a1)
+                if a2 is not None:
+                    reps.append(("subcomplex", a2))
+            if image:
+                s1 = self.table.value(N, n, j)
+                s2 = None if s1 is None else self.table.value(N, n + 1, s1)
+                if s2 is not None:
+                    reps.append(("degenerate", s2))
         if len(reps) > 1:
             self.stats["consistency_checks"] += 1
         return _agree(reps, (n, j), N)
+
+    def _representations(self, N: int, step: int, n: int, members: list[int], head: list[int],
+                         images: set[int]) -> list[Sequence[Optional[int]]]:
+        """Each representation of s_N (step 1) or s_N s_N (step 2) as a column over ``head``.
+
+        The columns are gathered through the tables, None where a
+        representation is undefined. They are those of :meth:`_forced`, in
+        its order: the subcomplex table on the members, which open the head;
+        then in step 1, for each i < N, the value s_i s_{N-1} y where
+        x = s_i(y), and y = d_i x since d_i s_i = id; in step 2, s_N s_N x
+        on the degeneracy images.
+        """
+        reps: list[Sequence[Optional[int]]] = []
+        others = (None,) * (len(head) - len(members))
+        if self.Adeg is not None and members:
+            sub = _through(self.Adeg.level(N, n), members)
+            reps.append((sub if step == 1 else _through(self.Adeg.level(N, n + 1), sub)) + others)
+        if step == 2:
+            twice = _through(self.table.level(N, n + 1), _through(self.table.level(N, n), head))
+            reps.append([v if j in images else None for v, j in zip(twice, head)])
+            return reps
+        for i in range(min(N, n)):
+            y = _gather(head)(self.X.face_column(n, i))
+            back = _through(self.table.level(i, n - 1), y)
+            value = _through(self.table.level(i, n), _through(self.table.level(N - 1, n - 1), y))
+            reps.append([v if b == j else None for v, b, j in zip(value, back, head)])
+        return reps
+
+    def _forced_head(self, N: int, step: int, n: int, members: list[int], head: list[int],
+                     images: set[int], values: Sequence[Optional[int]]) -> tuple[list, Optional[int]]:
+        """The forced value of each simplex of ``head`` (None where nothing forces it), and its first failure.
+
+        Agreement of the representations is a column compare, and each row
+        with more than one representation is a consistency check. A position
+        fails where its representations disagree, or where it has none and
+        ``values`` holds no filler for it; the first in level order is
+        returned, for :meth:`_forced` or :meth:`_unfilled` to name its error.
+        """
+        reps = self._representations(N, step, n, members, head, images)
+        h = len(head)
+        forced = list(reps[0]) if reps else [None] * h
+        for rep in reps[1:]:
+            forced = [b if a is None else a for a, b in zip(forced, rep)]
+        if len(reps) > 1:
+            defined = [0] * h
+            for rep in reps:
+                defined = list(map(add, defined, map(is_not, rep, repeat(None))))
+            self.stats["consistency_checks"] += h - defined.count(0) - defined.count(1)
+        firsts = [next(compress(range(h), [b is not None and b != a for a, b in zip(forced, rep)]), h)
+                  for rep in reps[1:]]
+        fills = _gather(head)(values)
+        firsts.append(next(compress(range(h), [a is None and v is None for a, v in zip(forced, fills)]), h))
+        first = min(firsts)
+        return forced, (None if first == h else first)
 
     def _canonical_fill(self, m: int, k: int, columns: Sequence[Sequence[Optional[int]]],
                         target: Optional[Sequence[int]]) -> list[Optional[int]]:
@@ -692,34 +751,42 @@ class _Engine:
         ascending, and ``target`` its image over a map. Step 1 fills (n+1, N+1)
         horns and step 2 (n+2, N) horns; at stage 0 the vertices take the
         degree-0 candidate in step 1 and an idempotency witness in step 2.
-        Simplices that may be forced go one at a time, and so do the vertices.
-        The rest take their fillers.
+        The simplices that may be forced, the level's head, are decided by
+        columns (:meth:`_forced_head`); the vertices go one at a time. The
+        rest take their fillers.
         """
         m, k = _horn_shape(N, step, n)
         what = "extension" if step == 1 else "correction"
-        head, rest, images = self._level_order(n, N)
+        members, others, rest, images = self._level_order(n, N)
+        head = members + others
         vertices = N == n == 0
         order = head + rest
         values: list = ([None] * self.X.cells[n] if vertices
                         else self._canonical_fill(m, k, columns, target))
         kinds = [WITNESS if vertices and step == 2 else FILLED] * len(order)
         forced: set[int] = set()
-        for position, j in enumerate(order if vertices else head):
-            if position < len(head):
-                value = self._forced(n, j, N) if step == 1 else self._forced_twice(n, j, N, j in images)
+        if vertices:
+            for position, j in enumerate(order):
+                value = self._forced(N, step, n, j, j in images) if position < len(head) else None
                 if value is not None:
                     forced.add(j)
                     values[j] = value
                     kinds[position] = FORCED
                     continue
-            goal = None if target is None else target[j]
-            if vertices and step == 2:
-                values[j] = self._idempotency_witness(j, goal)
-                continue
-            value = self._s0_fill(j, goal) if vertices else values[j]
-            if value is None:
-                self._unfilled(m, k, [column[j] for column in columns], goal, n, j, what)
-            values[j] = value
+                goal = None if target is None else target[j]
+                values[j] = self._idempotency_witness(j, goal) if step == 2 else self._s0_fill(j, goal)
+        elif head:
+            decided, failure = self._forced_head(N, step, n, members, head, images, values)
+            if failure is not None:
+                j = head[failure]
+                self._forced(N, step, n, j, j in images)  # raises where the representations disagree
+                self._unfilled(m, k, [column[j] for column in columns],
+                               None if target is None else target[j], n, j, what)
+            for position in compress(range(len(head)), map(is_not, decided, repeat(None))):
+                j = head[position]
+                forced.add(j)
+                values[j] = decided[position]
+                kinds[position] = FORCED
         if None in values:
             # the lowest unfilled simplex of ``rest``: every earlier one has its value
             j = values.index(None)

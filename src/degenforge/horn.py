@@ -16,15 +16,19 @@ the same tables. A table is built on first use and kept on the set, or over
 a map on the map, so each shape is built once for the life of the set,
 however many scans and runs read it.
 
-The inner and Kan scans of a set that ``validate`` has passed count before
-they look up. A level counter runs the enumerator's step over the partial
-horns that a level's shapes share, and yields the number of compatible
-horns of each shape. There the rows of the n-simplices without face k are
-compatible (n, k) horns, so every such horn fills exactly when the counts
-agree with the number of distinct rows: c_n when two other faces tell the
-n-simplices apart, else the size of the shape's table. A shape whose
-counts differ takes the ordered scan, which names its first unfilled horn.
-A set that ``validate`` has not passed is always scanned in order.
+The inner, Kan and inner-fibration scans of a set that ``validate`` has
+passed, over a map that ``validate_map`` has passed, count before they look
+up. A level counter runs the enumerator's step over the partial horns that
+a level's shapes share, and yields the number of lifting problems of each
+shape: each compatible horn h weighs the number of target n-simplices whose
+(n, k) horn is p(h), read from one index of the target's horns kept on the
+map, and 1 over the point. Each n-simplex realizes a problem, its row
+without face k with its image, so every problem is solved exactly when the
+count equals the number of distinct realized pairs: c_n when two other
+faces tell the n-simplices apart, else the size of the shape's table. A
+shape whose counts differ takes the ordered scan, which names its first
+horn that does not lift. A set or map that has not passed its check is
+always scanned in order.
 
 An edge's cartesian (cocartesian) horns are the (n, n) ((n, 0)) horns whose
 last (first) edge it is, so an edge passes whenever its shape fills, and
@@ -206,8 +210,9 @@ def _face_columns(X: SemisimplicialSet, n: int, k: int,
     return columns[::-1] if descending else columns
 
 
-def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int]) -> dict[int, int]:
-    """The number of compatible (n, k) horns for each k in ``ks``, from shared partial horns.
+def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int],
+                 p: Optional[SemisimplicialMap] = None) -> dict[int, tuple[int, int]]:
+    """For each k in ``ks``, the compatible (n, k) horns and their lifting problems over p, counted.
 
     The positions that every shape has (0 and n for the inner shapes) are
     assigned first. The missing positions are then split into two halves:
@@ -216,12 +221,14 @@ def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int]) -> dict[int, i
     horns. Each assignment is one :func:`_step`, so the counts are those of
     :func:`_face_columns`; the inner shapes of level 5 take 9 frontier steps
     where one enumeration per shape takes 16, those of level 6 take 13 for 25.
+    A horn weighs its number of lifting problems, :func:`_problems`: 1 over
+    the point (``p`` None).
     """
     ks = tuple(ks)
     if not ks or n < 1 or n > X.dim or X.cells[n - 1] == 0:
-        return dict.fromkeys(ks, 0)
+        return dict.fromkeys(ks, (0, 0))
     faces = _FaceColumns(X, n - 1)
-    counts: dict[int, int] = {}
+    counts: dict[int, tuple[int, int]] = {}
     # (assigned positions, their frontier, positions to assign next, positions missing after them)
     stack = [((), [], tuple(i for i in range(n + 1) if i not in ks), ks)]
     while stack:
@@ -230,12 +237,29 @@ def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int]) -> dict[int, i
             columns = _step(faces, assigned, columns, i)
             assigned += (i,)
         if len(missing) == 1 or (columns and not columns[0]):
-            counts.update(dict.fromkeys(missing, len(columns[0])))
+            # several shapes are left only where the frontier is empty
+            horns = len(columns[0])
+            problems = horns if p is None or not horns else _problems(p, n, missing[0], assigned, columns)
+            counts.update(dict.fromkeys(missing, (horns, problems)))
             continue
         half = len(missing) // 2
         stack += [(assigned, columns, missing[half:], missing[:half]),
                   (assigned, columns, missing[:half], missing[half:])]
     return counts
+
+
+def _problems(p: SemisimplicialMap, n: int, k: int, assigned: Sequence[int],
+              columns: Sequence[Sequence[int]]) -> int:
+    """The lifting problems over p of the (n, k) horns ``columns``, one column per position of ``assigned``.
+
+    A lifting problem is a horn h with a target n-simplex whose (n, k) horn
+    is p(h), so each horn counts the target simplices that :func:`_over`
+    files under p(h).
+    """
+    over, image = _over(p, n, k), p.levels[n - 1]
+    by_position = sorted(zip(assigned, columns), key=itemgetter(0))
+    keys = zip(*(_gather(column)(image) for _, column in by_position))
+    return sum(map(len, map(over.get, keys, repeat(()))))
 
 
 def _kept(new: Sequence[int], parent: Optional[Sequence[int]],
@@ -320,6 +344,21 @@ def _lowest(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int
     return table
 
 
+def _over(p: SemisimplicialMap, n: int, k: int) -> dict:
+    """Each (n, k) horn of p's target that some n-simplex fills, to those simplices, ascending.
+
+    The one index of the target's horns over p: the lift tests look up the
+    targets of a horn's image in it, and the level counter weighs each horn
+    by their number. It is built on first use and kept on p.
+    """
+    over = p._over.get((n, k))
+    if over is None:
+        over = p._over[n, k] = {}
+        for y, key in enumerate(zip(*(p.target.face_column(n, i) for i in _positions(n, k)))):
+            over.setdefault(key, []).append(y)
+    return over
+
+
 def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int):
     """The (n,k) lift test of X over p.
 
@@ -327,8 +366,9 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
     and its target, or None. A horn lifts when every target simplex over its
     image is the image of a filler; over the point (``p`` None) a lift is a
     filler, and the target is the point's simplex 0. Realized lifts are the
-    keys of :func:`_lowest`. A whole batch of horns is tested at once: one
-    membership test per horn and target, in row order, targets ascending.
+    keys of :func:`_lowest`, and the targets over an image are read from
+    :func:`_over`. A whole batch of horns is tested at once: one membership
+    test per horn and target, in row order, targets ascending.
     """
     realized = _lowest(X, p, n, k)
     if p is None:
@@ -338,10 +378,7 @@ def _lift_test(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: 
             return None if t is None else (t, 0)
 
         return missing
-    below = p.levels[n - 1]
-    over: dict[tuple[int, ...], list[int]] = {}
-    for y, key in enumerate(zip(*(p.target.face_column(n, i) for i in _positions(n, k)))):
-        over.setdefault(key, []).append(y)
+    below, over = p.levels[n - 1], _over(p, n, k)
 
     def missing(columns: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
         found = list(map(over.get, zip(*(_gather(column)(below) for column in columns)), repeat(())))
@@ -370,20 +407,23 @@ def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
     return len(set(zip(X.face_column(n, pair[0]), X.face_column(n, pair[1])))) == X.cells[n]
 
 
-def _filled(X: SemisimplicialSet, n: int, k: int, count: int,
+def _filled(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int, problems: int,
             separated: dict[tuple[int, int], bool]) -> bool:
-    """Whether all ``count`` compatible (n, k) horns of X fill, on a set that ``validate`` has passed.
+    """Whether all ``problems`` (n, k) lifting problems of X over p are solved.
 
-    There the n-simplex rows without face k are compatible (n, k) horns, so
-    every compatible horn fills exactly when the count equals the number of
-    distinct rows. That is c_n when two faces other than k tell the
+    Only for a set that ``validate`` has passed and a map that
+    ``validate_map`` has passed. There each n-simplex z realizes a lifting
+    problem, its row without face k with the image p(z), since p(d_i z) =
+    d_i p(z); over the point a problem is a compatible horn. So every
+    problem is solved exactly when the count equals the number of distinct
+    realized pairs. That is c_n when two faces other than k tell the
     n-simplices apart (0 and n for inner k; ``separated`` keeps each pair's
-    test), else the size of the shape's :func:`_lowest` table.
+    test), else the size of the shape's :func:`_lowest` table over p.
     """
     pair = (1 if k == 0 else 0, n - 1 if k == n else n)
     if pair not in separated:
         separated[pair] = _separates(X, n, pair)
-    return (X.cells[n] if separated[pair] else len(_lowest(X, None, n, k))) == count
+    return (X.cells[n] if separated[pair] else len(_lowest(X, p, n, k))) == problems
 
 
 def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
@@ -394,22 +434,23 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
     call, and a scan that fails checked its horns up to the failing one.
     Every scan of a shape reads the same :func:`_lowest` table.
 
-    A level of unrestricted, ascending scans over the point, on a set that
-    :func:`validate` has passed, is counted by :func:`_horn_counts`, and a
-    shape that :func:`_filled` passes yields its count. A shape whose counts
+    A level of unrestricted, ascending scans, on a set that ``validate`` has
+    passed and over a map that ``validate_map`` has passed (or over the
+    point), is counted by :func:`_horn_counts`, and a shape that
+    :func:`_filled` passes yields its horn count. A shape whose counts
     differ, and every other scan, runs the ordered scan, which names the
     first horn that does not lift.
     """
-    counted = p is None and X._valid
+    counted = X._valid and (p is None or p._valid)
     for n, level in groupby(scans, itemgetter(0)):
         level = list(level)
-        counts: dict[int, int] = {}
+        counts: dict[int, tuple[int, int]] = {}
         if counted and all(restrict is None and not descending for _, _, restrict, descending in level):
-            counts = _horn_counts(X, n, [k for _, k, _, _ in level])
+            counts = _horn_counts(X, n, [k for _, k, _, _ in level], p)
         separated: dict[tuple[int, int], bool] = {}
         for _, k, restrict, descending in level:
-            if k in counts and _filled(X, n, k, counts[k], separated):
-                yield n, k, counts[k], None
+            if k in counts and _filled(X, p, n, k, counts[k][1], separated):
+                yield n, k, counts[k][0], None
                 continue
             columns = _face_columns(X, n, k, restrict, descending)
             failure = _lift_test(X, p, n, k)(columns)
@@ -555,7 +596,7 @@ def edge_verdicts(X: SemisimplicialSet, property: str, D: Optional[int] = None) 
         n = level[0][0]
         counts = _horn_counts(X, n, [k for _, k, _, _, _ in level]) if X._valid else {}
         for first, (_, k, face, end, descending) in zip(failed, level):
-            if k in counts and _filled(X, n, k, counts[k], {}):
+            if k in counts and _filled(X, None, n, k, counts[k][1], {}):
                 continue
             columns = _face_columns(X, n, k, descending=descending)
             ends = _gather(columns[_positions(n, k).index(face)])(X.edges(n - 1, end))
@@ -622,7 +663,7 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Horn
                 break
             if n not in target_counts:
                 target_counts[n] = _horn_counts(p.target, n, range(n - 1, 0, -1))
-            checked += filled * target_counts[n][k]
+            checked += filled * target_counts[n][k][0]
         else:
             return HornVerdict(True, bound, None, checked)
     checked, failure = _scan(p.source, p, _inner_scans(bound))

@@ -438,8 +438,11 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
     if bound < 2:
         raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
     for side, table in ((0, deg0), (1, deg1)):
-        edges = table.level(0, 0) or [None] * C_sset.cells[0]
-        if None in edges:
+        # a vertex count is not paid for by the file, so no list is built from it
+        edges = table.level(0, 0)
+        if edges is None and C_sset.cells[0]:
+            raise InvalidDegeneracyTable(f"deg{side} lacks a degree-0 value at vertex 0")
+        if edges is not None and None in edges:
             raise InvalidDegeneracyTable(f"deg{side} lacks a degree-0 value at vertex {edges.index(None)}")
     J = nerve(j_groupoid(), bound)
     bundle = product(C_sset, J.sset)

@@ -408,6 +408,12 @@ class SemisimplicialMap:
     from C whenever C passes, and run the full scan of the source only when
     C fails, to name the witness. ``_Engine._canonical_fill`` always reads
     C's lowest-filler tables.
+
+    A map keeps the lowest-filler tables of the lifts over it and one index
+    of the target's horns per shape. Once the map has passed
+    ``validate_map`` and its source ``validate``, the inner-fibration scan
+    counts each level's lifting problems against that index, marked or not,
+    as the scans over the point count compatible horns.
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
@@ -446,6 +452,8 @@ class SemisimplicialMap:
         self.levels = levels
         # (n, k) -> {(realized (n, k) horn, image): its lowest filler}, built by horn._lowest
         self._lowest: dict = {}
+        # (n, k) -> {(n, k) horn of the target: the target simplices that fill it}, built by horn._over
+        self._over: dict = {}
         self._valid = False
 
     def apply_index(self, n: int, j: int) -> int:

@@ -6,6 +6,7 @@ that they stay independent of the code paths they check.
 
 from __future__ import annotations
 
+import random
 import runpy
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from degenforge import (
     Arrow,
     CategoryPresentation,
+    DegeneracyTable,
     SemisimplicialSet,
     cyclic_group,
     idempotent_monoid,
@@ -27,13 +29,33 @@ from degenforge import (
 )
 
 
-# relabeling a set and pulling a table back are written once, in the demo script, which
-# imports nothing from tests/; ``relabeled(X, rng)`` permutes every level and returns the
-# permutation, ``pulled_back(table, X, perm)`` reads a table of the relabeled copy on X
+# the demo script, which imports nothing from tests/, builds its own loop coskeleton
 DEMO = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "run_demo.py"),
                       run_name="run_demo")
-relabeled = DEMO["relabeled"]
-pulled_back = DEMO["pulled_back"]
+
+
+def relabeled(X: SemisimplicialSet, rng: random.Random):
+    """X with every level permuted, and ``perm``: ``perm[n][old] = new``."""
+    perm = []
+    for count in X.cells:
+        perm.append(list(range(count)))
+        rng.shuffle(perm[-1])
+    faces = []
+    for n in range(1, X.dim + 1):
+        level = [None] * X.cells[n]
+        for j in range(X.cells[n]):
+            level[perm[n][j]] = [perm[n - 1][v] for v in X.faces_of(n, j)]
+        faces.append(level)
+    return SemisimplicialSet(X.cells, faces), perm
+
+
+def pulled_back(table: DegeneracyTable, X: SemisimplicialSet, perm) -> DegeneracyTable:
+    """A table of X relabeled by ``perm``, read on X."""
+    back = [{new: old for old, new in enumerate(level)} for level in perm]
+    out = DegeneracyTable(X)
+    for k, n, j, v in table.entries():
+        out.set_value(k, n, back[n][j], back[n + 1][v])
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,6 @@ def test_the_demo_script_runs(capsys):
     _script("run_demo.py")["main"]()
     out = capsys.readouterr().out
     assert "oracle agreement: True" in out
-    # L2@D4: the direct run and a relabeled run pulled back, joined over the two ends of J
+    # L2@D4: the direct run and the run given the second loop as s0, joined over the two ends of J
     assert ("  deg0 and deg1 differ in 29 entries; restriction entries checked: 58, "
             "projection entries checked: 210\n") in out

@@ -309,7 +309,8 @@ def test_checker_verdicts_match_brute_force(verdict_naive, validated):
             assert verdict.to_json_dict() == naive.edge(e, prop, D)
     for n in range(1, D + 1):
         for ks in (range(n - 1, 0, -1), range(n, -1, -1)):
-            assert _horn_counts(X, n, ks) == {k: len(_face_columns(X, n, k)[0]) for k in ks}
+            # over the point each horn is one lifting problem
+            assert _horn_counts(X, n, ks) == {k: (len(_face_columns(X, n, k)[0]),) * 2 for k in ks}
 
 
 @pytest.mark.parametrize("validated", [False, True], ids=["scanned", "counted"])
@@ -784,12 +785,32 @@ def test_a_second_run_on_the_same_set_builds_no_table(monkeypatch, relative):
     assert (second.table, second.certificate.to_json()) == (first.table, first.certificate.to_json())
 
 
-def test_tables_over_a_map_are_kept_on_the_map():
+def test_tables_over_a_map_are_kept_on_the_map(monkeypatch):
     # unmarked, the checks and the engine read the tables over p; marked, C's tables
+    from degenforge import horn
     C, p, Y_deg = _marked_run()
     unmarked = SemisimplicialMap(p.source, p.target, p.levels)
+    built, scanned = Counter(), set()
+    over, lift_test = horn._over, horn._lift_test
+
+    def recording_over(q, n, k):
+        built[n, k] += (n, k) not in q._over
+        return over(q, n, k)
+
+    def recording_lift_test(X, q, n, k):
+        if q is not None:
+            scanned.add((n, k))
+        return lift_test(X, q, n, k)
+
+    monkeypatch.setattr(horn, "_over", recording_over)
+    monkeypatch.setattr(horn, "_lift_test", recording_lift_test)
     synthesize_relative(SynthesisInput(unmarked.source, p=unmarked, Y_deg=Y_deg))
     assert unmarked._lowest and not unmarked.source._lowest
+    # one index of the target's horns per shape, kept on the map: the counted inner shapes
+    # weigh their horns by it, and the s0 resolution's edge scans over the map read it
+    inner = {(n, k) for n in range(2, 5) for k in range(1, n)}
+    assert {(n, k) for n, k in scanned if k in (0, n)} and scanned <= set(built)
+    assert set(built) == set(unmarked._over) == inner | scanned and set(built.values()) == {1}
     synthesize_relative(SynthesisInput(p.source, p=p, Y_deg=Y_deg))
     assert C._lowest and not p.source._lowest and not p._lowest
 

@@ -16,16 +16,24 @@ nerve of the chaotic groupoid on V objects.
 
 Each set passes ``validate``, ``check --kan`` and ``edges``, so it meets the
 paper's hypotheses, and ``synthesize`` must give it a simplicial structure.
-For E >= 2 the lowest fillers are not identity insertions, so there is no
-oracle table. The checks are the independent ones: ``verify_simplicial``,
-the certificate round trip through ``synthesize`` and ``verify --cert``,
-and the run on a relabeled copy, pulled back. The lowest filler depends on
-the labels, so the pulled-back table is held to the identities, not to the
-direct run's values. The drawn property takes these coskeleta, and their
-products with drawn nerves, with the top level capped.
+For E >= 2 the lowest fillers are not identity insertions, so the nerves'
+identity-insertion oracle does not apply. A 1-coskeleton has a closed-form
+oracle of its own, :func:`coskeleton_table`: its edges determine each
+simplex, so s_0 on the vertices fixes the whole structure. s_k x repeats
+vertex k of x, and the edge that collapses is labelled by the loop that s_0
+takes at that vertex. ``synthesize`` given s_0 must return that table, for
+drawn V, E, D and loops.
 
-On L2@D4 the relabeled run gives a table that differs from the direct one,
-and ``demo-uniqueness`` joins the two through ``cli.run``.
+The other checks are ``verify_simplicial``, the certificate round trip
+through ``synthesize`` and ``verify --cert``, and the run on a relabeled
+copy, pulled back. The drawn property takes these coskeleta, and their
+products with drawn nerves, with the top level capped. There the lowest
+filler depends on the labels, so the pulled-back table is held to the
+identities, not to the direct run's values.
+
+On L2@D4 the relabeled run gives a table that differs from the direct one:
+it is the oracle table of the other loop. ``demo-uniqueness`` joins the two
+through ``cli.run``.
 """
 
 import itertools
@@ -57,11 +65,15 @@ IDS = [f"L{loops}-D{dim}" for loops, dim, _ in CASES]
 TOP_CELLS = 1100  # the most top-level simplices a drawn set may have
 
 
+def _simplices(vertices: int, edges: int, n: int) -> list[tuple]:
+    """The n-simplices in their order: (vertex labels, edge labels with the edges lexicographic)."""
+    return list(itertools.product(itertools.product(range(vertices), repeat=n + 1),
+                                  itertools.product(range(edges), repeat=n * (n + 1) // 2)))
+
+
 def coskeleton(vertices: int, edges: int, dim: int) -> SemisimplicialSet:
     """The 1-coskeleton, up to ``dim``, of the complete multigraph described above."""
-    levels = [list(itertools.product(itertools.product(range(vertices), repeat=n + 1),
-                                     itertools.product(range(edges), repeat=n * (n + 1) // 2)))
-              for n in range(dim + 1)]
+    levels = [_simplices(vertices, edges, n) for n in range(dim + 1)]
     faces = []
     for n in range(1, dim + 1):
         index = {simplex: j for j, simplex in enumerate(levels[n - 1])}
@@ -82,6 +94,52 @@ def coskeleton(vertices: int, edges: int, dim: int) -> SemisimplicialSet:
 
 def loop_coskeleton(loops: int, dim: int) -> SemisimplicialSet:
     return coskeleton(1, loops, dim)
+
+
+def coskeleton_table(vertices: int, edges: int, dim: int, loops: list[int]) -> DegeneracyTable:
+    """The structure on ``coskeleton(vertices, edges, dim)`` whose s_0 at vertex v is the loop ``loops[v]``.
+
+    s_k of an n-simplex sends vertex v of Delta[n+1] to its vertex v for v <= k
+    and v - 1 above, so the edge (k, k+1) collapses onto vertex k and takes its
+    loop; every other edge (a, b) takes the label of the edge it lands on.
+    The levels are 0 <= k <= n <= dim - 2, the ones a run returns.
+    """
+    table = DegeneracyTable(coskeleton(vertices, edges, dim))
+    for n in range(dim - 1):
+        above = {simplex: j for j, simplex in enumerate(_simplices(vertices, edges, n + 1))}
+        pairs = list(itertools.combinations(range(n + 1), 2))
+        for k in range(n + 1):
+            onto = [v if v <= k else v - 1 for v in range(n + 2)]
+            level = []
+            for labels, labelling in _simplices(vertices, edges, n):
+                label = dict(zip(pairs, labelling))
+                repeated = tuple(labels[v] for v in onto)
+                collapsed = tuple(loops[labels[k]] if (a, b) == (k, k + 1) else label[onto[a], onto[b]]
+                                  for a, b in itertools.combinations(range(n + 2), 2))
+                level.append(above[repeated, collapsed])
+            table.set_level(k, n, level)
+    return table
+
+
+def _s0(vertices: int, edges: int, loops: list[int]) -> list[int]:
+    """The edge index of the loop ``loops[v]`` at each vertex v."""
+    index = {simplex: j for j, simplex in enumerate(_simplices(vertices, edges, 1))}
+    return [index[(v, v), (loop,)] for v, loop in enumerate(loops)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=5), st.data())
+def test_synthesis_given_s0_is_the_coskeleton_oracle(vertices, edges, dim, data):
+    while dim > 2 and vertices ** (dim + 1) * edges ** (dim * (dim + 1) // 2) > TOP_CELLS:
+        dim -= 1
+    loops = data.draw(st.lists(st.integers(min_value=0, max_value=edges - 1),
+                               min_size=vertices, max_size=vertices))
+    X = coskeleton(vertices, edges, dim)
+    oracle = coskeleton_table(vertices, edges, dim, loops)
+    assert verify_simplicial(X, oracle, dim).ok
+    result = synthesize(SynthesisInput(X, s0=_s0(vertices, edges, loops)), dim)
+    assert result.table == oracle
 
 
 @pytest.mark.parametrize("loops, dim, cells", CASES, ids=IDS)
@@ -175,7 +233,7 @@ def test_two_distinct_tables_join_in_the_uniqueness_demo(tmp_path):
     deg0 = synthesize(SynthesisInput(X), 4).table
     Y, perm = relabeled(X, random.Random(1))
     deg1 = pulled_back(synthesize(SynthesisInput(Y), 4).table, X, perm)
-    assert sorted(deg0.domain()) == sorted(deg1.domain())
+    assert (deg0, deg1) == (coskeleton_table(1, 2, 4, [0]), coskeleton_table(1, 2, 4, [1]))
     assert sum(a != b for a, b in zip(deg0.entries(), deg1.entries())) == 29
     paths = {name: tmp_path / name for name in ("x.sset", "deg0", "deg1", "out", "cert", "broken")}
     paths["x.sset"].write_text(json.dumps(X.to_json_dict()))
