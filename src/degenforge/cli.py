@@ -21,6 +21,7 @@ from .degeneracy import (
     Certificate,
     DegeneracyTable,
     SynthesisInput,
+    _degree_zero_refusal,
     addendum_s0,
     replay_certificate,
     synthesize,
@@ -292,11 +293,14 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
     table = load_table(args.table, X)
     certificate = Certificate.read(_read_text(args.cert), args.cert) if args.cert else None
     dim = _bound(args, X)
+    refusal = _degree_zero_refusal(table, "table") if dim else None
     report = verify_simplicial(X, table, dim)
     payload = {"bound": dim, "detail": report.to_json_dict()}
-    if not report.ok:
+    if refusal is not None or not report.ok:
         if certificate is not None:
             certificate.parse()  # an unreadable certificate is an input error before any verdict
+        if refusal is not None:
+            raise refusal
         payload["witness"] = [list(v) for v in report.violations[:10]]
         return ("fail", payload, [])
     if certificate is not None:

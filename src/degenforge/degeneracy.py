@@ -18,13 +18,14 @@ reach the engine, so a horn that matches a simplex exactly is compatible.
 Values forced by a subcomplex or by lower degeneracies are never searched:
 they are computed from every available representation and the
 representations are required to agree, turning the well-definedness of the
-construction into a runtime check. Each representation is a column over the
-level's simplices that may be forced, so agreement is a column compare. A
-lower degeneracy forces s_N(x) through s_N s_i = s_i s_{N-1} (i < N) where
-x = s_i(y); since d_i s_i = id, the only candidate is y = d_i x, read off
-the face table. Step 2 fills the degeneracy
-images on level D-2 like any other simplex: their forced form s_N s_N x
-reads level D-1, which no run builds. Every decision (fill,
+construction into a runtime check. On every level, the vertices included,
+each representation is a column over the level's simplices that may be
+forced, so agreement is a column compare; :func:`forced_value` states the
+same rule for one simplex. A lower degeneracy forces s_N(x) through
+s_N s_i = s_i s_{N-1} (i < N) where x = s_i(y); since d_i s_i = id, the
+only candidate is y = d_i x, read off the face table. Step 2 fills the
+degeneracy images on level D-2 like any other simplex: their forced form
+s_N s_N x reads level D-1, which no run builds. Every decision (fill,
 forcing, witness) is recorded in an ordered certificate that replays
 deterministically: one typed block per level, holding the level's j order,
 kinds and values and one column per horn face, from which dict records are
@@ -48,6 +49,7 @@ from .errors import (
     ConsistencyViolation,
     DegenforgeError,
     IncompatibleSubcomplexStructure,
+    InvalidDegeneracyTable,
     MissingDegeneracies,
     MissingWitness,
     NoIdempotentEquivalence,
@@ -480,28 +482,6 @@ def _record_problem(record) -> Optional[str]:
 # forced values
 
 
-def _forced_reps(table: DegeneracyTable, A: Optional[Subcomplex],
-                 A_deg: Optional[DegeneracyTable], n: int, j: int,
-                 target_k: int) -> list[tuple[str, int]]:
-    reps: list[tuple[str, int]] = []
-    if A is not None and A_deg is not None and A.contains(n, j):
-        v = A_deg.value(target_k, n, j)
-        if v is not None:
-            reps.append(("subcomplex", v))
-    for i in range(min(target_k, n)):
-        # x_j is an image of s_i only as s_i d_i x_j, since d_i s_i = id
-        y = table.base.face_index(n, j, i)
-        if table.value(i, n - 1, y) != j:
-            continue
-        mid = table.value(target_k - 1, n - 1, y)
-        if mid is None:
-            continue
-        v = table.value(i, n, mid)
-        if v is not None:
-            reps.append((f"degenerate:s_{i}", v))
-    return reps
-
-
 def _agree(reps: Sequence[tuple[str, int]], simplex, target_k: int) -> Optional[int]:
     if not reps:
         return None
@@ -522,9 +502,23 @@ def forced_value(sys: GoodSystem, A_data, x: SimplexRef, target_k: int) -> Optio
     x is neither in the subcomplex nor a degeneracy image.
     """
     A, A_deg = A_data if A_data is not None else (None, None)
-    reps = _forced_reps(sys.table, A, A_deg, x.dim, x.index, target_k)
-    value = _agree(reps, (x.dim, x.index), target_k)
-    return None if value is None else SimplexRef(x.dim + 1, value)
+    table, n, j = sys.table, x.dim, x.index
+    reps: list[tuple[str, int]] = []
+    if A is not None and A_deg is not None and A.contains(n, j):
+        v = A_deg.value(target_k, n, j)
+        if v is not None:
+            reps.append(("subcomplex", v))
+    for i in range(min(target_k, n)):
+        # x_j is an image of s_i only as s_i d_i x_j, since d_i s_i = id
+        y = table.base.face_index(n, j, i)
+        if table.value(i, n - 1, y) != j:
+            continue
+        mid = table.value(target_k - 1, n - 1, y)
+        v = None if mid is None else table.value(i, n, mid)
+        if v is not None:
+            reps.append((f"degenerate:s_{i}", v))
+    value = _agree(reps, (n, j), target_k)
+    return None if value is None else SimplexRef(n + 1, value)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +561,12 @@ class _Engine:
     the level's simplices; over a map a last column holds each horn's target.
     Their lowest fillers come from one table per horn shape, and the values'
     faces and images are checked against the columns. The values that may be
-    forced are decided as columns too: each representation is gathered over
-    the level's head. Rows are walked one at a time only on the vertices and
-    to name the first simplex that fails, in level order. Each level appends
-    one block of columns to the certificate.
+    forced are decided as columns too, on every level: each representation
+    is a named column gathered over the level's head. Only the vertices that
+    nothing forces are walked one at a time, to take their own candidates.
+    A level's first failure in level order, a disagreement or a simplex
+    left without a value, is raised once. Each level appends one block of
+    columns to the certificate.
     """
 
     def __init__(self, inp: SynthesisInput, D: int):
@@ -625,84 +621,56 @@ class _Engine:
         rest = list(filterfalse(members.union(images).__contains__, range(c)))
         return first, second, rest, images
 
-    def _forced(self, N: int, step: int, n: int, j: int, image: bool) -> Optional[int]:
-        """s_N (step 1) or s_N s_N (step 2) of x_j as its representations force it, one simplex at a time.
-
-        Step 2 reads the subcomplex table and, on a degeneracy image, the
-        table. Raises ``ConsistencyViolation`` where the representations
-        disagree.
-        """
-        if step == 1:
-            reps = _forced_reps(self.table, self.A, self.Adeg, n, j, N)
-        else:
-            reps = []
-            if self.A is not None and self.Adeg is not None and self.A.contains(n, j):
-                a1 = self.Adeg.value(N, n, j)
-                a2 = None if a1 is None else self.Adeg.value(N, n + 1, a1)
-                if a2 is not None:
-                    reps.append(("subcomplex", a2))
-            if image:
-                s1 = self.table.value(N, n, j)
-                s2 = None if s1 is None else self.table.value(N, n + 1, s1)
-                if s2 is not None:
-                    reps.append(("degenerate", s2))
-        if len(reps) > 1:
-            self.stats["consistency_checks"] += 1
-        return _agree(reps, (n, j), N)
-
     def _representations(self, N: int, step: int, n: int, members: list[int], head: list[int],
-                         images: set[int]) -> list[Sequence[Optional[int]]]:
-        """Each representation of s_N (step 1) or s_N s_N (step 2) as a column over ``head``.
+                         images: set[int]) -> list[tuple[str, Sequence[Optional[int]]]]:
+        """Each representation of s_N (step 1) or s_N s_N (step 2) as a named column over ``head``.
 
         The columns are gathered through the tables, None where a
-        representation is undefined. They are those of :meth:`_forced`, in
-        its order: the subcomplex table on the members, which open the head;
-        then in step 1, for each i < N, the value s_i s_{N-1} y where
-        x = s_i(y), and y = d_i x since d_i s_i = id; in step 2, s_N s_N x
-        on the degeneracy images.
+        representation is undefined: "subcomplex", the subcomplex table on
+        the members, which open the head; then in step 1, for each i < N,
+        "degenerate:s_i", the value s_i s_{N-1} y where x = s_i(y), and
+        y = d_i x since d_i s_i = id; in step 2, "degenerate", s_N s_N x on
+        the degeneracy images.
         """
-        reps: list[Sequence[Optional[int]]] = []
+        reps: list[tuple[str, Sequence[Optional[int]]]] = []
         others = (None,) * (len(head) - len(members))
         if self.Adeg is not None and members:
             sub = _through(self.Adeg.level(N, n), members)
-            reps.append((sub if step == 1 else _through(self.Adeg.level(N, n + 1), sub)) + others)
+            reps.append(("subcomplex", (sub if step == 1 else _through(self.Adeg.level(N, n + 1), sub)) + others))
         if step == 2:
             twice = _through(self.table.level(N, n + 1), _through(self.table.level(N, n), head))
-            reps.append([v if j in images else None for v, j in zip(twice, head)])
+            reps.append(("degenerate", [v if j in images else None for v, j in zip(twice, head)]))
             return reps
         for i in range(min(N, n)):
             y = _gather(head)(self.X.face_column(n, i))
             back = _through(self.table.level(i, n - 1), y)
             value = _through(self.table.level(i, n), _through(self.table.level(N - 1, n - 1), y))
-            reps.append([v if b == j else None for v, b, j in zip(value, back, head)])
+            reps.append((f"degenerate:s_{i}", [v if b == j else None for v, b, j in zip(value, back, head)]))
         return reps
 
     def _forced_head(self, N: int, step: int, n: int, members: list[int], head: list[int],
-                     images: set[int], values: Sequence[Optional[int]]) -> tuple[list, Optional[int]]:
-        """The forced value of each simplex of ``head`` (None where nothing forces it), and its first failure.
+                     images: set[int]) -> tuple[list, Optional[int], list]:
+        """The forced value of each simplex of ``head``, None where nothing forces it; the first
+        position whose representations disagree, or None; and that position's named values.
 
         Agreement of the representations is a column compare, and each row
-        with more than one representation is a consistency check. A position
-        fails where its representations disagree, or where it has none and
-        ``values`` holds no filler for it; the first in level order is
-        returned, for :meth:`_forced` or :meth:`_unfilled` to name its error.
+        with more than one representation is a consistency check.
         """
         reps = self._representations(N, step, n, members, head, images)
         h = len(head)
-        forced = list(reps[0]) if reps else [None] * h
-        for rep in reps[1:]:
-            forced = [b if a is None else a for a, b in zip(forced, rep)]
+        forced = list(reps[0][1]) if reps else [None] * h
+        for _, column in reps[1:]:
+            forced = [b if a is None else a for a, b in zip(forced, column)]
         if len(reps) > 1:
             defined = [0] * h
-            for rep in reps:
-                defined = list(map(add, defined, map(is_not, rep, repeat(None))))
+            for _, column in reps:
+                defined = list(map(add, defined, map(is_not, column, repeat(None))))
             self.stats["consistency_checks"] += h - defined.count(0) - defined.count(1)
-        firsts = [next(compress(range(h), [b is not None and b != a for a, b in zip(forced, rep)]), h)
-                  for rep in reps[1:]]
-        fills = _gather(head)(values)
-        firsts.append(next(compress(range(h), [a is None and v is None for a, v in zip(forced, fills)]), h))
-        first = min(firsts)
-        return forced, (None if first == h else first)
+        first = min((next(compress(range(h), [b is not None and b != a for a, b in zip(forced, column)]), h)
+                     for _, column in reps[1:]), default=h)
+        if first == h:
+            return forced, None, []
+        return forced, first, [(name, column[first]) for name, column in reps if column[first] is not None]
 
     def _canonical_fill(self, m: int, k: int, columns: Sequence[Sequence[Optional[int]]],
                         target: Optional[Sequence[int]]) -> list[Optional[int]]:
@@ -752,11 +720,10 @@ class _Engine:
         horns and step 2 (n+2, N) horns; at stage 0 the vertices take the
         degree-0 candidate in step 1 and an idempotency witness in step 2.
         The simplices that may be forced, the level's head, are decided by
-        columns (:meth:`_forced_head`); the vertices go one at a time. The
-        rest take their fillers.
+        columns (:meth:`_forced_head`), the vertices included; the rest take
+        their fillers, or at the vertices their candidates.
         """
         m, k = _horn_shape(N, step, n)
-        what = "extension" if step == 1 else "correction"
         members, others, rest, images = self._level_order(n, N)
         head = members + others
         vertices = N == n == 0
@@ -764,34 +731,27 @@ class _Engine:
         values: list = ([None] * self.X.cells[n] if vertices
                         else self._canonical_fill(m, k, columns, target))
         kinds = [WITNESS if vertices and step == 2 else FILLED] * len(order)
+        decided, clash, named = self._forced_head(N, step, n, members, head, images)
         forced: set[int] = set()
+        for position in compress(range(len(head)), map(is_not, decided, repeat(None))):
+            j = head[position]
+            forced.add(j)
+            values[j] = decided[position]
+            kinds[position] = FORCED
         if vertices:
-            for position, j in enumerate(order):
-                value = self._forced(N, step, n, j, j in images) if position < len(head) else None
-                if value is not None:
-                    forced.add(j)
-                    values[j] = value
-                    kinds[position] = FORCED
-                    continue
-                goal = None if target is None else target[j]
-                values[j] = self._idempotency_witness(j, goal) if step == 2 else self._s0_fill(j, goal)
-        elif head:
-            decided, failure = self._forced_head(N, step, n, members, head, images, values)
-            if failure is not None:
-                j = head[failure]
-                self._forced(N, step, n, j, j in images)  # raises where the representations disagree
-                self._unfilled(m, k, [column[j] for column in columns],
-                               None if target is None else target[j], n, j, what)
-            for position in compress(range(len(head)), map(is_not, decided, repeat(None))):
-                j = head[position]
-                forced.add(j)
-                values[j] = decided[position]
-                kinds[position] = FORCED
-        if None in values:
-            # the lowest unfilled simplex of ``rest``: every earlier one has its value
-            j = values.index(None)
-            self._unfilled(m, k, [column[j] for column in columns],
-                           None if target is None else target[j], n, j, what)
+            # the vertices that nothing forces, up to the first disagreement, in level order
+            for position, j in enumerate(order[:clash]):
+                if kinds[position] is not FORCED:
+                    goal = None if target is None else target[j]
+                    values[j] = self._idempotency_witness(j, goal) if step == 2 else self._s0_fill(j, goal)
+        if clash is not None or None in values:
+            # the first failure in level order: a disagreement, or a simplex left without a value
+            unfilled = next((p for p, j in enumerate(order) if values[j] is None), len(order))
+            if clash is not None and clash < unfilled:
+                _agree(named, (n, head[clash]), N)  # raises: the representations disagree
+            j = order[unfilled]
+            self._unfilled(m, k, [column[j] for column in columns], None if target is None else target[j],
+                           n, j, "extension" if step == 1 else "correction")
         if order:
             filled = list(compress(order, map(is_, kinds, repeat(FILLED))))
             faces = tuple(list(map(column.__getitem__, filled)) for column in columns) if filled else ()
@@ -1107,6 +1067,19 @@ def _require_same(text: str, given: SemisimplicialSet, expected: SemisimplicialS
     # an input bound to another set would be read out of its range
     if given is not expected and given != expected:
         raise ValueError(text)
+
+
+def _degree_zero_refusal(table: DegeneracyTable, label: str) -> Optional[InvalidDegeneracyTable]:
+    """The refusal of ``table``, named ``label``, where it lacks s_0 of a vertex of its base; else None.
+
+    A vertex count is not paid for by the file, so no list is built from it.
+    """
+    edges = table.level(0, 0)
+    if edges is None and table.base.cells[0]:
+        return InvalidDegeneracyTable(f"{label} lacks a degree-0 value at vertex 0")
+    if edges is not None and None in edges:
+        return InvalidDegeneracyTable(f"{label} lacks a degree-0 value at vertex {edges.index(None)}")
+    return None
 
 
 def synthesize(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:

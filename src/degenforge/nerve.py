@@ -26,6 +26,7 @@ from .degeneracy import (
     DegeneracyTable,
     SynthesisInput,
     SynthesisResult,
+    _degree_zero_refusal,
     _require_same,
     synthesize_relative,
     verify_simplicial,
@@ -437,13 +438,10 @@ def uniqueness_demo(C_sset: SemisimplicialSet, deg0: DegeneracyTable,
     bound = min(D, C_sset.dim)
     if bound < 2:
         raise TruncationExhausted(f"synthesis needs truncation at least 2, have {bound}")
-    for side, table in ((0, deg0), (1, deg1)):
-        # a vertex count is not paid for by the file, so no list is built from it
-        edges = table.level(0, 0)
-        if edges is None and C_sset.cells[0]:
-            raise InvalidDegeneracyTable(f"deg{side} lacks a degree-0 value at vertex 0")
-        if edges is not None and None in edges:
-            raise InvalidDegeneracyTable(f"deg{side} lacks a degree-0 value at vertex {edges.index(None)}")
+    for label, table in (("deg0", deg0), ("deg1", deg1)):
+        refusal = _degree_zero_refusal(table, label)
+        if refusal is not None:
+            raise refusal
     J = nerve(j_groupoid(), bound)
     bundle = product(C_sset, J.sset)
     X, p, width = bundle.sset, bundle.right, J.sset.cells

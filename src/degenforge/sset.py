@@ -632,6 +632,11 @@ def product(X: SemisimplicialSet, Y: SemisimplicialSet) -> ProductBundle:
     to the size of the product's largest level, for which each projection
     stores as many entries.
 
+    Every level, the vertices included, costs c_n(X)·c_n(Y) entries: a
+    library caller pays for the size it asks for. The CLI reaches it only
+    through ``demo-uniqueness``, whose degree-0 check reads a table level of
+    c_0(C) entries from the file first.
+
     A factor with a face entry out of range on a level the product reads is
     refused with a ``ValueError``: the arithmetic would read some other
     simplex for it. Validates each factor that holds no pass. When both pass,

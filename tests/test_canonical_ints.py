@@ -76,7 +76,7 @@ def test_the_pool_grows_with_the_input_not_with_its_values(tmp_path):
     assert run(["validate", path["big.sset"]])[1]["verdict"] == "ok"
     assert run(["check", "--inner", path["big.sset"]])[1]["verdict"] == "yes"
     code, out = run(["verify", path["big.sset"], path["big.deg"]])
-    assert (code, out["verdict"], out["detail"]["checked"]) == (0, "pass", 0)
+    assert (code, out["verdict"]) == (1, "InvalidDegeneracyTable")
     code, out = run(["check", "--inner-fibration", path["edge.sset"],
                      "--map", path["f.map"], "--target", path["big.sset"]])
     assert (code, out["verdict"]) == (0, "yes")

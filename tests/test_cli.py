@@ -92,6 +92,24 @@ def test_verify_oracle_table(z2_files):
     assert code == 0 and report["verdict"] == "pass"
 
 
+def test_verify_refuses_a_table_without_degree_zero(z2_files):
+    """A table with no level (0, 0) defines no s_0 on the vertices: refused, unless the bound is 0."""
+    empty = z2_files["dir"] / "empty.deg"
+    base_hash = json.loads(z2_files["deg"].read_text())["base_hash"]
+    empty.write_text(json.dumps({"base_hash": base_hash, "s": []}))
+    argv = ["verify", str(z2_files["sset"]), str(empty)]
+    code, report = run(argv)
+    assert (code, report["verdict"], report["detail"]) == (
+        1, "InvalidDegeneracyTable", "table lacks a degree-0 value at vertex 0")
+    code, report = run(argv + ["--dim", "0"])
+    assert (code, report["verdict"], report["detail"]["checked"]) == (0, "pass", 0)
+    # an unreadable certificate is an input error first
+    cert = z2_files["dir"] / "c.json"
+    cert.write_text("not json")
+    code, report = run(argv + ["--cert", str(cert)])
+    assert (code, report["verdict"]) == (2, "error")
+
+
 def test_verify_rejects_tampered_certificate(z2_files):
     table_path = z2_files["dir"] / "t.json"
     cert_path = z2_files["dir"] / "c.json"

@@ -1,17 +1,19 @@
-"""Forced values by columns, against the per-simplex references.
+"""Forced values by columns, against per-simplex references.
 
-The engine decides the simplices of a level that may be forced, its head,
-by columns: each representation of s_N (step 1) or s_N s_N (step 2) is
-gathered over the head at once. On every head simplex of every level, the
-column must hold the value that the per-simplex references give:
-``forced_value`` in step 1, and the engine's own one-simplex ``_forced`` in
-both steps, which also counts the same consistency checks. The runs are
-the benchmark's relative ones (the uniqueness demo on relabeled Z/2 and
-Z/3 at D5, and the run on relabeled Z/2 x J over J), the two-table demo
-on the loop coskeleton L2@D4, and the demo on drawn C x J.
+The engine decides the simplices of every level that may be forced, its
+head, by columns, the vertex levels included: each representation of s_N
+(step 1) or s_N s_N (step 2) is gathered over the head at once, as a named
+column. On every simplex of every level, the representations the columns
+hold must be those a per-simplex reference gives: ``forced_value`` in step
+1, and in step 2 the rule below, the subcomplex table twice on members and
+the table twice on degeneracy images. A simplex outside the head has none.
+Each run must count one consistency check per simplex with more than one.
+The runs are the benchmark's relative ones (the uniqueness demo on
+relabeled Z/2 and Z/3 at D5, and the run on relabeled Z/2 x J over J), the
+two-table demo on the loop coskeleton L2@D4, and the demo on drawn C x J.
 
 Where a level fails, the error is the one the per-simplex loop raised, at
-its simplex: the first head position in level order whose representations
+its simplex: the first simplex in level order whose representations
 disagree, or that has none and no filler.
 """
 
@@ -45,30 +47,49 @@ from test_loop_coskeleta import coskeleton_table, loop_coskeleton
 TOP_CELLS = 1000  # the most top-level simplices of a drawn C x J
 
 
+def _twice(engine, N: int, n: int, j: int, images: set) -> list:
+    """The named representations of s_N s_N at (n, j), one simplex at a time."""
+    reps = []
+    if engine.A is not None and engine.Adeg is not None and engine.A.contains(n, j):
+        once = engine.Adeg.value(N, n, j)
+        value = None if once is None else engine.Adeg.value(N, n + 1, once)
+        if value is not None:
+            reps.append(("subcomplex", value))
+    if j in images:
+        once = engine.table.value(N, n, j)
+        value = None if once is None else engine.table.value(N, n + 1, once)
+        if value is not None:
+            reps.append(("degenerate", value))
+    return reps
+
+
 @contextmanager
 def compared(heads: list):
-    """Check each head column against the per-simplex references; record each head's size."""
-    forced_head = _Engine._forced_head
+    """Check each level's columns against the per-simplex references; record each head's size."""
+    representations = _Engine._representations
+    checks: dict = {}  # id(engine) -> [engine, consistency checks its columns hold]
 
-    def checking(engine, N, step, n, members, head, images, values):
-        before = engine.stats["consistency_checks"]
-        decided, failure = forced_head(engine, N, step, n, members, head, images, values)
-        checks = engine.stats["consistency_checks"] - before
-        engine.stats["consistency_checks"] = before
+    def checking(engine, N, step, n, members, head, images):
+        reps = representations(engine, N, step, n, members, head, images)
+        rows = dict.fromkeys(range(engine.X.cells[n]), [])
+        for position, j in enumerate(head):
+            rows[j] = [(name, column[position]) for name, column in reps if column[position] is not None]
         A_data = None if engine.A is None else (engine.A, engine.Adeg)
-        for position, j in enumerate(head[:failure]):
-            want = engine._forced(N, step, n, j, j in images)
-            assert decided[position] == want, (N, step, n, j)
+        below = {v for i in range(N) for v in engine.table.level(i, n - 1) or ()}
+        for j, row in rows.items():
             if step == 1:
                 value = forced_value(GoodSystem(engine.table, N - 1), A_data, SimplexRef(n, j), N)
-                assert want == (None if value is None else value.index), (N, n, j)
-        if failure is None:
-            assert engine.stats["consistency_checks"] - before == checks
+                assert {v for _, v in row} == (set() if value is None else {value.index}), (N, n, j)
+            else:
+                assert row == _twice(engine, N, n, j, below), (N, n, j)
+        checks.setdefault(id(engine), [engine, 0])[1] += sum(len(row) > 1 for row in rows.values())
         heads.append(len(head))
-        return decided, failure
+        return reps
 
-    with mock.patch.object(_Engine, "_forced_head", checking):
+    with mock.patch.object(_Engine, "_representations", checking):
         yield
+    for engine, count in checks.values():
+        assert engine.stats["consistency_checks"] == count
 
 
 def test_the_benchmarks_relative_runs_force_what_the_references_force():

@@ -46,7 +46,7 @@ COMMANDS = [
     (["synthesize", "x.sset"], [1, "NoIdempotentEquivalence"]),
     (["synthesize-rel", "x.sset", "--map", "m.json", "--target", "x.sset", "--ydeg", "t.json"],
      [2, "error"]),
-    (["verify", "x.sset", "t.json"], [0, "pass"]),
+    (["verify", "x.sset", "t.json"], [1, "InvalidDegeneracyTable"]),
     (["demo-uniqueness", "x.sset", "--deg0", "t.json", "--deg1", "t.json"], [1, "InvalidDegeneracyTable"]),
 ]
 
