@@ -287,8 +287,7 @@ def _cmd_demo_uniqueness(args) -> tuple[str, dict, list]:
 
 
 def _cmd_verify(args) -> tuple[str, dict, list]:
-    inp = _synthesis_input(args)
-    X = inp.X
+    X = load_sset(args.sset)
     _require_valid("input set", validate(X))
     table = load_table(args.table, X)
     certificate = Certificate.read(_read_text(args.cert), args.cert) if args.cert else None
@@ -304,7 +303,8 @@ def _cmd_verify(args) -> tuple[str, dict, list]:
         payload["witness"] = [list(v) for v in report.violations[:10]]
         return ("fail", payload, [])
     if certificate is not None:
-        replayed = replay_certificate(inp, dim, certificate)
+        # the run over the point, with the table's s_0 on the vertices as its s0
+        replayed = replay_certificate(SynthesisInput(X, s0=table.level(0, 0)), dim, certificate)
         if replayed != table:
             return ("fail", {"bound": dim, "detail": "replay table differs from the given table"}, [])
         payload["detail"]["replayed_records"] = len(certificate)
@@ -393,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("table")
     q.add_argument("--dim", type=int)
     q.add_argument("--cert")
-    q.set_defaults(handler=_cmd_verify, map=None, s0=None)
+    q.set_defaults(handler=_cmd_verify)
     return parser
 
 

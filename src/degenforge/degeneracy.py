@@ -60,18 +60,18 @@ from .errors import (
     TruncationExhausted,
     UnfillableHorn,
 )
+from . import horn as _horn
 from .horn import (
     Horn,
     _filler_indices,
     _lowest,
+    _lowest_witness,
     _positions,
     check_inner,
     check_inner_fibration,
     check_kan,
     compatibility_failures,
-    find_idempotent_equivalences,
     is_equivalence,
-    is_idempotent,
     p_edge_property,
 )
 from .sset import (
@@ -562,11 +562,11 @@ class _Engine:
     Their lowest fillers come from one table per horn shape, and the values'
     faces and images are checked against the columns. The values that may be
     forced are decided as columns too, on every level: each representation
-    is a named column gathered over the level's head. Only the vertices that
-    nothing forces are walked one at a time, to take their own candidates.
-    A level's first failure in level order, a disagreement or a simplex
-    left without a value, is raised once. Each level appends one block of
-    columns to the certificate.
+    is a named column gathered over the level's head. At stage 0 the
+    vertices take their decided s0 and idempotency witnesses as their fill
+    column, checked as every fill is. A level's first failure in level
+    order, a disagreement or a simplex left without a value, is raised once.
+    Each level appends one block of columns to the certificate.
     """
 
     def __init__(self, inp: SynthesisInput, D: int):
@@ -717,19 +717,21 @@ class _Engine:
 
         ``columns`` prescribe the faces of each value at the horn's positions,
         ascending, and ``target`` its image over a map. Step 1 fills (n+1, N+1)
-        horns and step 2 (n+2, N) horns; at stage 0 the vertices take the
-        degree-0 candidate in step 1 and an idempotency witness in step 2.
-        The simplices that may be forced, the level's head, are decided by
-        columns (:meth:`_forced_head`), the vertices included; the rest take
-        their fillers, or at the vertices their candidates.
+        horns and step 2 (n+2, N) horns; at stage 0 the vertices take their
+        decided s0 in step 1 and their idempotency witnesses in step 2 in
+        place of fillers. The simplices that may be forced, the level's head,
+        are decided by columns (:meth:`_forced_head`), the vertices included.
         """
         m, k = _horn_shape(N, step, n)
         members, others, rest, images = self._level_order(n, N)
         head = members + others
         vertices = N == n == 0
         order = head + rest
-        values: list = ([None] * self.X.cells[n] if vertices
-                        else self._canonical_fill(m, k, columns, target))
+        if vertices:
+            chosen = self.inp.s0 if step == 1 else self.inp.idempotency_witnesses
+            values = list(map((chosen or {}).get, range(self.X.cells[0])))
+        else:
+            values = self._canonical_fill(m, k, columns, target)
         kinds = [WITNESS if vertices and step == 2 else FILLED] * len(order)
         decided, clash, named = self._forced_head(N, step, n, members, head, images)
         forced: set[int] = set()
@@ -738,17 +740,13 @@ class _Engine:
             forced.add(j)
             values[j] = decided[position]
             kinds[position] = FORCED
-        if vertices:
-            # the vertices that nothing forces, up to the first disagreement, in level order
-            for position, j in enumerate(order[:clash]):
-                if kinds[position] is not FORCED:
-                    goal = None if target is None else target[j]
-                    values[j] = self._idempotency_witness(j, goal) if step == 2 else self._s0_fill(j, goal)
         if clash is not None or None in values:
             # the first failure in level order: a disagreement, or a simplex left without a value
             unfilled = next((p for p, j in enumerate(order) if values[j] is None), len(order))
             if clash is not None and clash < unfilled:
                 _agree(named, (n, head[clash]), N)  # raises: the representations disagree
+            if vertices and step == 1 and self.inp.s0 is None:
+                raise ValueError("stage 0 requires the degree-0 degeneracy candidate s0")
             j = order[unfilled]
             self._unfilled(m, k, [column[j] for column in columns], None if target is None else target[j],
                            n, j, "extension" if step == 1 else "correction")
@@ -762,18 +760,6 @@ class _Engine:
         self.stats["witness" if vertices and step == 2 else "filled"] += len(values) - done
         self._check_values(N, n, m, k, values, columns, target, forced)
         return values
-
-    def _s0_fill(self, j: int, target: Optional[int]) -> int:
-        s0 = self.inp.s0
-        if s0 is None:
-            raise ValueError("stage 0 requires the degree-0 degeneracy candidate s0")
-        value = s0[j]
-        if (self.X.face_index(1, value, 0) != j
-                or target is not None and self.p.apply_index(1, value) != target):
-            raise UnfillableHorn(
-                f"s0 candidate {value} does not fill the base horn at vertex {j}",
-                horn=Horn(1, 1, ((0, j),)), level=0, target=target)
-        return value
 
     def _check_values(self, N: int, n: int, m: int, k: int, values: list[int],
                       columns: list[Sequence[Optional[int]]], target: Optional[Sequence[int]],
@@ -792,13 +778,15 @@ class _Engine:
         for j in range(len(values)):
             for i, a, b in zip(names, got, want):
                 if a[j] != b[j]:
-                    self._blame(j in forced, N, n, j, i)
-
-    def _blame(self, forced: bool, N: int, n: int, j: int, i) -> None:
-        msg = f"s_{N} at simplex ({n},{j}) violates its defining equation at face {i}"
-        if forced and self.A is not None and self.A.contains(n, j):
-            raise IncompatibleSubcomplexStructure(msg, simplex=(n, j))
-        raise ConsistencyViolation(msg, simplex=(n, j))
+                    msg = f"s_{N} at simplex ({n},{j}) violates its defining equation at face {i}"
+                    if j not in forced:
+                        # a filler fits its horn, so only a vertex's decided value can fail here
+                        horn = Horn(m, k, tuple(zip(names, (column[j] for column in columns))))
+                        raise UnfillableHorn(msg, horn=horn, level=n,
+                                             target=None if target is None else target[j])
+                    if self.A is not None and self.A.contains(n, j):
+                        raise IncompatibleSubcomplexStructure(msg, simplex=(n, j))
+                    raise ConsistencyViolation(msg, simplex=(n, j))
 
     # -- step one: extension -------------------------------------------------
 
@@ -837,22 +825,6 @@ class _Engine:
         self._check_corrected(N)
         return t
 
-    def _idempotency_witness(self, j: int, target: Optional[int]) -> int:
-        f = self.table.value(0, 0, j)
-        w = self.inp.idempotency_witnesses.get(j)
-        if w is not None:
-            ok = all(self.X.face_index(2, w, i) == f for i in range(3))
-            if ok and target is not None:
-                ok = self.p.apply_index(2, w) == target
-            if not ok:
-                raise MissingWitness(
-                    f"supplied idempotency witness {w} at vertex {j} is invalid", vertex=j)
-            return w
-        for w in _filler_indices(self.X, 2, ((0, f), (1, f), (2, f))):
-            if target is None or self.p.apply_index(2, w) == target:
-                return w
-        raise MissingWitness(f"no idempotency witness found at vertex {j}", vertex=j)
-
     def _check_corrected(self, N: int) -> None:
         # d_{N+1} s_N = id, a level at a time
         for n in range(N, self.D - 1):
@@ -885,9 +857,23 @@ def step1_extend(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None) 
 
 
 def step2_correct(sys: GoodSystem, inp: SynthesisInput, D: Optional[int] = None) -> GoodSystem:
-    """Correct an almost-N-good system to an N-good one via its T-table."""
+    """Correct an almost-N-good system to an N-good one via its T-table.
+
+    At stage 0 each vertex's idempotency witness is checked, or found, by :func:`_witness`.
+    """
     engine = _Engine(*_prepared(inp, D))
     engine.table = sys.table.copy()
+    if sys.N == 0:
+        X, p, given = engine.X, engine.p, engine.inp.idempotency_witnesses
+        target = engine._target(0, 0, True)
+        for v, e in enumerate(engine.table.level(0, 0) or ()):
+            goal = None if target is None else target[v]
+            w = _witness(X, p, v, e, given.get(v), goal, staged=True)
+            if w is None:
+                raise MissingWitness(f"no idempotency witness found at vertex {v}", vertex=v)
+            if isinstance(w, DegenforgeError):
+                raise w
+            given[v] = w
     t = engine._step2(sys.N)
     return GoodSystem(table=engine.table, N=sys.N, almost=False, t_table=TTable(sys.N, t))
 
@@ -934,44 +920,28 @@ def _as_witness_map(source, X: SemisimplicialSet) -> dict[int, int]:
     return {v: w for v, w in given.items() if w is not None}
 
 
-def _resolve_s0_absolute(X: SemisimplicialSet, inp: SynthesisInput, D: int):
-    # each vertex once: an edge fixed by s0, or by the subcomplex table where it defines
-    # s_0(v), is checked; otherwise the lowest idempotent equivalence is taken. A supplied
-    # witness must have all three faces that edge, found or fixed
-    s0: dict[int, int] = {}
-    witnesses: dict[int, int] = {}
-    for v in range(X.cells[0]):
-        a_value = None if inp.A_deg is None else inp.A_deg.value(0, 0, v)
-        e = inp.s0[v] if inp.s0 is not None else a_value
-        fixed, witness = e is not None, None
-        if not fixed:
-            found = find_idempotent_equivalences(X, SimplexRef(0, v), D, limit=1)
-            if not found:
-                raise NoIdempotentEquivalence(f"no idempotent equivalence at vertex {v}", vertex=v)
-            e, witness = found[0][0].index, found[0][1].index
-        elif X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
-            raise NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
-        elif a_value is not None and a_value != e:
-            raise IncompatibleSubcomplexStructure(
-                f"s0({v}) = {e} disagrees with the subcomplex value {a_value}", simplex=(0, v))
-        w = inp.idempotency_witnesses.get(v)
-        if w is not None and not all(X.face_index(2, w, i) == e for i in range(3)):
-            raise NoIdempotentEquivalence(
-                f"supplied witness {w} at vertex {v} is not an idempotency witness", vertex=v)
-        if witness is None and w is None:
-            idempotent = is_idempotent(X, SimplexRef(1, e))
-            if idempotent is None:
-                raise NoIdempotentEquivalence(f"s0({v}) = {e} is not idempotent", vertex=v)
-            witness = idempotent.index
-        if fixed and not is_equivalence(X, SimplexRef(1, e), D).result:
-            raise NoIdempotentEquivalence(f"s0({v}) = {e} is not an equivalence", vertex=v)
-        s0[v] = e
-        witnesses[v] = witness if w is None else w
-    return s0, witnesses
+def _witness(X, p, v: int, e: int, w: Optional[int], target: Optional[int], staged: bool = False):
+    """The witness of e as s0(v), a 2-simplex with faces e, e, e over ``target`` on a map p: the
+    supplied ``w`` or else e's lowest; None where e has none, or the refusal of a ``w`` that is not one.
+    """
+    if w is None:
+        return _lowest_witness(X, e, p, target)
+    if all(X.face_index(2, w, i) == e for i in range(3)) and (p is None or p.apply_index(2, w) == target):
+        return w
+    if p is None and not staged:
+        return NoIdempotentEquivalence(f"supplied witness {w} at vertex {v} is not an idempotency witness", vertex=v)
+    return MissingWitness(f"supplied idempotency witness {w} at vertex {v} is invalid", vertex=v)
 
 
-def _relative_s0_check(inp: SynthesisInput, D: int, v: int, e: int, w: Optional[int]):
-    """The witness of e as s0(v) over ``inp.p`` (a supplied ``w`` skips its test), or e's first failure."""
+def _s0_check(inp: SynthesisInput, D: int, v: int, e: int, w: Optional[int]):
+    """The idempotency witness of e as s0(v), or e's first failure, over the point or over ``inp.p``.
+
+    In order: e is a self-edge at v, agrees with the subcomplex table and,
+    over a map, lies over s_0 p(v); e has a witness by :func:`_witness`, the
+    supplied ``w`` or else e's lowest, over s_0 s_0 p(v) on a map; and e is an
+    equivalence: over a map, cartesian and cocartesian over the base. Only the
+    idempotent and equivalence tests and the refusal texts depend on the run.
+    """
     X, p, Ydeg, Adeg = inp.X, inp.p, inp.Y_deg, inp.A_deg
     if X.face_index(1, e, 0) != v or X.face_index(1, e, 1) != v:
         return NoIdempotentEquivalence(f"s0({v}) = {e} is not a self-edge", vertex=v)
@@ -979,46 +949,66 @@ def _relative_s0_check(inp: SynthesisInput, D: int, v: int, e: int, w: Optional[
     if a_value is not None and a_value != e:
         return IncompatibleSubcomplexStructure(
             f"s0({v}) = {e} disagrees with the subcomplex value {a_value}", simplex=(0, v))
-    want = Ydeg.value(0, 0, p.apply_index(0, v))
-    if want is not None and p.apply_index(1, e) != want:
-        return ConsistencyViolation(
-            f"s0({v}) = {e} does not project to the target degeneracy", simplex=(0, v))
+    target = None
+    if p is not None:
+        want = Ydeg.value(0, 0, p.apply_index(0, v))
+        if want is not None and p.apply_index(1, e) != want:
+            return ConsistencyViolation(
+                f"s0({v}) = {e} does not project to the target degeneracy", simplex=(0, v))
+        target = None if want is None else Ydeg.value(0, 1, want)
+        if target is None:
+            raise MissingDegeneracies("target degeneracies undefined at the base vertex")
+    w = _witness(X, p, v, e, w, target)
     if w is None:
-        verdict = p_edge_property(p, SimplexRef(1, e), "idempotent", D, Ydeg)
-        if not verdict.result:
-            return NoIdempotentEquivalence(f"s0({v}) = {e} is not fiberwise idempotent", vertex=v)
-        w = verdict.witness.index
-    for prop in ("cartesian", "cocartesian"):
+        return NoIdempotentEquivalence(
+            f"s0({v}) = {e} is not {'idempotent' if p is None else 'fiberwise idempotent'}", vertex=v)
+    if isinstance(w, DegenforgeError):
+        return w
+    if p is None and not is_equivalence(X, SimplexRef(1, e), D).result:
+        return NoIdempotentEquivalence(f"s0({v}) = {e} is not an equivalence", vertex=v)
+    for prop in () if p is None else ("cartesian", "cocartesian"):
         if not p_edge_property(p, SimplexRef(1, e), prop, D).result:
             return NoIdempotentEquivalence(f"s0({v}) = {e} is not {prop} over the base", vertex=v)
     return w
 
 
-def _resolve_s0_relative(inp: SynthesisInput, D: int):
-    # each vertex once: an edge fixed by s0, or by the subcomplex table where it
-    # defines s_0(v), must pass every check; otherwise the lowest edge that does is taken
+def _resolve_s0(inp: SynthesisInput, D: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Each vertex's s0 edge and idempotency witness, over the point or over ``inp.p``.
+
+    An edge fixed by ``s0``, or by the subcomplex table where it defines
+    s_0(v), must pass :func:`_s0_check`; otherwise the lowest edge at v that
+    passes is taken. The search keeps the idempotent test where a witness is
+    supplied, and then checks that witness against the edge it found.
+    """
     X, Adeg, given = inp.X, inp.A_deg, inp.idempotency_witnesses
-    s0: dict[int, int] = {}
-    witnesses: dict[int, int] = {}
+    s0, witnesses = {}, {}
     for v in range(X.cells[0]):
         w = given.get(v)
         e = inp.s0[v] if inp.s0 is not None else (None if Adeg is None else Adeg.value(0, 0, v))
         if e is not None:
-            found = _relative_s0_check(inp, D, v, e, w)
-            if isinstance(found, DegenforgeError):
-                raise found
+            found = _s0_check(inp, D, v, e, w)
         else:
-            # a search keeps the idempotent test even where a witness is supplied
             for e in X.with_face(1, 0, v):
-                found = _relative_s0_check(inp, D, v, e, None)
+                found = _s0_check(inp, D, v, e, None)
                 if not isinstance(found, DegenforgeError):
                     break
             else:
                 raise NoIdempotentEquivalence(
-                    f"no admissible degree-0 degeneracy found at vertex {v}", vertex=v)
-        s0[v] = e
-        witnesses[v] = found if w is None else w
+                    f"no idempotent equivalence at vertex {v}" if inp.p is None
+                    else f"no admissible degree-0 degeneracy found at vertex {v}", vertex=v)
+            if w is not None:
+                # the witness found lies over the target that a supplied one must lie over
+                found = _witness(X, inp.p, v, e, w, inp.p and inp.p.apply_index(2, found))
+        if isinstance(found, DegenforgeError):
+            raise found
+        s0[v], witnesses[v] = e, found
     return s0, witnesses
+
+
+# synthesize calls the one rule by one name per run; perfbench/tracer.py wraps both names here,
+# and the two horn functions on the next line, which nothing here calls, so all four stay bound
+_resolve_s0_absolute = _resolve_s0_relative = _resolve_s0
+find_idempotent_equivalences, is_idempotent = _horn.find_idempotent_equivalences, _horn.is_idempotent
 
 
 def _prepared(inp: SynthesisInput, D: Optional[int]) -> tuple[SynthesisInput, int]:
@@ -1104,7 +1094,7 @@ def synthesize(inp: SynthesisInput, D: Optional[int] = None) -> SynthesisResult:
         inner = check_inner(X, bound)
         if not inner.ok:
             raise NotQuasiSemicategory("an inner horn is unfillable", witness=inner.witness)
-        s0, witnesses = _resolve_s0_absolute(X, inp, bound)
+        s0, witnesses = _resolve_s0_absolute(inp, bound)
     else:
         fib = check_inner_fibration(p, bound)
         if not fib.ok:

@@ -118,6 +118,15 @@ def _filler_indices(X: SemisimplicialSet, n: int, items: Sequence[tuple[int, int
     return out
 
 
+def _lowest_witness(X: SemisimplicialSet, e: int, p: Optional[SemisimplicialMap] = None,
+                    target: Optional[int] = None) -> Optional[int]:
+    """The lowest 2-simplex all of whose faces are the edge e, over ``target`` on a map p; or None."""
+    if X.dim < 2:
+        return None
+    found = _filler_indices(X, 2, ((0, e), (1, e), (2, e)))
+    return next((z for z in found if p is None or p.apply_index(2, z) == target), None)
+
+
 def fillers(X: SemisimplicialSet, horn: Horn) -> list[SimplexRef]:
     """Exactly the n-simplices whose faces match the horn, in canonical order."""
     if not 1 <= horn.n <= X.dim:
@@ -616,10 +625,8 @@ def is_idempotent(X: SemisimplicialSet, f: SimplexRef) -> Optional[SimplexRef]:
     _require_edge(X, f)
     if X.face_index(1, f.index, 0) != X.face_index(1, f.index, 1):
         raise NotASelfEdge(f"edge {f.index} has distinct endpoints")
-    if X.dim < 2:
-        return None
-    matches = _filler_indices(X, 2, ((0, f.index), (1, f.index), (2, f.index)))
-    return SimplexRef(2, matches[0]) if matches else None
+    w = _lowest_witness(X, f.index)
+    return None if w is None else SimplexRef(2, w)
 
 
 def find_idempotent_equivalences(X: SemisimplicialSet, x: SimplexRef, D: Optional[int] = None,
@@ -697,10 +704,9 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
         target = Y_degeneracies.value(0, 1, e1) if e1 is not None else None
         if target is None:
             raise MissingDegeneracies("target degeneracies undefined at the base vertex")
-        if X.dim >= 2:
-            for z in _filler_indices(X, 2, ((0, f.index), (1, f.index), (2, f.index))):
-                if p.apply_index(2, z) == target:
-                    return EdgeVerdict(f, property, bound, True, SimplexRef(2, z))
+        z = _lowest_witness(X, f.index, p, target)
+        if z is not None:
+            return EdgeVerdict(f, property, bound, True, SimplexRef(2, z))
         return EdgeVerdict(f, property, bound, False,
                            {"exhausted": {"dim2_scanned": X.cells[2] if X.dim >= 2 else 0}})
     if p.factor is not None:

@@ -1168,3 +1168,16 @@ def test_inner_fibration_needs_a_map_and_a_target(rel_files):
     code, report = run(["check", "--inner-fibration", str(rel_files["sset"])])
     assert (code, report["verdict"], report["detail"]) == (
         2, "error", "--inner-fibration needs --map and --target"), report
+
+
+@pytest.mark.parametrize("loop", [0, 1])
+def test_verify_replays_a_run_with_its_s0(tmp_path, loop):
+    # L2@D4 has one vertex and two loops, each an idempotent equivalence: a certificate
+    # that synthesize --s0 wrote replays with the table's s_0 as its s0
+    from test_loop_coskeleta import loop_coskeleton
+    sset, s0, table, cert = (tmp_path / name for name in ("l2.sset", "s0.json", "t.json", "c.json"))
+    sset.write_text(json.dumps(loop_coskeleton(2, 4).to_json_dict()))
+    s0.write_text(json.dumps([loop]))
+    assert run(["synthesize", str(sset), "--s0", str(s0), "--out", str(table), "--cert", str(cert)])[0] == 0
+    code, report = run(["verify", str(sset), str(table), "--cert", str(cert)])
+    assert (code, report["verdict"], report["detail"]["replayed_records"]) == (0, "pass", 58), report

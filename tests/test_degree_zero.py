@@ -9,12 +9,15 @@ J lists id0, id1, u, v.
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
 from degenforge import (
     CategoryPresentation,
     DegeneracyTable,
+    GoodSystem,
+    Horn,
     IncompatibleSubcomplexStructure,
     MissingWitness,
     NoIdempotentEquivalence,
@@ -23,11 +26,15 @@ from degenforge import (
     SemisimplicialSet,
     Subcomplex,
     SynthesisInput,
+    UnfillableHorn,
     nerve,
     product,
+    step1_extend,
+    step2_correct,
     synthesize,
     synthesize_relative,
 )
+from degenforge import degeneracy
 from degenforge.cli import run
 from degenforge.nerve import Arrow, cyclic_group, idempotent_monoid, j_groupoid
 
@@ -63,6 +70,12 @@ def _over(tmp_path, left, right_bundle):
     return bundle, paths, argv
 
 
+def _engine_unreached(monkeypatch):
+    def reached(engine):
+        raise AssertionError("the engine ran")
+    monkeypatch.setattr(degeneracy._Engine, "run", reached)
+
+
 def _with_s0(tmp_path, argv, s0):
     path = tmp_path / "s0.json"
     path.write_text(json.dumps(s0))
@@ -94,20 +107,20 @@ def test_an_unfillable_inner_horn_stops_the_run_before_s0(tmp_path):
 def test_the_s0_search_stops_at_the_lowest_idempotent_equivalence(monkeypatch):
     # the monoid {1, e} has one vertex and two idempotent self-edges: 1, an equivalence, and e;
     # the search takes edge 0 and never asks whether e is an equivalence
-    import degenforge.horn as horn
-
     nm = nerve(idempotent_monoid(), 4)
     asked = []
-    is_equivalence = horn.is_equivalence
-    monkeypatch.setattr(horn, "is_equivalence",
+    is_equivalence = degeneracy.is_equivalence
+    monkeypatch.setattr(degeneracy, "is_equivalence",
                         lambda X, f, *rest: asked.append(f.index) or is_equivalence(X, f, *rest))
     result = synthesize(SynthesisInput(nm.sset), 4)
     assert asked == [0]
     assert (result.s0, result.witnesses) == ({0: 0}, {0: nm.index_of(2, (0, 0))})
 
 
-def test_a_supplied_witness_that_is_not_one_is_refused_over_the_point():
-    # the 2-simplex (1, g) of Z/2 has faces g, g, 1, not all three the identity edge 0
+def test_a_supplied_witness_that_is_not_one_is_refused_over_the_point(monkeypatch):
+    # the 2-simplex (1, g) of Z/2 has faces g, g, 1, not all three the identity edge 0;
+    # it is refused where s0 is decided, before the engine runs
+    _engine_unreached(monkeypatch)
     n2 = nerve(cyclic_group(2), 3)
     w = n2.index_of(2, (0, 1))
     with pytest.raises(NoIdempotentEquivalence) as caught:
@@ -237,12 +250,15 @@ def test_no_admissible_edge_over_the_point(tmp_path):
         {"vertex": 0})
 
 
-def test_a_supplied_witness_that_is_not_one_is_refused_over_j():
-    # the engine checks a supplied witness: (1, id0) (g, id0) has faces other than (1, id0)
+@pytest.mark.parametrize("s0", [None, {0: 0, 1: 1}])  # searched, or supplied as (1, id0) and (1, id1)
+def test_a_supplied_witness_that_is_not_one_is_refused_over_j(monkeypatch, s0):
+    # (1, id0) (g, id0) has faces other than (1, id0); it is refused where s0 is decided,
+    # searched or supplied, before the engine runs
+    _engine_unreached(monkeypatch)
     n2, nj = nerve(cyclic_group(2), 3), nerve(j_groupoid(), 3)
     bundle = product(n2.sset, nj.sset)
     w = bundle.pair_index(2, n2.index_of(2, (0, 1)), nj.index_of(2, (0, 0)))
-    inp = SynthesisInput(bundle.sset, p=bundle.right, Y_deg=nj.oracle_degeneracies,
+    inp = SynthesisInput(bundle.sset, p=bundle.right, Y_deg=nj.oracle_degeneracies, s0=s0,
                          idempotency_witnesses={0: w})
     with pytest.raises(MissingWitness) as caught:
         synthesize(inp, 3)
@@ -258,3 +274,50 @@ def test_a_witness_sequence_without_an_entry_per_vertex_is_refused_over_j():
     with pytest.raises(ParseError) as caught:
         synthesize_relative(inp, 3)
     assert str(caught.value) == "idempotency witnesses must cover every vertex; missing 0"
+
+
+# -- the staged builders at stage 0 ------------------------------------------------
+
+
+def _z2_over_j_input():
+    n2, nj = nerve(cyclic_group(2), 3), nerve(j_groupoid(), 3)
+    bundle = product(n2.sset, nj.sset)
+    return SynthesisInput(bundle.sset, p=bundle.right, Y_deg=nj.oracle_degeneracies)
+
+
+@pytest.mark.parametrize("over_j", [False, True])
+def test_the_stage_zero_correction_finds_the_witnesses_synthesize_reports(over_j):
+    inp = _z2_over_j_input() if over_j else SynthesisInput(nerve(cyclic_group(2), 3).sset)
+    result = synthesize(inp, 3)
+    inp = replace(inp, s0=result.s0)
+    almost0 = step1_extend(GoodSystem(DegeneracyTable(inp.X), N=-1), inp, 3)
+    good = step2_correct(almost0, inp, 3)
+    assert good.t_table.t[0] == [result.witnesses[v] for v in range(inp.X.cells[0])]
+    assert [good.table.level(0, n) for n in (0, 1)] == [result.table.level(0, n) for n in (0, 1)]
+
+
+def test_the_stage_zero_extension_takes_s0_from_the_subcomplex_table_without_s0():
+    # the subcomplex table fixes s_0 of the one vertex, so no s0 is needed
+    X, A, A_deg = _two_loops()
+    almost0 = step1_extend(GoodSystem(DegeneracyTable(X), N=-1), SynthesisInput(X, A=A, A_deg=A_deg), 2)
+    assert almost0.table.level(0, 0) == [1]
+
+
+def test_the_stage_zero_extension_refuses_an_edge_that_leaves_its_vertex():
+    # u leaves vertex 0 of J for vertex 1, so d_0 u = 1: it fills no (1,1) horn at vertex 0
+    X = nerve(j_groupoid(), 3).sset
+    with pytest.raises(UnfillableHorn) as caught:
+        step1_extend(GoodSystem(DegeneracyTable(X), N=-1), SynthesisInput(X, s0={0: 2, 1: 1}), 3)
+    assert (str(caught.value), caught.value.horn, caught.value.level) == (
+        "s_0 at simplex (0,0) violates its defining equation at face 0", Horn(1, 1, ((0, 0),)), 0)
+
+
+def test_the_stage_zero_correction_refuses_a_supplied_witness_that_is_not_one():
+    # the 2-simplex (1, g) of Z/2 has faces g, g, 1, not all three the identity edge 0
+    n2 = nerve(cyclic_group(2), 3)
+    w = n2.index_of(2, (0, 1))
+    inp = SynthesisInput(n2.sset, s0={0: 0}, idempotency_witnesses={0: w})
+    almost0 = step1_extend(GoodSystem(DegeneracyTable(n2.sset), N=-1), inp, 3)
+    with pytest.raises(MissingWitness) as caught:
+        step2_correct(almost0, inp, 3)
+    assert (str(caught.value), caught.value.vertex) == (f"supplied idempotency witness {w} at vertex 0 is invalid", 0)
