@@ -18,17 +18,20 @@ however many scans and runs read it.
 
 The inner, Kan and inner-fibration scans of a set that ``validate`` has
 passed, over a map that ``validate_map`` has passed, count before they look
-up. A level counter runs the enumerator's step over the partial horns that
-a level's shapes share, and yields the number of lifting problems of each
-shape: each compatible horn h weighs the number of target n-simplices whose
-(n, k) horn is p(h), read from one index of the target's horns kept on the
-map, and 1 over the point. Each n-simplex realizes a problem, its row
-without face k with its image, so every problem is solved exactly when the
-count equals the number of distinct realized pairs: c_n when two other
-faces tell the n-simplices apart, else the size of the shape's table. A
-shape whose counts differ takes the ordered scan, which names its first
-horn that does not lift. A set or map that has not passed its check is
-always scanned in order.
+up. Over the point, a shape (n, k), n >= 2, is first put to the spanning
+pair rule of :func:`_spanned`, three O(c_n) passes over face columns that
+can show that it has c_n horns and that every one fills. Every other shape
+goes to a level counter, which runs the enumerator's step over the partial
+horns that those shapes of a level share, and yields the number of lifting
+problems of each shape: each compatible horn h weighs the number of target
+n-simplices whose (n, k) horn is p(h), read from one index of the target's
+horns kept on the map, and 1 over the point. Each n-simplex realizes a
+problem, its row without face k with its image, so every problem is solved
+exactly when the count equals the number of distinct realized pairs: c_n
+when the spanning pair tells the n-simplices apart, else the size of the
+shape's table. A shape whose counts differ takes the ordered scan, which
+names its first horn that does not lift. A set or map that has not passed
+its check, and a restricted scan, is always scanned in order.
 
 An edge's cartesian (cocartesian) horns are the (n, n) ((n, 0)) horns whose
 last (first) edge it is, so an edge passes whenever its shape fills, and
@@ -38,6 +41,7 @@ about one edge runs that edge's restricted scans.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
 from operator import eq, indexOf, itemgetter, not_
@@ -169,9 +173,7 @@ def _step(faces: _FaceColumns, assigned: Sequence[int], columns: list[Sequence[i
     other fixed slots and on ``pool``, and re-gathers the earlier columns
     through the rows that survive. A step that finds exactly one candidate
     for every partial horn and drops none re-gathers nothing. Which slots
-    are looked up changes no row, only which slot indices the set keeps:
-    after the level counter's common positions 0 and n every step looks up
-    the slots they fix, the first and last faces of an (n-1)-simplex.
+    are looked up changes no row, only which slot indices the set keeps.
     """
     X, m = faces.X, faces.m
     # (slot of the new face, earlier position q, face r of x_q that fixes it)
@@ -220,24 +222,34 @@ def _face_columns(X: SemisimplicialSet, n: int, k: int,
 
 
 def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int],
-                 p: Optional[SemisimplicialMap] = None) -> dict[int, tuple[int, int]]:
+                 p: Optional[SemisimplicialMap] = None,
+                 separated: Optional[dict] = None) -> dict[int, tuple[int, int]]:
     """For each k in ``ks``, the compatible (n, k) horns and their lifting problems over p, counted.
 
-    The positions that every shape has (0 and n for the inner shapes) are
-    assigned first. The missing positions are then split into two halves:
-    one half is assigned and the other recursed on, then the other way
-    round. With one position k left, the frontier is the compatible (n, k)
-    horns. Each assignment is one :func:`_step`, so the counts are those of
-    :func:`_face_columns`; the inner shapes of level 5 take 9 frontier steps
-    where one enumeration per shape takes 16, those of level 6 take 13 for 25.
-    A horn weighs its number of lifting problems, :func:`_problems`: 1 over
-    the point (``p`` None).
+    Over the point, on a set that ``validate`` has passed, a shape that
+    :func:`_spanned` decides has c_n of each; its tests are kept in
+    ``separated``. The positions that every other shape has (0 and n for
+    the inner shapes) are assigned first. The missing positions are then
+    split into two halves: one half is assigned and the other recursed on,
+    then the other way round. With one position k left, the frontier is the
+    compatible (n, k) horns. Each assignment is one :func:`_step`, so the
+    counts are those of :func:`_face_columns`; the inner shapes of level 5
+    take 9 frontier steps where one enumeration per shape takes 16, those of
+    level 6 take 13 for 25. A horn weighs its number of lifting problems,
+    :func:`_problems`: 1 over the point (``p`` None).
     """
     ks = tuple(ks)
     if not ks or n < 1 or n > X.dim or X.cells[n - 1] == 0:
         return dict.fromkeys(ks, (0, 0))
-    faces = _FaceColumns(X, n - 1)
     counts: dict[int, tuple[int, int]] = {}
+    if p is None and X._valid and n >= 2:
+        separated = {} if separated is None else separated
+        spanned = {pair: _spanned(X, n, pair, separated) for pair in {_pair(n, k) for k in ks}}
+        counts = {k: (X.cells[n], X.cells[n]) for k in ks if spanned[_pair(n, k)]}
+        ks = tuple(k for k in ks if k not in counts)
+        if not ks:
+            return counts
+    faces = _FaceColumns(X, n - 1)
     # (assigned positions, their frontier, positions to assign next, positions missing after them)
     stack = [((), [], tuple(i for i in range(n + 1) if i not in ks), ks)]
     while stack:
@@ -411,13 +423,38 @@ def _first_false(flags: Iterable[bool]) -> Optional[int]:
         return None
 
 
-def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
-    """Whether the n-simplices of X are told apart by their faces at ``pair``."""
-    return len(set(zip(X.face_column(n, pair[0]), X.face_column(n, pair[1])))) == X.cells[n]
+def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int], separated: dict) -> bool:
+    """Whether the n-simplices of X are told apart by their faces at ``pair``; kept in ``separated``."""
+    if (n, pair) not in separated:
+        faces = zip(X.face_column(n, pair[0]), X.face_column(n, pair[1]))
+        separated[n, pair] = len(set(faces)) == X.cells[n]
+    return separated[n, pair]
+
+
+def _pair(n: int, k: int) -> tuple[int, int]:
+    """The spanning pair of the (n, k) horns: their first and last faces."""
+    return 1 if k == 0 else 0, n - 1 if k == n else n
+
+
+def _spanned(X: SemisimplicialSet, n: int, pair: tuple[int, int], separated: dict) -> bool:
+    """Whether the (n, k) horns with spanning pair (a, b), n >= 2, are c_n and all fill.
+
+    Only for a set that ``validate`` has passed. Each other face x_i of a
+    compatible horn, a < i < b, has d_a x_i = d_{i-1} x_a and d_{b-1} x_i =
+    d_i x_b. So if (i) faces (a, b) tell the n-simplices apart, (ii) for
+    n > 2 slots (a, b-1) tell the (n-1)-simplices apart, and (iii) the pairs
+    with d_{b-1} x_a = d_a x_b number c_n, then c_n <= realized horns <=
+    horns <= pairs = c_n.
+    """
+    a, b = pair
+    if not (_separates(X, n, pair, separated) and (n == 2 or _separates(X, n - 1, (a, b - 1), separated))):
+        return False
+    below = Counter(X.face_column(n - 1, a))
+    return sum(map(below.__getitem__, X.face_column(n - 1, b - 1))) == X.cells[n]
 
 
 def _filled(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int, problems: int,
-            separated: dict[tuple[int, int], bool]) -> bool:
+            separated: dict) -> bool:
     """Whether all ``problems`` (n, k) lifting problems of X over p are solved.
 
     Only for a set that ``validate`` has passed and a map that
@@ -425,14 +462,13 @@ def _filled(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int
     problem, its row without face k with the image p(z), since p(d_i z) =
     d_i p(z); over the point a problem is a compatible horn. So every
     problem is solved exactly when the count equals the number of distinct
-    realized pairs. That is c_n when two faces other than k tell the
-    n-simplices apart (0 and n for inner k; ``separated`` keeps each pair's
-    test), else the size of the shape's :func:`_lowest` table over p.
+    realized pairs. That is c_n when the spanning pair :func:`_pair` tells
+    the n-simplices apart (a test kept in ``separated``, which
+    :func:`_spanned` may have made), else the size of the shape's
+    :func:`_lowest` table over p.
     """
-    pair = (1 if k == 0 else 0, n - 1 if k == n else n)
-    if pair not in separated:
-        separated[pair] = _separates(X, n, pair)
-    return (X.cells[n] if separated[pair] else len(_lowest(X, p, n, k))) == problems
+    pair = _pair(n, k)
+    return (X.cells[n] if _separates(X, n, pair, separated) else len(_lowest(X, p, n, k))) == problems
 
 
 def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
@@ -451,12 +487,12 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
     first horn that does not lift.
     """
     counted = X._valid and (p is None or p._valid)
+    separated: dict = {}
     for n, level in groupby(scans, itemgetter(0)):
         level = list(level)
         counts: dict[int, tuple[int, int]] = {}
         if counted and all(restrict is None and not descending for _, _, restrict, descending in level):
-            counts = _horn_counts(X, n, [k for _, k, _, _ in level], p)
-        separated: dict[tuple[int, int], bool] = {}
+            counts = _horn_counts(X, n, [k for _, k, _, _ in level], p, separated)
         for _, k, restrict, descending in level:
             if k in counts and _filled(X, p, n, k, counts[k][1], separated):
                 yield n, k, counts[k][0], None
@@ -601,11 +637,12 @@ def edge_verdicts(X: SemisimplicialSet, property: str, D: Optional[int] = None) 
     props = ("cartesian", "cocartesian") if property == "equivalence" else (property,)
     bound = X.dim if D is None else min(D, X.dim)
     failed: list[dict[int, Horn]] = [{} for _ in props]
+    separated: dict = {}
     for level in zip(*(_edge_shapes(prop, bound) for prop in props)):
         n = level[0][0]
-        counts = _horn_counts(X, n, [k for _, k, _, _, _ in level]) if X._valid else {}
+        counts = _horn_counts(X, n, [k for _, k, _, _, _ in level], None, separated) if X._valid else {}
         for first, (_, k, face, end, descending) in zip(failed, level):
-            if k in counts and _filled(X, None, n, k, counts[k][1], {}):
+            if k in counts and _filled(X, None, n, k, counts[k][1], separated):
                 continue
             columns = _face_columns(X, n, k, descending=descending)
             ends = _gather(columns[_positions(n, k).index(face)])(X.edges(n - 1, end))
@@ -664,12 +701,12 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Horn
     """
     bound = p.depth if D is None else min(D, p.depth)
     if p.factor is not None:
-        checked, target_counts = 0, {}
+        checked, target_counts, separated = 0, {}, {}
         for n, k, filled, failure in _shapes(p.factor, None, _inner_scans(bound)):
             if failure is not None:
                 break
             if n not in target_counts:
-                target_counts[n] = _horn_counts(p.target, n, range(n - 1, 0, -1))
+                target_counts[n] = _horn_counts(p.target, n, range(n - 1, 0, -1), None, separated)
             checked += filled * target_counts[n][k][0]
         else:
             return HornVerdict(True, bound, None, checked)

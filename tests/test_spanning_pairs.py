@@ -1,0 +1,166 @@
+"""The spanning-pair rule of the counted horn scans, against the enumerator.
+
+On a set that ``validate`` has passed, ``horn._spanned`` decides an (n, k)
+shape, n >= 2, from its first and last faces (a, b): where faces (a, b) tell
+the n-simplices apart, slots (a, b-1) tell the (n-1)-simplices apart (for
+n > 2), and the compatible pairs (x_a, x_b) number c_n, the shape has c_n
+horns and every one fills. For every shape the rule decides on a drawn set,
+the enumerator must list exactly c_n horns, each a key of the shape's
+``_lowest`` table, and the level counter must count every shape of a level
+as the enumerator does.
+
+The drawn sets are nerves of the categories of ``test_drawn_categories.py``,
+the 1-coskeleta of ``test_loop_coskeleta.py``, and face-closed subsets of
+both: each simplex is dropped with a drawn chance, and so is every simplex
+with a dropped face; or besides, the top level keeps one simplex of those
+that agree at two drawn face positions, which meets the rule's first test.
+
+A structural test pins where the rule runs: after ``validate``, the inner
+scan of Z/3 at D5 and the edge verdicts of Z/6 at D5 make no frontier step
+at all; the Kan scan of the ``{1, e}`` monoid still steps and still names
+the ordered scan's witness; and a copy that ``validate`` has not passed
+never reaches the rule.
+"""
+
+import random
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from degenforge import (
+    SemisimplicialSet,
+    check_inner,
+    check_kan,
+    cyclic_group,
+    edge_verdicts,
+    idempotent_monoid,
+    nerve,
+    validate,
+)
+from degenforge import horn as horn_module
+from degenforge.horn import _face_columns, _horn_counts, _lowest, _pair, _spanned
+from conftest import drawn_categories as categories
+from test_drawn_categories import _chains
+from test_loop_coskeleta import coskeleton
+
+TOP_CELLS = 400  # the most top-level simplices a drawn nerve may have
+COSKELETON_CELLS = 1100  # and a drawn coskeleton
+
+
+def _face_closed(X: SemisimplicialSet, rng, chance: float, thin: bool) -> SemisimplicialSet:
+    """X without each simplex dropped with ``chance`` and every simplex with a dropped face.
+
+    With ``thin``, the top level keeps only one simplex, drawn, of those with
+    the same faces at two drawn positions.
+    """
+    kept: list[dict[int, int]] = [{j: j2 for j2, j in enumerate(j for j in range(X.cells[0])
+                                                           if rng.random() >= chance)}]
+    faces = []
+    for n in range(1, X.dim + 1):
+        level, below = {}, kept[-1]
+        for j in range(X.cells[n]):
+            row = X.faces_of(n, j)
+            if rng.random() >= chance and all(v in below for v in row):
+                level[j] = [below[v] for v in row]
+        if thin and n == X.dim:
+            a, b = sorted(rng.sample(range(n + 1), 2))
+            classes: dict[tuple[int, int], list[int]] = {}
+            for j, row in level.items():
+                classes.setdefault((row[a], row[b]), []).append(j)
+            level = {j: level[j] for j in sorted(map(rng.choice, classes.values()))}
+        kept.append({j: t for t, j in enumerate(level)})
+        faces.append(list(level.values()))
+    return SemisimplicialSet([len(level) for level in kept], faces)
+
+
+def _decided_shapes_fill(X: SemisimplicialSet) -> int:
+    """Check every shape the rule decides on X, and every level count; the number of decided shapes."""
+    assert validate(X).ok
+    decided = 0
+    for n in range(2, X.dim + 1):
+        for k in range(n + 1):
+            if X.cells[n - 1] and _spanned(X, n, _pair(n, k), {}):
+                decided += 1
+                rows = list(zip(*_face_columns(X, n, k)))
+                assert len(rows) == X.cells[n], (n, k)
+                realized = _lowest(X, None, n, k)
+                assert all(row in realized for row in rows), (n, k)
+        for ks in (range(n - 1, 0, -1), range(n, -1, -1)):
+            want = {k: (len(_face_columns(X, n, k)[0]),) * 2 for k in ks}
+            assert _horn_counts(X, n, ks) == want, (n, list(ks))
+    return decided
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories, st.integers(min_value=2, max_value=4), st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_decided_shapes_of_drawn_nerves_fill(category, dim, chance, thin, rng):
+    while dim > 2 and _chains(category, dim) > TOP_CELLS:
+        dim -= 1
+    if _chains(category, dim) > TOP_CELLS:
+        return
+    _decided_shapes_fill(_face_closed(nerve(category, dim).sset, rng, chance, thin))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=4), st.sampled_from([0.0, 0.05, 0.2, 0.5]), st.booleans(),
+       st.randoms(use_true_random=False))
+# two thinned sets that the rule decides wrongly without its first test, and without its second
+@example(1, 2, 2, 0.0, True, random.Random(1))
+@example(1, 2, 3, 0.0, True, random.Random(0))
+def test_decided_shapes_of_drawn_coskeleta_fill(vertices, edges, dim, chance, thin, rng):
+    while dim > 2 and vertices ** (dim + 1) * edges ** (dim * (dim + 1) // 2) > COSKELETON_CELLS:
+        dim -= 1
+    _decided_shapes_fill(_face_closed(coskeleton(vertices, edges, dim), rng, chance, thin))
+
+
+def test_the_rule_decides_every_shape_of_a_group_nerve():
+    assert _decided_shapes_fill(nerve(cyclic_group(3), 4).sset) == sum(n + 1 for n in range(2, 5))
+
+
+def _stepping():
+    """A patch of ``horn._step`` that records each call, and the list it records in."""
+    calls = []
+    step = horn_module._step
+
+    def recording(*args, **kwargs):
+        calls.append(args[3])
+        return step(*args, **kwargs)
+
+    return mock.patch.object(horn_module, "_step", recording), calls
+
+
+def _copy(X: SemisimplicialSet) -> SemisimplicialSet:
+    return SemisimplicialSet.from_json_dict(X.to_json_dict())
+
+
+def test_validated_group_nerves_are_scanned_without_a_frontier_step():
+    Z3, Z6 = nerve(cyclic_group(3), 5).sset, nerve(cyclic_group(6), 5).sset
+    assert validate(Z3).ok and validate(Z6).ok
+    patch, calls = _stepping()
+    with patch:
+        assert check_inner(Z3, 5).ok
+        assert all(verdict.result for verdict in edge_verdicts(Z6, "equivalence", 5))
+    assert calls == []
+
+
+def test_a_failing_kan_shape_still_steps_and_names_the_ordered_witness():
+    M = nerve(idempotent_monoid(), 5).sset
+    ordered = check_kan(_copy(M), 5)
+    assert validate(M).ok
+    patch, calls = _stepping()
+    with patch:
+        counted = check_kan(M, 5)
+    assert calls and not counted.ok
+    assert counted.to_json_dict() == ordered.to_json_dict()
+
+
+def test_a_copy_that_has_not_passed_validate_never_reaches_the_rule():
+    X = _copy(nerve(cyclic_group(3), 4).sset)
+    assert not X._valid
+    with mock.patch.object(horn_module, "_spanned", side_effect=AssertionError("rule reached")):
+        assert check_inner(X, 4).ok and check_kan(X, 4).ok
+        assert all(verdict.result for verdict in edge_verdicts(X, "equivalence", 4))
+        assert _horn_counts(X, 3, range(2, 0, -1)) == {2: (27, 27), 1: (27, 27)}
