@@ -31,12 +31,18 @@ exactly when the count equals the number of distinct realized pairs: c_n
 when the spanning pair tells the n-simplices apart, else the size of the
 shape's table. A shape whose counts differ takes the ordered scan, which
 names its first horn that does not lift. A set or map that has not passed
-its check, and a restricted scan, is always scanned in order.
+its check is always scanned in order. The rule's separation tests and
+verdicts are made once and kept on the set, as the tables are.
 
 An edge's cartesian (cocartesian) horns are the (n, n) ((n, 0)) horns whose
 last (first) edge it is, so an edge passes whenever its shape fills, and
 :func:`edge_verdicts` scans a failing shape once for every edge. A question
-about one edge runs that edge's restricted scans.
+about one edge runs that edge's restricted scans. Over the point, on a set
+that ``validate`` has passed, a restricted scan of a shape that the rule
+decides passes with no frontier step and no table: each horn of the shape is
+the row of exactly one n-simplex, so it checks the n-simplices whose last
+(first) edge is the edge, one count over a column of edges. Every other
+restricted scan, over a map too, is scanned in order.
 """
 
 from __future__ import annotations
@@ -222,17 +228,15 @@ def _face_columns(X: SemisimplicialSet, n: int, k: int,
 
 
 def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int],
-                 p: Optional[SemisimplicialMap] = None,
-                 separated: Optional[dict] = None) -> dict[int, tuple[int, int]]:
+                 p: Optional[SemisimplicialMap] = None) -> dict[int, tuple[int, int]]:
     """For each k in ``ks``, the compatible (n, k) horns and their lifting problems over p, counted.
 
     Over the point, on a set that ``validate`` has passed, a shape that
-    :func:`_spanned` decides has c_n of each; its tests are kept in
-    ``separated``. The positions that every other shape has (0 and n for
-    the inner shapes) are assigned first. The missing positions are then
-    split into two halves: one half is assigned and the other recursed on,
-    then the other way round. With one position k left, the frontier is the
-    compatible (n, k) horns. Each assignment is one :func:`_step`, so the
+    :func:`_spanned` decides has c_n of each. The positions that every other
+    shape has (0 and n for the inner shapes) are assigned first. The missing
+    positions are then split into two halves: one half is assigned and the
+    other recursed on, then the other way round. With one position k left,
+    the frontier is the compatible (n, k) horns. Each assignment is one :func:`_step`, so the
     counts are those of :func:`_face_columns`; the inner shapes of level 5
     take 9 frontier steps where one enumeration per shape takes 16, those of
     level 6 take 13 for 25. A horn weighs its number of lifting problems,
@@ -243,9 +247,7 @@ def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int],
         return dict.fromkeys(ks, (0, 0))
     counts: dict[int, tuple[int, int]] = {}
     if p is None and X._valid and n >= 2:
-        separated = {} if separated is None else separated
-        spanned = {pair: _spanned(X, n, pair, separated) for pair in {_pair(n, k) for k in ks}}
-        counts = {k: (X.cells[n], X.cells[n]) for k in ks if spanned[_pair(n, k)]}
+        counts = {k: (X.cells[n], X.cells[n]) for k in ks if _spanned(X, n, _pair(n, k))}
         ks = tuple(k for k in ks if k not in counts)
         if not ks:
             return counts
@@ -423,12 +425,13 @@ def _first_false(flags: Iterable[bool]) -> Optional[int]:
         return None
 
 
-def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int], separated: dict) -> bool:
-    """Whether the n-simplices of X are told apart by their faces at ``pair``; kept in ``separated``."""
-    if (n, pair) not in separated:
+def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
+    """Whether the n-simplices of X are told apart by their faces at ``pair``; kept on X."""
+    separated = X._separated.get((n, pair))
+    if separated is None:
         faces = zip(X.face_column(n, pair[0]), X.face_column(n, pair[1]))
-        separated[n, pair] = len(set(faces)) == X.cells[n]
-    return separated[n, pair]
+        separated = X._separated[n, pair] = len(set(faces)) == X.cells[n]
+    return separated
 
 
 def _pair(n: int, k: int) -> tuple[int, int]:
@@ -436,7 +439,7 @@ def _pair(n: int, k: int) -> tuple[int, int]:
     return 1 if k == 0 else 0, n - 1 if k == n else n
 
 
-def _spanned(X: SemisimplicialSet, n: int, pair: tuple[int, int], separated: dict) -> bool:
+def _spanned(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
     """Whether the (n, k) horns with spanning pair (a, b), n >= 2, are c_n and all fill.
 
     Only for a set that ``validate`` has passed. Each other face x_i of a
@@ -444,17 +447,22 @@ def _spanned(X: SemisimplicialSet, n: int, pair: tuple[int, int], separated: dic
     d_i x_b. So if (i) faces (a, b) tell the n-simplices apart, (ii) for
     n > 2 slots (a, b-1) tell the (n-1)-simplices apart, and (iii) the pairs
     with d_{b-1} x_a = d_a x_b number c_n, then c_n <= realized horns <=
-    horns <= pairs = c_n.
+    horns <= pairs = c_n, and each horn is the row of exactly one n-simplex.
+    The faces never change, so the verdict and both separation tests are
+    made once and kept on X, as its :func:`_lowest` tables are.
     """
-    a, b = pair
-    if not (_separates(X, n, pair, separated) and (n == 2 or _separates(X, n - 1, (a, b - 1), separated))):
-        return False
-    below = Counter(X.face_column(n - 1, a))
-    return sum(map(below.__getitem__, X.face_column(n - 1, b - 1))) == X.cells[n]
+    spanned = X._spanned.get((n, pair))
+    if spanned is None:
+        a, b = pair
+        spanned = _separates(X, n, pair) and (n == 2 or _separates(X, n - 1, (a, b - 1)))
+        if spanned:
+            below = Counter(X.face_column(n - 1, a))
+            spanned = sum(map(below.__getitem__, X.face_column(n - 1, b - 1))) == X.cells[n]
+        X._spanned[n, pair] = spanned
+    return spanned
 
 
-def _filled(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int, problems: int,
-            separated: dict) -> bool:
+def _filled(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int, problems: int) -> bool:
     """Whether all ``problems`` (n, k) lifting problems of X over p are solved.
 
     Only for a set that ``validate`` has passed and a map that
@@ -463,41 +471,58 @@ def _filled(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int
     d_i p(z); over the point a problem is a compatible horn. So every
     problem is solved exactly when the count equals the number of distinct
     realized pairs. That is c_n when the spanning pair :func:`_pair` tells
-    the n-simplices apart (a test kept in ``separated``, which
-    :func:`_spanned` may have made), else the size of the shape's
-    :func:`_lowest` table over p.
+    the n-simplices apart (a test kept on X, which :func:`_spanned` may have
+    made), else the size of the shape's :func:`_lowest` table over p.
     """
-    pair = _pair(n, k)
-    return (X.cells[n] if _separates(X, n, pair, separated) else len(_lowest(X, p, n, k))) == problems
+    return (X.cells[n] if _separates(X, n, _pair(n, k)) else len(_lowest(X, p, n, k))) == problems
+
+
+def _restriction(X: SemisimplicialSet, n: int,
+                 edge: Optional[tuple[int, str, int]]) -> Optional[dict[int, list[int]]]:
+    """The ``restrict`` of a scan's :func:`_face_columns` call: none, or face x_face's ``end`` edge e."""
+    if edge is None:
+        return None
+    face, end, e = edge
+    return {face: [j for j, x in enumerate(X.edges(n - 1, end)) if x == e]}
 
 
 def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
             scans: Iterable[tuple]) -> Iterator[tuple[int, int, int, Optional[LiftFailure]]]:
     """Per scan, up to the first that fails: ``(n, k, horns checked, failure)``.
 
-    Each scan is the ``(n, k, restrict, descending)`` of a :func:`_face_columns`
-    call, and a scan that fails checked its horns up to the failing one.
-    Every scan of a shape reads the same :func:`_lowest` table.
+    Each scan is ``(n, k, edge, descending)``: the compatible (n, k) horns in
+    the order of :func:`_face_columns`, all of them with ``edge`` None, or
+    with ``edge`` = (face, end, e), n >= 2, those whose face x_face has e as
+    its ``end`` edge (:func:`_edge_shapes` pairs face 0 with the last edge and
+    face n with the first). A scan that fails checked its horns up to the
+    failing one. Every scan of a shape reads the same :func:`_lowest` table.
 
     A level of unrestricted, ascending scans, on a set that ``validate`` has
     passed and over a map that ``validate_map`` has passed (or over the
     point), is counted by :func:`_horn_counts`, and a shape that
-    :func:`_filled` passes yields its horn count. A shape whose counts
-    differ, and every other scan, runs the ordered scan, which names the
-    first horn that does not lift.
+    :func:`_filled` passes yields its horn count. Over the point, on a set
+    that ``validate`` has passed, a restricted scan of a shape that
+    :func:`_spanned` decides passes with no frontier step and no table: each
+    of its horns is the row of exactly one n-simplex, whose ``end`` edge is
+    that of its face x_face, so it checks the n-simplices whose ``end`` edge
+    is e, counted in ``X.edges(n, end)``. A shape whose counts differ, and
+    every other scan, runs the ordered scan, which names the first horn that
+    does not lift.
     """
     counted = X._valid and (p is None or p._valid)
-    separated: dict = {}
     for n, level in groupby(scans, itemgetter(0)):
         level = list(level)
         counts: dict[int, tuple[int, int]] = {}
-        if counted and all(restrict is None and not descending for _, _, restrict, descending in level):
-            counts = _horn_counts(X, n, [k for _, k, _, _ in level], p, separated)
-        for _, k, restrict, descending in level:
-            if k in counts and _filled(X, p, n, k, counts[k][1], separated):
+        if counted and all(edge is None and not descending for _, _, edge, descending in level):
+            counts = _horn_counts(X, n, [k for _, k, _, _ in level], p)
+        for _, k, edge, descending in level:
+            if k in counts and _filled(X, p, n, k, counts[k][1]):
                 yield n, k, counts[k][0], None
                 continue
-            columns = _face_columns(X, n, k, restrict, descending)
+            if edge is not None and p is None and X._valid and _spanned(X, n, _pair(n, k)):
+                yield n, k, X.edges(n, edge[1]).count(edge[2]), None
+                continue
+            columns = _face_columns(X, n, k, _restriction(X, n, edge), descending)
             failure = _lift_test(X, p, n, k)(columns)
             if failure is not None:
                 t, y = failure
@@ -512,10 +537,11 @@ def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
 
     The scans run through :func:`_shapes`: on a set that ``validate`` has
     passed, a level of unrestricted, ascending scans over the point is
-    counted by the level counter, and a shape whose counts differ from the
-    number of horns its simplices fill takes the ordered scan, so that
-    ``checked`` is the counts of the earlier shapes plus the witness's
-    position plus one, as an ordered scan of every shape gives.
+    counted by the level counter, a restricted scan of a shape that the
+    spanning pair decides counts the n-simplices it restricts to, and a shape
+    whose counts differ from the number of horns its simplices fill takes the
+    ordered scan, so that ``checked`` is the counts of the earlier shapes plus
+    the witness's position plus one, as an ordered scan of every shape gives.
     """
     checked = 0
     for _, _, horns, failure in _shapes(X, p, scans):
@@ -594,30 +620,39 @@ def _edge_shapes(property: str, bound: int) -> list[tuple[int, int, int, str, bo
     raise ValueError(f"unknown edge property {property!r}")
 
 
-def _edge_scans(X: SemisimplicialSet, f: SimplexRef, property: str, bound: int) -> Iterator[tuple]:
+def _edge_scans(f: SimplexRef, property: str, bound: int) -> Iterator[tuple]:
     """The scans of f's cartesian (cocartesian) condition: each shape, restricted to f's horns."""
     for n, k, face, end, descending in _edge_shapes(property, bound):
-        yield n, k, {face: [j for j, e in enumerate(X.edges(n - 1, end)) if e == f.index]}, descending
+        yield n, k, (face, end, f.index), descending
 
 
 def edge_property(X: SemisimplicialSet, f: SimplexRef, property: str,
                   D: Optional[int] = None) -> EdgeVerdict:
     """Cartesian: every right horn whose last edge is f fills; cocartesian dual.
 
-    The scans of every edge read the (n, n) or (n, 0) :func:`_lowest` tables
-    kept on X, so each shape is built once for the life of the set.
+    On a set that ``validate`` has passed, a shape that :func:`_spanned`
+    decides passes from the spanning pair, whose verdict is kept on X, with
+    the n-simplices whose last (first) edge is f as its count. Every other
+    shape is scanned in order, and the scans of every edge read the (n, n)
+    or (n, 0) :func:`_lowest` tables kept on X, so each shape is built once
+    for the life of the set.
     """
     _require_edge(X, f)
     bound = X.dim if D is None else min(D, X.dim)
-    _, failure = _scan(X, None, _edge_scans(X, f, property, bound))
+    _, failure = _scan(X, None, _edge_scans(f, property, bound))
     return EdgeVerdict(f, property, bound, failure is None, failure and failure.horn)
 
 
 def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None) -> EdgeVerdict:
-    """Conjunction of the cartesian and cocartesian verdicts at bound D: one scan, cartesian first."""
+    """Conjunction of the cartesian and cocartesian verdicts at bound D: one scan, cartesian first.
+
+    Its scans are :func:`edge_property`'s, so on a set that ``validate`` has
+    passed a shape that the spanning pair decides makes no frontier step and
+    builds no table: the s0 check of every synthesis over the point runs it.
+    """
     _require_edge(X, f)
     bound = X.dim if D is None else min(D, X.dim)
-    scans = chain(_edge_scans(X, f, "cartesian", bound), _edge_scans(X, f, "cocartesian", bound))
+    scans = chain(_edge_scans(f, "cartesian", bound), _edge_scans(f, "cocartesian", bound))
     _, failure = _scan(X, None, scans)
     return EdgeVerdict(f, "equivalence", bound, failure is None, failure and failure.horn)
 
@@ -637,12 +672,11 @@ def edge_verdicts(X: SemisimplicialSet, property: str, D: Optional[int] = None) 
     props = ("cartesian", "cocartesian") if property == "equivalence" else (property,)
     bound = X.dim if D is None else min(D, X.dim)
     failed: list[dict[int, Horn]] = [{} for _ in props]
-    separated: dict = {}
     for level in zip(*(_edge_shapes(prop, bound) for prop in props)):
         n = level[0][0]
-        counts = _horn_counts(X, n, [k for _, k, _, _, _ in level], None, separated) if X._valid else {}
+        counts = _horn_counts(X, n, [k for _, k, _, _, _ in level]) if X._valid else {}
         for first, (_, k, face, end, descending) in zip(failed, level):
-            if k in counts and _filled(X, None, n, k, counts[k][1], separated):
+            if k in counts and _filled(X, None, n, k, counts[k][1]):
                 continue
             columns = _face_columns(X, n, k, descending=descending)
             ends = _gather(columns[_positions(n, k).index(face)])(X.edges(n - 1, end))
@@ -701,12 +735,12 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Horn
     """
     bound = p.depth if D is None else min(D, p.depth)
     if p.factor is not None:
-        checked, target_counts, separated = 0, {}, {}
+        checked, target_counts = 0, {}
         for n, k, filled, failure in _shapes(p.factor, None, _inner_scans(bound)):
             if failure is not None:
                 break
             if n not in target_counts:
-                target_counts[n] = _horn_counts(p.target, n, range(n - 1, 0, -1), None, separated)
+                target_counts[n] = _horn_counts(p.target, n, range(n - 1, 0, -1))
             checked += filled * target_counts[n][k][0]
         else:
             return HornVerdict(True, bound, None, checked)
@@ -750,5 +784,5 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
         c = SimplexRef(1, f.index // p.target.cells[1])
         if edge_property(p.factor, c, property, bound).result:
             return EdgeVerdict(f, property, bound, True, None)
-    _, failure = _scan(X, p, _edge_scans(X, f, property, bound))
+    _, failure = _scan(X, p, _edge_scans(f, property, bound))
     return EdgeVerdict(f, property, bound, failure is None, failure)

@@ -177,6 +177,10 @@ class SemisimplicialSet:
         self._edges: dict = {}
         # (n, k) -> {realized (n, k) horn: its lowest filler}, built by horn._lowest
         self._lowest: dict = {}
+        # (n, pair) -> whether faces ``pair`` tell the n-simplices apart, by horn._separates;
+        # and, on a set that passed validate, whether horn._spanned decides the pair's shapes
+        self._separated: dict = {}
+        self._spanned: dict = {}
         self._hash: Optional[str] = None
         # set by validate on a pass: the faces never change, so neither does the verdict
         self._valid = False

@@ -815,35 +815,44 @@ def test_tables_over_a_map_are_kept_on_the_map(monkeypatch):
     assert C._lowest and not p.source._lowest and not p._lowest
 
 
-@pytest.mark.parametrize("order, dim, shared", [(2, 5, 6), (3, 4, 4), (5, 5, 6)])
-def test_the_s0_checks_and_the_engine_share_each_table(monkeypatch, order, dim, shared):
-    # the edge checks of the s0 resolution build (n, n) and (n, 0) tables that both
-    # steps of the engine read again: the engine reads those very tables
+@pytest.mark.parametrize("order, dim", [(2, 5), (3, 4), (5, 5)])
+def test_the_s0_checks_build_no_table_and_the_engine_builds_each_once(monkeypatch, order, dim):
+    # on a validated group nerve the spanning pair decides every edge scan of the s0
+    # resolution, so it builds no lowest-filler table and makes no frontier step; the
+    # engine then builds each table it reads exactly once
     from degenforge import degeneracy, horn
     X = nerve(cyclic_group(order), dim).sset
-    before, read, built = {}, set(), Counter()
-    engine_run, canonical_fill = degeneracy._Engine.run, degeneracy._Engine._canonical_fill
-    lift_keys = horn._lift_keys
+    in_s0, read, built, steps = [], set(), Counter(), Counter()
+    resolve, canonical_fill = degeneracy._resolve_s0_absolute, degeneracy._Engine._canonical_fill
+    lift_keys, step = horn._lift_keys, horn._step
 
-    def recording_run(engine):
-        before.update(X._lowest)
-        return engine_run(engine)
+    def recording_resolve(*args):
+        steps["resolutions"] += 1
+        in_s0.append(True)
+        try:
+            return resolve(*args)
+        finally:
+            in_s0.pop()
 
     def recording_fill(engine, m, k, *args):
         read.add((m, k))
         return canonical_fill(engine, m, k, *args)
 
     def recording_keys(Z, p, n, k):
-        built[n, k] += 1
+        built[bool(in_s0), n, k] += 1
         return lift_keys(Z, p, n, k)
 
-    monkeypatch.setattr(degeneracy._Engine, "run", recording_run)
+    def recording_step(*args, **kwargs):
+        steps[bool(in_s0)] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(degeneracy, "_resolve_s0_absolute", recording_resolve)
     monkeypatch.setattr(degeneracy._Engine, "_canonical_fill", recording_fill)
     monkeypatch.setattr(horn, "_lift_keys", recording_keys)
+    monkeypatch.setattr(horn, "_step", recording_step)
     synthesize(SynthesisInput(X), dim)
-    assert len(read & set(before)) == shared
-    assert set(built.values()) == {1} and set(built) == read | set(before)
-    assert all(X._lowest[shape] is table for shape, table in before.items())
+    assert steps["resolutions"] == 1 and not steps[True] and not any(during for during, _, _ in built)
+    assert set(built.values()) == {1} and {(n, k) for _, n, k in built} == read == set(X._lowest)
 
 
 def test_a_kan_set_has_only_equivalences():

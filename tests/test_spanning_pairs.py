@@ -20,9 +20,19 @@ scan of Z/3 at D5 and the edge verdicts of Z/6 at D5 make no frontier step
 at all; the Kan scan of the ``{1, e}`` monoid still steps and still names
 the ordered scan's witness; and a copy that ``validate`` has not passed
 never reaches the rule.
+
+An edge's restricted scans answer a shape that the rule decides from the
+spanning pair: on the same drawn sets, after ``validate``, every edge's
+``edge_property`` and ``is_equivalence`` verdict and witness, and the
+``checked`` of each of its restricted scans, must be those of the ordered
+scans of a copy that has not passed. Those answers make no frontier step
+and build no table on Z/6 at D5, and the rule's decisions are kept on the
+set: a synthesis on J x J x J at D4 asks the rule about the same shapes
+once per vertex and reads its face columns once.
 """
 
 import random
+from collections import Counter
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -30,16 +40,23 @@ from hypothesis import strategies as st
 
 from degenforge import (
     SemisimplicialSet,
+    SimplexRef,
+    SynthesisInput,
     check_inner,
     check_kan,
     cyclic_group,
+    edge_property,
     edge_verdicts,
     idempotent_monoid,
+    is_equivalence,
+    j_groupoid,
     nerve,
+    product_category,
+    synthesize,
     validate,
 )
 from degenforge import horn as horn_module
-from degenforge.horn import _face_columns, _horn_counts, _lowest, _pair, _spanned
+from degenforge.horn import _edge_scans, _face_columns, _horn_counts, _lowest, _pair, _scan, _spanned
 from conftest import drawn_categories as categories
 from test_drawn_categories import _chains
 from test_loop_coskeleta import coskeleton
@@ -80,7 +97,7 @@ def _decided_shapes_fill(X: SemisimplicialSet) -> int:
     decided = 0
     for n in range(2, X.dim + 1):
         for k in range(n + 1):
-            if X.cells[n - 1] and _spanned(X, n, _pair(n, k), {}):
+            if X.cells[n - 1] and _spanned(X, n, _pair(n, k)):
                 decided += 1
                 rows = list(zip(*_face_columns(X, n, k)))
                 assert len(rows) == X.cells[n], (n, k)
@@ -164,3 +181,83 @@ def test_a_copy_that_has_not_passed_validate_never_reaches_the_rule():
         assert check_inner(X, 4).ok and check_kan(X, 4).ok
         assert all(verdict.result for verdict in edge_verdicts(X, "equivalence", 4))
         assert _horn_counts(X, 3, range(2, 0, -1)) == {2: (27, 27), 1: (27, 27)}
+
+
+def _edge_answers(X: SemisimplicialSet) -> list:
+    """Per edge: both edge properties, the equivalence, and ``_scan`` of each restricted scan."""
+    answers = []
+    for e in range(X.cells[1]):
+        f = SimplexRef(1, e)
+        answers.append([edge_property(X, f, "cartesian").to_json_dict(),
+                        edge_property(X, f, "cocartesian").to_json_dict(),
+                        is_equivalence(X, f).to_json_dict(),
+                        *(_scan(X, None, [scan]) for prop in ("cartesian", "cocartesian")
+                          for scan in _edge_scans(f, prop, X.dim))])
+    return answers
+
+
+def _edge_scans_agree(X: SemisimplicialSet) -> None:
+    ordered = _copy(X)
+    assert validate(X).ok and not ordered._valid
+    assert _edge_answers(X) == _edge_answers(ordered)
+
+
+@settings(max_examples=40, deadline=None)
+@given(categories, st.integers(min_value=2, max_value=4), st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_restricted_edge_scans_of_drawn_nerves_match_the_ordered_scans(category, dim, chance, thin, rng):
+    while dim > 2 and _chains(category, dim) > TOP_CELLS:
+        dim -= 1
+    if _chains(category, dim) > TOP_CELLS:
+        return
+    _edge_scans_agree(_face_closed(nerve(category, dim).sset, rng, chance, thin))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=4), st.sampled_from([0.0, 0.05, 0.2, 0.5]), st.booleans(),
+       st.randoms(use_true_random=False))
+# the two thinned sets that the rule decides wrongly without its first test, and without its second
+@example(1, 2, 2, 0.0, True, random.Random(1))
+@example(1, 2, 3, 0.0, True, random.Random(0))
+def test_restricted_edge_scans_of_drawn_coskeleta_match_the_ordered_scans(vertices, edges, dim, chance,
+                                                                          thin, rng):
+    while dim > 2 and vertices ** (dim + 1) * edges ** (dim * (dim + 1) // 2) > COSKELETON_CELLS:
+        dim -= 1
+    _edge_scans_agree(_face_closed(coskeleton(vertices, edges, dim), rng, chance, thin))
+
+
+def test_the_edge_scans_of_a_validated_group_nerve_step_no_frontier_and_build_no_table():
+    Z6 = nerve(cyclic_group(6), 5).sset
+    assert validate(Z6).ok
+    patch, calls = _stepping()
+    with patch:
+        assert all(is_equivalence(Z6, SimplexRef(1, e), 5).result for e in range(Z6.cells[1]))
+    assert calls == [] and Z6._lowest == {}
+
+
+def test_the_rule_reads_its_columns_once_per_shape_over_a_synthesis(monkeypatch):
+    # J x J x J has 8 vertices, so the s0 resolution asks about the same edge shapes 8 times
+    X = nerve(product_category(j_groupoid(), product_category(j_groupoid(), j_groupoid())), 4).sset
+    asked, passes, reading = Counter(), Counter(), []
+    spanned, face_column = horn_module._spanned, SemisimplicialSet.face_column
+
+    def recording_spanned(Z, n, pair):
+        asked[n, pair] += 1
+        reading.append((n, pair))
+        try:
+            return spanned(Z, n, pair)
+        finally:
+            reading.pop()
+
+    def recording_column(Z, n, i):
+        if reading and Z is X:
+            passes[reading[-1], asked[reading[-1]]] += 1
+        return face_column(Z, n, i)
+
+    monkeypatch.setattr(horn_module, "_spanned", recording_spanned)
+    monkeypatch.setattr(SemisimplicialSet, "face_column", recording_column)
+    synthesize(SynthesisInput(X), 4)
+    assert max(asked.values()) >= X.cells[0]
+    # every column pass of a shape's rule is made on the first time it is asked
+    assert passes and {call for (_, call) in passes} == {1}
