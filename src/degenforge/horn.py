@@ -16,33 +16,33 @@ the same tables. A table is built on first use and kept on the set, or over
 a map on the map, so each shape is built once for the life of the set,
 however many scans and runs read it.
 
-The inner, Kan and inner-fibration scans of a set that ``validate`` has
-passed, over a map that ``validate_map`` has passed, count before they look
-up. Over the point, a shape (n, k), n >= 2, is first put to the spanning
-pair rule of :func:`_spanned`, three O(c_n) passes over face columns that
-can show that it has c_n horns and that every one fills. Every other shape
-goes to a level counter, which runs the enumerator's step over the partial
-horns that those shapes of a level share, and yields the number of lifting
-problems of each shape: each compatible horn h weighs the number of target
-n-simplices whose (n, k) horn is p(h), read from one index of the target's
-horns kept on the map, and 1 over the point. Each n-simplex realizes a
-problem, its row without face k with its image, so every problem is solved
-exactly when the count equals the number of distinct realized pairs: c_n
-when the spanning pair tells the n-simplices apart, else the size of the
-shape's table. A shape whose counts differ takes the ordered scan, which
-names its first horn that does not lift. A set or map that has not passed
-its check is always scanned in order. The rule's separation tests and
-verdicts are made once and kept on the set, as the tables are.
+Every scan of a shape (n, k), n >= 2, restricted or not, over the point or
+over a map, is first put to one rule, :func:`_decided`. On a set that
+``validate`` has passed, the spanning pair of :func:`_spanned`, three O(c_n)
+passes over face columns, can show that the shape has c_n horns and that
+each is the row of exactly one n-simplex. Over a map that ``validate_map``
+has passed, into a set that ``validate`` has passed, the target's spanning
+pair shows the same of the target's shape, and then every lifting problem
+is solved. A decided scan passes with no frontier step, lift test or table:
+it counts c_n horns, or for a scan restricted to an edge, the n-simplices
+whose last (first) edge is the edge, one count over a column of edges.
+
+Over the point, on a set that ``validate`` has passed, the other shapes of
+a level of unrestricted scans go to a level counter, which runs the
+enumerator's step over the partial horns that those shapes share and yields
+the number of compatible horns of each. Each n-simplex's row without face k
+is a compatible horn, so every horn fills exactly when the count equals the
+number of distinct rows: c_n when the spanning pair tells the n-simplices
+apart, else the size of the shape's table. Every other scan, and a shape
+whose counts differ, takes the ordered scan, which names its first horn
+that does not lift. A set or map that has not passed its check is always
+scanned in order. The rule's separation tests and verdicts are made once
+and kept on the set, as the tables are.
 
 An edge's cartesian (cocartesian) horns are the (n, n) ((n, 0)) horns whose
 last (first) edge it is, so an edge passes whenever its shape fills, and
 :func:`edge_verdicts` scans a failing shape once for every edge. A question
-about one edge runs that edge's restricted scans. Over the point, on a set
-that ``validate`` has passed, a restricted scan of a shape that the rule
-decides passes with no frontier step and no table: each horn of the shape is
-the row of exactly one n-simplex, so it checks the n-simplices whose last
-(first) edge is the edge, one count over a column of edges. Every other
-restricted scan, over a map too, is scanned in order.
+about one edge runs that edge's restricted scans.
 """
 
 from __future__ import annotations
@@ -227,30 +227,25 @@ def _face_columns(X: SemisimplicialSet, n: int, k: int,
     return columns[::-1] if descending else columns
 
 
-def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int],
-                 p: Optional[SemisimplicialMap] = None) -> dict[int, tuple[int, int]]:
-    """For each k in ``ks``, the compatible (n, k) horns and their lifting problems over p, counted.
+def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int]) -> dict[int, int]:
+    """For each k in ``ks``, the compatible (n, k) horns of X, counted.
 
-    Over the point, on a set that ``validate`` has passed, a shape that
-    :func:`_spanned` decides has c_n of each. The positions that every other
-    shape has (0 and n for the inner shapes) are assigned first. The missing
-    positions are then split into two halves: one half is assigned and the
-    other recursed on, then the other way round. With one position k left,
-    the frontier is the compatible (n, k) horns. Each assignment is one :func:`_step`, so the
-    counts are those of :func:`_face_columns`; the inner shapes of level 5
-    take 9 frontier steps where one enumeration per shape takes 16, those of
-    level 6 take 13 for 25. A horn weighs its number of lifting problems,
-    :func:`_problems`: 1 over the point (``p`` None).
+    A shape that :func:`_decided` decides over the point has c_n. The
+    positions that every other shape has (0 and n for the inner shapes) are
+    assigned first. The missing positions are then split into two halves:
+    one half is assigned and the other recursed on, then the other way
+    round. With one position k left, the frontier is the compatible (n, k)
+    horns. Each assignment is one :func:`_step`, so the counts are those of
+    :func:`_face_columns`; the inner shapes of level 5 take 9 frontier steps
+    where one enumeration per shape takes 16, those of level 6 take 13 for 25.
     """
     ks = tuple(ks)
     if not ks or n < 1 or n > X.dim or X.cells[n - 1] == 0:
-        return dict.fromkeys(ks, (0, 0))
-    counts: dict[int, tuple[int, int]] = {}
-    if p is None and X._valid and n >= 2:
-        counts = {k: (X.cells[n], X.cells[n]) for k in ks if _spanned(X, n, _pair(n, k))}
-        ks = tuple(k for k in ks if k not in counts)
-        if not ks:
-            return counts
+        return dict.fromkeys(ks, 0)
+    counts = {k: X.cells[n] for k in ks if _decided(X, None, n, k)}
+    ks = tuple(k for k in ks if k not in counts)
+    if not ks:
+        return counts
     faces = _FaceColumns(X, n - 1)
     # (assigned positions, their frontier, positions to assign next, positions missing after them)
     stack = [((), [], tuple(i for i in range(n + 1) if i not in ks), ks)]
@@ -261,28 +256,12 @@ def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int],
             assigned += (i,)
         if len(missing) == 1 or (columns and not columns[0]):
             # several shapes are left only where the frontier is empty
-            horns = len(columns[0])
-            problems = horns if p is None or not horns else _problems(p, n, missing[0], assigned, columns)
-            counts.update(dict.fromkeys(missing, (horns, problems)))
+            counts.update(dict.fromkeys(missing, len(columns[0])))
             continue
         half = len(missing) // 2
         stack += [(assigned, columns, missing[half:], missing[:half]),
                   (assigned, columns, missing[:half], missing[half:])]
     return counts
-
-
-def _problems(p: SemisimplicialMap, n: int, k: int, assigned: Sequence[int],
-              columns: Sequence[Sequence[int]]) -> int:
-    """The lifting problems over p of the (n, k) horns ``columns``, one column per position of ``assigned``.
-
-    A lifting problem is a horn h with a target n-simplex whose (n, k) horn
-    is p(h), so each horn counts the target simplices that :func:`_over`
-    files under p(h).
-    """
-    over, image = _over(p, n, k), p.levels[n - 1]
-    by_position = sorted(zip(assigned, columns), key=itemgetter(0))
-    keys = zip(*(_gather(column)(image) for _, column in by_position))
-    return sum(map(len, map(over.get, keys, repeat(()))))
 
 
 def _kept(new: Sequence[int], parent: Optional[Sequence[int]],
@@ -371,8 +350,7 @@ def _over(p: SemisimplicialMap, n: int, k: int) -> dict:
     """Each (n, k) horn of p's target that some n-simplex fills, to those simplices, ascending.
 
     The one index of the target's horns over p: the lift tests look up the
-    targets of a horn's image in it, and the level counter weighs each horn
-    by their number. It is built on first use and kept on p.
+    targets of a horn's image in it. It is built on first use and kept on p.
     """
     over = p._over.get((n, k))
     if over is None:
@@ -462,19 +440,34 @@ def _spanned(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
     return spanned
 
 
-def _filled(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int, problems: int) -> bool:
-    """Whether all ``problems`` (n, k) lifting problems of X over p are solved.
+def _decided(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int) -> bool:
+    """Whether the spanning pair decides that every (n, k) lifting problem of X over p is solved.
 
-    Only for a set that ``validate`` has passed and a map that
-    ``validate_map`` has passed. There each n-simplex z realizes a lifting
-    problem, its row without face k with the image p(z), since p(d_i z) =
-    d_i p(z); over the point a problem is a compatible horn. So every
-    problem is solved exactly when the count equals the number of distinct
-    realized pairs. That is c_n when the spanning pair :func:`_pair` tells
-    the n-simplices apart (a test kept on X, which :func:`_spanned` may have
-    made), else the size of the shape's :func:`_lowest` table over p.
+    Over the point (``p`` None) a problem is a compatible horn, and the rule
+    is :func:`_spanned` on X, a set that ``validate`` has passed. Over a map
+    that ``validate_map`` has passed, into a set that ``validate`` has
+    passed, it also needs :func:`_spanned` on the target. A problem (h, y)
+    is a horn h of X with a target n-simplex y that fills p(h). h has
+    exactly one filler z, p(z) fills p(h) since p commutes with the faces,
+    and p(h) has exactly one filler, so y = p(z). Either way the shape has
+    c_n horns, each the row of exactly one n-simplex.
     """
-    return (X.cells[n] if _separates(X, n, _pair(n, k)) else len(_lowest(X, p, n, k))) == problems
+    pair = _pair(n, k)
+    return n >= 2 and X._valid and _spanned(X, n, pair) and (
+        p is None or p._valid and p.target._valid and _spanned(p.target, n, pair))
+
+
+def _filled(X: SemisimplicialSet, n: int, k: int, horns: int) -> bool:
+    """Whether all ``horns`` compatible (n, k) horns of X fill.
+
+    Only for a set that ``validate`` has passed. There each n-simplex's row
+    without face k is a compatible horn, so every horn fills exactly when
+    the count equals the number of distinct rows. That is c_n when the
+    spanning pair :func:`_pair` tells the n-simplices apart (a test kept on
+    X, which :func:`_spanned` may have made), else the size of the shape's
+    :func:`_lowest` table.
+    """
+    return (X.cells[n] if _separates(X, n, _pair(n, k)) else len(_lowest(X, None, n, k))) == horns
 
 
 def _restriction(X: SemisimplicialSet, n: int,
@@ -497,30 +490,27 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
     face n with the first). A scan that fails checked its horns up to the
     failing one. Every scan of a shape reads the same :func:`_lowest` table.
 
-    A level of unrestricted, ascending scans, on a set that ``validate`` has
-    passed and over a map that ``validate_map`` has passed (or over the
-    point), is counted by :func:`_horn_counts`, and a shape that
-    :func:`_filled` passes yields its horn count. Over the point, on a set
-    that ``validate`` has passed, a restricted scan of a shape that
-    :func:`_spanned` decides passes with no frontier step and no table: each
-    of its horns is the row of exactly one n-simplex, whose ``end`` edge is
-    that of its face x_face, so it checks the n-simplices whose ``end`` edge
-    is e, counted in ``X.edges(n, end)``. A shape whose counts differ, and
-    every other scan, runs the ordered scan, which names the first horn that
-    does not lift.
+    A scan of a shape that :func:`_decided` decides passes with no frontier
+    step and no table: each of its horns is the row of exactly one
+    n-simplex, whose ``end`` edge is that of its face x_face, so it counts
+    c_n, or with ``edge`` the n-simplices whose ``end`` edge is e, counted in
+    ``X.edges(n, end)``. Over the point, on a set that ``validate`` has
+    passed, a level of unrestricted, ascending scans is counted by
+    :func:`_horn_counts`, and a shape that :func:`_filled` passes yields its
+    horn count. A shape whose counts differ, and every other scan, runs the
+    ordered scan, which names the first horn that does not lift.
     """
-    counted = X._valid and (p is None or p._valid)
     for n, level in groupby(scans, itemgetter(0)):
         level = list(level)
-        counts: dict[int, tuple[int, int]] = {}
-        if counted and all(edge is None and not descending for _, _, edge, descending in level):
-            counts = _horn_counts(X, n, [k for _, k, _, _ in level], p)
+        counts: dict[int, int] = {}
+        if p is None and X._valid and all(edge is None and not descending for _, _, edge, descending in level):
+            counts = _horn_counts(X, n, [k for _, k, _, _ in level])
         for _, k, edge, descending in level:
-            if k in counts and _filled(X, p, n, k, counts[k][1]):
-                yield n, k, counts[k][0], None
+            if _decided(X, p, n, k):
+                yield n, k, X.cells[n] if edge is None else X.edges(n, edge[1]).count(edge[2]), None
                 continue
-            if edge is not None and p is None and X._valid and _spanned(X, n, _pair(n, k)):
-                yield n, k, X.edges(n, edge[1]).count(edge[2]), None
+            if k in counts and _filled(X, n, k, counts[k]):
+                yield n, k, counts[k], None
                 continue
             columns = _face_columns(X, n, k, _restriction(X, n, edge), descending)
             failure = _lift_test(X, p, n, k)(columns)
@@ -535,13 +525,14 @@ def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
           scans: Iterable[tuple]) -> tuple[int, Optional[LiftFailure]]:
     """Horns checked up to the first that does not lift, and that horn with the target it misses.
 
-    The scans run through :func:`_shapes`: on a set that ``validate`` has
-    passed, a level of unrestricted, ascending scans over the point is
-    counted by the level counter, a restricted scan of a shape that the
-    spanning pair decides counts the n-simplices it restricts to, and a shape
-    whose counts differ from the number of horns its simplices fill takes the
-    ordered scan, so that ``checked`` is the counts of the earlier shapes plus
-    the witness's position plus one, as an ordered scan of every shape gives.
+    The scans run through :func:`_shapes`: a scan of a shape that
+    :func:`_decided` decides counts its horns, or the n-simplices it
+    restricts to; over the point, on a set that ``validate`` has passed, a
+    level of unrestricted, ascending scans is counted by the level counter;
+    and a shape whose counts differ from the number of horns its simplices
+    fill takes the ordered scan, so that ``checked`` is the counts of the
+    earlier shapes plus the witness's position plus one, as an ordered scan
+    of every shape gives.
     """
     checked = 0
     for _, _, horns, failure in _shapes(X, p, scans):
@@ -676,7 +667,7 @@ def edge_verdicts(X: SemisimplicialSet, property: str, D: Optional[int] = None) 
         n = level[0][0]
         counts = _horn_counts(X, n, [k for _, k, _, _, _ in level]) if X._valid else {}
         for first, (_, k, face, end, descending) in zip(failed, level):
-            if k in counts and _filled(X, None, n, k, counts[k][1]):
+            if k in counts and _filled(X, n, k, counts[k]):
                 continue
             columns = _face_columns(X, n, k, descending=descending)
             ends = _gather(columns[_positions(n, k).index(face)])(X.edges(n - 1, end))
@@ -741,7 +732,7 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Horn
                 break
             if n not in target_counts:
                 target_counts[n] = _horn_counts(p.target, n, range(n - 1, 0, -1))
-            checked += filled * target_counts[n][k][0]
+            checked += filled * target_counts[n][k]
         else:
             return HornVerdict(True, bound, None, checked)
     checked, failure = _scan(p.source, p, _inner_scans(bound))
@@ -757,9 +748,11 @@ def p_edge_property(p: SemisimplicialMap, f: SimplexRef, property: str,
     kept on p. idempotent: a 2-simplex with all faces f projecting to the
     doubly degenerate image of the base vertex.
 
-    Over a projection marked with its factor C, f is a pair (c, y), and a
-    passing verdict comes from C's :func:`edge_property` at c, which reads
-    the tables kept on C; :class:`SemisimplicialMap` states the rule.
+    On a map that ``validate_map`` has passed, a shape that :func:`_decided`
+    decides passes from both spanning pairs, with no frontier step and no
+    table. Over a projection marked with its factor C, f is a pair (c, y),
+    and a passing verdict comes from C's :func:`edge_property` at c, which
+    reads the tables kept on C; :class:`SemisimplicialMap` states the rule.
     """
     X = p.source
     _require_edge(X, f)

@@ -415,9 +415,10 @@ class SemisimplicialMap:
 
     A map keeps the lowest-filler tables of the lifts over it and one index
     of the target's horns per shape. Once the map has passed
-    ``validate_map`` and its source ``validate``, the inner-fibration scan
-    counts each level's lifting problems against that index, marked or not,
-    as the scans over the point count compatible horns.
+    ``validate_map`` and its source and target ``validate``, a scan of a
+    shape that the spanning pair decides on both sets, marked or not, passes
+    with neither, as a decided shape over the point does: each horn of the
+    source has one filler z, and its image one, which is then p(z).
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
@@ -457,6 +458,7 @@ class SemisimplicialMap:
         # (n, k) -> {(realized (n, k) horn, image): its lowest filler}, built by horn._lowest
         self._lowest: dict = {}
         # (n, k) -> {(n, k) horn of the target: the target simplices that fill it}, built by horn._over
+        # for the lift tests of the shapes that the spanning pair does not decide
         self._over: dict = {}
         self._valid = False
 

@@ -48,6 +48,7 @@ from degenforge import (
     simplex_category,
     synthesize,
     uniqueness_demo,
+    validate_map,
 )
 from degenforge.cli import run
 from conftest import drawn_categories as categories, relabeled
@@ -142,9 +143,15 @@ def test_a_marked_projection_onto_a_drawn_base_agrees_with_its_unmarked_copy(cat
         dim -= 1
     C = _relabeled(nerve(category, dim), rng)[0]
     p = product(C, nerve(BASES[base], dim).sset).right
-    unmarked = SemisimplicialMap(p.source, p.target, p.levels)
-    assert check_inner_fibration(p, dim) == check_inner_fibration(unmarked, dim)
+    # an unmarked copy without a pass is scanned in order; one that validate_map has passed
+    # answers the shapes that the spanning pair decides on both sets from the rule
+    unmarked, validated = (SemisimplicialMap(p.source, p.target, p.levels) for _ in range(2))
+    assert p.source._valid and p.target._valid and validate_map(validated).ok
+    verdict = check_inner_fibration(p, dim)
+    assert verdict == check_inner_fibration(unmarked, dim) == check_inner_fibration(validated, dim)
     for e in range(p.source.cells[1]):
         for prop in ("cartesian", "cocartesian"):
-            assert p_edge_property(p, SimplexRef(1, e), prop, dim) == \
-                p_edge_property(unmarked, SimplexRef(1, e), prop, dim), (e, prop)
+            f = SimplexRef(1, e)
+            verdict = p_edge_property(p, f, prop, dim)
+            assert verdict == p_edge_property(unmarked, f, prop, dim), (e, prop)
+            assert verdict == p_edge_property(validated, f, prop, dim), (e, prop)

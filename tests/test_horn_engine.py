@@ -49,6 +49,7 @@ from degenforge import (
     synthesize,
     synthesize_relative,
     validate,
+    validate_map,
 )
 from degenforge.cli import run
 from degenforge.horn import _face_columns, _filler_indices, _horn_counts
@@ -309,8 +310,7 @@ def test_checker_verdicts_match_brute_force(verdict_naive, validated):
             assert verdict.to_json_dict() == naive.edge(e, prop, D)
     for n in range(1, D + 1):
         for ks in (range(n - 1, 0, -1), range(n, -1, -1)):
-            # over the point each horn is one lifting problem
-            assert _horn_counts(X, n, ks) == {k: (len(_face_columns(X, n, k)[0]),) * 2 for k in ks}
+            assert _horn_counts(X, n, ks) == {k: len(_face_columns(X, n, k)[0]) for k in ks}
 
 
 @pytest.mark.parametrize("validated", [False, True], ids=["scanned", "counted"])
@@ -786,31 +786,37 @@ def test_a_second_run_on_the_same_set_builds_no_table(monkeypatch, relative):
 
 
 def test_tables_over_a_map_are_kept_on_the_map(monkeypatch):
-    # unmarked, the checks and the engine read the tables over p; marked, C's tables
+    # unmarked, the engine reads the tables over p, and the checks read none: every shape is
+    # decided by the spanning pair on both sets, so the inner-fibration scan and the edge scans
+    # over the map run no lift test, build no index of the target's horns and make no frontier
+    # step; marked, C's tables
     from degenforge import horn
     C, p, Y_deg = _marked_run()
     unmarked = SemisimplicialMap(p.source, p.target, p.levels)
-    built, scanned = Counter(), set()
-    over, lift_test = horn._over, horn._lift_test
-
-    def recording_over(q, n, k):
-        built[n, k] += (n, k) not in q._over
-        return over(q, n, k)
+    X = unmarked.source
+    assert validate_map(unmarked).ok
+    assert all(horn._decided(X, unmarked, n, k) for n in range(2, 5) for k in range(n + 1))
+    calls = Counter()
+    lift_test, step = horn._lift_test, horn._step
 
     def recording_lift_test(X, q, n, k):
-        if q is not None:
-            scanned.add((n, k))
+        calls["lift tests"] += q is not None
         return lift_test(X, q, n, k)
 
-    monkeypatch.setattr(horn, "_over", recording_over)
+    def recording_step(*args, **kwargs):
+        calls["steps"] += 1
+        return step(*args, **kwargs)
+
     monkeypatch.setattr(horn, "_lift_test", recording_lift_test)
-    synthesize_relative(SynthesisInput(unmarked.source, p=unmarked, Y_deg=Y_deg))
-    assert unmarked._lowest and not unmarked.source._lowest
-    # one index of the target's horns per shape, kept on the map: the counted inner shapes
-    # weigh their horns by it, and the s0 resolution's edge scans over the map read it
-    inner = {(n, k) for n in range(2, 5) for k in range(1, n)}
-    assert {(n, k) for n, k in scanned if k in (0, n)} and scanned <= set(built)
-    assert set(built) == set(unmarked._over) == inner | scanned and set(built.values()) == {1}
+    monkeypatch.setattr(horn, "_step", recording_step)
+    assert check_inner_fibration(unmarked, 4).ok
+    for e in range(X.cells[1]):
+        for prop in ("cartesian", "cocartesian"):
+            assert p_edge_property(unmarked, SimplexRef(1, e), prop, 4).result
+    assert calls == Counter() and not unmarked._over and not unmarked._lowest
+    synthesize_relative(SynthesisInput(X, p=unmarked, Y_deg=Y_deg))
+    assert calls["lift tests"] == 0 and not unmarked._over
+    assert unmarked._lowest and not X._lowest
     synthesize_relative(SynthesisInput(p.source, p=p, Y_deg=Y_deg))
     assert C._lowest and not p.source._lowest and not p._lowest
 
