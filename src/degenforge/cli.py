@@ -52,6 +52,8 @@ from .sset import (
 )
 
 AFFIRMATIVE = {"ok", "yes", "success", "pass"}
+S0_HELP = ('path of a JSON file: an array of edge indices, one per vertex, or an object '
+           'with key "s0" holding one, as addendum-s0 --out writes')
 
 
 # -- file helpers ------------------------------------------------------------
@@ -348,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("synthesize", help="build a degeneracy table")
     q.add_argument("sset")
     q.add_argument("--dim", type=int)
-    q.add_argument("--s0", help="JSON array of edge indices, one per vertex")
+    q.add_argument("--s0", help=S0_HELP)
     q.add_argument("--out")
     q.add_argument("--cert")
     q.set_defaults(handler=_cmd_synthesize, map=None)
@@ -360,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--ydeg", required=True)
     q.add_argument("--sub")
     q.add_argument("--adeg")
-    q.add_argument("--s0")
+    q.add_argument("--s0", help=S0_HELP)
     q.add_argument("--dim", type=int)
     q.add_argument("--out")
     q.add_argument("--cert")

@@ -27,30 +27,23 @@ is solved. A decided scan passes with no frontier step, lift test or table:
 it counts c_n horns, or for a scan restricted to an edge, the n-simplices
 whose last (first) edge is the edge, one count over a column of edges.
 
-Over the point, on a set that ``validate`` has passed, the other shapes of
-a level of unrestricted scans go to a level counter, which runs the
-enumerator's step over the partial horns that those shapes share and yields
-the number of compatible horns of each. Each n-simplex's row without face k
-is a compatible horn, so every horn fills exactly when the count equals the
-number of distinct rows: c_n when the spanning pair tells the n-simplices
-apart, else the size of the shape's table. Every other scan, and a shape
-whose counts differ, takes the ordered scan, which names its first horn
-that does not lift. A set or map that has not passed its check is always
-scanned in order. The rule's separation tests and verdicts are made once
-and kept on the set, as the tables are.
+Every scan that the rule does not decide takes the ordered scan, which
+names its first horn that does not lift. A set or map that has not passed
+its check is always scanned in order. The rule's separation tests and
+verdicts are made once and kept on the set, as the tables are.
 
 An edge's cartesian (cocartesian) horns are the (n, n) ((n, 0)) horns whose
-last (first) edge it is, so an edge passes whenever its shape fills, and
-:func:`edge_verdicts` scans a failing shape once for every edge. A question
-about one edge runs that edge's restricted scans.
+last (first) edge it is, so an edge passes whenever its shape is decided,
+and :func:`edge_verdicts` scans every other shape once for every edge. A
+question about one edge runs that edge's restricted scans.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, repeat
-from operator import eq, indexOf, itemgetter, not_
+from itertools import chain, compress, repeat
+from operator import eq, indexOf, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -225,43 +218,6 @@ def _face_columns(X: SemisimplicialSet, n: int, k: int,
     for p, i in enumerate(positions):
         columns = _step(faces, positions[:p], columns, i, pools.get(i))
     return columns[::-1] if descending else columns
-
-
-def _horn_counts(X: SemisimplicialSet, n: int, ks: Iterable[int]) -> dict[int, int]:
-    """For each k in ``ks``, the compatible (n, k) horns of X, counted.
-
-    A shape that :func:`_decided` decides over the point has c_n. The
-    positions that every other shape has (0 and n for the inner shapes) are
-    assigned first. The missing positions are then split into two halves:
-    one half is assigned and the other recursed on, then the other way
-    round. With one position k left, the frontier is the compatible (n, k)
-    horns. Each assignment is one :func:`_step`, so the counts are those of
-    :func:`_face_columns`; the inner shapes of level 5 take 9 frontier steps
-    where one enumeration per shape takes 16, those of level 6 take 13 for 25.
-    """
-    ks = tuple(ks)
-    if not ks or n < 1 or n > X.dim or X.cells[n - 1] == 0:
-        return dict.fromkeys(ks, 0)
-    counts = {k: X.cells[n] for k in ks if _decided(X, None, n, k)}
-    ks = tuple(k for k in ks if k not in counts)
-    if not ks:
-        return counts
-    faces = _FaceColumns(X, n - 1)
-    # (assigned positions, their frontier, positions to assign next, positions missing after them)
-    stack = [((), [], tuple(i for i in range(n + 1) if i not in ks), ks)]
-    while stack:
-        assigned, columns, now, missing = stack.pop()
-        for i in now:
-            columns = _step(faces, assigned, columns, i)
-            assigned += (i,)
-        if len(missing) == 1 or (columns and not columns[0]):
-            # several shapes are left only where the frontier is empty
-            counts.update(dict.fromkeys(missing, len(columns[0])))
-            continue
-        half = len(missing) // 2
-        stack += [(assigned, columns, missing[half:], missing[:half]),
-                  (assigned, columns, missing[:half], missing[half:])]
-    return counts
 
 
 def _kept(new: Sequence[int], parent: Optional[Sequence[int]],
@@ -457,19 +413,6 @@ def _decided(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: in
         p is None or p._valid and p.target._valid and _spanned(p.target, n, pair))
 
 
-def _filled(X: SemisimplicialSet, n: int, k: int, horns: int) -> bool:
-    """Whether all ``horns`` compatible (n, k) horns of X fill.
-
-    Only for a set that ``validate`` has passed. There each n-simplex's row
-    without face k is a compatible horn, so every horn fills exactly when
-    the count equals the number of distinct rows. That is c_n when the
-    spanning pair :func:`_pair` tells the n-simplices apart (a test kept on
-    X, which :func:`_spanned` may have made), else the size of the shape's
-    :func:`_lowest` table.
-    """
-    return (X.cells[n] if _separates(X, n, _pair(n, k)) else len(_lowest(X, None, n, k))) == horns
-
-
 def _restriction(X: SemisimplicialSet, n: int,
                  edge: Optional[tuple[int, str, int]]) -> Optional[dict[int, list[int]]]:
     """The ``restrict`` of a scan's :func:`_face_columns` call: none, or face x_face's ``end`` edge e."""
@@ -494,31 +437,20 @@ def _shapes(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
     step and no table: each of its horns is the row of exactly one
     n-simplex, whose ``end`` edge is that of its face x_face, so it counts
     c_n, or with ``edge`` the n-simplices whose ``end`` edge is e, counted in
-    ``X.edges(n, end)``. Over the point, on a set that ``validate`` has
-    passed, a level of unrestricted, ascending scans is counted by
-    :func:`_horn_counts`, and a shape that :func:`_filled` passes yields its
-    horn count. A shape whose counts differ, and every other scan, runs the
-    ordered scan, which names the first horn that does not lift.
+    ``X.edges(n, end)``. Every other scan runs the ordered scan, which names
+    the first horn that does not lift.
     """
-    for n, level in groupby(scans, itemgetter(0)):
-        level = list(level)
-        counts: dict[int, int] = {}
-        if p is None and X._valid and all(edge is None and not descending for _, _, edge, descending in level):
-            counts = _horn_counts(X, n, [k for _, k, _, _ in level])
-        for _, k, edge, descending in level:
-            if _decided(X, p, n, k):
-                yield n, k, X.cells[n] if edge is None else X.edges(n, edge[1]).count(edge[2]), None
-                continue
-            if k in counts and _filled(X, n, k, counts[k]):
-                yield n, k, counts[k], None
-                continue
-            columns = _face_columns(X, n, k, _restriction(X, n, edge), descending)
-            failure = _lift_test(X, p, n, k)(columns)
-            if failure is not None:
-                t, y = failure
-                yield n, k, t + 1, LiftFailure(_horn(n, k, columns, t), SimplexRef(n, y))
-                return
-            yield n, k, len(columns[0]), None
+    for n, k, edge, descending in scans:
+        if _decided(X, p, n, k):
+            yield n, k, X.cells[n] if edge is None else X.edges(n, edge[1]).count(edge[2]), None
+            continue
+        columns = _face_columns(X, n, k, _restriction(X, n, edge), descending)
+        failure = _lift_test(X, p, n, k)(columns)
+        if failure is not None:
+            t, y = failure
+            yield n, k, t + 1, LiftFailure(_horn(n, k, columns, t), SimplexRef(n, y))
+            return
+        yield n, k, len(columns[0]), None
 
 
 def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
@@ -527,12 +459,9 @@ def _scan(X: SemisimplicialSet, p: Optional[SemisimplicialMap],
 
     The scans run through :func:`_shapes`: a scan of a shape that
     :func:`_decided` decides counts its horns, or the n-simplices it
-    restricts to; over the point, on a set that ``validate`` has passed, a
-    level of unrestricted, ascending scans is counted by the level counter;
-    and a shape whose counts differ from the number of horns its simplices
-    fill takes the ordered scan, so that ``checked`` is the counts of the
-    earlier shapes plus the witness's position plus one, as an ordered scan
-    of every shape gives.
+    restricts to, and every other shape takes the ordered scan, so that
+    ``checked`` is the counts of the earlier shapes plus the witness's
+    position plus one, as an ordered scan of every shape gives.
     """
     checked = 0
     for _, _, horns, failure in _shapes(X, p, scans):
@@ -651,23 +580,20 @@ def is_equivalence(X: SemisimplicialSet, f: SimplexRef, D: Optional[int] = None)
 def edge_verdicts(X: SemisimplicialSet, property: str, D: Optional[int] = None) -> list[EdgeVerdict]:
     """Every edge's :func:`edge_property` or :func:`is_equivalence` verdict, by edge index.
 
-    Each (n, n) or (n, 0) shape is read once for all edges. On a set that
-    ``validate`` has passed it is counted first, and where it fills every
-    edge passes at n. Otherwise it takes one unrestricted scan in the edge
-    scans' order, and each failing row is charged to the edge of its x_0
-    (cartesian) or x_n (cocartesian). An edge's restricted scan visits a
-    subsequence of that scan, so the first failing row of each edge is its
-    witness; an equivalence's is its first cartesian failure, else its first
-    cocartesian one.
+    Each (n, n) or (n, 0) shape is read once for all edges. Where
+    :func:`_decided` decides the shape, every edge passes at n. Otherwise it
+    takes one unrestricted scan in the edge scans' order, and each failing
+    row is charged to the edge of its x_0 (cartesian) or x_n (cocartesian).
+    An edge's restricted scan visits a subsequence of that scan, so the
+    first failing row of each edge is its witness; an equivalence's is its
+    first cartesian failure, else its first cocartesian one.
     """
     props = ("cartesian", "cocartesian") if property == "equivalence" else (property,)
     bound = X.dim if D is None else min(D, X.dim)
     failed: list[dict[int, Horn]] = [{} for _ in props]
-    for level in zip(*(_edge_shapes(prop, bound) for prop in props)):
-        n = level[0][0]
-        counts = _horn_counts(X, n, [k for _, k, _, _, _ in level]) if X._valid else {}
-        for first, (_, k, face, end, descending) in zip(failed, level):
-            if k in counts and _filled(X, n, k, counts[k]):
+    for first, prop in zip(failed, props):
+        for n, k, face, end, descending in _edge_shapes(prop, bound):
+            if _decided(X, None, n, k):
                 continue
             columns = _face_columns(X, n, k, descending=descending)
             ends = _gather(columns[_positions(n, k).index(face)])(X.edges(n - 1, end))
@@ -720,19 +646,18 @@ def check_inner_fibration(p: SemisimplicialMap, D: Optional[int] = None) -> Horn
     A compatible (n, k) horn of C x Y is a pair of compatible horns, so over
     a projection marked with its factor C the passing verdict comes from C's
     inner scan, with ``checked`` the sum over shapes of h_C(n, k) * h_Y(n, k),
-    the factors' compatible-horn counts: C's from its scan, which counts once
-    C has passed ``validate``, and Y's from :func:`_horn_counts`.
+    the factors' compatible-horn counts: C's from its scan, and Y's c_n where
+    :func:`_decided` decides the shape on Y, else the enumerator's count.
     :class:`SemisimplicialMap` states the rule.
     """
     bound = p.depth if D is None else min(D, p.depth)
     if p.factor is not None:
-        checked, target_counts = 0, {}
+        Y, checked = p.target, 0
         for n, k, filled, failure in _shapes(p.factor, None, _inner_scans(bound)):
             if failure is not None:
                 break
-            if n not in target_counts:
-                target_counts[n] = _horn_counts(p.target, n, range(n - 1, 0, -1))
-            checked += filled * target_counts[n][k]
+            horns = Y.cells[n] if _decided(Y, None, n, k) else len(_face_columns(Y, n, k)[0])
+            checked += filled * horns
         else:
             return HornVerdict(True, bound, None, checked)
     checked, failure = _scan(p.source, p, _inner_scans(bound))

@@ -153,6 +153,15 @@ def test_addendum_s0_command(z2_files):
     assert code == 0
 
 
+def test_both_s0_options_are_documented_as_files():
+    # --s0 reads a file holding the array, or the object that addendum-s0 --out writes
+    from degenforge.cli import _build_parser
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    for command in ("synthesize", "synthesize-rel"):
+        (option,) = [a for a in commands[command]._actions if "--s0" in a.option_strings]
+        assert option.help.startswith("path of a JSON file") and "addendum-s0 --out" in option.help
+
+
 def test_demo_uniqueness_command(z2_files):
     table_path = z2_files["dir"] / "synth.table"
     run(["synthesize", str(z2_files["sset"]), "--dim", "5", "--out", str(table_path)])

@@ -19,7 +19,9 @@ the source dropped so that lifts fail. Pinned maps show what the rule rests
 on: a horn over a target horn with two fillers has two lifting problems, so
 the rule needs the target's spanning pair too; where two faces do not tell
 the source's simplices apart the shape is not decided and is scanned in
-order; and a map into a target without a pass never reaches the rule.
+order, and the same projection marked with its factor counts the target's
+undecided shapes by the enumerator and gives the same verdict and count;
+and a map into a target without a pass never reaches the rule.
 """
 
 from typing import Optional
@@ -274,6 +276,22 @@ def test_an_undecided_shape_over_a_map_takes_the_ordered_scan():
     verdict = _check_both_references(X, p.target, p.levels, 3)
     assert verdict.ok and verdict.checked == sum(
         sum(1 for _ in compatible_horns(X, n, k)) for n in (2, 3) for k in range(1, n))
+    # marked with its factor L2, the map answers from L2's scan without scanning X, and the
+    # target's undecided shapes, which have horns, are counted by the enumerator
+    C, Y = p.factor, p.target
+    assert C is not None and not horn_module._decided(Y, None, 2, 1)
+    assert sum(1 for _ in compatible_horns(Y, 2, 1)) > 0
+    enumerated = []
+    face_columns = horn_module._face_columns
+
+    def recording(S, n, k, *args, **kwargs):
+        enumerated.append((S, n, k))
+        return face_columns(S, n, k, *args, **kwargs)
+
+    with mock.patch.object(horn_module, "_face_columns", recording):
+        assert check_inner_fibration(p, 3) == verdict
+    assert any(S is Y and (n, k) == (2, 1) for S, n, k in enumerated)
+    assert all(S is C or S is Y for S, _, _ in enumerated)
 
 
 def test_a_source_with_an_empty_level_counts_nothing_there():

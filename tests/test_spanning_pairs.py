@@ -1,4 +1,4 @@
-"""The spanning-pair rule of the counted horn scans, against the enumerator.
+"""The spanning-pair rule of the horn scans, against the enumerator.
 
 On a set that ``validate`` has passed, ``horn._spanned`` decides an (n, k)
 shape, n >= 2, from its first and last faces (a, b): where faces (a, b) tell
@@ -6,8 +6,7 @@ the n-simplices apart, slots (a, b-1) tell the (n-1)-simplices apart (for
 n > 2), and the compatible pairs (x_a, x_b) number c_n, the shape has c_n
 horns and every one fills. For every shape the rule decides on a drawn set,
 the enumerator must list exactly c_n horns, each a key of the shape's
-``_lowest`` table, and the level counter must count every shape of a level
-as the enumerator does.
+``_lowest`` table. Every other shape takes the ordered scan.
 
 The drawn sets are nerves of the categories of ``test_drawn_categories.py``,
 the 1-coskeleta of ``test_loop_coskeleta.py``, and face-closed subsets of
@@ -17,9 +16,10 @@ that agree at two drawn face positions, which meets the rule's first test.
 
 A structural test pins where the rule runs: after ``validate``, the inner
 scan of Z/3 at D5 and the edge verdicts of Z/6 at D5 make no frontier step
-at all; the Kan scan of the ``{1, e}`` monoid still steps and still names
-the ordered scan's witness; and a copy that ``validate`` has not passed
-never reaches the rule.
+at all; the Kan scan of the ``{1, e}`` monoid steps only in the ordered
+scans of the shapes it reaches and the rule does not decide, and still
+names the ordered scan's witness; and a copy that ``validate`` has not
+passed never reaches the rule.
 
 An edge's restricted scans answer a shape that the rule decides from the
 spanning pair: on the same drawn sets, after ``validate``, every edge's
@@ -56,7 +56,7 @@ from degenforge import (
     validate,
 )
 from degenforge import horn as horn_module
-from degenforge.horn import _edge_scans, _face_columns, _horn_counts, _lowest, _pair, _scan, _spanned
+from degenforge.horn import _edge_scans, _face_columns, _lowest, _pair, _scan, _spanned
 from conftest import drawn_categories as categories
 from test_drawn_categories import _chains
 from test_loop_coskeleta import coskeleton
@@ -92,7 +92,7 @@ def _face_closed(X: SemisimplicialSet, rng, chance: float, thin: bool) -> Semisi
 
 
 def _decided_shapes_fill(X: SemisimplicialSet) -> int:
-    """Check every shape the rule decides on X, and every level count; the number of decided shapes."""
+    """Check every shape the rule decides on X; the number of decided shapes."""
     assert validate(X).ok
     decided = 0
     for n in range(2, X.dim + 1):
@@ -103,9 +103,6 @@ def _decided_shapes_fill(X: SemisimplicialSet) -> int:
                 assert len(rows) == X.cells[n], (n, k)
                 realized = _lowest(X, None, n, k)
                 assert all(row in realized for row in rows), (n, k)
-        for ks in (range(n - 1, 0, -1), range(n, -1, -1)):
-            want = {k: len(_face_columns(X, n, k)[0]) for k in ks}
-            assert _horn_counts(X, n, ks) == want, (n, list(ks))
     return decided
 
 
@@ -163,15 +160,32 @@ def test_validated_group_nerves_are_scanned_without_a_frontier_step():
     assert calls == []
 
 
-def test_a_failing_kan_shape_still_steps_and_names_the_ordered_witness():
+def test_a_failing_kan_shape_still_steps_and_names_the_ordered_witness(monkeypatch):
+    # the rule decides no n = 1 shape and, of level 2, only (2, 1); (2, 2) fails first, so
+    # no frontier step is made for (2, 0) nor outside the ordered scans of (1, 1), (1, 0), (2, 2)
     M = nerve(idempotent_monoid(), 5).sset
     ordered = check_kan(_copy(M), 5)
     assert validate(M).ok
-    patch, calls = _stepping()
-    with patch:
-        counted = check_kan(M, 5)
-    assert calls and not counted.ok
-    assert counted.to_json_dict() == ordered.to_json_dict()
+    shape, steps = [None], Counter()
+    face_columns, step = horn_module._face_columns, horn_module._step
+
+    def recording_columns(X, n, k, *args, **kwargs):
+        shape[0] = n, k
+        try:
+            return face_columns(X, n, k, *args, **kwargs)
+        finally:
+            shape[0] = None
+
+    def recording_step(*args, **kwargs):
+        steps[shape[0]] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(horn_module, "_face_columns", recording_columns)
+    monkeypatch.setattr(horn_module, "_step", recording_step)
+    verdict = check_kan(M, 5)
+    assert steps == Counter({(1, 1): 1, (1, 0): 1, (2, 2): 2})
+    assert not verdict.ok and verdict.checked == 5
+    assert verdict.to_json_dict() == ordered.to_json_dict()
 
 
 def test_a_copy_that_has_not_passed_validate_never_reaches_the_rule():
@@ -180,7 +194,6 @@ def test_a_copy_that_has_not_passed_validate_never_reaches_the_rule():
     with mock.patch.object(horn_module, "_spanned", side_effect=AssertionError("rule reached")):
         assert check_inner(X, 4).ok and check_kan(X, 4).ok
         assert all(verdict.result for verdict in edge_verdicts(X, "equivalence", 4))
-        assert _horn_counts(X, 3, range(2, 0, -1)) == {2: 27, 1: 27}
 
 
 def _edge_answers(X: SemisimplicialSet) -> list:
