@@ -7,13 +7,19 @@ build a correction table of double-degeneracy candidates whose N-th faces
 replace s_N and restore the missing identity.
 
 Each step fills a whole level (N, n) at once. The level's horns are
-prescribed as columns, one per face position, gathered from lower levels;
-their lowest fillers come from one table per (m, k) horn shape, which maps
-every horn that some m-simplex fills (over a map, with the image it lies
-over) to the lowest such simplex. It is the table the horn checks read,
-``horn._lowest``, kept on the set or the map: the s0 checks, both steps of
-every stage and any later run on the same set share it. Only valid sets
-reach the engine, so a horn that matches a simplex exactly is compatible.
+prescribed as columns, one per face position, gathered from lower levels.
+Where the spanning-pair rule of the horn checks, ``horn._decided``, decides
+an (m, k) shape on the set, each horn has exactly one filler, which its
+first and last faces name: a row's filler is read from the table of that
+pair, kept on the set, that the rule's separation test built, and is kept
+where its other faces, and over a map its image, are the row's
+(``horn._spanned_fill``). Every other shape takes its lowest fillers from
+one table per shape, which maps every horn that some m-simplex fills (over a
+map, with the image it lies over) to the lowest such simplex. It is the
+table the horn checks read, ``horn._lowest``, kept on the set or the map:
+the s0 checks, both steps of every stage and any later run on the same set
+share both kinds of table. Only valid sets reach the engine, so a horn that
+matches a simplex exactly is compatible.
 
 Values forced by a subcomplex or by lower degeneracies are never searched:
 they are computed from every available representation and the
@@ -63,10 +69,12 @@ from .errors import (
 from . import horn as _horn
 from .horn import (
     Horn,
+    _decided,
     _filler_indices,
     _lowest,
     _lowest_witness,
     _positions,
+    _spanned_fill,
     check_inner,
     check_inner_fibration,
     check_kan,
@@ -559,14 +567,15 @@ class _Engine:
 
     A level's horns are prescribed as columns, one per face position, over
     the level's simplices; over a map a last column holds each horn's target.
-    Their lowest fillers come from one table per horn shape, and the values'
-    faces and images are checked against the columns. The values that may be
-    forced are decided as columns too, on every level: each representation
-    is a named column gathered over the level's head. At stage 0 the
-    vertices take their decided s0 and idempotency witnesses as their fill
-    column, checked as every fill is. A level's first failure in level
-    order, a disagreement or a simplex left without a value, is raised once.
-    Each level appends one block of columns to the certificate.
+    Their lowest fillers come from one table per horn shape: the spanning
+    pair's where the rule decides the shape, else the lowest-filler table.
+    The values' faces and images are checked against the columns. The values
+    that may be forced are decided as columns too, on every level: each
+    representation is a named column gathered over the level's head. At
+    stage 0 the vertices take their decided s0 and idempotency witnesses as
+    their fill column, checked as every fill is. A level's first failure in
+    level order, a disagreement or a simplex left without a value, is raised
+    once. Each level appends one block of columns to the certificate.
     """
 
     def __init__(self, inp: SynthesisInput, D: int):
@@ -676,13 +685,18 @@ class _Engine:
                         target: Optional[Sequence[int]]) -> list[Optional[int]]:
         """The lowest filler of each row of prescribed (m,k) horns, or None.
 
-        Over a map a filler must lie over the row's target. The fillers are
-        read from the shape's :func:`~degenforge.horn._lowest` table, kept on
-        the set, or over a map on the map, where the horn checks find it too.
-        A row is None where it has no filler or holds an undefined face. An
-        incompatible row has no filler either: the faces of a simplex of a
-        valid set are compatible, and only valid sets reach the engine.
-        Over a projection marked with its factor C (see
+        Over a map a filler must lie over the row's target. Where
+        :func:`~degenforge.horn._decided` decides the shape on the set, over
+        the point or over an unmarked map, faces (a, b) of a row name its one
+        possible filler z in the table of the spanning pair, kept on the set:
+        z is kept where its other faces, and over a map p(z), are the row's
+        (:func:`~degenforge.horn._spanned_fill`). Every other shape reads
+        its fillers from the shape's :func:`~degenforge.horn._lowest` table,
+        kept on the set, or over a map on the map, where the horn checks find
+        it too. A row is None where it has no filler or holds an undefined
+        face. An incompatible row has no filler either: the faces of a
+        simplex of a valid set are compatible, and only valid sets reach the
+        engine. Over a projection marked with its factor C (see
         :class:`SemisimplicialMap`) the table is C's, kept on C: a filler
         over y is a pair (z, y), and row-major pair indices make the lowest
         one (lowest C filler, y), where the row's faces pair with y's.
@@ -690,6 +704,8 @@ class _Engine:
         factor = None if self.p is None else self.p.factor
         if factor is not None:
             return _pair_fill(_lowest(factor, None, m, k), self.p.target, m, k, columns, target)
+        if _decided(self.X, None, m, k):
+            return _spanned_fill(self.X, self.p, m, k, columns, target)
         lowest = _lowest(self.X, self.p, m, k)
         return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
 

@@ -12,9 +12,10 @@ canonical index.
 Every lift test reads one table per (n, k) horn shape, :func:`_lowest`: it
 maps each horn that some n-simplex fills (over a map, with the image it lies
 over) to the lowest such simplex. The synthesis engine takes its fillers from
-the same tables. A table is built on first use and kept on the set, or over
-a map on the map, so each shape is built once for the life of the set,
-however many scans and runs read it.
+the same tables for every shape that the rule below does not decide. A table
+is built on first use and kept on the set, or over a map on the map, so each
+shape is built once for the life of the set, however many scans and runs
+read it.
 
 Every scan of a shape (n, k), n >= 2, restricted or not, over the point or
 over a map, is first put to one rule, :func:`_decided`. On a set that
@@ -25,7 +26,10 @@ has passed, into a set that ``validate`` has passed, the target's spanning
 pair shows the same of the target's shape, and then every lifting problem
 is solved. A decided scan passes with no frontier step, lift test or table:
 it counts c_n horns, or for a scan restricted to an edge, the n-simplices
-whose last (first) edge is the edge, one count over a column of edges.
+whose last (first) edge is the edge, one count over a column of edges. The
+engine fills a shape that the rule decides on the set, over the point or
+over a map, from the table of its spanning pair that the rule's separation
+test builds (:func:`_spanned_fill`), and builds no :func:`_lowest` table.
 
 Every scan that the rule does not decide takes the ordered scan, which
 names its first horn that does not lift. A set or map that has not passed
@@ -43,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import eq, indexOf, not_
+from operator import and_, eq, indexOf, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -53,7 +57,7 @@ from .errors import (
     NotASelfEdge,
     ParseError,
 )
-from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef, _gather, _is_index
+from .sset import SemisimplicialMap, SemisimplicialSet, SimplexRef, _canonical, _gather, _is_index
 
 
 @dataclass(frozen=True)
@@ -289,9 +293,11 @@ def _lift_keys(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int,
 def _lowest(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int) -> dict:
     """Each (n,k) horn that an n-simplex of X fills, with its image over p, to the lowest such simplex.
 
-    The one table of realized horns: the lift tests read its keys and the
-    synthesis engine its values. It depends on the shape only, so it is built
-    on first use and kept on X, or over a map on p, for the life of the set.
+    The one table of realized horns: the lift tests read its keys, and the
+    synthesis engine its values on the shapes that :func:`_decided` does not
+    decide on X (a decided shape is filled by :func:`_spanned_fill`). It
+    depends on the shape only, so it is built on first use and kept on X, or
+    over a map on p, for the life of the set.
     """
     tables = X._lowest if p is None else p._lowest
     table = tables.get((n, k))
@@ -359,13 +365,21 @@ def _first_false(flags: Iterable[bool]) -> Optional[int]:
         return None
 
 
-def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
-    """Whether the n-simplices of X are told apart by their faces at ``pair``; kept on X."""
-    separated = X._separated.get((n, pair))
-    if separated is None:
+def _separates(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> Optional[dict]:
+    """Each n-simplex's faces at ``pair`` to the simplex, if they tell the n-simplices of X apart.
+
+    None where two n-simplices share their faces at ``pair``. The answer is
+    made once and kept on X, so that the rule's separation test and the
+    engine's fills of a decided shape (:func:`_spanned_fill`) share one
+    build. Without n-simplices the table is the empty dict, which separates:
+    test the answer against None.
+    """
+    key = (n, pair)
+    if key not in X._separated:
         faces = zip(X.face_column(n, pair[0]), X.face_column(n, pair[1]))
-        separated = X._separated[n, pair] = len(set(faces)) == X.cells[n]
-    return separated
+        table = dict(zip(faces, _canonical(X.cells[n])))
+        X._separated[key] = table if len(table) == X.cells[n] else None
+    return X._separated[key]
 
 
 def _pair(n: int, k: int) -> tuple[int, int]:
@@ -383,12 +397,15 @@ def _spanned(X: SemisimplicialSet, n: int, pair: tuple[int, int]) -> bool:
     with d_{b-1} x_a = d_a x_b number c_n, then c_n <= realized horns <=
     horns <= pairs = c_n, and each horn is the row of exactly one n-simplex.
     The faces never change, so the verdict and both separation tests are
-    made once and kept on X, as its :func:`_lowest` tables are.
+    made once and kept on X, as its :func:`_lowest` tables are. Where the
+    verdict holds, the table of faces (a, b) that the first test built names
+    each horn's one filler, and the engine fills the shape from it.
     """
     spanned = X._spanned.get((n, pair))
     if spanned is None:
         a, b = pair
-        spanned = _separates(X, n, pair) and (n == 2 or _separates(X, n - 1, (a, b - 1)))
+        spanned = _separates(X, n, pair) is not None and (
+            n == 2 or _separates(X, n - 1, (a, b - 1)) is not None)
         if spanned:
             below = Counter(X.face_column(n - 1, a))
             spanned = sum(map(below.__getitem__, X.face_column(n - 1, b - 1))) == X.cells[n]
@@ -411,6 +428,38 @@ def _decided(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: in
     pair = _pair(n, k)
     return n >= 2 and X._valid and _spanned(X, n, pair) and (
         p is None or p._valid and p.target._valid and _spanned(p.target, n, pair))
+
+
+def _spanned_fill(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int,
+                  columns: Sequence[Sequence[Optional[int]]],
+                  target: Optional[Sequence[int]]) -> list[Optional[int]]:
+    """The filler of each row of (n, k) horns of X, over ``target`` on a map p, or None.
+
+    Only for a shape that :func:`_decided` decides on X over the point. The
+    horn's first and last columns are faces (a, b) of its spanning pair, and
+    X's table of :func:`_separates` names the one n-simplex z with those
+    faces. Any filler of the row has them, so z is the row's filler where
+    its other faces are the row's, and over p where p(z) is the row's
+    target; every other row has none. Row for row this is the value of the
+    row in the shape's :func:`_lowest` table, which is not built.
+    """
+    found = list(map(_separates(X, n, _pair(n, k)).get, zip(columns[0], columns[-1])))
+    if None in found:
+        # a row whose faces (a, b) name no simplex has no filler; the others are answered alone
+        rows = [t for t, z in enumerate(found) if z is not None]
+        at = _gather(rows)
+        filled = _spanned_fill(X, p, n, k, list(map(at, columns)), None if target is None else at(target))
+        return list(map(dict(zip(rows, filled)).get, range(len(found))))
+    at = _gather(found)
+    sides = [(at(X.face_column(n, i)), column) for i, column in zip(_positions(n, k)[1:-1], columns[1:-1])]
+    if p is not None:
+        sides.append((at(p.levels[n]), target))
+    fits: Optional[list[bool]] = None
+    for got, want in sides:
+        if got != tuple(want):
+            fit = list(map(eq, got, want))
+            fits = fit if fits is None else list(map(and_, fits, fit))
+    return found if fits is None else [z if fit else None for z, fit in zip(found, fits)]
 
 
 def _restriction(X: SemisimplicialSet, n: int,
@@ -486,7 +535,8 @@ def check_kan(X: SemisimplicialSet, D: Optional[int] = None) -> HornVerdict:
     """Every compatible horn fills, outer horns and the two n = 1 shapes included.
 
     Its realized horns are the :func:`_lowest` tables kept on X, which the
-    edge checks and the synthesis engine read too.
+    edge checks read too, and the synthesis engine on the shapes that
+    :func:`_decided` does not decide.
     """
     bound = X.dim if D is None else min(D, X.dim)
     scans = ((n, k, None, False) for n in range(1, bound + 1) for k in range(n, -1, -1))

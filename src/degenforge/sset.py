@@ -10,9 +10,10 @@ the horn scans and the synthesis engine read a level a face position at a
 time, from columns; no row tuple is stored. The face data is immutable
 after construction. Derived lookups that only the horn scans and the
 synthesis engine need (face-slot indices, per-level first and last edges,
-and the lowest-filler table of each horn shape) are caches, filled on first
-use and kept for the life of the set; a map keeps the lowest-filler tables
-of the lifts over it the same way. A set that is only loaded, validated and
+the lowest-filler table of each horn shape, and the spanning-pair tables
+that a decided shape is filled from) are caches, filled on first use and
+kept for the life of the set; a map keeps the lowest-filler tables of the
+lifts over it the same way. A set that is only loaded, validated and
 verified never builds them. ``validate`` records its verdict
 on the set, for the horn scans to count on.
 
@@ -175,10 +176,13 @@ class SemisimplicialSet:
         # (n, i) -> {v: n-simplices with d_i = v}; (n, a, b) -> {(v, w): ... d_a = v, d_b = w}
         self._index: dict = {}
         self._edges: dict = {}
-        # (n, k) -> {realized (n, k) horn: its lowest filler}, built by horn._lowest
+        # (n, k) -> {realized (n, k) horn: its lowest filler}, built by horn._lowest for the
+        # lift tests and for the engine's fills of the shapes that horn._decided does not decide
         self._lowest: dict = {}
-        # (n, pair) -> whether faces ``pair`` tell the n-simplices apart, by horn._separates;
-        # and, on a set that passed validate, whether horn._spanned decides the pair's shapes
+        # (n, pair) -> {(d_a, d_b): the one n-simplex with those faces} where faces ``pair``
+        # tell the n-simplices apart, else None, by horn._separates; the engine fills a
+        # decided shape from it. And, on a set that passed validate, whether horn._spanned
+        # decides the pair's shapes
         self._separated: dict = {}
         self._spanned: dict = {}
         self._hash: Optional[str] = None
@@ -455,7 +459,9 @@ class SemisimplicialMap:
         self.factor = factor
         self.depth = min(source.dim, target.dim)
         self.levels = levels
-        # (n, k) -> {(realized (n, k) horn, image): its lowest filler}, built by horn._lowest
+        # (n, k) -> {(realized (n, k) horn, image): its lowest filler}, built by horn._lowest for
+        # the lift tests and the engine's fills of the shapes the spanning pair leaves undecided on
+        # the source
         self._lowest: dict = {}
         # (n, k) -> {(n, k) horn of the target: the target simplices that fill it}, built by horn._over
         # for the lift tests of the shapes that the spanning pair does not decide

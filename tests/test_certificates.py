@@ -12,10 +12,12 @@ from collections import Counter
 import pytest
 
 from degenforge import (
+    SemisimplicialMap,
     SynthesisInput,
     cyclic_group,
     degeneracy,
     horn,
+    idempotent_monoid,
     j_groupoid,
     nerve,
     product,
@@ -25,6 +27,7 @@ from degenforge import (
 from degenforge.cli import run
 from degenforge.degeneracy import Certificate, _Engine
 from degenforge.errors import CertificateMismatch, ParseError
+from test_loop_coskeleta import loop_coskeleton
 
 X3 = nerve(cyclic_group(2), 3).sset
 
@@ -205,39 +208,57 @@ def test_a_certificate_with_other_bytes_but_the_same_records_passes(certified, t
 
 
 def _counted(monkeypatch):
-    """Count the lowest-filler tables built per shape and the engine's ``_canonical_fill`` calls."""
-    builds, calls = Counter(), Counter()
+    """Count the lowest-filler tables built per shape, and the engine's ``_canonical_fill`` calls per shape."""
+    builds, reads = Counter(), Counter()
     real_keys, real_fill = horn._lift_keys, _Engine._canonical_fill
 
     def lift_keys(X, p, m, k):
         builds[(m, k)] += 1
         return real_keys(X, p, m, k)
 
-    def canonical_fill(self, *args, **kwargs):
-        calls["fill"] += 1
-        return real_fill(self, *args, **kwargs)
+    def canonical_fill(self, m, k, *args, **kwargs):
+        reads[(m, k)] += 1
+        return real_fill(self, m, k, *args, **kwargs)
 
     monkeypatch.setattr(horn, "_lift_keys", lift_keys)
     monkeypatch.setattr(_Engine, "_canonical_fill", canonical_fill)
-    return builds, calls
+    return builds, reads
 
 
-def _relative_input(dim):
+def _relative_input(dim, marked=True):
     nj = nerve(j_groupoid(), dim)
     bundle = product(nerve(cyclic_group(2), dim).sset, nj.sset)
-    return SynthesisInput(bundle.sset, p=bundle.right, Y_deg=nj.oracle_degeneracies)
+    p = bundle.right if marked else SemisimplicialMap(bundle.sset, nj.sset, bundle.right.levels)
+    return SynthesisInput(bundle.sset, p=p, Y_deg=nj.oracle_degeneracies)
 
 
-@pytest.mark.parametrize("relative, dim, fills, shapes", [(False, 5, 18, 15), (True, 4, 10, 9)])
-def test_each_fill_table_is_built_once_per_run(monkeypatch, relative, dim, fills, shapes):
-    # the checks before the engine and both steps of every stage read one table per shape:
-    # step 1 of stage k-1 and step 2 of stage k ask the same (m, k) table for m >= k+2;
-    # the s0 checks' edge scans of Z/2 are decided by the spanning pair and build none
-    builds, calls = _counted(monkeypatch)
-    inp = _relative_input(dim) if relative else SynthesisInput(nerve(cyclic_group(2), dim).sset)
+FILL_RUNS = {
+    # name: (the run's input, its bound, the engine's fills, the tables built)
+    "Z/2@D5": (lambda: SynthesisInput(nerve(cyclic_group(2), 5).sset), 5, 18, 0),
+    "Z/2xJ->J@D4 unmarked": (lambda: _relative_input(4, marked=False), 4, 10, 0),
+    "Z/2xJ->J@D4 marked": (lambda: _relative_input(4), 4, 10, 9),
+    "monoid@D4": (lambda: SynthesisInput(nerve(idempotent_monoid(), 4).sset), 4, 10, 4),
+    "L2@D4": (lambda: SynthesisInput(loop_coskeleton(2, 4)), 4, 10, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_RUNS))
+def test_each_fill_table_is_built_once_per_run(monkeypatch, name):
+    # a shape that the spanning pair decides on X is filled from X's pair table, over the
+    # point or over an unmarked map, and builds no lowest-filler table; every other table
+    # that the checks before the engine or the steps read is built once: step 1 of stage
+    # k-1 and step 2 of stage k ask the same (m, k) table for m >= k+2. On the marked
+    # projection the engine reads C's tables, one per shape it fills from
+    make, dim, fills, tables = FILL_RUNS[name]
+    builds, reads = _counted(monkeypatch)
+    inp = make()
     synthesize(inp, dim)
-    assert calls["fill"] == fills  # one per level of each step, but for the vertices at stage 0
-    assert len(builds) == shapes and set(builds.values()) == {1}
+    assert sum(reads.values()) == fills  # one per level of each step, but for the vertices at stage 0
+    assert len(builds) == tables and set(builds.values()) <= {1}
+    if inp.p is None or inp.p.factor is None:
+        decided = {shape for shape in reads if horn._decided(inp.X, None, *shape)}
+        assert not decided & set(builds)
+        assert set(reads) - decided <= set(builds)
 
 
 def _nodes(node, path=()):

@@ -292,6 +292,77 @@ def test_a_correction_over_a_target_table_without_its_upper_level():
         "the relative run needs the target table up to level 2", None)
 
 
+def _with_level_value(table, k, n, j, value):
+    table = table.copy()
+    table.set_level(k, n, [value if i == j else v for i, v in enumerate(table.level(k, n))])
+    return table
+
+
+def _stages_of_z2():
+    """Z/2 at D5 with its oracle s0, its 0-good system and its almost-1-good one."""
+    n2 = nerve(cyclic_group(2), 5)
+    inp = base_input(n2)
+    good0 = step2_correct(step1_extend(fresh_system(n2.sset), inp, 5), inp, 5)
+    return inp, good0, step1_extend(good0, inp, 5)
+
+
+def _tampered_middle_face():
+    # s_1 undefined at the 2-simplex 1: faces 2 and 3 of its correction horn are undefined
+    inp, _, almost1 = _stages_of_z2()
+    system = GoodSystem(_with_level_value(almost1.table, 1, 2, 1, None), N=1, almost=True)
+    return lambda: step2_correct(system, inp, 5)
+
+
+def _tampered_lower_value():
+    # s_0 of the edge 1 set to the edge 0: the extension horn at the 2-simplex 1 is incompatible
+    inp, good0, _ = _stages_of_z2()
+    system = GoodSystem(_with_level_value(good0.table, 0, 1, 1, 0), N=0)
+    return lambda: step1_extend(system, inp, 5)
+
+
+def _tampered_target():
+    # s_0 of J's edge 0 set to the 2-simplex 1: the horn at the edge 0 of Z/2 x J has its one
+    # filler over another target, and the map is unmarked, so the engine fills from X's pair
+    nj, inp = _over_j(3)
+    p = inp.p
+    inp = replace(inp, p=SemisimplicialMap(p.source, p.target, p.levels),
+                  Y_deg=_with_level_value(nj.oracle_degeneracies, 0, 1, 0, 1))
+    return lambda: step1_extend(fresh_system(inp.X), inp, 3)
+
+
+@pytest.mark.parametrize("tampered, kind, text, horn, target, simplex", [
+    (_tampered_middle_face, ConsistencyViolation,
+     "needed degeneracy value undefined while prescribing face 2 of the correction horn at (2,1)",
+     None, None, (2, 1)),
+    (_tampered_lower_value, ConsistencyViolation,
+     "prescribed horn at level 2 is incompatible at [(0, 1)]; the current system violates an identity",
+     None, None, (2, 1)),
+    (_tampered_target, UnfillableHorn, "no admissible filler for the (2,1) horn at level 1",
+     Horn(2, 1, ((0, 0), (2, 0))), 1, None),
+], ids=["undefined-face", "incompatible", "wrong-target"])
+def test_a_decided_shape_refuses_a_row_that_its_pair_names_as_before(monkeypatch, tampered, kind, text,
+                                                                      horn, target, simplex):
+    # the refused row's shape is decided and its faces (a, b) name a simplex, so the fill
+    # from the spanning pair finds one and must still leave the row without a value
+    from degenforge import degeneracy, horn as horn_module
+    unfilled, rows = degeneracy._Engine._unfilled, []
+
+    def recording(engine, m, k, row, *rest):
+        rows.append((engine.X, m, k, row))
+        return unfilled(engine, m, k, row, *rest)
+
+    monkeypatch.setattr(degeneracy._Engine, "_unfilled", recording)
+    with pytest.raises(kind) as caught:
+        tampered()()
+    error = caught.value
+    assert type(error) is kind and str(error) == text
+    assert (getattr(error, "horn", None), getattr(error, "target", None)) == (horn, target)
+    assert getattr(error, "simplex", None) == simplex
+    [(X, m, k, row)] = rows
+    assert horn_module._decided(X, None, m, k)
+    assert (row[0], row[-1]) in horn_module._separates(X, m, horn_module._pair(m, k))
+
+
 def test_a_hole_in_the_target_table_is_refused_before_its_level(monkeypatch):
     # s_0 of J is undefined on u alone; the image meets u, so level 1 of step 1 is refused
     # before any of its rows is decided

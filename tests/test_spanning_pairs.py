@@ -29,6 +29,17 @@ scans of a copy that has not passed. Those answers make no frontier step
 and build no table on Z/6 at D5, and the rule's decisions are kept on the
 set: a synthesis on J x J x J at D4 asks the rule about the same shapes
 once per vertex and reads its face columns once.
+
+The engine fills a shape that the rule decides on X from the table of its
+spanning pair, over the point and over an unmarked map: faces (a, b) of a
+row name the one simplex that can fill it. On relabeled nerves that
+``validate`` has passed, and on relabeled unmarked projections that
+``validate_map`` has passed, every fill of drawn rows must be the row's
+value in the shape's ``_lowest`` table, which the fill does not build: rows
+of simplices, rows with an undefined face, rows of drawn faces, most of
+them incompatible, and rows whose faces (a, b) name a simplex while another
+face differs; over a map, each with the image of the simplex that its
+faces (a, b) name or a drawn target.
 """
 
 import random
@@ -39,6 +50,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenforge import (
+    Horn,
+    SemisimplicialMap,
     SemisimplicialSet,
     SimplexRef,
     SynthesisInput,
@@ -51,14 +64,28 @@ from degenforge import (
     is_equivalence,
     j_groupoid,
     nerve,
+    product,
     product_category,
     synthesize,
     validate,
+    validate_map,
 )
 from degenforge import horn as horn_module
-from degenforge.horn import _edge_scans, _face_columns, _lowest, _pair, _scan, _spanned
-from conftest import drawn_categories as categories
-from test_drawn_categories import _chains
+from degenforge.degeneracy import _Engine
+from degenforge.horn import (
+    _decided,
+    _edge_scans,
+    _face_columns,
+    _lowest,
+    _pair,
+    _positions,
+    _scan,
+    _spanned,
+    compatibility_failures,
+)
+from conftest import drawn_categories as categories, relabeled
+from test_counted_lifts import _drawn, _unmarked
+from test_drawn_categories import BASES, _chains
 from test_loop_coskeleta import coskeleton
 
 TOP_CELLS = 400  # the most top-level simplices a drawn nerve may have
@@ -274,3 +301,107 @@ def test_the_rule_reads_its_columns_once_per_shape_over_a_synthesis(monkeypatch)
     assert max(asked.values()) >= X.cells[0]
     # every column pass of a shape's rule is made on the first time it is asked
     assert passes and {call for (_, call) in passes} == {1}
+
+
+def _drawn_rows(X: SemisimplicialSet, n: int, k: int, rng, draws: int = 12) -> dict:
+    """Rows of (n, k) horns of X, each with the simplex whose row it is, or None.
+
+    Every simplex's row, and for up to ``draws`` drawn simplices: the row with
+    one face undefined, a row of drawn faces, and where the horn has a face
+    between its first and last, the row with that face changed.
+    """
+    positions, below = _positions(n, k), X.cells[n - 1]
+    rows = {tuple(X.faces_of(n, z)[i] for i in positions): z for z in range(X.cells[n])}
+    for row in rng.sample(sorted(rows), min(draws, len(rows))):
+        t = rng.randrange(n)
+        rows.setdefault(row[:t] + (None,) + row[t + 1:], None)
+        rows.setdefault(tuple(rng.randrange(below) for _ in row), None)
+        if n > 2 and below > 1:
+            t = rng.randrange(1, n - 1)
+            rows.setdefault(row[:t] + ((row[t] + rng.randrange(1, below)) % below,) + row[t + 1:], None)
+    order = list(rows)
+    rng.shuffle(order)
+    return {row: rows[row] for row in order}
+
+
+def _kinds(X: SemisimplicialSet, n: int, k: int, rows) -> set:
+    """Which of the drawn kinds of row ``rows`` holds."""
+    pair = horn_module._separates(X, n, _pair(n, k))
+    kinds = set()
+    for row, z in rows.items():
+        if z is not None:
+            kinds.add("simplex")
+        elif None in row:
+            kinds.add("undefined")
+        elif (row[0], row[-1]) in pair:
+            kinds.add("pair names a simplex")
+        if None not in row and compatibility_failures(X, Horn(n, k, tuple(zip(_positions(n, k), row)))):
+            kinds.add("incompatible")
+    return kinds
+
+
+def _pair_fills_agree(X: SemisimplicialSet, p, rng) -> set:
+    """Drawn rows of every shape the rule decides on X, filled by the engine over the point, or over
+    the map p with drawn targets, against ``_lowest``; the kinds of row drawn."""
+    engine, kinds = _Engine(SynthesisInput(X, p=p), X.dim), set()
+    for n in range(2, X.dim + 1):
+        for k in range(n + 1):
+            if not _decided(X, None, n, k):
+                continue
+            rows = _drawn_rows(X, n, k, rng)
+            kinds |= _kinds(X, n, k, rows)
+            columns = [[row[t] for row in rows] for t in range(n)]
+            if p is None:
+                filled = engine._canonical_fill(n, k, columns, None)
+                assert (n, k) not in X._lowest
+                assert filled == list(map(_lowest(X, None, n, k).get, rows)), (n, k)
+                continue
+            # the image of the simplex that faces (a, b) name, or a drawn target
+            named = map(horn_module._separates(X, n, _pair(n, k)).get, ((row[0], row[-1]) for row in rows))
+            targets = [p.levels[n][z] if z is not None and rng.random() < 0.5
+                       else rng.randrange(p.target.cells[n]) for z in named]
+            filled = engine._canonical_fill(n, k, columns, targets)
+            assert (n, k) not in p._lowest and (n, k) not in X._lowest
+            lowest = _lowest(X, p, n, k)
+            assert filled == [lowest.get((*row, y)) for row, y in zip(rows, targets)], (n, k)
+    return kinds
+
+
+@settings(max_examples=40, deadline=None)
+@given(categories, st.integers(min_value=2, max_value=4), st.sampled_from([0.0, 0.05, 0.2]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_pair_fills_of_drawn_nerves_are_the_lowest_fillers(category, dim, chance, thin, rng):
+    while dim > 2 and _chains(category, dim) > TOP_CELLS:
+        dim -= 1
+    if _chains(category, dim) > TOP_CELLS:
+        return
+    X = _face_closed(relabeled(nerve(category, dim).sset, rng)[0], rng, chance, thin)
+    assert validate(X).ok
+    _pair_fills_agree(X, None, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(categories, st.sampled_from(["J", *sorted(BASES)]), st.integers(min_value=2, max_value=3),
+       st.sets(st.integers(min_value=0, max_value=600), max_size=2), st.randoms(use_true_random=False))
+def test_pair_fills_over_drawn_unmarked_maps_are_the_lowest_lifts(category, base, dim, drop, rng):
+    bundle, dim = _drawn(category, base, dim)
+    if bundle is None:
+        return
+    X, Y, levels = _unmarked(bundle, dim, True, drop, rng)
+    p = SemisimplicialMap(X, Y, levels)
+    assert validate(X).ok and validate(Y).ok and validate_map(p).ok
+    _pair_fills_agree(X, p, rng)
+
+
+def test_the_drawn_rows_hold_every_kind():
+    # the draws that the properties above rest on, on one relabeled nerve and one map
+    rng = random.Random(0)
+    X = relabeled(nerve(cyclic_group(3), 4).sset, rng)[0]
+    assert validate(X).ok
+    everything = {"simplex", "undefined", "incompatible", "pair names a simplex"}
+    assert _pair_fills_agree(X, None, rng) == everything
+    bundle = product(nerve(cyclic_group(2), 3).sset, nerve(j_groupoid(), 3).sset)
+    X, Y, levels = _unmarked(bundle, 3, True, set(), rng)
+    p = SemisimplicialMap(X, Y, levels)
+    assert validate(X).ok and validate(Y).ok and validate_map(p).ok
+    assert _pair_fills_agree(X, p, rng) == everything
