@@ -8,18 +8,11 @@ replace s_N and restore the missing identity.
 
 Each step fills a whole level (N, n) at once. The level's horns are
 prescribed as columns, one per face position, gathered from lower levels.
-Where the spanning-pair rule of the horn checks, ``horn._decided``, decides
-an (m, k) shape on the set, each horn has exactly one filler, which its
-first and last faces name: a row's filler is read from the table of that
-pair, kept on the set, that the rule's separation test built, and is kept
-where its other faces, and over a map its image, are the row's
-(``horn._spanned_fill``). Every other shape takes its lowest fillers from
-one table per shape, which maps every horn that some m-simplex fills (over a
-map, with the image it lies over) to the lowest such simplex. It is the
-table the horn checks read, ``horn._lowest``, kept on the set or the map:
-the s0 checks, both steps of every stage and any later run on the same set
-share both kinds of table. Only valid sets reach the engine, so a horn that
-matches a simplex exactly is compatible.
+Their fillers are named by the one fill rule of the horn checks,
+``horn._fill``, from tables kept on the set (or on a map) where the horn
+checks read them too: the s0 checks, both steps of every stage and any
+later run on the same set share them. Only valid sets reach the engine, so
+a horn that matches a simplex exactly is compatible.
 
 Values forced by a subcomplex or by lower degeneracies are never searched:
 they are computed from every available representation and the
@@ -47,7 +40,7 @@ import json
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
-from operator import add, and_, eq, floordiv, is_, is_not, mod, not_
+from operator import add, is_, is_not, not_
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -69,12 +62,10 @@ from .errors import (
 from . import horn as _horn
 from .horn import (
     Horn,
-    _decided,
+    _fill,
     _filler_indices,
-    _lowest,
     _lowest_witness,
     _positions,
-    _spanned_fill,
     check_inner,
     check_inner_fibration,
     check_kan,
@@ -542,33 +533,12 @@ def _through(level: Optional[Sequence[Optional[int]]], column: Sequence[Optional
     return _gather(column)(level)
 
 
-def _pair_fill(lowest: dict, Y: SemisimplicialSet, m: int, k: int,
-               columns: Sequence[Sequence[Optional[int]]], target: Sequence[int]) -> list:
-    """The lowest filler of each row of (m,k) horns of C x Y over ``target``, from C's table ``lowest``."""
-    if any(None in column for column in columns):
-        # a row with an undefined face has no filler; the others are answered alone
-        rows = [r for r, row in enumerate(zip(*columns)) if None not in row]
-        at = _gather(rows)
-        found = dict(zip(rows, _pair_fill(lowest, Y, m, k, list(map(at, columns)), at(target))))
-        return list(map(found.get, range(len(target))))
-    below, above = Y.cells[m - 1], Y.cells[m]
-    at = _gather(target)
-    fits: Sequence[bool] = [True] * len(target)
-    for i, column in zip(_positions(m, k), columns):
-        parts, want = tuple(map(mod, column, repeat(below))), at(Y.face_column(m, i))
-        if parts != want:
-            fits = list(map(and_, fits, map(eq, parts, want)))
-    found = map(lowest.get, zip(*(map(floordiv, column, repeat(below)) for column in columns)))
-    return [None if z is None or not fit else z * above + y for z, fit, y in zip(found, fits, target)]
-
-
 class _Engine:
     """The two steps of every stage, a level ``(N, n)`` at a time.
 
     A level's horns are prescribed as columns, one per face position, over
     the level's simplices; over a map a last column holds each horn's target.
-    Their lowest fillers come from one table per horn shape: the spanning
-    pair's where the rule decides the shape, else the lowest-filler table.
+    Their lowest fillers are named by :func:`~degenforge.horn._fill`.
     The values' faces and images are checked against the columns. The values
     that may be forced are decided as columns too, on every level: each
     representation is a named column gathered over the level's head. At
@@ -683,31 +653,14 @@ class _Engine:
 
     def _canonical_fill(self, m: int, k: int, columns: Sequence[Sequence[Optional[int]]],
                         target: Optional[Sequence[int]]) -> list[Optional[int]]:
-        """The lowest filler of each row of prescribed (m,k) horns, or None.
+        """The lowest filler of each row of prescribed (m,k) horns, or None: :func:`~degenforge.horn._fill`.
 
-        Over a map a filler must lie over the row's target. Where
-        :func:`~degenforge.horn._decided` decides the shape on the set, over
-        the point or over an unmarked map, faces (a, b) of a row name its one
-        possible filler z in the table of the spanning pair, kept on the set:
-        z is kept where its other faces, and over a map p(z), are the row's
-        (:func:`~degenforge.horn._spanned_fill`). Every other shape reads
-        its fillers from the shape's :func:`~degenforge.horn._lowest` table,
-        kept on the set, or over a map on the map, where the horn checks find
-        it too. A row is None where it has no filler or holds an undefined
-        face. An incompatible row has no filler either: the faces of a
-        simplex of a valid set are compatible, and only valid sets reach the
-        engine. Over a projection marked with its factor C (see
-        :class:`SemisimplicialMap`) the table is C's, kept on C: a filler
-        over y is a pair (z, y), and row-major pair indices make the lowest
-        one (lowest C filler, y), where the row's faces pair with y's.
+        Over a map a filler must lie over the row's target. A row is None
+        where it has no filler or holds an undefined face. An incompatible
+        row has no filler either: the faces of a simplex of a valid set are
+        compatible, and only valid sets reach the engine.
         """
-        factor = None if self.p is None else self.p.factor
-        if factor is not None:
-            return _pair_fill(_lowest(factor, None, m, k), self.p.target, m, k, columns, target)
-        if _decided(self.X, None, m, k):
-            return _spanned_fill(self.X, self.p, m, k, columns, target)
-        lowest = _lowest(self.X, self.p, m, k)
-        return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
+        return _fill(self.X, self.p, m, k, columns, target)
 
     def _unfilled(self, m: int, k: int, row: Sequence[Optional[int]], target: Optional[int],
                   n: int, j: int, what: str) -> None:

@@ -11,11 +11,9 @@ canonical index.
 
 Every lift test reads one table per (n, k) horn shape, :func:`_lowest`: it
 maps each horn that some n-simplex fills (over a map, with the image it lies
-over) to the lowest such simplex. The synthesis engine takes its fillers from
-the same tables for every shape that the rule below does not decide. A table
-is built on first use and kept on the set, or over a map on the map, so each
-shape is built once for the life of the set, however many scans and runs
-read it.
+over) to the lowest such simplex. A table is built on first use and kept on
+the set, or over a map on the map, so each shape is built once for the life
+of the set, however many scans and runs read it.
 
 Every scan of a shape (n, k), n >= 2, restricted or not, over the point or
 over a map, is first put to one rule, :func:`_decided`. On a set that
@@ -26,10 +24,14 @@ has passed, into a set that ``validate`` has passed, the target's spanning
 pair shows the same of the target's shape, and then every lifting problem
 is solved. A decided scan passes with no frontier step, lift test or table:
 it counts c_n horns, or for a scan restricted to an edge, the n-simplices
-whose last (first) edge is the edge, one count over a column of edges. The
-engine fills a shape that the rule decides on the set, over the point or
-over a map, from the table of its spanning pair that the rule's separation
-test builds (:func:`_spanned_fill`), and builds no :func:`_lowest` table.
+whose last (first) edge is the edge, one count over a column of edges.
+
+The synthesis engine names every filler by one rule, :func:`_fill`: a shape
+that the rule decides on the set, over the point or over a map, is filled
+from the table of its spanning pair that the rule's separation test builds
+(:func:`_spanned_fill`), and every other shape from its :func:`_lowest`
+table. Over a projection that :func:`~degenforge.sset.product` marks with
+its factor C, the same rule fills C's part of each row (:func:`_pair_fill`).
 
 Every scan that the rule does not decide takes the ordered scan, which
 names its first horn that does not lift. A set or map that has not passed
@@ -47,7 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import and_, eq, indexOf, not_
+from operator import and_, eq, floordiv, indexOf, mod, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -293,11 +295,10 @@ def _lift_keys(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int,
 def _lowest(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int) -> dict:
     """Each (n,k) horn that an n-simplex of X fills, with its image over p, to the lowest such simplex.
 
-    The one table of realized horns: the lift tests read its keys, and the
-    synthesis engine its values on the shapes that :func:`_decided` does not
-    decide on X (a decided shape is filled by :func:`_spanned_fill`). It
-    depends on the shape only, so it is built on first use and kept on X, or
-    over a map on p, for the life of the set.
+    The one table of realized horns: the lift tests read its keys, and
+    :func:`_fill` its values on the shapes that :func:`_decided` does not
+    decide on X. It depends on the shape only, so it is built on first use
+    and kept on X, or over a map on p, for the life of the set.
     """
     tables = X._lowest if p is None else p._lowest
     table = tables.get((n, k))
@@ -460,6 +461,48 @@ def _spanned_fill(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, 
             fit = list(map(eq, got, want))
             fits = fit if fits is None else list(map(and_, fits, fit))
     return found if fits is None else [z if fit else None for z, fit in zip(found, fits)]
+
+
+def _fill(X: SemisimplicialSet, p: Optional[SemisimplicialMap], n: int, k: int,
+          columns: Sequence[Sequence[Optional[int]]], target: Optional[Sequence[int]]) -> list[Optional[int]]:
+    """The lowest filler of each row of (n, k) horns of X, over ``target`` on a map p, or None.
+
+    The one fill rule: the table of the spanning pair where :func:`_decided`
+    decides the shape on X over the point (:func:`_spanned_fill`), else the
+    shape's :func:`_lowest` table. Over a projection marked with its factor
+    C the rule fills C's part of each row (:func:`_pair_fill`).
+    """
+    if p is not None and p.factor is not None:
+        return _pair_fill(p.factor, p.target, n, k, columns, target)
+    if _decided(X, None, n, k):
+        return _spanned_fill(X, p, n, k, columns, target)
+    lowest = _lowest(X, p, n, k)
+    return list(map(lowest.get, zip(*columns) if target is None else zip(*columns, target)))
+
+
+def _pair_fill(C: SemisimplicialSet, Y: SemisimplicialSet, n: int, k: int,
+               columns: Sequence[Sequence[Optional[int]]], target: Sequence[int]) -> list[Optional[int]]:
+    """The lowest filler of each row of (n, k) horns of C x Y over ``target`` on Y, or None.
+
+    A filler over y is a pair (z, y), where z fills the row's C parts and the
+    row's Y parts are y's faces. Row-major pair indices make the lowest one
+    (lowest z, y), and :func:`_fill` on C names the lowest z.
+    """
+    if any(None in column for column in columns):
+        # a row with an undefined face has no filler; the others are answered alone
+        rows = [r for r, row in enumerate(zip(*columns)) if None not in row]
+        at = _gather(rows)
+        found = dict(zip(rows, _pair_fill(C, Y, n, k, list(map(at, columns)), at(target))))
+        return list(map(found.get, range(len(target))))
+    below, above = Y.cells[n - 1], Y.cells[n]
+    at = _gather(target)
+    fits: Sequence[bool] = [True] * len(target)
+    for i, column in zip(_positions(n, k), columns):
+        parts, want = tuple(map(mod, column, repeat(below))), at(Y.face_column(n, i))
+        if parts != want:
+            fits = list(map(and_, fits, map(eq, parts, want)))
+    found = _fill(C, None, n, k, [list(map(floordiv, column, repeat(below))) for column in columns], None)
+    return [None if z is None or not fit else z * above + y for z, fit, y in zip(found, fits, target)]
 
 
 def _restriction(X: SemisimplicialSet, n: int,

@@ -15,7 +15,7 @@ that a decided shape is filled from) are caches, filled on first use and
 kept for the life of the set; a map keeps the lowest-filler tables of the
 lifts over it the same way. A set that is only loaded, validated and
 verified never builds them. ``validate`` records its verdict
-on the set, for the horn scans to count on.
+on the set, and a pass lets ``horn._decided`` apply the spanning-pair rule.
 
 Simplex indices are canonical ints. A module-wide pool holds one int object
 per index, and every face level, map level and loaded degeneracy level whose
@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionTooLow, ParseError
@@ -351,8 +351,8 @@ def validate(X: SemisimplicialSet) -> ValidationReport:
 
     A pass is recorded on X, where every later check reads it, since the
     faces never change after the set is built; a failure records nothing.
-    On a set that has passed, the inner and Kan scans of ``horn`` count
-    compatible horns in place of looking each one up.
+    On a set that has passed, ``horn._decided`` applies the spanning-pair
+    rule to the horn scans and fills.
     """
     violations = []
     checked = sum(X.cells[n] * (n + 1) for n in range(1, X.dim + 1))
@@ -408,14 +408,14 @@ class SemisimplicialMap:
     commutation with the face operators is checked by :func:`validate_map`.
 
     ``factor`` = C marks the map as the right projection of the source
-    ``product(C, target)``, as :func:`product` builds it; C's cell counts
-    times the target's must be the source's. A horn of C x Y is a pair of
-    horns, and it lifts over a Y-simplex when its C-horn fills in C, so where
-    C passes, C x Y passes over Y. ``check_inner_fibration`` (C's inner
-    scan) and ``p_edge_property`` (C's edge scan at c for f = (c, y)) answer
-    from C whenever C passes, and run the full scan of the source only when
-    C fails, to name the witness. ``_Engine._canonical_fill`` always reads
-    C's lowest-filler tables.
+    ``product(C, target)``. Only :func:`product` sets it, so the mark always
+    comes from building the product; a constructed map has none. A horn of
+    C x Y is a pair of horns, and it lifts over a Y-simplex when its C-horn
+    fills in C, so where C passes, C x Y passes over Y.
+    ``check_inner_fibration`` (C's inner scan) and ``p_edge_property`` (C's
+    edge scan at c for f = (c, y)) answer from C whenever C passes, and run
+    the full scan of the source only when C fails, to name the witness.
+    ``horn._fill`` fills C's part of each row by its own rule.
 
     A map keeps the lowest-filler tables of the lifts over it and one index
     of the target's horns per shape. Once the map has passed
@@ -426,12 +426,8 @@ class SemisimplicialMap:
     """
 
     def __init__(self, source: SemisimplicialSet, target: SemisimplicialSet,
-                 levels: Sequence[Sequence[int]], factor: Optional[SemisimplicialSet] = None):
+                 levels: Sequence[Sequence[int]]):
         depth = min(source.dim, target.dim)
-        top = depth + 1
-        if factor is not None and list(map(mul, factor.cells, target.cells[:top])) != list(source.cells[:top]):
-            raise ValueError("a factor's cell counts times the target's must be the source's, "
-                             f"up to level {depth}")
         if len(levels) != depth + 1:
             raise ValueError(f"expected {depth + 1} levels, got {len(levels)}")
         norm = []
@@ -442,12 +438,15 @@ class SemisimplicialMap:
             if set(map(type, row)) - {int}:
                 raise ValueError(f"level {n}: every value must be an integer")
             norm.append(tuple(_interned(row, target.cells[n])[0]))
-        self._keep(source, target, tuple(norm), factor)
+        self._keep(source, target, tuple(norm), None)
 
     @classmethod
     def _as_is(cls, source: SemisimplicialSet, target: SemisimplicialSet, levels: tuple[tuple[int, ...], ...],
                factor: Optional[SemisimplicialSet] = None) -> "SemisimplicialMap":
-        """The map with ``levels``, stored as they are: only for levels in range by construction."""
+        """The map with ``levels``, stored as they are: only for levels in range by construction.
+
+        :func:`product` marks its right projection here with its ``factor``.
+        """
         F = cls.__new__(cls)
         F._keep(source, target, levels, factor)
         return F

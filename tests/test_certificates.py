@@ -225,9 +225,9 @@ def _counted(monkeypatch):
     return builds, reads
 
 
-def _relative_input(dim, marked=True):
+def _relative_input(category, dim, marked=True):
     nj = nerve(j_groupoid(), dim)
-    bundle = product(nerve(cyclic_group(2), dim).sset, nj.sset)
+    bundle = product(nerve(category, dim).sset, nj.sset)
     p = bundle.right if marked else SemisimplicialMap(bundle.sset, nj.sset, bundle.right.levels)
     return SynthesisInput(bundle.sset, p=p, Y_deg=nj.oracle_degeneracies)
 
@@ -235,8 +235,9 @@ def _relative_input(dim, marked=True):
 FILL_RUNS = {
     # name: (the run's input, its bound, the engine's fills, the tables built)
     "Z/2@D5": (lambda: SynthesisInput(nerve(cyclic_group(2), 5).sset), 5, 18, 0),
-    "Z/2xJ->J@D4 unmarked": (lambda: _relative_input(4, marked=False), 4, 10, 0),
-    "Z/2xJ->J@D4 marked": (lambda: _relative_input(4), 4, 10, 9),
+    "Z/2xJ->J@D4 unmarked": (lambda: _relative_input(cyclic_group(2), 4, marked=False), 4, 10, 0),
+    "Z/2xJ->J@D4 marked": (lambda: _relative_input(cyclic_group(2), 4), 4, 10, 0),
+    "monoidxJ->J@D4 marked": (lambda: _relative_input(idempotent_monoid(), 4), 4, 10, 4),
     "monoid@D4": (lambda: SynthesisInput(nerve(idempotent_monoid(), 4).sset), 4, 10, 4),
     "L2@D4": (lambda: SynthesisInput(loop_coskeleton(2, 4)), 4, 10, 12),
 }
@@ -248,17 +249,20 @@ def test_each_fill_table_is_built_once_per_run(monkeypatch, name):
     # point or over an unmarked map, and builds no lowest-filler table; every other table
     # that the checks before the engine or the steps read is built once: step 1 of stage
     # k-1 and step 2 of stage k ask the same (m, k) table for m >= k+2. On the marked
-    # projection the engine reads C's tables, one per shape it fills from
+    # projection the engine fills C's part of each row by the same rule, so the tables
+    # built are C's, each of a shape that the spanning pair leaves undecided on C
     make, dim, fills, tables = FILL_RUNS[name]
     builds, reads = _counted(monkeypatch)
     inp = make()
     synthesize(inp, dim)
     assert sum(reads.values()) == fills  # one per level of each step, but for the vertices at stage 0
     assert len(builds) == tables and set(builds.values()) <= {1}
-    if inp.p is None or inp.p.factor is None:
-        decided = {shape for shape in reads if horn._decided(inp.X, None, *shape)}
-        assert not decided & set(builds)
-        assert set(reads) - decided <= set(builds)
+    X = inp.X if inp.p is None or inp.p.factor is None else inp.p.factor
+    decided = {shape for shape in reads if horn._decided(X, None, *shape)}
+    assert not decided & set(builds)
+    assert set(reads) - decided <= set(builds)
+    if X is not inp.X:
+        assert set(X._lowest) == set(builds) and not inp.X._lowest and not inp.p._lowest
 
 
 def _nodes(node, path=()):

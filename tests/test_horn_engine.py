@@ -791,7 +791,8 @@ def test_tables_over_a_map_are_kept_on_the_map(monkeypatch):
     # unmarked, every shape is decided by the spanning pair on both sets, so the inner-fibration
     # scan and the edge scans over the map run no lift test, build no index of the target's
     # horns and make no frontier step, and the engine fills every shape from X's pair tables,
-    # kept on X, so no lowest-filler table is built over p or on X; marked, C's tables
+    # kept on X, so no lowest-filler table is built over p or on X; marked, the engine fills
+    # C's part of each row by the same rule, from C's pair tables
     from degenforge import horn
     C, p, Y_deg = _marked_run()
     unmarked = SemisimplicialMap(p.source, p.target, p.levels)
@@ -821,7 +822,8 @@ def test_tables_over_a_map_are_kept_on_the_map(monkeypatch):
     assert not unmarked._lowest and not X._lowest
     assert all(X._separated.get((n, horn._pair(n, k))) for n in range(2, 5) for k in range(n + 1))
     synthesize_relative(SynthesisInput(p.source, p=p, Y_deg=Y_deg))
-    assert C._lowest and not p.source._lowest and not p._lowest
+    assert not C._lowest and not p.source._lowest and not p._lowest
+    assert all(C._separated.get((n, horn._pair(n, k))) for n in range(2, 5) for k in range(n + 1))
 
 
 S0_RUNS = {

@@ -1,4 +1,8 @@
-"""Import hygiene: the runtime imports only the standard library, and uses what it imports."""
+"""Import hygiene: the runtime imports only the standard library, and uses what it imports.
+
+One module makes every fill decision: only ``horn`` names the fill tables and fills, or
+reads a projection's factor mark.
+"""
 
 import ast
 import sys
@@ -43,3 +47,29 @@ def test_only_the_command_line_touches_the_collector():
     importers = [p.name for p in sorted(package.glob("*.py"))
                  if "gc" in {top for _, top in _imports(ast.parse(p.read_text(encoding="utf-8")))}]
     assert importers == ["cli.py"]
+
+
+# the names that make a fill decision: the tables it reads, the fills from them, and the mark
+FILL_NAMES = {"_lowest", "_separates", "_spanned_fill", "_pair_fill"}
+
+
+def _fill_uses(tree: ast.Module):
+    """(name, line, stored) for every use of a fill name, and every ``.factor`` attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in FILL_NAMES:
+            yield node.id, node.lineno, isinstance(node.ctx, ast.Store)
+        elif isinstance(node, ast.alias) and node.name in FILL_NAMES:
+            yield node.name, node.lineno, False
+        elif isinstance(node, ast.Attribute) and (node.attr in FILL_NAMES or node.attr == "factor"):
+            yield node.attr, node.lineno, isinstance(node.ctx, ast.Store)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "horn.py"], ids=lambda p: p.name)
+def test_only_horn_decides_a_fill(path):
+    # horn._fill is the one fill rule: no other module reads a fill table, fills from one, or
+    # reads a projection's factor mark; sset stores the tables' caches and the mark on the
+    # objects, and product is what marks a projection
+    uses = list(_fill_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    if path.name == "sset.py":
+        uses = [use for use in uses if not use[2]]
+    assert uses == []

@@ -39,7 +39,12 @@ value in the shape's ``_lowest`` table, which the fill does not build: rows
 of simplices, rows with an undefined face, rows of drawn faces, most of
 them incompatible, and rows whose faces (a, b) name a simplex while another
 face differs; over a map, each with the image of the simplex that its
-faces (a, b) name or a drawn target.
+faces (a, b) name or a drawn target. Over the right projection of the
+product of two drawn nerves, which ``product`` marks with its left factor
+C, the engine fills C's part of a row by C's own rule: the rows of every
+shape, each with the image of its simplex or a drawn target, must fill as
+in ``_lowest`` of an unmarked copy, and a shape that the rule decides on C
+builds no table of C.
 """
 
 import random
@@ -326,7 +331,7 @@ def _drawn_rows(X: SemisimplicialSet, n: int, k: int, rng, draws: int = 12) -> d
 
 def _kinds(X: SemisimplicialSet, n: int, k: int, rows) -> set:
     """Which of the drawn kinds of row ``rows`` holds."""
-    pair = horn_module._separates(X, n, _pair(n, k))
+    pair = horn_module._separates(X, n, _pair(n, k)) or {}
     kinds = set()
     for row, z in rows.items():
         if z is not None:
@@ -342,11 +347,16 @@ def _kinds(X: SemisimplicialSet, n: int, k: int, rows) -> set:
 
 def _pair_fills_agree(X: SemisimplicialSet, p, rng) -> set:
     """Drawn rows of every shape the rule decides on X, filled by the engine over the point, or over
-    the map p with drawn targets, against ``_lowest``; the kinds of row drawn."""
+    the map p with drawn targets, against ``_lowest``; the kinds of row drawn. Over a projection
+    marked with its factor C, the rows of every shape, against ``_lowest`` of an unmarked copy."""
     engine, kinds = _Engine(SynthesisInput(X, p=p), X.dim), set()
+    C = None if p is None else p.factor
+    if C is not None:
+        unmarked = SemisimplicialMap(X, p.target, p.levels)
+        assert validate_map(unmarked).ok
     for n in range(2, X.dim + 1):
         for k in range(n + 1):
-            if not _decided(X, None, n, k):
+            if C is None and not _decided(X, None, n, k):
                 continue
             rows = _drawn_rows(X, n, k, rng)
             kinds |= _kinds(X, n, k, rows)
@@ -356,13 +366,18 @@ def _pair_fills_agree(X: SemisimplicialSet, p, rng) -> set:
                 assert (n, k) not in X._lowest
                 assert filled == list(map(_lowest(X, None, n, k).get, rows)), (n, k)
                 continue
-            # the image of the simplex that faces (a, b) name, or a drawn target
-            named = map(horn_module._separates(X, n, _pair(n, k)).get, ((row[0], row[-1]) for row in rows))
+            # the image of the simplex that names the row (its own, or over p unmarked the one
+            # that faces (a, b) name), or a drawn target
+            named = rows.values() if C is not None else map(
+                horn_module._separates(X, n, _pair(n, k)).get, ((row[0], row[-1]) for row in rows))
             targets = [p.levels[n][z] if z is not None and rng.random() < 0.5
                        else rng.randrange(p.target.cells[n]) for z in named]
             filled = engine._canonical_fill(n, k, columns, targets)
             assert (n, k) not in p._lowest and (n, k) not in X._lowest
-            lowest = _lowest(X, p, n, k)
+            if C is not None:
+                # C's part of a row is filled by C's own rule: a decided shape builds no table
+                assert not _decided(C, None, n, k) or (n, k) not in C._lowest
+            lowest = _lowest(X, p if C is None else unmarked, n, k)
             assert filled == [lowest.get((*row, y)) for row, y in zip(rows, targets)], (n, k)
     return kinds
 
@@ -393,6 +408,17 @@ def test_pair_fills_over_drawn_unmarked_maps_are_the_lowest_lifts(category, base
     _pair_fills_agree(X, p, rng)
 
 
+@settings(max_examples=30, deadline=None)
+@given(categories, st.sampled_from(["J", *sorted(BASES)]), st.integers(min_value=2, max_value=3),
+       st.randoms(use_true_random=False))
+def test_pair_fills_over_drawn_marked_projections_are_the_lowest_lifts(category, base, dim, rng):
+    bundle, dim = _drawn(category, base, dim)
+    if bundle is None:
+        return
+    assert bundle.right.factor is not None
+    _pair_fills_agree(bundle.sset, bundle.right, rng)
+
+
 def test_the_drawn_rows_hold_every_kind():
     # the draws that the properties above rest on, on one relabeled nerve and one map
     rng = random.Random(0)
@@ -405,3 +431,4 @@ def test_the_drawn_rows_hold_every_kind():
     p = SemisimplicialMap(X, Y, levels)
     assert validate(X).ok and validate(Y).ok and validate_map(p).ok
     assert _pair_fills_agree(X, p, rng) == everything
+    assert _pair_fills_agree(bundle.sset, bundle.right, rng) == everything

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from degenforge import (
     DimensionTooLow,
+    Horn,
     ParseError,
     SemisimplicialMap,
     SemisimplicialSet,
     SimplexRef,
     Subcomplex,
+    check_inner_fibration,
+    cyclic_group,
     first_edge,
     identity_map,
     last_edge,
@@ -93,16 +96,17 @@ def test_product_counts_and_projections(n2, nj):
     assert validate_map(bundle.right).ok
 
 
-def test_a_factor_whose_cells_do_not_factor_the_source_is_refused(n2, nj):
-    # the factor mark says the source is product(factor, target); cell counts must agree to the depth
-    bundle = product(n2.sset, nj.sset)
-    levels = bundle.right.levels
-    assert SemisimplicialMap(bundle.sset, nj.sset, levels, factor=n2.sset).factor is n2.sset
-    for factor in (nj.sset, nerve(simplex_category(1), 1).sset):
-        with pytest.raises(ValueError) as caught:
-            SemisimplicialMap(bundle.sset, nj.sset, levels, factor=factor)
-        assert str(caught.value) == ("a factor's cell counts times the target's must be the source's, "
-                                     f"up to level {bundle.right.depth}")
+def test_only_product_marks_a_projection_with_its_factor():
+    # a mark on a map that is no product's projection would answer the fibration check from
+    # the factor: Z/2 fills every inner horn, but this X has no 2-simplex with d_0 = d_2 = 1
+    X = SemisimplicialSet([1, 2, 4], [[[0, 0], [0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]])
+    point = nerve(cyclic_group(1), 2).sset
+    levels = [[0], [0, 0], [0, 0, 0, 0]]
+    with pytest.raises(TypeError):
+        SemisimplicialMap(X, point, levels, factor=nerve(cyclic_group(2), 2).sset)
+    verdict = check_inner_fibration(SemisimplicialMap(X, point, levels))
+    assert (verdict.ok, verdict.checked) == (False, 4)
+    assert verdict.witness.horn == Horn.from_map(2, 1, {0: 1, 2: 1})
 
 
 def test_product_with_terminal_is_isomorphic(n2, terminal):
