@@ -59,12 +59,22 @@ S0_HELP = ('path of a JSON file: an array of edge indices, one per vertex, or an
 # -- file helpers ------------------------------------------------------------
 
 
-def _read_text(path: str) -> str:
-    """The text of the UTF-8 file ``path``."""
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file ``path``."""
     try:
         with open(path, "rb") as handle:
-            return handle.read().decode("utf-8")  # json.loads(bytes) would accept UTF-16 and UTF-32
-    except (OSError, ValueError) as exc:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(path: str, raw: Optional[bytes] = None) -> str:
+    """The text of the UTF-8 file ``path``, whose bytes ``raw`` the caller may have read."""
+    if raw is None:
+        raw = _read_bytes(path)
+    try:
+        return raw.decode("utf-8")  # json.loads(bytes) would accept UTF-16 and UTF-32
+    except ValueError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -112,13 +122,20 @@ def _write(*files) -> list:
 
 
 def load_sset(path: str) -> SemisimplicialSet:
-    text = _read_text(path)
-    seed = hash_seed(text)
+    """The set in the file ``path``, its bytes screened once (see ``sset.hash_seed``).
+
+    A file that passes the screen has its levels interned straight from its
+    rows, and once it has parsed to a set it is that set's canonical JSON, so
+    the set takes its content hash from the bytes as read.
+    """
+    raw = _read_bytes(path)
+    seed = hash_seed(raw)
+    text = _read_text(path, raw)
+    del raw
     data = _load_json(path, text)
     del text  # no copy of the file is alive while the set is built
-    X = SemisimplicialSet.from_json_dict(data)
-    if seed is not None and seed[0] == X._head():
-        X._hash = seed[1]  # the file is the set's canonical JSON
+    X = SemisimplicialSet.from_json_dict(data, screened=seed is not None)
+    X._hash = seed
     return X
 
 

@@ -32,16 +32,24 @@ entries. Those checks are made wherever face data is read from input: the
 constructor, ``from_json_dict`` and ``nerve``. ``product`` gathers its face
 levels and both projections from the pool by index arithmetic and stores
 them as they are, with no second type, range or intern pass; it refuses a
-factor with a face entry out of range on a level it reads. ``content_hash``
-is computed once per set, or seeded by the loader from the file's text when
-it is the set's canonical JSON (see ``hash_seed``).
+factor with a face entry out of range on a level it reads.
+
+The loader screens a set file once, by its bytes (see ``hash_seed``): with
+every digit, comma and bracket deleted, a canonical file leaves only its
+key skeleton, so every face entry in it is an int >= 0. On such a file a
+level whose rows fit is interned straight from its parsed rows through the
+pool's slice below c_{n-1}, with no flat list and no type, sign or range
+pass; an entry past the slice, or anything else that does not fit, sends
+the level down the general path, which names the fault or stores the level
+as given, as it would for any other spelling. ``content_hash`` is computed
+once per set, or seeded by the loader from the bytes of a screened file.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -127,13 +135,13 @@ class SemisimplicialSet:
     """
 
     def __init__(self, cells: Sequence[int], faces: Sequence[Sequence[Sequence[int]]]):
-        self._store(cells, len(faces), map(_flattened, count(1), faces, cells[1:]))
+        self._store(cells, faces, rows=True)
 
     @classmethod
     def _from_flat(cls, cells: Sequence[int], levels: Sequence[list[int]]) -> "SemisimplicialSet":
         """The set whose level n is the flat list ``levels[n-1]``, row after row."""
         X = cls.__new__(cls)
-        X._store(cells, len(levels), levels)
+        X._store(cells, levels, rows=False)
         return X
 
     @classmethod
@@ -147,8 +155,12 @@ class SemisimplicialSet:
         X._keep(tuple(cells), [[], *levels], set())
         return X
 
-    def _store(self, cells: Sequence[int], depth: int, levels: Iterable[list[int]]) -> None:
-        # the one way face data is read from input: checked, then interned level by level
+    def _store(self, cells: Sequence[int], levels: Sequence, rows: bool, screened: bool = False) -> None:
+        # the one way face data is read from input: checked, then interned level by level.
+        # ``levels`` holds face rows, or flat lists when not ``rows``; rows read from a
+        # screened file are first tried by _pooled, and a level it does not take goes the
+        # general way: flattened, type-checked, then interned or stored as given
+        depth = len(levels)
         if len(cells) == 0:
             raise ValueError("a semisimplicial set has at least dimension 0")
         cells = tuple(cells)
@@ -159,13 +171,17 @@ class SemisimplicialSet:
         stored: list[list[int]] = [[]]
         # levels with an entry outside 0..c_{n-1}-1, stored as given; only they need a range pass
         out_of_range: set[int] = set()
-        for n, flat in enumerate(levels, 1):
-            if set(map(type, flat)) - {int}:
-                raise ValueError(f"dimension {n}: every face entry must be an integer")
-            values, in_range = _interned(flat, cells[n - 1])
-            if not in_range:
-                out_of_range.add(n)
-            stored.append(list(values))
+        for n, level in enumerate(levels, 1):
+            values = _pooled(n, level, cells[n], cells[n - 1]) if screened else None
+            if values is None:
+                flat = _flattened(n, level, cells[n]) if rows else level
+                if set(map(type, flat)) - {int}:
+                    raise ValueError(f"dimension {n}: every face entry must be an integer")
+                pooled, in_range = _interned(flat, cells[n - 1])
+                if not in_range:
+                    out_of_range.add(n)
+                values = list(pooled)
+            stored.append(values)
         self._keep(cells, stored, out_of_range)
 
     def _keep(self, cells: tuple[int, ...], faces: list[list[int]], out_of_range: set[int]) -> None:
@@ -252,7 +268,9 @@ class SemisimplicialSet:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SemisimplicialSet":
+    def from_json_dict(cls, data: Mapping, screened: bool = False) -> "SemisimplicialSet":
+        """The set ``data`` names; ``screened`` only for data parsed from bytes that pass
+        the screen of ``hash_seed``, whose face entries are then ints >= 0 or lists."""
         try:
             dim = data["dim"]
             cells = list(data["cells"])
@@ -265,14 +283,12 @@ class SemisimplicialSet:
             raise ParseError(f"dim {dim} disagrees with {len(cells)} cell counts")
         if len(faces) != dim:
             raise ParseError(f"dim {dim} disagrees with {len(faces)} face levels")
+        X = cls.__new__(cls)
         try:
-            return cls(cells, faces)
+            X._store(cells, faces, rows=True, screened=screened)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
-
-    def _head(self) -> str:
-        """The canonical JSON up to the face levels: cell counts, dimension, ``"faces":[``."""
-        return '{"cells":[%s],"dim":%d,"faces":[' % (",".join(map(str, self.cells)), self.dim)
+        return X
 
     def content_hash(self) -> str:
         """sha256 of the set's canonical JSON, computed once.
@@ -285,7 +301,8 @@ class SemisimplicialSet:
             for n, flat in enumerate(self._faces[1:], 1):
                 row = "[" + ",".join(["%d"] * (n + 1)) + "]"
                 levels.append(("[" + ",".join([row] * self.cells[n]) + "]") % tuple(flat))
-            blob = self._head() + ",".join(levels) + "]}"
+            head = '{"cells":[%s],"dim":%d,"faces":[' % (",".join(map(str, self.cells)), self.dim)
+            blob = head + ",".join(levels) + "]}"
             self._hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         return self._hash
 
@@ -298,23 +315,48 @@ class SemisimplicialSet:
         return f"SemisimplicialSet(cells={list(self.cells)})"
 
 
-def hash_seed(text: str) -> Optional[tuple[str, str]]:
-    """The head and sha256 of a set file's text when it may be the set's canonical JSON, else None.
+# what a canonical set file leaves once every digit, comma and bracket is deleted
+_SKELETON = (b'{"cells":"dim":"faces":}', b'{"cells":"dim":"faces":}\n')
 
-    Less one final newline, the text of a file that parsed to a set is that
-    set's canonical JSON exactly when it begins with the set's head (see
-    ``_head``) and holds no ``"`` but the six of its three keys (so no other
-    key and no escape), no ``{`` but the first (so no empty level written as
-    ``{}``, the one other container an accepted level may be) and no
-    whitespace and no ``-`` (so no ``-0``): what follows the head is then
-    lists of ints, each with one spelling. The head is compared once the set
-    is built, so that no copy of the text need be alive while it is.
+
+def hash_seed(raw: bytes) -> Optional[str]:
+    """The sha256 of a set file's bytes ``raw`` less one final newline, if they pass the screen; else None.
+
+    The screen deletes the bytes ``0123456789,[]`` and asks that exactly the
+    skeleton of the canonical keys, ``{"cells":"dim":"faces":}``, is left,
+    plus at most one final newline. Between the skeleton's six quotes there
+    is then nothing but digits, commas and brackets, so every number in the
+    file is a JSON integer of digits alone, an int >= 0 with one spelling:
+    no bool, float, string, null, ``NaN``, ``-`` or object hides among the
+    faces, and there is no whitespace, no other key and no escape. So when
+    the file parses to a set, those bytes are the set's canonical JSON, and
+    their hash is its ``content_hash``; and ``from_json_dict(...,
+    screened=True)`` may intern its levels with no type or sign pass.
     """
-    body = text.removesuffix("\n")
-    at = body.find('"faces":[')
-    if at < 0 or body.count('"') != 6 or body.count("{") != 1 or any(c in body for c in " \t\r\n-"):
+    if raw.translate(None, b"0123456789,[]") not in _SKELETON:
         return None
-    return body[:at + len('"faces":[')], hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return hashlib.sha256(memoryview(raw)[:len(raw) - raw.endswith(b"\n")]).hexdigest()
+
+
+def _pooled(n: int, level, simplices: int, limit: int) -> Optional[list[int]]:
+    """The canonical ints of the face rows ``level`` of a screened file, row after row, or None.
+
+    The screen has proved every entry an int >= 0, so a level of
+    ``simplices`` rows of n + 1 entries each is interned through the pool's
+    slice below ``limit`` with no type, sign or range pass: an entry at or
+    past the slice's end raises. The pool grows by at most the level's
+    length, as in ``_interned``. None when the level does not fit (a row
+    count or length, a row nested too deep, a level that is not a list of
+    lists, an entry past the slice): the general path then names the fault
+    or stores the level as given.
+    """
+    try:
+        if len(level) != simplices or set(map(len, level)) - {n + 1}:
+            return None
+        pool = _canonical(min(limit, len(_CANONICAL) + simplices * (n + 1)))[:limit]
+        return list(map(pool.__getitem__, chain.from_iterable(level)))
+    except (TypeError, IndexError):
+        return None
 
 
 def _flattened(n: int, level: Sequence[Sequence[int]], simplices: int) -> list[int]:

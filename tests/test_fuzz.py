@@ -5,7 +5,10 @@ subcomplex, degeneracy table, certificate, ``--s0`` file or category file,
 or the ``--dim`` flag. It mutates one node of a valid file of that kind (or
 draws the bound) and runs the command. Whatever the mutation, ``run()``
 returns 0, 1 or 2 with a named verdict and never raises: malformed input is
-exit 2 with ``"error"``, and a domain verdict is exit 0 or 1.
+exit 2 with ``"error"``, and a domain verdict is exit 0 or 1. A set mutant
+is written twice, with spaces and in the canonical spelling, which the
+loader screens by its bytes, and both give the same exit code, verdict and
+detail.
 
 The valid files are small so that 500 examples stay cheap: Z/2 at D3 over
 the point, and Z/2 x J at D2 over J, with the whole set as a subcomplex
@@ -139,6 +142,10 @@ def _mutate(text: str, paths: list, rng: random.Random):
     return doc
 
 
+def _outcome(code: int, report: dict) -> tuple:
+    return code, report.get("verdict"), report.get("detail")
+
+
 @seed(20261018)
 @settings(max_examples=500, deadline=None, database=None)
 @given(case=st.sampled_from(CASES), mutation=st.integers(0, 2**32 - 1))
@@ -151,9 +158,15 @@ def test_no_input_ends_in_a_traceback(files, case, mutation):
         argv = [*argv, "--dim", str(rng.randint(-3, 4))]  # the last --dim on a command line wins
     else:
         mutant = files["root"] / f"mutant.{name}"
-        mutant.write_text(json.dumps(_mutate(files["texts"][name], files["nodes"][name], rng)))
+        doc = _mutate(files["texts"][name], files["nodes"][name], rng)
         argv = [str(mutant) if arg == files["path"][name] else arg for arg in argv]
+        if name.endswith(".sset"):
+            mutant.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            screened = _outcome(*run(argv))
+        mutant.write_text(json.dumps(doc))
     code, report = run(argv)
+    if name.endswith(".sset"):
+        assert screened == _outcome(code, report), (argv, report)
     verdict = report.get("verdict")
     assert code in (0, 1, 2) and isinstance(verdict, str) and verdict, (argv, report)
     assert (code == 0) == (verdict in AFFIRMATIVE), (argv, report)
