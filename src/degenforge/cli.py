@@ -89,14 +89,18 @@ def _load_json(path: str, text: Optional[str] = None):
 
 
 def _dump_json(path: str, payload) -> None:
-    """Write ``payload`` as compact JSON with sorted keys; a certificate writes itself."""
-    if isinstance(payload, Certificate):
-        blob = payload.to_json() + "\n"
+    """Write ``payload`` as compact JSON with sorted keys; a certificate writes itself, and a set
+    its canonical text a level at a time, the text its ``content_hash`` hashed."""
+    if isinstance(payload, SemisimplicialSet):
+        texts = payload._texts()
+    elif isinstance(payload, Certificate):
+        texts = [payload.to_json()]
     else:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        texts = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(blob)
+            handle.writelines(texts)
+            handle.write("\n")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -279,7 +283,7 @@ def _cmd_nerve(args) -> tuple[str, dict, list]:
     bundle = nerve(load_category(args.cat), args.dim)
     if args.deg and bundle.oracle_degeneracies is None:
         raise ParseError("the presentation is non-unital; no degeneracy table exists")
-    outputs = _write((args.out, bundle.sset.to_json_dict),
+    outputs = _write((args.out, lambda: bundle.sset),
                      (args.deg, lambda: bundle.oracle_degeneracies.to_json_dict()))
     payload = {"bound": args.dim, "detail": {"cells": list(bundle.sset.cells)}}
     return ("success", payload, outputs)

@@ -43,6 +43,12 @@ pass; an entry past the slice, or anything else that does not fit, sends
 the level down the general path, which names the fault or stores the level
 as given, as it would for any other spelling. ``content_hash`` is computed
 once per set, or seeded by the loader from the bytes of a screened file.
+
+A set writes its canonical JSON a level at a time (``_texts``), hashed as
+it is made and written by the CLI from the same pieces. A level in range
+with at least c_{n-1} entries is two gathers and one join through its own
+digit tables over 0..c_{n-1}-1; any other level (empty, out of range, or
+shorter than c_{n-1}, whose tables its entries never paid for) takes a template.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DimensionTooLow, ParseError
 
@@ -290,20 +296,27 @@ class SemisimplicialSet:
             raise ParseError(str(exc)) from exc
         return X
 
-    def content_hash(self) -> str:
-        """sha256 of the set's canonical JSON, computed once.
-
-        Those are the bytes json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":"))
-        writes, each level formatted from its flat list by one template.
-        """
-        if self._hash is None:
-            levels = []
-            for n, flat in enumerate(self._faces[1:], 1):
+    def _texts(self) -> Iterator[str]:
+        """The set's canonical JSON text, the bytes json.dumps(to_json_dict(), sort_keys=True,
+        separators=(",", ":")) writes, a level at a time; -1 would read a digit table from its end."""
+        yield '{"cells":[%s],"dim":%d,"faces":[' % (",".join(map(str, self.cells)), self.dim)
+        for n, flat in enumerate(self._faces[1:], 1):
+            if n > 1:
+                yield ","
+            if flat and n not in self._out_of_range and self.cells[n - 1] <= len(flat):
+                yield _digits_text(n, flat, self.cells[n - 1])
+            else:
                 row = "[" + ",".join(["%d"] * (n + 1)) + "]"
-                levels.append(("[" + ",".join([row] * self.cells[n]) + "]") % tuple(flat))
-            head = '{"cells":[%s],"dim":%d,"faces":[' % (",".join(map(str, self.cells)), self.dim)
-            blob = head + ",".join(levels) + "]}"
-            self._hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+                yield ("[" + ",".join([row] * self.cells[n]) + "]") % tuple(flat)
+        yield "]}"
+
+    def content_hash(self) -> str:
+        """sha256 of the set's canonical JSON, computed once from its ``_texts`` as they are made."""
+        if self._hash is None:
+            digest = hashlib.sha256()
+            for text in self._texts():
+                digest.update(text.encode("utf-8"))
+            self._hash = digest.hexdigest()
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -368,6 +381,17 @@ def _flattened(n: int, level: Sequence[Sequence[int]], simplices: int) -> list[i
         j, row = next((j, row) for j, row in enumerate(level) if len(row) != n + 1)
         raise ValueError(f"simplex ({n},{j}) needs {n + 1} faces, got {len(row)}")
     return flat
+
+
+def _digits_text(n: int, flat: list[int], limit: int) -> str:
+    """The JSON rows of the flat level n, entries in 0..limit-1, from tables of ``str(v)``, ``str(v) + ","``
+    and ``str(v) + "],["``: one gather of the level through the second, one of its last face column
+    through the third, and one join; the pieces are dropped on return, before the text is hashed."""
+    digits = list(map(str, range(limit)))
+    parts = list(_gather(flat)([d + "," for d in digits]))
+    parts[n::n + 1] = _gather(flat[n::n + 1])([d + "],[" for d in digits])
+    parts[0], parts[-1] = "[[" + parts[0], digits[flat[-1]] + "]]"
+    return "".join(parts)
 
 
 def _gather(indices: Sequence[int]):

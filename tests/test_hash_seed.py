@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from degenforge import cyclic_group, idempotent_monoid, j_groupoid, nerve, product
+from degenforge import cyclic_group, idempotent_monoid, j_groupoid, nerve, product, product_category
 from degenforge.cli import _dump_json, load_sset, load_table, run
-from degenforge.sset import SemisimplicialSet
+from degenforge.sset import SemisimplicialSet, hash_seed
 
 GOLDEN = {
     "z2@D4": lambda: nerve(cyclic_group(2), 4).sset,
@@ -136,3 +136,16 @@ def test_a_table_pinned_to_other_bytes_is_for_a_different_set(tmp_path, spelling
     code, report = run(["verify", str(path), str(deg)])
     assert (code, report["verdict"]) == (2, "error"), report
     assert report["detail"] == "degeneracy table was emitted for a different base set"
+
+
+def test_nerve_out_writes_the_text_content_hash_hashed(tmp_path):
+    # the CLI writes a set from the pieces content_hash hashes, so the file it writes screens to that hash
+    category = product_category(cyclic_group(3), j_groupoid())
+    cat, out = tmp_path / "z3xj.cat", tmp_path / "z3xj.sset"
+    cat.write_text(json.dumps(category.to_json_dict()))
+    code, report = run(["nerve", "--cat", str(cat), "--dim", "4", "--out", str(out)])
+    assert code == 0 and report["outputs"] == [str(out)]
+    X = nerve(category, 4).sset
+    raw = out.read_bytes()
+    assert raw == _canonical(X).encode("utf-8") + b"\n"
+    assert hash_seed(raw) == X.content_hash() == _computed(X)
